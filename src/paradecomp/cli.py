@@ -285,8 +285,9 @@ def cmd_verify(args):
     s = standard_generators()
     w = expand_window(kind, _parse_base(kind, base), s, radius, margin)
     # accept either bare piece tables or a whole paradox output
-    pobj = obj["pieces"] if isinstance(obj, dict) and "gens" not in obj else obj
-    pd = pieces_from_obj(pobj, w)
+    if isinstance(obj, dict) and "gens" not in obj:
+        obj = obj.get("pieces", obj)
+    pd = pieces_from_obj(obj, w)
     cert = verify_paradox(pd, w)
     payload = {
         "schema": _schema("verify"),

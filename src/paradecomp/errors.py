@@ -43,6 +43,16 @@ class GraphFormatError(ParadecompError):
     exit_status = 1
 
 
+class PiecesFormatError(ParadecompError):
+    code = "BAD_PIECES"
+    exit_status = 1
+
+
+class ForestFormatError(ParadecompError):
+    code = "BAD_FOREST"
+    exit_status = 1
+
+
 class UnknownVertexError(ParadecompError):
     code = "UNKNOWN_VERTEX"
     exit_status = 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .actions import ActionWindow, DoublingGraph, GeneratingSet, standard_generators
-from .errors import NotPerfectOnInteriorError
+from .errors import NotPerfectOnInteriorError, PiecesFormatError
 from .graphs import BipartiteGraph, bipartite_graph
 from .words import IDENTITY
 
@@ -46,11 +46,34 @@ class ParadoxicalDecomposition:
 
 
 def pieces_from_obj(obj, window: ActionWindow) -> ParadoxicalDecomposition:
+    """Parse a piece table, naming the offending field on bad input."""
+    if not isinstance(obj, dict):
+        raise PiecesFormatError("pieces: expected an object")
+    for key in ("gens", "pieces_a", "pieces_b"):
+        if key not in obj:
+            raise PiecesFormatError(f"missing field: {key}")
+        if not isinstance(obj[key], list):
+            raise PiecesFormatError(f"{key}: expected a list")
+    for i, w in enumerate(obj["gens"]):
+        if not isinstance(w, str):
+            raise PiecesFormatError(f"gens[{i}]: expected a word")
     gens = GeneratingSet.from_words(obj["gens"])
     pieces_a = {}
     pieces_b = {}
     for key, target in (("pieces_a", pieces_a), ("pieces_b", pieces_b)):
-        for word, idx in obj[key]:
+        for n, entry in enumerate(obj[key]):
+            where = f"{key}[{n}]"
+            if not isinstance(entry, list) or len(entry) != 2:
+                raise PiecesFormatError(f"{where}: expected a pair [word, index]")
+            word, idx = entry
+            if not isinstance(word, str):
+                raise PiecesFormatError(f"{where}: point must be a word")
+            if not isinstance(idx, int) or isinstance(idx, bool):
+                raise PiecesFormatError(f"{where}: index must be an integer")
+            if not 0 <= idx < len(gens):
+                raise PiecesFormatError(
+                    f"{where}: index {idx} outside the {len(gens)} generators"
+                )
             i = window.index_of_word(word)
             if i is None:
                 continue  # points outside this window cannot be checked

@@ -4,7 +4,10 @@ A rotation is stored as a 3x3 integer matrix ``num`` (row major tuple) plus a
 power-of-five denominator exponent ``scale``; the real matrix is
 num / 5**scale.  The two standard generators rotate by arccos(3/5) about the
 z and x axes.  Everything stays in integer arithmetic, so identity tests and
-freeness checks are exact rather than floating point.
+freeness checks are exact rather than floating point.  Since a rotation is
+normalized (common factors of 5 stripped from ``num``), equal rotations have
+equal fields and hash alike, which is what lets the freeness certificate
+find words with equal rotations by dictionary lookup.
 
 Vectors live on the rational sphere: (x, y, z, k) stands for
 (x, y, z) / 5**k with x^2 + y^2 + z^2 = 25**k, kept normalized so not all of
@@ -16,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BadLetterError, FreeActionViolationError
-from .words import ALPHABET, IDENTITY, reduce_word
+from .words import ALPHABET, IDENTITY, inv, mul, reduce_word
 
 _ID9 = (1, 0, 0, 0, 1, 0, 0, 0, 1)
 
@@ -123,26 +126,38 @@ def standard_free_rotations() -> dict[str, Rotation]:
 
 
 def shortest_identity_word(max_len: int) -> str | None:
-    """Search reduced nonidentity words up to max_len for one acting trivially.
+    """Certify that the generators act freely out to word length max_len.
 
-    Returns the offending word, or None when the generators act freely out to
-    that length.  Iterative DFS over the reduced-word tree; matrices along the
-    current branch are kept on the stack so each step is one product.
+    Returns a reduced nonidentity word of length <= max_len acting as the
+    identity, or None when there is none.  Meet in the middle: such a word
+    splits as x.y with |x| <= ceil(max_len/2) and |y| <= floor(max_len/2),
+    so rot(x) = rot(y^-1) for two distinct reduced words.  Words are walked
+    level by level in shortlex order, each carrying its rotation so a new
+    word costs one product.  Rotations of words up to floor(max_len/2) are
+    stored; the extra level of an odd max_len is only looked up, so no
+    witness is longer than max_len.  The first new word w whose rotation
+    equals that of a stored u gives the witness u.w^-1.
     """
-    if max_len <= 0:
-        return None
-    stack = [(IDENTITY, ROTATION_IDENTITY)]
-    while stack:
-        w, rot = stack.pop()
-        for c in reversed(ALPHABET):
-            if w and w[-1] == _INV[c]:
-                continue
-            nw = w + c
-            nrot = rot * _LETTER[c]
-            if nrot.is_identity():
-                return nw
-            if len(nw) < max_len:
-                stack.append((nw, nrot))
+    half = max_len // 2
+    seen = {ROTATION_IDENTITY: IDENTITY}
+    level = [(IDENTITY, ROTATION_IDENTITY)]
+    for length in range(1, max_len - half + 1):
+        store = length <= half
+        nxt = []
+        for w, rot in level:
+            last = w[-1:]
+            for c in ALPHABET:
+                if last == _INV[c]:
+                    continue
+                nw = w + c
+                nrot = rot * _LETTER[c]
+                u = seen.get(nrot)
+                if u is not None:
+                    return mul(u, inv(nw))
+                if store:
+                    seen[nrot] = nw
+                    nxt.append((nw, nrot))
+        level = nxt
     return None
 
 

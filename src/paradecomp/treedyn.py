@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .errors import (
     BallTruncatedError,
     ExtensionStuckError,
+    ForestFormatError,
     HypothesisFailedError,
     InvalidMatchingError,
     NotPerfectOnInteriorError,
@@ -312,6 +313,10 @@ def forest_from_obj(obj) -> ForestWindow:
     n = obj["n_points"]
     nbrs = [set() for _ in range(n)]
     for u, v in obj["edges"]:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ForestFormatError(
+                f"edge [{u}, {v}]: endpoint outside 0..{n - 1}", edge=[u, v]
+            )
         nbrs[u].add(v)
         nbrs[v].add(u)
     return ForestWindow(

@@ -181,3 +181,32 @@ def bfs_distances(adj, source):
                     nxt.append(v)
         frontier = nxt
     return dist
+
+
+def dfs_identity_word(letters, max_len: int):
+    """First reduced nonidentity word of length <= max_len acting trivially.
+
+    letters maps each of a, A, b, B to a rotation; only its integer ``num``
+    and ``scale`` fields are read.  Plain DFS over the reduced-word tree with
+    unnormalized integer products: a word of total scale s is the identity
+    exactly when its matrix is 5**s times the identity.  Returns None when
+    no such word exists.
+    """
+    if max_len <= 0:
+        return None
+    flip = {"a": "A", "A": "a", "b": "B", "B": "b"}
+    stack = [("", (1, 0, 0, 0, 1, 0, 0, 0, 1), 0)]
+    while stack:
+        w, m, s = stack.pop()
+        for c in reversed("aAbB"):
+            if w and w[-1] == flip[c]:
+                continue
+            nw = w + c
+            nm = mat_mul(m, letters[c].num)
+            ns = s + letters[c].scale
+            d = 5**ns
+            if nm == (d, 0, 0, 0, d, 0, 0, 0, d):
+                return nw
+            if len(nw) < max_len:
+                stack.append((nw, nm, ns))
+    return None

@@ -231,3 +231,49 @@ def test_repeat_runs_are_byte_identical(capsys, k33):
     assert cli.main(["hall-check", k33]) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.fixture()
+def pieces_obj(capsys, tmp_path):
+    out = tmp_path / "pieces.json"
+    code, _ = run(
+        capsys,
+        ["paradox", "--kind", "f2", "--radius", "6", "--margin", "2", "--out", str(out)],
+    )
+    assert code == 0
+    return json.loads(out.read_text())
+
+
+def test_verify_pieces_without_gens_exits_one(capsys, tmp_path, pieces_obj):
+    del pieces_obj["pieces"]["gens"]
+    no_pieces = {"window": pieces_obj["window"]}
+    for name, data in (("nogens", pieces_obj), ("nopieces", no_pieces)):
+        f = tmp_path / f"{name}.json"
+        f.write_text(json.dumps(data))
+        code, obj = run(capsys, ["verify", "--pieces", str(f)])
+        assert code == 1
+        assert obj["error"] == "BAD_PIECES"
+        assert "gens" in obj["message"]
+
+
+def test_verify_piece_index_out_of_range_exits_one(capsys, tmp_path, pieces_obj):
+    n_gens = len(pieces_obj["pieces"]["gens"])
+    pieces_obj["pieces"]["pieces_b"][0][1] = n_gens
+    f = tmp_path / "badindex.json"
+    f.write_text(json.dumps(pieces_obj))
+    code, obj = run(capsys, ["verify", "--pieces", str(f)])
+    assert code == 1
+    assert obj["error"] == "BAD_PIECES"
+    assert "pieces_b[0]" in obj["message"]
+
+
+def test_f2action_edge_outside_points_exits_one(capsys, tmp_path):
+    fobj = synthetic_forest(random.Random(5)).to_obj()
+    n = fobj["n_points"]
+    fobj["edges"].append([0, n])
+    src = tmp_path / "forest.json"
+    src.write_text(json.dumps(fobj))
+    code, obj = run(capsys, ["f2action", "--from", str(src), "--stages", "0"])
+    assert code == 1
+    assert obj["error"] == "BAD_FOREST"
+    assert obj["details"]["edge"] == [0, n]

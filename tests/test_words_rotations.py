@@ -28,7 +28,7 @@ from paradecomp.words import (
     word_key,
 )
 
-from oracles import scan_reduce, word_matrix_fraction
+from oracles import dfs_identity_word, scan_reduce, word_matrix_fraction
 
 words_st = st.text(alphabet="aAbB", max_size=24)
 # mul/inv take reduced words; the raw strategy exists to exercise reduce_word
@@ -112,6 +112,38 @@ def test_rotation_normalization_strips_common_fives():
 def test_freeness_small_lengths():
     assert shortest_identity_word(8) is None
     assert_free(8)
+
+
+def test_freeness_certificate_to_length_twenty():
+    assert shortest_identity_word(20) is None
+
+
+# finite-order replacements for ROT_A: a half turn, a 3-cycle of the axes and
+# a quarter turn about z, each giving identity words of that length
+_FINITE_ORDER = {
+    2: Rotation((-1, 0, 0, 0, -1, 0, 0, 0, 1), 0),
+    3: Rotation((0, 0, 1, 1, 0, 0, 0, 1, 0), 0),
+    4: Rotation((0, -1, 0, 1, 0, 0, 0, 0, 1), 0),
+}
+
+
+@pytest.mark.parametrize("order", [None, 2, 3, 4])
+def test_certificate_agrees_with_dfs_oracle(monkeypatch, order):
+    import paradecomp.rotations as rot_mod
+
+    if order is not None:
+        gen = _FINITE_ORDER[order]
+        monkeypatch.setitem(rot_mod._LETTER, "a", gen)
+        monkeypatch.setitem(rot_mod._LETTER, "A", gen.transpose())
+    letters = dict(rot_mod._LETTER)
+    for max_len in range(9):
+        w = shortest_identity_word(max_len)
+        assert (w is None) == (dfs_identity_word(letters, max_len) is None)
+        if w is not None:
+            assert w and is_reduced(w) and len(w) <= max_len
+            assert word_rotation(w).is_identity()
+    if order is not None:
+        assert shortest_identity_word(order) is not None
 
 
 def test_orthogonality_of_random_words_exact():
