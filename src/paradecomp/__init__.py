@@ -4,183 +4,8 @@ Layered Hall-preserving matchings, doubling graphs of group actions,
 piece-table extraction with deep-interior certificates, and the derived
 tree dynamics (matching transfer, cycle surgery, staged free actions),
 all at finite or lazily windowed scale.
+
+The package root exports only __version__; import paradecomp.<module>.
 """
 
-from .actions import (
-    F2,
-    SPHERE,
-    ActionWindow,
-    DoublingGraph,
-    GeneratingSet,
-    build_doubling,
-    expand_window,
-    interior_expansion_audit,
-    interior_saturating_matching,
-    square_set,
-    standard_generators,
-    unmatched_boundary_stats,
-)
-from .errors import ParadecompError
-from .graphs import (
-    BipartiteGraph,
-    bipartite_graph,
-    distance,
-    distances_from,
-    graph_from_obj,
-    graph_to_obj,
-    g2_connected_components,
-    g2_neighbors,
-    induced_subgraph,
-    neighborhood,
-    to_dot,
-    validate_matching,
-)
-from .hall import (
-    ExpansionParams,
-    HallReport,
-    HallWitness,
-    check_hall,
-    check_hall_eps_n,
-    connected_side_sets,
-    deficiency,
-)
-from .layers import (
-    UNRELIABLE,
-    LayerSchedule,
-    Layering,
-    explicit_schedule,
-    geometric_schedule,
-    greedy_layering,
-    local_layer_membership,
-    validate_layering,
-    window_layering,
-)
-from .matcher import (
-    MatchResult,
-    layered_perfect_matching,
-    run_stage,
-    select_hall_preserving_edge,
-)
-from .matching import hopcroft_karp, matching_covers, max_matching
-from .paradox import (
-    Certificate,
-    EquidecompositionGraph,
-    ParadoxicalDecomposition,
-    build_equidecomposition_graph,
-    classical_f2_decomposition,
-    matching_to_paradox,
-    paradox_to_matching,
-    pieces_from_obj,
-    verify_paradox,
-)
-from .rotations import (
-    Rotation,
-    assert_free,
-    shortest_identity_word,
-    standard_free_rotations,
-    word_rotation,
-)
-from .treedyn import (
-    F2ActionResult,
-    ForestWindow,
-    OrientedTwoRegular,
-    TransferResult,
-    TripleFunctionSystem,
-    f2_action_from_forest,
-    forest_from_obj,
-    forest_from_paradox,
-    forest_is_acyclic,
-    free_word_violation,
-    majority_ball,
-    odd_path_graph,
-    transfer_matching,
-    triple_system_from_matching,
-)
-from .words import inv, is_reduced, iter_reduced, mul, reduce_word, word_key
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ActionWindow",
-    "BipartiteGraph",
-    "Certificate",
-    "DoublingGraph",
-    "EquidecompositionGraph",
-    "ExpansionParams",
-    "F2",
-    "F2ActionResult",
-    "ForestWindow",
-    "GeneratingSet",
-    "HallReport",
-    "HallWitness",
-    "LayerSchedule",
-    "Layering",
-    "MatchResult",
-    "OrientedTwoRegular",
-    "ParadecompError",
-    "ParadoxicalDecomposition",
-    "Rotation",
-    "SPHERE",
-    "TransferResult",
-    "TripleFunctionSystem",
-    "UNRELIABLE",
-    "assert_free",
-    "bipartite_graph",
-    "build_doubling",
-    "build_equidecomposition_graph",
-    "check_hall",
-    "check_hall_eps_n",
-    "classical_f2_decomposition",
-    "connected_side_sets",
-    "deficiency",
-    "distance",
-    "distances_from",
-    "expand_window",
-    "explicit_schedule",
-    "f2_action_from_forest",
-    "forest_from_obj",
-    "forest_from_paradox",
-    "forest_is_acyclic",
-    "free_word_violation",
-    "g2_connected_components",
-    "g2_neighbors",
-    "geometric_schedule",
-    "graph_from_obj",
-    "graph_to_obj",
-    "greedy_layering",
-    "hopcroft_karp",
-    "induced_subgraph",
-    "interior_expansion_audit",
-    "interior_saturating_matching",
-    "inv",
-    "is_reduced",
-    "iter_reduced",
-    "layered_perfect_matching",
-    "local_layer_membership",
-    "majority_ball",
-    "matching_covers",
-    "matching_to_paradox",
-    "max_matching",
-    "mul",
-    "neighborhood",
-    "odd_path_graph",
-    "paradox_to_matching",
-    "pieces_from_obj",
-    "reduce_word",
-    "run_stage",
-    "select_hall_preserving_edge",
-    "shortest_identity_word",
-    "square_set",
-    "standard_free_rotations",
-    "standard_generators",
-    "to_dot",
-    "transfer_matching",
-    "triple_system_from_matching",
-    "unmatched_boundary_stats",
-    "validate_layering",
-    "validate_matching",
-    "verify_paradox",
-    "window_layering",
-    "word_key",
-    "word_rotation",
-]

@@ -22,7 +22,6 @@ from .errors import (
     FreeActionViolationError,
     MarginTooSmallError,
     NotPerfectOnInteriorError,
-    UnknownVertexError,
 )
 from .graphs import BipartiteGraph, bipartite_graph
 from .hall import HallReport, HallWitness
@@ -65,9 +64,6 @@ class GeneratingSet:
 
     def max_word_length(self) -> int:
         return max((len(w) for w in self.elements), default=0)
-
-    def index_of(self, w: str) -> int:
-        return self.elements.index(w)
 
     def __len__(self):
         return len(self.elements)
@@ -272,9 +268,6 @@ class DoublingGraph:
     def side(self, vid: int) -> int:
         return 0 if vid < self.n_points else 1
 
-    def vid(self, copy: int, i: int) -> int:
-        return copy * self.n_points + i
-
     def is_interior(self, vid: int) -> bool:
         return self.window.is_interior(self.point_of(vid))
 
@@ -306,20 +299,6 @@ class DoublingGraph:
                 out.update(self.images(j))
             got = self._im2[i] = sorted(out)
         return got
-
-    def g2_neighbors(self, vid: int):
-        """Vertices at distance exactly 2: same side, intersecting images."""
-        n = self.n_points
-        i = vid % n
-        pts = self.g2_point_neighbors(i)
-        if vid < n:
-            return [j for j in pts if j != i]
-        return [
-            c * n + j
-            for c in range(1, self.copies)
-            for j in pts
-            if c * n + j != vid
-        ]
 
     def to_bipartite(self) -> BipartiteGraph:
         n = self.n_points

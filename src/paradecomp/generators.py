@@ -6,7 +6,7 @@ seed; exact constructions never consult the rng.
 
 from __future__ import annotations
 
-from .graphs import BipartiteGraph, bipartite_graph
+from .graphs import BipartiteGraph, bfs_distances, bipartite_graph
 from .hall import ExpansionParams, check_hall_eps_n
 from .matching import hopcroft_karp
 from .treedyn import ForestWindow, TripleFunctionSystem
@@ -163,13 +163,8 @@ def synthetic_forest(rng, spine: int | None = None, branch_prob: float = 0.3) ->
     n = len(nbrs)
     adjacency = tuple(tuple(sorted(s)) for s in nbrs)
     depth = [-1] * n
-    depth[0] = 0
-    order = [0]
-    for u in order:
-        for y in adjacency[u]:
-            if depth[y] == -1:
-                depth[y] = depth[u] + 1
-                order.append(y)
+    for v, d in bfs_distances(adjacency.__getitem__, (0,)).items():
+        depth[v] = d
     return ForestWindow(
         adjacency=adjacency,
         interior=tuple(len(adjacency[v]) == 4 for v in range(n)),

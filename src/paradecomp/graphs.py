@@ -158,42 +158,38 @@ def to_dot(g: BipartiteGraph, matching=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def bfs_distances(neighbors, sources, bound=None) -> dict:
+    """Breadth-first distances from sources, in the order vertices are reached.
+
+    neighbors maps a vertex to an iterable read in its given order; vertices
+    farther than bound (when given) are left out.  Levels are expanded whole
+    and in order, which is the visiting order of a FIFO queue.
+    """
+    dist = dict.fromkeys(sources, 0)
+    frontier = list(dist)
+    d = 0
+    while frontier and (bound is None or d < bound):
+        d += 1
+        nxt = []
+        for u in frontier:
+            for w in neighbors(u):
+                if w not in dist:
+                    dist[w] = d
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
 def distances_from(g: BipartiteGraph, source, bound=None) -> dict:
     """BFS distances; omits vertices beyond bound (or other components)."""
     g.require_vertex(source)
-    dist = {source: 0}
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        d = dist[u] + 1
-        if bound is not None and d > bound:
-            continue
-        for w in g.adj[u]:
-            if w not in dist:
-                dist[w] = d
-                q.append(w)
-    return dist
+    return bfs_distances(g.adj.__getitem__, (source,), bound)
 
 
 def distance(g: BipartiteGraph, x, y, bound=None):
     g.require_vertex(x)
     g.require_vertex(y)
-    if x == y:
-        return 0
-    dist = {x: 0}
-    q = deque([x])
-    while q:
-        u = q.popleft()
-        d = dist[u] + 1
-        if bound is not None and d > bound:
-            return INFINITY
-        for w in g.adj[u]:
-            if w == y:
-                return d
-            if w not in dist:
-                dist[w] = d
-                q.append(w)
-    return INFINITY
+    return bfs_distances(g.adj.__getitem__, (x,), bound).get(y, INFINITY)
 
 
 def neighborhood(g: BipartiteGraph, f_set) -> set:
@@ -293,65 +289,3 @@ def g2_connected_components(g: BipartiteGraph, subset):
         comps.append(tuple(sorted(comp)))
     return comps
 
-
-LEQ = "LEQ"
-EXACT = "EXACT"
-ODD_PATHS = "ODD_PATHS"
-
-
-class PowerGraphSpec:
-    """Lazy view of G^{<=n}, G^n, or the odd-path graph G_n.
-
-    Adjacency is answered per query; nothing is stored densely.  For
-    ODD_PATHS the rule is a simple G-path of odd length <= 2n-1, found by a
-    bounded DFS (the bound keeps this cheap; real uses have n <= 3).
-    """
-
-    def __init__(self, base: BipartiteGraph, mode: str, n: int):
-        if mode not in (LEQ, EXACT, ODD_PATHS):
-            raise GraphFormatError(f"unknown power graph mode {mode!r}")
-        if n < 1:
-            raise GraphFormatError("power graph order must be >= 1", n=n)
-        self.base = base
-        self.mode = mode
-        self.n = n
-
-    def neighbors(self, v) -> set:
-        g = self.base
-        g.require_vertex(v)
-        if self.mode == LEQ:
-            dist = distances_from(g, v, bound=self.n)
-            return {w for w, d in dist.items() if 1 <= d <= self.n}
-        if self.mode == EXACT:
-            dist = distances_from(g, v, bound=self.n)
-            return {w for w, d in dist.items() if d == self.n}
-        return self._odd_path_ends(v)
-
-    def adjacent(self, u, v) -> bool:
-        if u == v:
-            return False
-        return v in self.neighbors(u)
-
-    def _odd_path_ends(self, v) -> set:
-        limit = 2 * self.n - 1
-        g = self.base
-        out = set()
-        path = [v]
-        on_path = {v}
-
-        def walk(u, length):
-            if length & 1:
-                out.add(u)
-            if length == limit:
-                return
-            for w in g.adj[u]:
-                if w not in on_path:
-                    on_path.add(w)
-                    path.append(w)
-                    walk(w, length + 1)
-                    path.pop()
-                    on_path.discard(w)
-
-        walk(v, 0)
-        out.discard(v)
-        return out

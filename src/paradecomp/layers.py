@@ -14,12 +14,11 @@ when the decision could depend on points beyond the window boundary.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExhaustedError, HypothesisFailedError, UnknownVertexError
-from .graphs import BipartiteGraph, distances_from
+from .graphs import BipartiteGraph, bfs_distances, distances_from
 
 
 class _Unreliable:
@@ -162,21 +161,9 @@ def _greedy_layers(order, neighbors, f_of_stage):
             if v not in uncovered or v in blocked:
                 continue
             accepted.append(v)
-            # bounded BFS in the full graph; blocking only matters for
-            # uncovered vertices but traversal must pass through covered ones
-            dist = {v: 0}
-            q = deque([v])
-            while q:
-                u = q.popleft()
-                d = dist[u] + 1
-                if d > fn:
-                    continue
-                for w in neighbors(u):
-                    if w not in dist:
-                        dist[w] = d
-                        if w in uncovered:
-                            blocked.add(w)
-                        q.append(w)
+            # the ball is taken in the full graph, so it passes through
+            # covered vertices; blocking those too changes nothing
+            blocked.update(bfs_distances(neighbors, (v,), fn))
         uncovered.difference_update(accepted)
         yield fn, accepted
         n += 1
@@ -185,7 +172,7 @@ def _greedy_layers(order, neighbors, f_of_stage):
 def greedy_layering(g: BipartiteGraph, schedule: LayerSchedule) -> Layering:
     layers = []
     f_values = []
-    for fn, accepted in _greedy_layers(g.ids, lambda u: g.adj[u], schedule.f):
+    for fn, accepted in _greedy_layers(g.ids, g.adj.__getitem__, schedule.f):
         layers.append(tuple(accepted))
         f_values.append(fn)
     return Layering(tuple(layers), tuple(f_values), schedule)
@@ -207,7 +194,7 @@ def validate_layering(g: BipartiteGraph, layers, schedule: LayerSchedule) -> Non
         for v in members:
             dist = distances_from(g, v, bound=fn)
             for w, d in dist.items():
-                if w != v and w in mset and d <= fn:
+                if w != v and w in mset:
                     raise HypothesisFailedError(
                         f"layer {n} members {v} and {w} at distance {d} <= f({n}) = {fn}",
                         layer=n,

@@ -13,7 +13,7 @@ sides and zero deficiency from both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -24,15 +24,6 @@ from .errors import (
 from .graphs import BipartiteGraph, induced_subgraph
 from .hall import ExpansionParams, HallReport, check_hall, check_hall_eps_n
 from .layers import LayerSchedule, Layering, greedy_layering, validate_layering
-
-
-@dataclass(frozen=True)
-class StageState:
-    n: int
-    matching: frozenset
-    residual: BipartiteGraph
-    epsilon_n: Fraction
-    picked: tuple = ()  # (layer_vertex, partner) pairs chosen this stage
 
 
 @dataclass(frozen=True)
@@ -158,79 +149,6 @@ def select_hall_preserving_edge(residual: BipartiteGraph, x):
         )
     y = engine.select(x)
     return (x, y)
-
-
-def initial_stage_state(g: BipartiteGraph, schedule: LayerSchedule) -> StageState:
-    return StageState(
-        n=-1, matching=frozenset(), residual=g, epsilon_n=schedule.epsilon_budget
-    )
-
-
-def run_stage(
-    prev: StageState, layer, schedule: LayerSchedule, check_cap=None
-) -> StageState:
-    """One stage: match every still-present layer vertex, id order.
-
-    check_cap, when given, re-verifies the incoming stage invariant
-    Hall_{epsilon_prev, f(prev.n)} on the residual up to that cap before
-    doing anything (opt-in; exponential in the cap).
-    """
-    n = prev.n + 1
-    eps_n = schedule.epsilon_after(n)
-    if eps_n <= 0:
-        raise BudgetExhaustedError(
-            f"epsilon_{n} = {eps_n} not positive", stage=n, epsilon=str(eps_n)
-        )
-    if check_cap is not None:
-        floor = schedule.f(prev.n) if prev.n >= 0 else 1
-        report = _hall_eps_capped(prev.residual, prev.epsilon_n, floor, check_cap)
-        if not report.satisfied:
-            raise HypothesisFailedError(
-                "residual fails the incoming stage invariant",
-                stage=n,
-                witness=report.witness.as_obj() if report.witness else None,
-            )
-    fn = schedule.f(n)
-    members = sorted(layer)
-    for v in members:
-        prev.residual.require_vertex(v)
-    _check_separation(prev.residual, members, fn, n)
-
-    engine = _Engine(prev.residual)
-    if not engine.perfect:
-        raise HallViolatedError("stage residual lost perfect matchability", stage=n)
-    picked = []
-    for x in members:
-        if x not in engine.alive:
-            continue
-        y = engine.select(x)
-        picked.append((x, y))
-    matching = set(prev.matching)
-    for x, y in picked:
-        matching.add((min(x, y), max(x, y)))
-    residual = induced_subgraph(prev.residual, engine.alive)
-    return StageState(
-        n=n,
-        matching=frozenset(matching),
-        residual=residual,
-        epsilon_n=eps_n,
-        picked=tuple(picked),
-    )
-
-
-def _check_separation(g: BipartiteGraph, members, fn: int, n: int) -> None:
-    from .graphs import distances_from
-
-    mset = set(members)
-    for v in members:
-        dist = distances_from(g, v, bound=fn)
-        for w, d in dist.items():
-            if w != v and w in mset:
-                raise HypothesisFailedError(
-                    f"layer {n} members {v}, {w} at distance {d} <= f({n}) = {fn}",
-                    layer=n,
-                    pair=[v, w],
-                )
 
 
 def _hall_eps_capped(g, epsilon, floor, cap) -> HallReport:

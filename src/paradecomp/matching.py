@@ -72,14 +72,6 @@ def max_matching(g) -> set:
     return {(min(u, v), max(u, v)) for u, v in pair_l.items()}
 
 
-def matching_covers(matching, vertices) -> bool:
-    covered = set()
-    for u, v in matching:
-        covered.add(u)
-        covered.add(v)
-    return all(v in covered for v in vertices)
-
-
 def combine_saturating(m1, m2, need_a, need_b) -> set:
     """Merge two matchings into one covering need_a union need_b.
 

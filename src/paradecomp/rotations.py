@@ -121,10 +121,6 @@ def word_rotation(w: str) -> Rotation:
     return out
 
 
-def standard_free_rotations() -> dict[str, Rotation]:
-    return dict(_LETTER)
-
-
 def shortest_identity_word(max_len: int) -> str | None:
     """Certify that the generators act freely out to word length max_len.
 

@@ -24,7 +24,13 @@ from .errors import (
     NotPerfectOnInteriorError,
     WindowTooSmallError,
 )
-from .graphs import BipartiteGraph, bipartite_graph, distances_from, validate_matching
+from .graphs import (
+    BipartiteGraph,
+    bfs_distances,
+    bipartite_graph,
+    distances_from,
+    validate_matching,
+)
 
 
 class OrientedTwoRegular:
@@ -310,9 +316,36 @@ class ForestWindow:
 
 
 def forest_from_obj(obj) -> ForestWindow:
+    """Parse the forest interchange dict, naming the offending field on bad input."""
+    if not isinstance(obj, dict):
+        raise ForestFormatError("top level must be an object")
+    for key in ("n_points", "edges", "interior", "present", "depth", "radius"):
+        if key not in obj:
+            raise ForestFormatError(f"missing field: {key}")
     n = obj["n_points"]
+    if type(n) is not int or n < 0:
+        raise ForestFormatError("n_points: expected a non-negative integer")
+    if type(obj["radius"]) is not int:
+        raise ForestFormatError("radius: expected an integer")
+    for key in ("interior", "present", "depth"):
+        if not isinstance(obj[key], list) or len(obj[key]) != n:
+            raise ForestFormatError(f"{key}: expected a list of n_points = {n} entries")
+    labels = obj.get("labels")
+    if labels is not None and (not isinstance(labels, list) or len(labels) != n):
+        raise ForestFormatError(f"labels: expected null or a list of {n} entries")
+    stats = obj.get("stats", {})
+    if not isinstance(stats, dict):
+        raise ForestFormatError("stats: expected an object")
+    edges = obj["edges"]
+    if not isinstance(edges, list):
+        raise ForestFormatError("edges: expected a list")
     nbrs = [set() for _ in range(n)]
-    for u, v in obj["edges"]:
+    for i, e in enumerate(edges):
+        if not isinstance(e, list) or len(e) != 2:
+            raise ForestFormatError(f"edges[{i}]: expected a pair [u, v]")
+        u, v = e
+        if type(u) is not int or type(v) is not int:
+            raise ForestFormatError(f"edges[{i}]: endpoints must be integers")
         if not (0 <= u < n and 0 <= v < n):
             raise ForestFormatError(
                 f"edge [{u}, {v}]: endpoint outside 0..{n - 1}", edge=[u, v]
@@ -325,8 +358,8 @@ def forest_from_obj(obj) -> ForestWindow:
         present=tuple(bool(b) for b in obj["present"]),
         depth=tuple(obj["depth"]),
         radius=obj["radius"],
-        labels=tuple(obj["labels"]) if obj.get("labels") is not None else None,
-        stats=dict(obj.get("stats", {})),
+        labels=tuple(labels) if labels is not None else None,
+        stats=dict(stats),
     )
 
 
@@ -471,19 +504,12 @@ def forest_from_paradox(ts: TripleFunctionSystem, w=None) -> ForestWindow:
             final[u].add(v)
             final[v].add(u)
 
+    # surgery keeps every edge inside its component, so one search from all
+    # kept roots gives each point its depth below its own root
+    roots = [members[0] for ci, members in enumerate(comps) if kept[ci]]
     depth = [-1] * n
-    for ci, members in enumerate(comps):
-        if not kept[ci]:
-            continue
-        root = members[0]
-        depth[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for y in final[u]:
-                if depth[y] == -1:
-                    depth[y] = depth[u] + 1
-                    queue.append(y)
+    for p, d in bfs_distances(final.__getitem__, roots).items():
+        depth[p] = d
     radius = max((d for d in depth if d >= 0), default=0)
 
     labels = ts.labels
@@ -538,7 +564,6 @@ class PartialInjectionStage:
     n: int
     a_points: tuple
     domain: frozenset
-    maps: dict  # index in {-2,-1,1,2} -> dict snapshot
 
 
 @dataclass
@@ -548,14 +573,6 @@ class F2ActionResult:
     covered: frozenset
     eligible: int
     audits: list
-
-    @property
-    def f1(self) -> dict:
-        return self.maps[1]
-
-    @property
-    def f2(self) -> dict:
-        return self.maps[2]
 
     def coverage(self) -> float:
         return len(self.covered) / self.eligible if self.eligible else 0.0
@@ -579,36 +596,6 @@ class F2ActionResult:
         }
 
 
-def _bounded_ball(adjacency, source, bound):
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        d = dist[u] + 1
-        if d > bound:
-            continue
-        for y in adjacency[u]:
-            if y not in dist:
-                dist[y] = d
-                queue.append(y)
-    return dist
-
-
-def _multi_source_dist(adjacency, sources, bound):
-    dist = {s: 0 for s in sources}
-    queue = deque(sorted(sources))
-    while queue:
-        u = queue.popleft()
-        d = dist[u] + 1
-        if d > bound:
-            continue
-        for y in adjacency[u]:
-            if y not in dist:
-                dist[y] = d
-                queue.append(y)
-    return dist
-
-
 def _greedy_net(adjacency, points, separation):
     """Ascending-index net: accepted points block everything within separation."""
     blocked: set = set()
@@ -617,7 +604,7 @@ def _greedy_net(adjacency, points, separation):
         if p in blocked:
             continue
         out.append(p)
-        blocked.update(_bounded_ball(adjacency, p, separation))
+        blocked.update(bfs_distances(adjacency.__getitem__, (p,), separation))
     return out
 
 
@@ -642,8 +629,7 @@ def _stage_audit(forest: ForestWindow, domain: set, stage: int) -> dict:
     adjacency = forest.adjacency
     comp = _domain_components(adjacency, domain)
     for x in sorted(domain):
-        ball = _bounded_ball(adjacency, x, 4)
-        for y in ball:
+        for y in bfs_distances(adjacency.__getitem__, (x,), 4):
             if y in domain and comp[y] != comp[x]:
                 raise HypothesisFailedError(
                     "domain points within distance 4 in separate pieces",
@@ -653,8 +639,7 @@ def _stage_audit(forest: ForestWindow, domain: set, stage: int) -> dict:
     # G^{<=8} restricted to the domain
     g8: dict = {x: set() for x in domain}
     for x in sorted(domain):
-        ball = _bounded_ball(adjacency, x, 8)
-        for y in ball:
+        for y in bfs_distances(adjacency.__getitem__, (x,), 8):
             if y != x and y in domain:
                 g8[x].add(y)
     seen: set = set()
@@ -672,18 +657,9 @@ def _stage_audit(forest: ForestWindow, domain: set, stage: int) -> dict:
                     seen.add(y)
                     members.append(y)
                     queue.append(y)
-        diam = 0
         for a in members:
-            dist = {a: 0}
-            queue = deque([a])
-            while queue:
-                u = queue.popleft()
-                for y in g8[u]:
-                    if y not in dist:
-                        dist[y] = dist[u] + 1
-                        queue.append(y)
-            diam = max(diam, max(dist.values()))
-        max_diam = max(max_diam, diam)
+            diam = max(bfs_distances(g8.__getitem__, (a,)).values())
+            max_diam = max(max_diam, diam)
     bound = 4**stage
     if max_diam > bound:
         raise HypothesisFailedError(
@@ -740,7 +716,7 @@ def f2_action_from_forest(forest: ForestWindow, stages: int) -> F2ActionResult:
         separation = SEPARATION_BASE * 4**s_n
         layer = _greedy_net(adjacency, eligible, separation)
         newcomers = [p for p in layer if p not in domain]
-        dist_prev = _multi_source_dist(adjacency, domain, bound=3)
+        dist_prev = bfs_distances(adjacency.__getitem__, domain, 3)
 
         shells = [sorted(newcomers)]
         claimed = set(newcomers)
@@ -814,7 +790,6 @@ def f2_action_from_forest(forest: ForestWindow, stages: int) -> F2ActionResult:
                 n=s_n,
                 a_points=tuple(layer),
                 domain=frozenset(domain),
-                maps={i: dict(maps[i]) for i in EXTENSION_ORDER},
             )
         )
         audits.append(_stage_audit(forest, domain, s_n))

@@ -277,3 +277,31 @@ def test_f2action_edge_outside_points_exits_one(capsys, tmp_path):
     assert code == 1
     assert obj["error"] == "BAD_FOREST"
     assert obj["details"]["edge"] == [0, n]
+
+
+@pytest.mark.parametrize(
+    "breakage, named",
+    [
+        (lambda fobj: fobj.clear(), "n_points"),
+        (lambda fobj: fobj["edges"].append(["x", 1]), "edges["),
+        (lambda fobj: fobj.pop("radius"), "radius"),
+        (lambda fobj: fobj.update(n_points=1.5), "n_points"),
+        (lambda fobj: fobj["depth"].pop(), "depth"),
+    ],
+    ids=[
+        "empty_object",
+        "non_integer_endpoint",
+        "missing_radius",
+        "non_integer_n_points",
+        "short_depth",
+    ],
+)
+def test_f2action_malformed_forest_exits_one(capsys, tmp_path, breakage, named):
+    fobj = synthetic_forest(random.Random(5)).to_obj()
+    breakage(fobj)
+    src = tmp_path / "forest.json"
+    src.write_text(json.dumps(fobj))
+    code, obj = run(capsys, ["f2action", "--from", str(src), "--stages", "0"])
+    assert code == 1
+    assert obj["error"] == "BAD_FOREST"
+    assert named in obj["message"]

@@ -7,6 +7,7 @@ from paradecomp.errors import (
     MixedSidesError,
     UnknownVertexError,
 )
+from paradecomp import graphs
 from paradecomp.graphs import (
     bipartite_graph,
     distances_from,
@@ -106,6 +107,18 @@ def test_distances_match_plain_bfs(obj, pick):
     g = graph_from_obj(obj)
     src = g.ids[pick % len(g.ids)]
     assert distances_from(g, src) == bfs_distances(g.adj, src)
+
+
+@given(small_graph_objs(), st.sets(st.integers(0, 7), min_size=1), st.integers(0, 3))
+def test_multi_source_bounded_bfs_matches_plain_bfs(obj, picks, bound):
+    g = graph_from_obj(obj)
+    sources = sorted({g.ids[i % len(g.ids)] for i in picks})
+    want = {}
+    for s in sources:
+        for v, d in bfs_distances(g.adj, s).items():
+            if d <= bound and d < want.get(v, bound + 1):
+                want[v] = d
+    assert graphs.bfs_distances(g.adj.__getitem__, sources, bound) == want
 
 
 def test_distances_bound_cuts_off():

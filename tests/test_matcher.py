@@ -104,6 +104,18 @@ def test_explicit_layering_can_be_supplied():
     assert len(res.matching) == 2
 
 
+def test_supplied_layering_must_be_separated():
+    g = complete_bipartite(3, 3)
+    sched = explicit_schedule([1000] * 10, 1)
+    with pytest.raises(HypothesisFailedError) as ei:
+        layered_perfect_matching(
+            g, ExpansionParams(Fraction(1), 1), sched, cap=1, layering=[g.ids]
+        )
+    assert ei.value.code == "HYPOTHESIS_FAILED"
+    assert ei.value.details["pair"] == [0, 3]
+    assert ei.value.details["distance"] == 1
+
+
 def test_matching_is_deterministic():
     rng = random.Random(88)
     g = union_of_permutations(20, 3, rng)
