@@ -20,6 +20,7 @@ from fractions import Fraction
 from .errors import (
     FixedBaseError,
     FreeActionViolationError,
+    InvariantError,
     MarginTooSmallError,
     NotPerfectOnInteriorError,
 )
@@ -88,7 +89,8 @@ class ActionWindow:
 
     words[i] is the canonical label of point i (for the sphere: the unique
     reduced word reaching it from the base, unique by freeness).  dist[i] is
-    the graph distance to the base under the expanding generator set.
+    the graph distance to the base under the expanding generator set.  The
+    interior (dist <= radius - margin) is decided here, once.
     """
 
     def __init__(self, kind, gens, radius, margin, words, dist, coords, base_index):
@@ -100,6 +102,8 @@ class ActionWindow:
         self.dist = dist
         self.coords = coords
         self.base_index = base_index
+        self._interior_bound = bound = radius - margin
+        self._interior = tuple(i for i, d in enumerate(dist) if d <= bound)
         self._word_index = {w: i for i, w in enumerate(words)}
         self._coord_index = (
             {c: i for i, c in enumerate(coords)} if coords is not None else None
@@ -120,15 +124,12 @@ class ActionWindow:
         return self.dist[i]
 
     def is_interior(self, i: int) -> bool:
-        return self.dist[i] <= self.radius - self.margin
+        return self.dist[i] <= self._interior_bound
 
-    def interior_indices(self):
-        bound = self.radius - self.margin
-        return [i for i in range(len(self.words)) if self.dist[i] <= bound]
-
-    def deep_interior_indices(self, extra: int):
-        bound = self.radius - self.margin - extra
-        return [i for i in range(len(self.words)) if self.dist[i] <= bound]
+    def interior_indices(self, extra: int = 0) -> list:
+        """Ascending indices within radius - margin - extra, extra >= 0."""
+        bound = self._interior_bound - extra
+        return [i for i in self._interior if self.dist[i] <= bound]
 
     def _rotation(self, w: str):
         rot = self._rot_cache.get(w)
@@ -268,8 +269,30 @@ class DoublingGraph:
     def side(self, vid: int) -> int:
         return 0 if vid < self.n_points else 1
 
-    def is_interior(self, vid: int) -> bool:
-        return self.window.is_interior(self.point_of(vid))
+    def partners(self, matching) -> dict:
+        """Partner of each matched vid, in both directions.
+
+        Refuses an edge inside one side, and a matching that misses an interior
+        vid, naming the least one (copies, then interior points, ascending).
+        """
+        n = self.n_points
+        partner: dict = {}
+        for u, v in matching:
+            if (u < n) == (v < n):
+                raise InvariantError("matching edge within one side", edge=[u, v])
+            partner[u] = v
+            partner[v] = u
+        interior = self.window.interior_indices()
+        for c in range(self.copies):
+            for i in interior:
+                if c * n + i not in partner:
+                    raise NotPerfectOnInteriorError(
+                        "matching misses an interior vertex",
+                        vid=c * n + i,
+                        copy=c,
+                        point=self.window.point_key(i),
+                    )
+        return partner
 
     def images(self, i: int):
         """Point indices hit from i by elements of s (identity included)."""
@@ -339,7 +362,7 @@ def interior_expansion_audit(
             required=need,
         )
     n = dg.n_points
-    interior_pts = [i for i in range(n) if dg.window.is_interior(i)]
+    interior_pts = dg.window.interior_indices()
     interior_set = set(interior_pts)
 
     def nb_side0(vid):
@@ -444,8 +467,7 @@ def interior_saturating_matching(dg: DoublingGraph) -> set:
     expected outcome, reported by the caller, never an error here.
     """
     n = dg.n_points
-    interior_pts = [i for i in range(n) if dg.window.is_interior(i)]
-    left_a = list(interior_pts)  # interior copy-0 vids
+    left_a = dg.window.interior_indices()  # interior copy-0 vids
     pair_a = hopcroft_karp(left_a, dg.neighbors)
     missing = [v for v in left_a if v not in pair_a]
     if missing:
@@ -454,7 +476,7 @@ def interior_saturating_matching(dg: DoublingGraph) -> set:
             count=len(missing),
             sample=missing[:5],
         )
-    left_b = sorted(c * n + i for c in range(1, dg.copies) for i in interior_pts)
+    left_b = sorted(c * n + i for c in range(1, dg.copies) for i in left_a)
     pair_b = hopcroft_karp(left_b, dg.neighbors)
     missing = [v for v in left_b if v not in pair_b]
     if missing:
@@ -469,18 +491,14 @@ def interior_saturating_matching(dg: DoublingGraph) -> set:
 
 
 def unmatched_boundary_stats(dg: DoublingGraph, matching) -> dict:
-    """Counts and depth range of unmatched vertices; they must be boundary."""
-    covered = set()
-    for u, v in matching:
-        covered.add(u)
-        covered.add(v)
-    unmatched = [vid for vid in range(dg.n_vertices()) if vid not in covered]
-    interior_unmatched = [vid for vid in unmatched if dg.is_interior(vid)]
-    dists = [dg.window.dist_to_base(dg.point_of(vid)) for vid in unmatched]
+    """Count and least depth of the unmatched vertices, all of them boundary."""
+    partner = dg.partners(matching)
+    dist, n = dg.window.dist, dg.n_points
+    depths = (dist[vid % n] for vid in range(dg.n_vertices()) if vid not in partner)
     return {
-        "unmatched": len(unmatched),
-        "unmatched_interior": len(interior_unmatched),
-        "min_depth": min(dists) if dists else None,
+        "unmatched": dg.n_vertices() - len(partner),
+        "unmatched_interior": 0,  # dg.partners refuses an interior miss
+        "min_depth": min(depths, default=None),
         "radius": dg.window.radius,
         "margin": dg.window.margin,
     }

@@ -108,20 +108,54 @@ def _schedule_from_args(args):
 
 
 def _parse_base(kind: str, raw):
+    """Base point from a --base flag (text) or a file's window.base (JSON)."""
     if raw is None:
         return "" if kind == F2 else None
     if kind == F2:
+        if not isinstance(raw, str):
+            raise _InputError(f"base: expected a word, got {raw!r}")
         return raw
-    parts = raw.split(",")
-    try:
-        nums = [int(t) for t in parts]
-    except ValueError:
+    nums = raw
+    if isinstance(raw, str):
+        try:
+            nums = [int(t) for t in raw.split(",")]
+        except ValueError:
+            raise _InputError(f"bad base point: {raw!r}")
+    if not isinstance(nums, list) or any(type(c) is not int for c in nums):
         raise _InputError(f"bad base point: {raw!r}")
     if len(nums) == 3:
-        nums.append(0)
+        nums = nums + [0]
     if len(nums) != 4:
         raise _InputError("base must be x,y,z or x,y,z,k")
     return tuple(nums)
+
+
+def _window_geometry(obj, flags=None) -> tuple:
+    """(kind, base, radius, margin) of the window an input file was made on.
+
+    The values come from the file's 'window' object, as written by paradox.
+    verify passes its parsed flags: they win over the file, the file may
+    lack the object, and the margin defaults to 4.  forest passes none and
+    needs kind, radius and margin from the file.  No base means the default.
+    """
+    meta = obj.get("window") if isinstance(obj, dict) else None
+    if meta is None and flags is not None:
+        meta = {}
+    if not isinstance(meta, dict):
+        raise _InputError("input lacks the 'window' metadata object")
+    geo = {}
+    for key in ("kind", "base", "radius", "margin"):
+        flag = getattr(flags, key, None)
+        geo[key] = meta.get(key) if flag is None else flag
+    if geo["margin"] is None and flags is not None:
+        geo["margin"] = 4
+    if geo["kind"] not in (F2, SPHERE):
+        raise _InputError(f"window.kind: expected {F2!r} or {SPHERE!r}")
+    for key in ("radius", "margin"):
+        if type(geo[key]) is not int:
+            raise _InputError(f"window.{key}: expected an integer")
+    kind = geo["kind"]
+    return kind, _parse_base(kind, geo["base"]), geo["radius"], geo["margin"]
 
 
 def _window_meta(w) -> dict:
@@ -264,26 +298,10 @@ def cmd_paradox(args):
 
 def cmd_verify(args):
     obj = _read_json(args.pieces)
-    meta = obj.get("window") if isinstance(obj, dict) else None
-    kind = args.kind
-    radius = args.radius
-    margin = args.margin
-    base = args.base
-    if isinstance(meta, dict):
-        # window geometry defaults from the pieces file so a paradox output
-        # can be re-checked without repeating the flags
-        kind = kind if kind is not None else meta.get("kind")
-        radius = radius if radius is not None else meta.get("radius")
-        margin = margin if margin is not None else meta.get("margin", 4)
-        if base is None and meta.get("base") is not None:
-            b = meta["base"]
-            base = b if isinstance(b, str) else ",".join(str(c) for c in b)
-    if kind is None or radius is None:
-        raise _InputError("need --kind and --radius (file has no window metadata)")
-    if margin is None:
-        margin = 4
+    # a paradox output carries its window, so it re-checks without flags
+    kind, base, radius, margin = _window_geometry(obj, args)
     s = standard_generators()
-    w = expand_window(kind, _parse_base(kind, base), s, radius, margin)
+    w = expand_window(kind, base, s, radius, margin)
     # accept either bare piece tables or a whole paradox output
     if isinstance(obj, dict) and "gens" not in obj:
         obj = obj.get("pieces", obj)
@@ -322,19 +340,7 @@ def cmd_transfer(args):
 
 
 def cmd_forest(args):
-    src = _read_json(args.src)
-    meta = src.get("window")
-    if not isinstance(meta, dict):
-        raise _InputError("input lacks the 'window' metadata object")
-    try:
-        kind = meta["kind"]
-        radius = meta["radius"]
-        margin = meta["margin"]
-        base = meta["base"]
-    except KeyError as e:
-        raise _InputError(f"window metadata missing {e.args[0]!r}")
-    if kind == SPHERE and isinstance(base, list):
-        base = tuple(base)
+    kind, base, radius, margin = _window_geometry(_read_json(args.src))
     # same window as the paradox run; only the translation set is squared
     # (expanding the window itself over S^2 would double the word radius)
     s = standard_generators()
@@ -342,7 +348,7 @@ def cmd_forest(args):
     dg = build_doubling(w, square_set(s), 4)
     matching = interior_saturating_matching(dg)
     ts = triple_system_from_matching(dg, matching)
-    fw = forest_from_paradox(ts, w)
+    fw = forest_from_paradox(ts)
     forest_obj = {"schema": _schema("forest-window"), **fw.to_obj()}
     if args.out:
         _write_json(args.out, forest_obj)
@@ -528,15 +534,6 @@ def main(argv=None) -> int:
             }
         )
         return 2
-    except AssertionError as e:
-        _emit(
-            {
-                "schema": _schema("error"),
-                "error": "INVARIANT",
-                "message": str(e) or "internal invariant failed",
-            }
-        )
-        return 3
     _emit(payload)
     return code
 

@@ -126,3 +126,8 @@ class ExtensionStuckError(ParadecompError):
 class FreeActionViolationError(ParadecompError):
     code = "FREENESS_VIOLATED"
     exit_status = 3
+
+
+class InvariantError(ParadecompError):
+    code = "INVARIANT"
+    exit_status = 3

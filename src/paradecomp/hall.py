@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadCapError
+from .errors import BadCapError, InvariantError
 from .graphs import BipartiteGraph, g2_neighbors, neighborhood
 from .matching import max_matching
 
@@ -150,7 +150,10 @@ def check_hall(g: BipartiteGraph) -> HallReport:
     best = None
     for side in bad_sides:
         found = _first_plain_violator(g, side)
-        assert found is not None, "deficiency positive but no violator found"
+        if found is None:
+            raise InvariantError(
+                "deficiency positive but no violator found", side=side
+            )
         t, actual = found
         key = (len(t), t, side)
         if best is None or key < best[0]:

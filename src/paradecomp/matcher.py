@@ -20,6 +20,7 @@ from .errors import (
     BudgetExhaustedError,
     HallViolatedError,
     HypothesisFailedError,
+    InvariantError,
 )
 from .graphs import BipartiteGraph, induced_subgraph
 from .hall import ExpansionParams, HallReport, check_hall, check_hall_eps_n
@@ -251,5 +252,10 @@ def layered_perfect_matching(
     matching = frozenset(
         (min(x, y), max(x, y)) for rec in stages for x, y in rec.matched
     )
-    assert 2 * len(matching) == len(g.ids), "stage picks did not pair everything"
+    if 2 * len(matching) != len(g.ids):
+        raise InvariantError(
+            "stage picks did not pair everything",
+            pairs=len(matching),
+            vertices=len(g.ids),
+        )
     return MatchResult(matching=matching, stages=tuple(stages), layering=layering)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from collections import deque
 
+from .errors import InvariantError
+
 
 def hopcroft_karp(left_ids, neighbors) -> dict:
     """Maximum matching; returns {left_id: right_id}.
@@ -44,20 +46,35 @@ def hopcroft_karp(left_ids, neighbors) -> dict:
                     q.append(w)
         return found
 
-    def dfs(u) -> bool:
-        for v in adj[u]:
-            w = pair_r.get(v)
-            if w is None or (dist[w] == dist[u] + 1 and dfs(w)):
-                pair_l[u] = v
-                pair_r[v] = u
+    def augment(root) -> bool:
+        # depth-first along the BFS layers on an explicit stack, so path
+        # length is not bounded by the recursion limit; a frame is
+        # [left vertex, its remaining neighbors, the neighbor it went through]
+        stack = [[root, iter(adj[root]), None]]
+        while stack:
+            frame = stack[-1]
+            u = frame[0]
+            for v in frame[1]:
+                w = pair_r.get(v)
+                if w is None or dist[w] == dist[u] + 1:
+                    frame[2] = v
+                    break
+            else:
+                dist[u] = INF  # dead end: no later search enters u again
+                stack.pop()
+                continue
+            if w is None:
+                for x, _, y in stack:
+                    pair_l[x] = y
+                    pair_r[y] = x
                 return True
-        dist[u] = INF
+            stack.append([w, iter(adj[w]), None])
         return False
 
     while bfs():
         for u in left:
             if u not in pair_l:
-                dfs(u)
+                augment(u)
     return pair_l
 
 
@@ -80,7 +97,7 @@ def combine_saturating(m1, m2, need_a, need_b) -> set:
     component of the symmetric difference take m1's edges when the component
     holds a need_a vertex that m2 misses, otherwise m2's; shared edges are
     kept as-is.  Sides being distinct makes the two critical endpoint kinds
-    collide in no component (parity), asserted at the end.
+    collide in no component (parity), checked at the end.
     """
     s1 = {(min(u, v), max(u, v)) for u, v in m1}
     s2 = {(min(u, v), max(u, v)) for u, v in m2}
@@ -129,9 +146,13 @@ def combine_saturating(m1, m2, need_a, need_b) -> set:
 
     covered = set()
     for u, v in out:
-        assert u not in covered and v not in covered, "combination not a matching"
+        if u in covered or v in covered:
+            raise InvariantError("combination not a matching", edge=[u, v])
         covered.add(u)
         covered.add(v)
     missing = (need_a | need_b) - covered
-    assert not missing, f"combination dropped required vertices: {sorted(missing)[:5]}"
+    if missing:
+        raise InvariantError(
+            "combination dropped required vertices", missing=sorted(missing)[:5]
+        )
     return out

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .actions import ActionWindow, DoublingGraph, GeneratingSet, standard_generators
-from .errors import NotPerfectOnInteriorError, PiecesFormatError
+from .errors import InvariantError, PiecesFormatError
 from .graphs import BipartiteGraph, bipartite_graph
 from .words import IDENTITY
 
@@ -107,33 +107,21 @@ def matching_to_paradox(dg: DoublingGraph, matching) -> ParadoxicalDecomposition
     """
     if dg.copies != 3:
         raise ValueError("piece extraction needs the 3-copy doubling graph")
-    partner = {}
-    for u, v in matching:
-        partner[u] = v
-        partner[v] = u
-    n = dg.n_points
-    for vid in range(dg.n_vertices()):
-        if dg.is_interior(vid) and vid not in partner:
-            raise NotPerfectOnInteriorError(
-                "matching misses an interior vertex",
-                vid=vid,
-                copy=dg.copy_of(vid),
-                point=dg.window.point_key(vid % n),
-            )
+    partner = dg.partners(matching)
     w = dg.window
     pieces_a: dict = {}
     pieces_b: dict = {}
-    for i in range(n):
-        if not w.is_interior(i):
-            continue
-        p = partner[i]
-        c, j = dg.copy_of(p), dg.point_of(p)
+    for i in w.interior_indices():
+        c, j = divmod(partner[i], dg.n_points)
         t = None
         for idx, gamma in enumerate(dg.s.elements):
             if w.apply(gamma, i) == j:
                 t = idx
                 break
-        assert t is not None, "matched pair not realized by any generator"
+        if t is None:
+            raise InvariantError(
+                "matched pair not realized by any generator", edge=[i, partner[i]]
+            )
         if c == 1:
             pieces_a[i] = t
         else:
@@ -153,7 +141,8 @@ def paradox_to_matching(pd: ParadoxicalDecomposition, dg: DoublingGraph) -> set:
             if j is None:
                 continue
             u, v = i, copy * n + j
-            assert u not in used and v not in used, "piece tables overlap"
+            if u in used or v in used:
+                raise InvariantError("piece tables overlap", edge=[u, v])
             used.add(u)
             used.add(v)
             out.add((u, v))
@@ -169,7 +158,7 @@ def verify_paradox(pd: ParadoxicalDecomposition, w: ActionWindow) -> Certificate
     violation; an empty deep interior is a vacuous PASS with a warning.
     """
     reach = pd.gens.max_word_length()
-    deep = w.deep_interior_indices(reach)
+    deep = w.interior_indices(reach)
     warnings = []
     if not deep:
         warnings.append("empty deep interior; certificate is vacuous")

@@ -21,7 +21,7 @@ from .errors import (
     ForestFormatError,
     HypothesisFailedError,
     InvalidMatchingError,
-    NotPerfectOnInteriorError,
+    InvariantError,
     WindowTooSmallError,
 )
 from .graphs import (
@@ -180,7 +180,8 @@ def transfer_matching(tr: OrientedTwoRegular, m_n, n: int) -> TransferResult:
             continue
         below = sum(1 for y in ball if tr.pos[partner[y]] < tr.pos[x])
         y = tr.pred.get(x) if below >= n else tr.succ.get(x)
-        assert y is not None, "complete ball but missing neighbor"
+        if y is None:
+            raise InvariantError("complete ball but missing neighbor", vertex=x)
         if y in taken:
             raise InvalidMatchingError(
                 "transfer demanded the same partner twice",
@@ -242,28 +243,19 @@ def triple_system_from_matching(dg, matching) -> TripleFunctionSystem:
     """
     if dg.copies != 4:
         raise ValueError("triple systems come from the 4-copy doubling graph")
-    partner: dict = {}
-    for u, v in matching:
-        partner[u] = v
-        partner[v] = u
-    for vid in range(dg.n_vertices()):
-        if dg.is_interior(vid) and vid not in partner:
-            raise NotPerfectOnInteriorError(
-                "matching misses an interior vertex",
-                vid=vid,
-                copy=dg.copy_of(vid),
-            )
-    maps: tuple = ({}, {}, {})
-    for u, v in matching:
-        if dg.side(u) == 0:
-            u, v = v, u
-        assert dg.side(u) == 1 and dg.side(v) == 0, "matching edge within one side"
-        maps[dg.copy_of(u) - 1][dg.point_of(u)] = v
     n = dg.n_points
+    maps: tuple = ({}, {}, {})
+    for u, v in dg.partners(matching).items():
+        if u >= n:
+            c, x = divmod(u, n)
+            maps[c - 1][x] = v
+    interior = [False] * n
+    for i in dg.window.interior_indices():
+        interior[i] = True
     ts = TripleFunctionSystem(
         maps=maps,
         n_points=n,
-        interior=tuple(dg.window.is_interior(i) for i in range(n)),
+        interior=tuple(interior),
         labels=tuple(dg.window.words),
     )
     ts.validate()
@@ -381,7 +373,7 @@ def _steal(edges: set, start, first, ray, g0):
         z, nxt = nxt, ray.get(nxt)
 
 
-def forest_from_paradox(ts: TripleFunctionSystem, w=None) -> ForestWindow:
+def forest_from_paradox(ts: TripleFunctionSystem) -> ForestWindow:
     """Cycle surgery: the graph generated by a triple system, made acyclic.
 
     Every component of that graph is resolved by walking the unique
@@ -477,7 +469,8 @@ def forest_from_paradox(ts: TripleFunctionSystem, w=None) -> ForestWindow:
                 if ts.maps[j].get(x) == y:
                     rot[x] = j
                     break
-            assert x in rot, "cycle edge not realized by any map"
+            else:
+                raise InvariantError("cycle edge not realized by any map", edge=[x, y])
 
         def g_at(x, offset):
             return ts.maps[(rot[x] + offset) % 3].get(x)
@@ -512,9 +505,6 @@ def forest_from_paradox(ts: TripleFunctionSystem, w=None) -> ForestWindow:
         depth[p] = d
     radius = max((d for d in depth if d >= 0), default=0)
 
-    labels = ts.labels
-    if labels is None and w is not None:
-        labels = tuple(w.words)
     return ForestWindow(
         adjacency=tuple(tuple(sorted(s)) for s in final),
         interior=tuple(
@@ -523,7 +513,7 @@ def forest_from_paradox(ts: TripleFunctionSystem, w=None) -> ForestWindow:
         present=tuple(present),
         depth=tuple(depth),
         radius=radius,
-        labels=labels,
+        labels=ts.labels,
         stats={
             "components": len(comps),
             "kept": sum(kept),
@@ -753,9 +743,15 @@ def f2_action_from_forest(forest: ForestWindow, stages: int) -> F2ActionResult:
                 nbrs = adjacency[x]
                 for i in EXTENSION_ORDER:
                     forced = [y for y in nbrs if maps[-i].get(y) == x]
+                    if len(forced) > 1:
+                        raise InvariantError(
+                            "two neighbors force one index", point=x, index=i
+                        )
                     if forced:
-                        assert len(forced) == 1, "two neighbors force one index"
-                        assert forced[0] not in ran[i], "forced value already used"
+                        if forced[0] in ran[i]:
+                            raise InvariantError(
+                                "forced value already used", point=x, index=i
+                            )
                         values[i] = forced[0]
                 for i in EXTENSION_ORDER:
                     if i in values:
@@ -784,7 +780,8 @@ def f2_action_from_forest(forest: ForestWindow, stages: int) -> F2ActionResult:
                     ran[i].add(y)
                 domain.add(x)
 
-        assert all(p in domain for p in layer), "layer escaped the domain"
+        if any(p not in domain for p in layer):
+            raise InvariantError("layer escaped the domain", stage=s_n)
         stages_out.append(
             PartialInjectionStage(
                 n=s_n,

@@ -1,11 +1,12 @@
 """Independent reference implementations for cross-checking.
 
 Everything here is deliberately naive: exponential subset scans, Kuhn's
-augmenting paths instead of Hopcroft-Karp, repeated-scan word reduction.
+augmenting paths, recursive Hopcroft-Karp, repeated-scan word reduction.
 Slow is fine; these run on small instances only and must share no code
 with the package internals they check.
 """
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -32,6 +33,57 @@ def kuhn_max_matching(g: BipartiteGraph) -> dict:
         if u not in match:
             try_augment(u, set())
     return {u: match[u] for u in left if u in match}
+
+
+def recursive_hopcroft_karp(left_ids, neighbors) -> dict:
+    """Hopcroft-Karp with the textbook recursive augmenting search.
+
+    The reference for the package's iterative version: same phases, same
+    order of left vertices and neighbors, so the pair dicts must be equal.
+    Recursion depth is the augmenting-path length, so keep instances small.
+    """
+    left = list(left_ids)
+    adj = {u: list(neighbors(u)) for u in left}
+    pair_l: dict = {}
+    pair_r: dict = {}
+    INF = float("inf")
+    dist: dict = {}
+
+    def bfs() -> bool:
+        q = deque()
+        for u in left:
+            if u not in pair_l:
+                dist[u] = 0
+                q.append(u)
+            else:
+                dist[u] = INF
+        found = False
+        while q:
+            u = q.popleft()
+            for v in adj[u]:
+                w = pair_r.get(v)
+                if w is None:
+                    found = True
+                elif dist[w] == INF:
+                    dist[w] = dist[u] + 1
+                    q.append(w)
+        return found
+
+    def dfs(u) -> bool:
+        for v in adj[u]:
+            w = pair_r.get(v)
+            if w is None or (dist[w] == dist[u] + 1 and dfs(w)):
+                pair_l[u] = v
+                pair_r[v] = u
+                return True
+        dist[u] = INF
+        return False
+
+    while bfs():
+        for u in left:
+            if u not in pair_l:
+                dfs(u)
+    return pair_l
 
 
 def brute_deficiency(g: BipartiteGraph, side: int) -> int:

@@ -10,7 +10,12 @@ from paradecomp.actions import (
     unmatched_boundary_stats,
     GeneratingSet,
 )
-from paradecomp.errors import FixedBaseError, MarginTooSmallError, NotPerfectOnInteriorError
+from paradecomp.errors import (
+    FixedBaseError,
+    InvariantError,
+    MarginTooSmallError,
+    NotPerfectOnInteriorError,
+)
 from paradecomp.words import word_key
 from paradecomp.rotations import BASE_POINT
 
@@ -47,7 +52,7 @@ def test_f2_window_sizes_and_order():
         assert w.words == tuple(sorted(w.words, key=word_key))
         assert w.base_index == 0
         assert len(w.interior_indices()) == ball_size(r - 1)
-        assert w.deep_interior_indices(1) == list(range(ball_size(r - 2)))
+        assert w.interior_indices(1) == list(range(ball_size(r - 2)))
 
 
 def test_f2_window_distances_are_word_lengths():
@@ -175,3 +180,19 @@ def test_interior_matching_fails_without_margin():
     dg = build_doubling(w, square_set(s), 4)
     with pytest.raises(NotPerfectOnInteriorError):
         interior_saturating_matching(dg)
+
+
+def test_partners_names_the_least_missed_interior_vertex():
+    s = standard_generators()
+    w = expand_window("f2", (), s, 4, 2)
+    dg = build_doubling(w, s, 3)
+    n = dg.n_points
+    k1, k2 = w.interior_indices()[-2:]
+    # copy 0 fully covered, copy 1 misses k1 and k2, copy 2 covers two points
+    matching = {(i, n + i) for i in range(n) if i not in (k1, k2)}
+    matching |= {(k1, 2 * n), (k2, 2 * n + 1)}
+    with pytest.raises(NotPerfectOnInteriorError) as ei:
+        dg.partners(matching)
+    assert ei.value.details == {"vid": n + k1, "copy": 1, "point": w.words[k1]}
+    with pytest.raises(InvariantError):
+        dg.partners({(n, 2 * n)})

@@ -305,3 +305,33 @@ def test_f2action_malformed_forest_exits_one(capsys, tmp_path, breakage, named):
     assert code == 1
     assert obj["error"] == "BAD_FOREST"
     assert named in obj["message"]
+
+
+SPHERE_WINDOW = {"kind": "sphere", "radius": 6, "margin": 2, "base": [0, 1, 0, 0]}
+
+
+@pytest.mark.parametrize(
+    "command, data, named",
+    [
+        ("forest", [SPHERE_WINDOW], "window"),
+        ("forest", {"window": {**SPHERE_WINDOW, "radius": "x"}}, "window.radius"),
+        ("verify", {"window": {**SPHERE_WINDOW, "radius": "x"}}, "window.radius"),
+        ("forest", {"window": {**SPHERE_WINDOW, "base": [0, 1]}}, "base"),
+        ("verify", {"window": {**SPHERE_WINDOW, "base": [0, 1]}}, "base"),
+    ],
+    ids=[
+        "forest_top_level_list",
+        "forest_non_integer_radius",
+        "verify_non_integer_radius",
+        "forest_short_sphere_base",
+        "verify_short_sphere_base",
+    ],
+)
+def test_malformed_window_metadata_exits_one(capsys, tmp_path, command, data, named):
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(data))
+    flag = "--from" if command == "forest" else "--pieces"
+    code, obj = run(capsys, [command, flag, str(src)])
+    assert code == 1
+    assert obj["error"] == "BAD_INPUT"
+    assert named in obj["message"]

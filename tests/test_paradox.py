@@ -58,7 +58,7 @@ def test_verify_passes_on_extracted_pieces(f2_setup):
     cert = verify_paradox(pd, w)
     assert cert.status == "PASS"
     # reach of the generating set is 1, so deep means distance <= 6-2-1
-    assert cert.deep_interior == len(w.deep_interior_indices(1))
+    assert cert.deep_interior == len(w.interior_indices(1))
     assert cert.stats == pd.piece_sizes()
     assert cert.violation is None
 
@@ -121,7 +121,7 @@ def test_tampered_unassigned_deep_point_fails(f2_setup):
     s, w, dg, matching, pd = f2_setup
     from paradecomp.paradox import ParadoxicalDecomposition
 
-    z = w.deep_interior_indices(1)[0]
+    z = w.interior_indices(1)[0]
     a, b = dict(pd.pieces_a), dict(pd.pieces_b)
     (a if z in a else b).pop(z)
     bad = ParadoxicalDecomposition(pd.gens, a, b)
@@ -151,7 +151,7 @@ def test_matching_must_cover_interior(f2_setup):
     s, w, dg, matching, pd = f2_setup
     broken = set(matching)
     for e in matching:
-        if dg.is_interior(e[0]):
+        if w.is_interior(dg.point_of(e[0])):
             broken.discard(e)
             break
     with pytest.raises(NotPerfectOnInteriorError):

@@ -283,7 +283,7 @@ def test_forest_is_acyclic_detects_cycles():
 
 def test_forest_edges_from_matching_are_lipschitz(quad_setup):
     s, w, dg, matching, ts = quad_setup
-    fw = forest_from_paradox(ts, w)
+    fw = forest_from_paradox(ts)
     assert forest_is_acyclic(fw)
     assert fw.labels == w.words
     bound = 2 * square_set(s).max_word_length()
