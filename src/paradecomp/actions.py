@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .errors import (
     FixedBaseError,
@@ -27,8 +28,9 @@ from .errors import (
 from .graphs import BipartiteGraph, bipartite_graph
 from .hall import HallReport, HallWitness
 from .matching import combine_saturating, hopcroft_karp
-from .rotations import apply_to_point, is_unit_point, word_rotation
-from .words import IDENTITY, inv, mul, reduce_word, word_key
+from .rotations import BASE_POINT, apply_to_point, is_unit_point, letter_rotation
+from .rotations import normalize_point, word_rotation
+from .words import ALPHABET, IDENTITY, inv, iter_reduced, mul, reduce_word, word_key
 
 F2 = "f2"
 SPHERE = "sphere"
@@ -93,21 +95,20 @@ class ActionWindow:
     interior (dist <= radius - margin) is decided here, once.
     """
 
-    def __init__(self, kind, gens, radius, margin, words, dist, coords, base_index):
+    def __init__(self, kind, gens, radius, margin, words, dist, coord_index, base_index):
         self.kind = kind
         self.gens = gens
         self.radius = radius
         self.margin = margin
         self.words = words
         self.dist = dist
-        self.coords = coords
+        # coord_index lists the sphere's points in index order (None for f2)
+        self.coords = tuple(coord_index) if coord_index is not None else None
         self.base_index = base_index
         self._interior_bound = bound = radius - margin
-        self._interior = tuple(i for i, d in enumerate(dist) if d <= bound)
-        self._word_index = {w: i for i, w in enumerate(words)}
-        self._coord_index = (
-            {c: i for i, c in enumerate(coords)} if coords is not None else None
-        )
+        self._interior = tuple(compress(range(len(dist)), map(bound.__ge__, dist)))
+        self._word_index = dict(zip(words, range(len(words))))
+        self._coord_index = coord_index
         self._rot_cache: dict = {}
         self._nbr_cache: dict = {}
 
@@ -158,85 +159,79 @@ class ActionWindow:
 
 
 def expand_window(kind, base, s: GeneratingSet, radius: int, margin: int) -> ActionWindow:
-    """Breadth-first ball of the action graph of s around base.
+    """Ball of the action graph of s around base, generated in shortlex order.
 
-    For the sphere, dedupe is by exact coordinates and every rediscovery
-    cross-checks the word label: two distinct reduced words landing on the
-    same point would contradict freeness of the orbit and raise.
+    s must be the ball of reduced words of some radius L >= 1 (S itself has
+    L = 1, S^2 has L = 2), so the window is every g.base with |g| <= radius*L
+    at distance ceil(|g| / L).  The sphere labels a point by its word g and
+    refuses any point reached twice: two distinct reduced words with the same
+    image of the base would contradict freeness of the orbit.
     """
     if radius <= margin:
         raise ValueError(f"radius {radius} must exceed margin {margin}")
     if margin < 0:
         raise ValueError("margin must be >= 0")
-    moves = s.nonidentity()
+    step = s.max_word_length()
+    if step < 1 or sorted(s.elements, key=word_key) != list(iter_reduced(step)):
+        raise ValueError("the generating set must be a ball of reduced words")
+    ceil = [-(-m // step) for m in range(radius * step + 1)]  # |g| -> distance
     if kind == F2:
         base_word = reduce_word(base if base is not None else IDENTITY)
-        labels = {base_word: 0}
-        dist_by_label = {base_word: 0}
-        frontier = [base_word]
-        d = 0
-        while frontier and d < radius:
-            d += 1
-            nxt = []
-            for w in frontier:
-                for gamma in moves:
-                    t = mul(gamma, w)
-                    if t not in dist_by_label:
-                        dist_by_label[t] = d
-                        nxt.append(t)
-            frontier = nxt
-        order = sorted(dist_by_label, key=word_key)
-        words = tuple(order)
-        dist = tuple(dist_by_label[w] for w in order)
-        base_index = order.index(base_word)
+        words = tuple(iter_reduced(radius * step))
+        dist = tuple(map(ceil.__getitem__, map(len, words)))
+        if base_word:
+            pts = sorted(
+                ((mul(g, base_word), d) for g, d in zip(words, dist)),
+                key=lambda t: word_key(t[0]),
+            )
+            words, dist = (tuple(col) for col in zip(*pts))
+        base_index = words.index(base_word)
         return ActionWindow(F2, s, radius, margin, words, dist, None, base_index)
 
     if kind != SPHERE:
         raise ValueError(f"unknown window kind {kind!r}")
     if base is None:
-        from .rotations import BASE_POINT
-
         base = BASE_POINT
     if not is_unit_point(base):
         raise ValueError(f"base {base} is not a unit vector")
-    rots = {gamma: word_rotation(gamma) for gamma in moves}
-    for gamma in moves:
-        if apply_to_point(rots[gamma], base) == base:
+    base = normalize_point(*base)
+    for gamma in s.nonidentity():
+        if apply_to_point(word_rotation(gamma), base) == base:
             raise FixedBaseError(
                 f"generator {gamma!r} fixes the base point", generator=gamma
             )
-    label_of = {base: IDENTITY}
-    dist_of = {base: 0}
-    frontier = [base]
-    d = 0
-    while frontier and d < radius:
-        d += 1
+    words = [IDENTITY]
+    index = {base: 0}
+    level = [(IDENTITY, base)]
+    for _ in range(radius * step):
         nxt = []
-        for p in frontier:
-            w = label_of[p]
-            for gamma in moves:
-                t = apply_to_point(rots[gamma], p)
-                lab = mul(gamma, w)
-                if t in label_of:
-                    if label_of[t] != lab and len(lab) <= len(label_of[t]):
-                        raise FreeActionViolationError(
-                            "two reduced words reach one point",
-                            point=list(t),
-                            word_a=label_of[t],
-                            word_b=lab,
-                        )
-                else:
-                    label_of[t] = lab
-                    dist_of[t] = d
-                    nxt.append(t)
-        frontier = nxt
-    pts = sorted(label_of, key=lambda p: word_key(label_of[p]))
-    words = tuple(label_of[p] for p in pts)
-    if len(set(words)) != len(words):
-        raise FreeActionViolationError("duplicate word labels in window")
-    dist = tuple(dist_of[p] for p in pts)
-    base_index = pts.index(base)
-    return ActionWindow(SPHERE, s, radius, margin, words, dist, tuple(pts), base_index)
+        for c in ALPHABET:
+            ci, rot = inv(c), letter_rotation(c)
+            n0, n1, n2, n3, n4, n5, n6, n7, n8 = rot.num
+            for w, (x, y, z, k) in level:
+                if w[:1] == ci:
+                    continue
+                # apply_to_point inlined: rot(c) times the point of w, normalized
+                px = n0 * x + n1 * y + n2 * z
+                py = n3 * x + n4 * y + n5 * z
+                pz = n6 * x + n7 * y + n8 * z
+                k += rot.scale
+                while k and not (px % 5 or py % 5 or pz % 5):
+                    px, py, pz, k = px // 5, py // 5, pz // 5, k - 1
+                p, cw = (px, py, pz, k), c + w
+                if p in index:
+                    raise FreeActionViolationError(
+                        "two reduced words reach one point",
+                        point=list(p),
+                        word_a=words[index[p]],
+                        word_b=cw,
+                    )
+                index[p] = len(words)
+                words.append(cw)
+                nxt.append((cw, p))
+        level = nxt
+    dist = tuple(map(ceil.__getitem__, map(len, words)))
+    return ActionWindow(SPHERE, s, radius, margin, tuple(words), dist, index, 0)
 
 
 class DoublingGraph:

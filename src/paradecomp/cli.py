@@ -324,7 +324,7 @@ def cmd_transfer(args):
         raise _InputError("matching file needs a top-level list or a 'matching' field")
     pairs = []
     for e in raw:
-        if not isinstance(e, list) or len(e) != 2:
+        if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
             raise _InputError(f"bad matching entry: {e!r}")
         pairs.append((e[0], e[1]))
     tr = OrientedTwoRegular.from_graph(g)
@@ -468,7 +468,7 @@ def build_parser() -> _Parser:
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--margin", type=int, default=4)
     p.add_argument("--base", default=None)
-    p.add_argument("--square", action="store_true", help="use the squared generating set")
+    p.add_argument("--square", action="store_true", help="use S^2, radius in S^2 steps")
     p.add_argument("--copies", type=int, choices=[3, 4], default=3)
     p.add_argument("--out", required=True)
 

@@ -399,43 +399,32 @@ def forest_from_paradox(ts: TripleFunctionSystem) -> ForestWindow:
     pred = ts.validate(require_interior_coverage=False)
     n = ts.n_points
     edges: set = set()
-    nbrs = [set() for _ in range(n)]
+    # only the points the maps touch (keys and values) can carry an edge or a
+    # predecessor; every other window point is an isolated component
+    nbrs: dict = {}
     for f in ts.maps:
         for x, y in f.items():
+            nx, ny = nbrs.setdefault(x, set()), nbrs.setdefault(y, set())
             if x != y:
                 edges.add(frozenset((x, y)))
-                nbrs[x].add(y)
-                nbrs[y].add(x)
+                nx.add(y)
+                ny.add(x)
 
-    comp_of = [-1] * n
+    isolated = n - len(nbrs)
+    seen: set = set()
     comps = []
-    for p in range(n):
-        if comp_of[p] != -1:
-            continue
-        members = [p]
-        comp_of[p] = len(comps)
-        queue = deque([p])
-        while queue:
-            u = queue.popleft()
-            for y in nbrs[u]:
-                if comp_of[y] == -1:
-                    comp_of[y] = len(comps)
-                    members.append(y)
-                    queue.append(y)
-        comps.append(sorted(members))
+    for p in sorted(nbrs):
+        if p not in seen:
+            members = bfs_distances(nbrs.__getitem__, (p,))
+            seen.update(members)
+            comps.append(sorted(members))
 
     kept = [True] * len(comps)
     cycle_hist: dict = {}
     truncated = 0
-    isolated = 0
     free_components = 0
     for ci, members in enumerate(comps):
         start = members[0]
-        if len(members) == 1 and not nbrs[start] and start not in pred:
-            # bare boundary point the maps never touched
-            kept[ci] = False
-            isolated += 1
-            continue
         chain = [start]
         index = {start: 0}
         cyc = None
@@ -489,33 +478,40 @@ def forest_from_paradox(ts: TripleFunctionSystem) -> ForestWindow:
             _steal(edges, xn, g_at(xn, 1), ts.maps[1], ts.maps[0])
             _steal(edges, x0, g_at(x0, 1), ts.maps[1], ts.maps[0])
 
-    present = [kept[comp_of[p]] for p in range(n)]
-    final = [set() for _ in range(n)]
+    present = [False] * n
+    interior = [False] * n
+    for ci, members in enumerate(comps):
+        if kept[ci]:
+            for p in members:
+                present[p] = True
+                interior[p] = bool(ts.interior[p])
+    final: dict = {}
     for e in edges:
-        u, v = sorted(e)
+        u, v = e
         if present[u] and present[v]:
-            final[u].add(v)
-            final[v].add(u)
+            final.setdefault(u, set()).add(v)
+            final.setdefault(v, set()).add(u)
+    adjacency = [()] * n
+    for p, got in final.items():
+        adjacency[p] = tuple(sorted(got))
 
     # surgery keeps every edge inside its component, so one search from all
     # kept roots gives each point its depth below its own root
     roots = [members[0] for ci, members in enumerate(comps) if kept[ci]]
     depth = [-1] * n
-    for p, d in bfs_distances(final.__getitem__, roots).items():
+    below = bfs_distances(adjacency.__getitem__, roots)
+    for p, d in below.items():
         depth[p] = d
-    radius = max((d for d in depth if d >= 0), default=0)
 
     return ForestWindow(
-        adjacency=tuple(tuple(sorted(s)) for s in final),
-        interior=tuple(
-            bool(ts.interior[p]) and present[p] for p in range(n)
-        ),
+        adjacency=tuple(adjacency),
+        interior=tuple(interior),
         present=tuple(present),
         depth=tuple(depth),
-        radius=radius,
+        radius=max(below.values(), default=0),
         labels=ts.labels,
         stats={
-            "components": len(comps),
+            "components": len(comps) + isolated,
             "kept": sum(kept),
             "truncated": truncated,
             "isolated": isolated,

@@ -17,6 +17,7 @@ _INVERT = str.maketrans("aAbB", "AaBb")
 # maps letters to consecutive codepoints so ordinary string comparison on the
 # translated word realizes the a < A < b < B letter order
 _SHORTLEX = str.maketrans("aAbB", "0123")
+_LETTER_INVERSE = tuple(zip(ALPHABET, ALPHABET.translate(_INVERT)))
 
 
 def invert_letter(c: str) -> str:
@@ -71,16 +72,13 @@ def word_key(w: str):
 
 
 def iter_reduced(max_len: int):
-    """All reduced words of length <= max_len in shortlex order."""
-    frontier = [IDENTITY]
+    """All reduced words of length <= max_len in shortlex order.
+
+    Level n prepends each letter c to the words of level n-1 that do not
+    start with c^-1; prepending to a shortlex-sorted level keeps it sorted.
+    """
+    level = [IDENTITY]
     yield IDENTITY
     for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            last = w[-1] if w else None
-            for c in ALPHABET:
-                if last is not None and c == last.translate(_INVERT):
-                    continue
-                nxt.append(w + c)
-        yield from nxt
-        frontier = nxt
+        level = [c + w for c, ci in _LETTER_INVERSE for w in level if w[:1] != ci]
+        yield from level

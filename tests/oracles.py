@@ -1,7 +1,8 @@
 """Independent reference implementations for cross-checking.
 
 Everything here is deliberately naive: exponential subset scans, Kuhn's
-augmenting paths, recursive Hopcroft-Karp, repeated-scan word reduction.
+augmenting paths, recursive Hopcroft-Karp, repeated-scan word reduction,
+breadth-first window expansion.
 Slow is fine; these run on small instances only and must share no code
 with the package internals they check.
 """
@@ -11,6 +12,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from paradecomp.graphs import BipartiteGraph, bipartite_graph
+from paradecomp.rotations import apply_to_point, word_rotation
+from paradecomp.words import mul, reduce_word, word_key
 
 
 def kuhn_max_matching(g: BipartiteGraph) -> dict:
@@ -262,3 +265,49 @@ def dfs_identity_word(letters, max_len: int):
             if len(nw) < max_len:
                 stack.append((nw, nm, ns))
     return None
+
+
+def bfs_window(kind, base, moves, radius: int):
+    """Breadth-first ball of the action graph: (words, dist, coords, base_index).
+
+    moves are the nonidentity elements of the generating set.  Points are
+    deduplicated by label (f2) or by exact coordinates (sphere), then sorted
+    by the shortlex key of their label.  On the sphere every rediscovery
+    cross-checks the label: two reduced words reaching one point raise.
+    """
+    if kind == "f2":
+        start = reduce_word(base)
+
+        def act(gamma, p):
+            return mul(gamma, p)
+
+    else:
+        start = tuple(base)
+        rots = {gamma: word_rotation(gamma) for gamma in moves}
+
+        def act(gamma, p):
+            return apply_to_point(rots[gamma], p)
+
+    # an f2 point is its own label; a sphere point is labelled by its word
+    label_of = {start: start if kind == "f2" else ""}
+    dist_of = {start: 0}
+    frontier = [start]
+    for d in range(1, radius + 1):
+        nxt = []
+        for p in frontier:
+            for gamma in moves:
+                t = act(gamma, p)
+                lab = mul(gamma, label_of[p])
+                if t in label_of:
+                    if kind != "f2" and label_of[t] != lab:
+                        raise ValueError(f"{label_of[t]!r} and {lab!r} reach one point")
+                    continue
+                label_of[t] = lab
+                dist_of[t] = d
+                nxt.append(t)
+        frontier = nxt
+    pts = sorted(label_of, key=lambda p: word_key(label_of[p]))
+    words = tuple(label_of[p] for p in pts)
+    dist = tuple(dist_of[p] for p in pts)
+    coords = None if kind == "f2" else tuple(pts)
+    return words, dist, coords, pts.index(start)

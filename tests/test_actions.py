@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from paradecomp.actions import (
@@ -12,14 +14,15 @@ from paradecomp.actions import (
 )
 from paradecomp.errors import (
     FixedBaseError,
+    FreeActionViolationError,
     InvariantError,
     MarginTooSmallError,
     NotPerfectOnInteriorError,
 )
-from paradecomp.words import word_key
-from paradecomp.rotations import BASE_POINT
+from paradecomp.words import iter_reduced, word_key
+from paradecomp.rotations import BASE_POINT, apply_to_point, word_rotation
 
-from oracles import bfs_distances
+from oracles import bfs_distances, bfs_window
 
 
 def ball_size(r: int) -> int:
@@ -42,6 +45,51 @@ def test_generating_set_closes_under_inverse():
     s = GeneratingSet.from_words(["ab"])
     assert "BA" in s.elements
     assert s.elements[0] == ""
+
+
+def test_expand_window_refuses_a_set_that_is_not_a_ball():
+    s = GeneratingSet.from_words(["ab"])
+    with pytest.raises(ValueError):
+        expand_window("f2", (), s, 3, 1)
+    with pytest.raises(ValueError):
+        expand_window("sphere", BASE_POINT, s, 3, 1)
+
+
+def _window_cases():
+    rng = random.Random(20260816)
+    reduced = list(iter_reduced(5))[1:]
+    bases = [""] + rng.sample(reduced, 3)
+    s = standard_generators()
+    s2 = square_set(s)
+    # S^2 steps two letters at a time, so its radii stop at word length 8
+    for name, gens, radii in (("S", s, range(1, 7)), ("S2", s2, range(1, 5))):
+        for base in bases:
+            yield pytest.param("f2", base, gens, radii, id=f"f2-{base or 'e'}-{name}")
+        yield pytest.param("sphere", BASE_POINT, gens, radii, id=f"sphere-{name}")
+
+
+@pytest.mark.parametrize("kind,base,gens,radii", _window_cases())
+def test_expand_window_matches_bfs_oracle(kind, base, gens, radii):
+    with pytest.raises(ValueError):
+        expand_window(kind, base, gens, 0, 0)
+    for r in radii:
+        w = expand_window(kind, base, gens, r, 0)
+        got = (w.words, w.dist, w.coords, w.base_index)
+        assert got == bfs_window(kind, base, gens.nonidentity(), r)
+
+
+def test_sphere_window_normalizes_its_base():
+    s = standard_generators()
+    w = expand_window("sphere", (0, 5, 0, 1), s, 4, 1)
+    assert w.coords == expand_window("sphere", BASE_POINT, s, 4, 1).coords
+
+
+def test_sphere_window_refuses_a_base_with_a_stabilizer():
+    base = (3, 4, 0, 1)  # a.x for x on the a-axis, so aBA and abA fix it
+    assert apply_to_point(word_rotation("aBA"), base) == base
+    s = standard_generators()
+    with pytest.raises(FreeActionViolationError):
+        expand_window("sphere", base, s, 4, 1)
 
 
 def test_f2_window_sizes_and_order():

@@ -183,6 +183,19 @@ def test_transfer_cli_hand_case(capsys, tmp_path):
     assert all(d == 1 for _, d in obj["directions"])
 
 
+@pytest.mark.parametrize("entry", [[[], None], [0, "1"], [True, 1]])
+def test_transfer_non_integer_matching_entry_exits_one(capsys, tmp_path, entry):
+    gpath = write_graph(tmp_path / "path.json", line_window(16))
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps([entry]))
+    code, obj = run(
+        capsys,
+        ["transfer", "--graph", gpath, "--gn-matching", str(mpath), "--n", "2"],
+    )
+    assert code == 1
+    assert obj["error"] == "BAD_INPUT"
+
+
 def test_forest_chain_from_paradox(capsys, tmp_path):
     pieces = tmp_path / "p.json"
     code, _ = run(
@@ -223,6 +236,16 @@ def test_demo_f2_radius_ten_passes(capsys):
     assert obj["roundtrip"]["subset_of_matching"] is True
     assert obj["roundtrip"]["covers_interior"] is True
     assert obj["boundary_ok"] is True
+
+
+def test_demo_on_a_sphere_base_with_a_stabilizer_exits_three(capsys):
+    # (3,4,0,1) is a.x for x on the a-axis, so aBA fixes it
+    code, obj = run(
+        capsys, ["demo", "--kind", "sphere", "--radius", "8", "--base", "3,4,0,1"]
+    )
+    assert code == 3
+    assert obj["schema"] == "paradecomp/error/1"
+    assert obj["error"] == "FREENESS_VIOLATED"
 
 
 def test_repeat_runs_are_byte_identical(capsys, k33):

@@ -1,0 +1,102 @@
+"""Fuzz the four file readers through the CLI: graph, pieces, forest, matching.
+
+Whatever the file holds, a run prints exactly one JSON object and exits 0, 1
+or 2; exit 3 (a broken internal invariant) or a traceback is a finding.
+"""
+
+import contextlib
+import io
+import json
+
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
+
+from paradecomp import cli
+from paradecomp.generators import line_window
+from paradecomp.graphs import graph_to_obj
+
+FIELDS = {
+    "graph": ["vertices", "edges", "id", "side"],
+    "pieces": ["gens", "pieces_a", "pieces_b", "pieces", "window", "kind", "radius"],
+    "forest": [
+        "n_points", "edges", "interior", "present", "depth", "radius", "labels",
+        "stats",
+    ],
+    "matching": ["matching"],
+}
+
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 40)
+    | st.floats(-2, 2, allow_nan=False)
+    | st.sampled_from(["", "a", "aB", "bA", "x", "f2", "sphere"])
+)
+
+
+def json_values(keys):
+    return st.recursive(
+        scalars,
+        lambda kids: st.lists(kids, max_size=5)
+        | st.dictionaries(st.sampled_from(keys) | st.text(max_size=2), kids, max_size=5),
+        max_leaves=16,
+    )
+
+
+def documents(reader):
+    """Arbitrary JSON, or an object whose fields are the reader's own names."""
+    values = json_values(FIELDS[reader])
+    shaped = st.fixed_dictionaries({}, optional={k: values for k in FIELDS[reader]})
+    return values | shaped
+
+
+PATH_GRAPH = json.dumps(graph_to_obj(line_window(8)))
+
+
+def run_on(reader, doc):
+    # the files live in memory: the run reads the same text, skipping the disk
+    files = {"doc.json": json.dumps(doc), "path.json": PATH_GRAPH}
+    argv = {
+        "graph": ["hall-check", "doc.json"],
+        "pieces": ["verify", "--pieces", "doc.json", "--kind", "f2", "--radius", "3"],
+        "forest": ["f2action", "--from", "doc.json", "--stages", "1"],
+        "matching": [
+            "transfer", "--graph", "path.json", "--gn-matching", "doc.json", "--n", "2"
+        ],
+    }[reader]
+    buf = io.StringIO()
+    with mock.patch.object(cli, "_read_json", lambda path: json.loads(files[path])):
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(argv)
+    out = buf.getvalue()
+    assert code in (0, 1, 2), out
+    assert out.count("\n") == 1 and out.endswith("\n")
+    assert isinstance(json.loads(out), dict)
+
+
+FUZZ = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@FUZZ
+@given(documents("graph"))
+def test_graph_reader_fuzz(doc):
+    run_on("graph", doc)
+
+
+@FUZZ
+@given(documents("pieces"))
+def test_pieces_reader_fuzz(doc):
+    run_on("pieces", doc)
+
+
+@FUZZ
+@given(documents("forest"))
+def test_forest_reader_fuzz(doc):
+    run_on("forest", doc)
+
+
+@FUZZ
+@given(documents("matching"))
+def test_matching_reader_fuzz(doc):
+    run_on("matching", doc)

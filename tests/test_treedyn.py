@@ -261,6 +261,24 @@ def test_surgery_drops_components_with_outside_cycles():
     assert all(fw.degree(v) == 0 for v in range(4))
 
 
+@pytest.mark.parametrize("kind,radius", [("f2", 6), ("sphere", 5)])
+def test_surgery_accounts_for_every_point(kind, radius):
+    s = standard_generators()
+    w = expand_window(kind, None, s, radius, 4)
+    dg = build_doubling(w, square_set(s), 4)
+    ts = triple_system_from_matching(dg, interior_saturating_matching(dg))
+    fw = forest_from_paradox(ts)
+    st = fw.stats
+    assert st["components"] == st["kept"] + st["truncated"] + st["isolated"]
+    touched = {p for f in ts.maps for item in f.items() for p in item}
+    untouched = [p for p in range(fw.n_points()) if p not in touched]
+    assert len(untouched) == st["isolated"] > 0
+    for p in untouched:
+        assert not fw.present[p] and not fw.interior[p]
+        assert fw.depth[p] == -1
+        assert fw.adjacency[p] == ()
+
+
 def test_forest_obj_roundtrip():
     ts = planted_cycle_system(3, 4, random.Random(0))
     fw = forest_from_paradox(ts)
