@@ -255,12 +255,6 @@ class DoublingGraph:
     def n_vertices(self) -> int:
         return self.copies * self.n_points
 
-    def copy_of(self, vid: int) -> int:
-        return vid // self.n_points
-
-    def point_of(self, vid: int) -> int:
-        return vid % self.n_points
-
     def side(self, vid: int) -> int:
         return 0 if vid < self.n_points else 1
 

@@ -63,11 +63,6 @@ class InvalidMatchingError(ParadecompError):
     exit_status = 1
 
 
-class MixedSidesError(ParadecompError):
-    code = "MIXED_SIDES"
-    exit_status = 1
-
-
 class BadCapError(ParadecompError):
     code = "BAD_CAP"
     exit_status = 1

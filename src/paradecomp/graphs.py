@@ -1,4 +1,7 @@
-"""Finite bipartite graphs and the distance machinery everything else shares.
+"""Finite bipartite graphs and the search machinery everything else shares.
+
+One breadth-first search serves distances, connected components and greedy
+nets; every other module reaches those through the helpers here.
 
 Vertex ids are opaque integers; every algorithm in the package breaks ties by
 ascending id, so the structures here keep adjacency lists sorted.  Graphs are
@@ -7,17 +10,7 @@ immutable after construction: operations return new graphs.
 
 from __future__ import annotations
 
-import math
-from collections import deque
-
-from .errors import (
-    GraphFormatError,
-    InvalidMatchingError,
-    MixedSidesError,
-    UnknownVertexError,
-)
-
-INFINITY = math.inf
+from .errors import GraphFormatError, InvalidMatchingError, UnknownVertexError
 
 
 class BipartiteGraph:
@@ -54,9 +47,6 @@ class BipartiteGraph:
 
     def n_edges(self) -> int:
         return sum(len(a) for a in self.adj.values()) // 2
-
-    def has_vertex(self, v) -> bool:
-        return v in self.side_of
 
     def require_vertex(self, v):
         if v not in self.side_of:
@@ -129,7 +119,7 @@ def graph_from_obj(obj) -> BipartiteGraph:
         if not isinstance(e, list) or len(e) != 2:
             raise GraphFormatError(f"{where}: expected a pair [u, v]")
         u, v = e
-        if not isinstance(u, int) or not isinstance(v, int):
+        if type(u) is not int or type(v) is not int:
             raise GraphFormatError(f"{where}: endpoints must be integers")
         pairs.append((u, v))
     return bipartite_graph(side0, side1, pairs)
@@ -180,16 +170,41 @@ def bfs_distances(neighbors, sources, bound=None) -> dict:
     return dist
 
 
+def components(neighbors, vertices):
+    """Yield connected components, in order of each component's least vertex.
+
+    Each member list starts at that least vertex and follows breadth-first
+    order.  neighbors must stay inside vertices; a caller restricts the graph
+    to a subset by filtering what neighbors yields.  Lists are made one at a
+    time, so a caller that reads each once never holds them all.
+    """
+    seen: set = set()
+    for v in sorted(vertices):
+        if v not in seen:
+            members = list(bfs_distances(neighbors, (v,)))
+            seen.update(members)
+            yield members
+
+
+def greedy_net(neighbors, points, radius) -> list:
+    """Points kept by a scan in the given order, pairwise farther than radius.
+
+    A point is kept unless an already-kept point lies within radius; each kept
+    point blocks its ball in the graph neighbors describes.
+    """
+    blocked: set = set()
+    kept = []
+    for p in points:
+        if p not in blocked:
+            kept.append(p)
+            blocked.update(bfs_distances(neighbors, (p,), radius))
+    return kept
+
+
 def distances_from(g: BipartiteGraph, source, bound=None) -> dict:
     """BFS distances; omits vertices beyond bound (or other components)."""
     g.require_vertex(source)
     return bfs_distances(g.adj.__getitem__, (source,), bound)
-
-
-def distance(g: BipartiteGraph, x, y, bound=None):
-    g.require_vertex(x)
-    g.require_vertex(y)
-    return bfs_distances(g.adj.__getitem__, (x,), bound).get(y, INFINITY)
 
 
 def neighborhood(g: BipartiteGraph, f_set) -> set:
@@ -233,15 +248,6 @@ def induced_subgraph(g: BipartiteGraph, keep) -> BipartiteGraph:
     return BipartiteGraph(ids, side_of, adj)
 
 
-def remove_matched(g: BipartiteGraph, matching) -> BipartiteGraph:
-    norm = validate_matching(g, matching)
-    drop = set()
-    for u, v in norm:
-        drop.add(u)
-        drop.add(v)
-    return induced_subgraph(g, (v for v in g.ids if v not in drop))
-
-
 def g2_neighbors(g: BipartiteGraph, v) -> set:
     """Vertices at distance exactly 2 from v in g.
 
@@ -254,38 +260,3 @@ def g2_neighbors(g: BipartiteGraph, v) -> set:
         out.update(g.adj[u])
     out.discard(v)
     return out
-
-
-def g2_connected_components(g: BipartiteGraph, subset):
-    """Partition a single-sided set into its G^2-connectivity classes.
-
-    Adjacency is distance exactly 2 in the full graph, not in the induced
-    subgraph, so two subset members may be joined through a vertex outside
-    the subset.
-    """
-    sub = set(subset)
-    if not sub:
-        return []
-    for v in sub:
-        g.require_vertex(v)
-    sides = {g.side_of[v] for v in sub}
-    if len(sides) > 1:
-        raise MixedSidesError("subset must lie in a single side", subset=sorted(sub))
-    remaining = set(sub)
-    comps = []
-    for start in sorted(sub):
-        if start not in remaining:
-            continue
-        comp = {start}
-        remaining.discard(start)
-        q = deque([start])
-        while q:
-            u = q.popleft()
-            for w in g2_neighbors(g, u):
-                if w in remaining:
-                    remaining.discard(w)
-                    comp.add(w)
-                    q.append(w)
-        comps.append(tuple(sorted(comp)))
-    return comps
-

@@ -6,10 +6,6 @@ sum 8/f(n) < epsilon.  The greedy layering scans vertices in ascending id
 order and accepts a vertex into layer n unless an already-accepted one lies
 within distance f(n); this keeps pairwise distances strictly above f(n) and
 covers everything in finitely many layers.
-
-Window mode answers layer membership for points of an action window using
-the canonical key order as the scan order, refusing to answer (UNRELIABLE)
-when the decision could depend on points beyond the window boundary.
 """
 
 from __future__ import annotations
@@ -17,25 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExhaustedError, HypothesisFailedError, UnknownVertexError
-from .graphs import BipartiteGraph, bfs_distances, distances_from
-
-
-class _Unreliable:
-    """Sentinel: the window is too small to decide.  Compare with `is`."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "UNRELIABLE"
-
-
-UNRELIABLE = _Unreliable()
+from .errors import BudgetExhaustedError, HypothesisFailedError
+from .graphs import BipartiteGraph, distances_from, greedy_net
 
 
 class LayerSchedule:
@@ -145,34 +124,21 @@ class Layering:
         }
 
 
-def _greedy_layers(order, neighbors, f_of_stage):
-    """Shared greedy core over an abstract vertex order and adjacency.
-
-    order: vertices in scan order.  neighbors: v -> iterable.  Yields
-    (stage_f, accepted_list) until everything is covered.
-    """
-    uncovered = set(order)
-    n = 0
-    while uncovered:
-        fn = f_of_stage(n)
-        blocked = set()
-        accepted = []
-        for v in order:
-            if v not in uncovered or v in blocked:
-                continue
-            accepted.append(v)
-            # the ball is taken in the full graph, so it passes through
-            # covered vertices; blocking those too changes nothing
-            blocked.update(bfs_distances(neighbors, (v,), fn))
-        uncovered.difference_update(accepted)
-        yield fn, accepted
-        n += 1
-
-
 def greedy_layering(g: BipartiteGraph, schedule: LayerSchedule) -> Layering:
+    """Layer n is a greedy net of the still-uncovered vertices, radius f(n).
+
+    The balls are taken in the full graph, so they pass through covered
+    vertices too.
+    """
     layers = []
     f_values = []
-    for fn, accepted in _greedy_layers(g.ids, g.adj.__getitem__, schedule.f):
+    uncovered = set(g.ids)
+    while uncovered:
+        fn = schedule.f(len(layers))
+        accepted = greedy_net(
+            g.adj.__getitem__, [v for v in g.ids if v in uncovered], fn
+        )
+        uncovered.difference_update(accepted)
         layers.append(tuple(accepted))
         f_values.append(fn)
     return Layering(tuple(layers), tuple(f_values), schedule)
@@ -201,39 +167,3 @@ def validate_layering(g: BipartiteGraph, layers, schedule: LayerSchedule) -> Non
                         pair=[v, w],
                         distance=d,
                     )
-
-
-def window_layering(window, schedule: LayerSchedule, upto_stage: int):
-    """Greedy layers 0..upto_stage over the window's points, key order scan.
-
-    Window points are indexed in canonical key order already, so ascending
-    index is the scan order.  Returns a list of layers as sets of indices.
-    """
-    order = range(window.n_points())
-    out = []
-    gen = _greedy_layers(order, window.neighbors, schedule.f)
-    for _ in range(upto_stage + 1):
-        try:
-            _, accepted = next(gen)
-        except StopIteration:
-            out.append(set())
-            continue
-        out.append(set(accepted))
-    return out
-
-
-def local_layer_membership(window, x: int, n: int, schedule: LayerSchedule):
-    """Is point x in layer A_n, as far as the window can tell.
-
-    Returns True/False when the ball of radius f(n)*(n+2) around x sits
-    inside the window, UNRELIABLE otherwise.  The radius over-approximates
-    the dependency chain of n nested greedy stages; it is not tight, and a
-    tighter rule would need a soundness argument this code does not carry.
-    """
-    if not (0 <= x < window.n_points()):
-        raise UnknownVertexError(f"point index {x} outside window", index=x)
-    reach = schedule.f(n) * (n + 2)
-    if window.dist_to_base(x) + reach > window.radius:
-        return UNRELIABLE
-    layers = window_layering(window, schedule, n)
-    return x in layers[n]

@@ -135,23 +135,6 @@ class _Engine:
         )
 
 
-def select_hall_preserving_edge(residual: BipartiteGraph, x):
-    """The least edge {x, y} whose removal keeps the residual matchable.
-
-    Raises HALL_VIOLATED when the residual is not perfectly matchable to
-    begin with (then no choice can be justified).
-    """
-    residual.require_vertex(x)
-    engine = _Engine(residual)
-    if not engine.perfect:
-        raise HallViolatedError(
-            "residual fails Hall's condition (no perfect matching)",
-            vertices=len(residual.ids),
-        )
-    y = engine.select(x)
-    return (x, y)
-
-
 def _hall_eps_capped(g, epsilon, floor, cap) -> HallReport:
     # an empty enumeration range [floor, cap] leaves only plain Hall to check
     if cap < floor:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import InvariantError
+from .graphs import components
 
 
 def hopcroft_karp(left_ids, neighbors) -> dict:
@@ -119,30 +120,17 @@ def combine_saturating(m1, m2, need_a, need_b) -> set:
         covered2.add(u)
         covered2.add(v)
 
-    out = set(shared)
-    seen = set()
+    def partners(x):
+        return [p for p in (partner1.get(x), partner2.get(x)) if p is not None]
+
     need_a = set(need_a)
     need_b = set(need_b)
-    for start in sorted(partner1.keys() | partner2.keys()):
-        if start in seen:
-            continue
-        comp = set()
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            if x in comp:
-                continue
-            comp.add(x)
-            for p in (partner1.get(x), partner2.get(x)):
-                if p is not None and p not in comp:
-                    stack.append(p)
-        seen |= comp
-        take_first = any(x in need_a and x not in covered2 for x in comp)
-        chosen = d1 if take_first else d2
-        for x in comp:
-            p = partner1.get(x) if take_first else partner2.get(x)
-            if p is not None:
-                out.add((min(x, p), max(x, p)))
+    first: set = set()  # vertices of the components that take m1's edges
+    for comp in components(partners, partner1.keys() | partner2.keys()):
+        if any(x in need_a and x not in covered2 for x in comp):
+            first.update(comp)
+    out = shared | {e for e in d1 if e[0] in first}
+    out |= {e for e in d2 if e[0] not in first}
 
     covered = set()
     for u, v in out:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .actions import ActionWindow, DoublingGraph, GeneratingSet, standard_generators
 from .errors import InvariantError, PiecesFormatError
-from .graphs import BipartiteGraph, bipartite_graph
 from .words import IDENTITY
 
 
@@ -242,38 +241,3 @@ def classical_f2_decomposition(w: ActionWindow) -> ParadoxicalDecomposition:
         else:
             pieces_b[i] = 3
     return ParadoxicalDecomposition(gens=gens, pieces_a=pieces_a, pieces_b=pieces_b)
-
-
-@dataclass(frozen=True)
-class EquidecompositionGraph:
-    graph: BipartiteGraph
-    window: ActionWindow
-    s: GeneratingSet
-    a_set: tuple
-    b_set: tuple
-
-
-def build_equidecomposition_graph(
-    w: ActionWindow, s: GeneratingSet, a_set, b_set
-) -> EquidecompositionGraph:
-    """Bipartite graph on {0} x A union {1} x B, edges where s carries A to B.
-
-    Vertex ids: a point i in A keeps id i, a point j in B gets n_points + j,
-    matching the doubling-graph id convention.
-    """
-    n = w.n_points()
-    a_ids = sorted(set(a_set))
-    b_ids = sorted(set(b_set))
-    b_lookup = set(b_ids)
-    edges = []
-    for i in a_ids:
-        seen = set()
-        for gamma in s.elements:
-            j = w.apply(gamma, i)
-            if j is not None and j in b_lookup and j not in seen:
-                seen.add(j)
-                edges.append((i, n + j))
-    g = bipartite_graph(a_ids, [n + j for j in b_ids], edges)
-    return EquidecompositionGraph(
-        graph=g, window=w, s=s, a_set=tuple(a_ids), b_set=tuple(b_ids)
-    )

@@ -12,7 +12,6 @@ counted, never silently guessed.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
@@ -28,7 +27,9 @@ from .graphs import (
     BipartiteGraph,
     bfs_distances,
     bipartite_graph,
+    components,
     distances_from,
+    greedy_net,
     validate_matching,
 )
 
@@ -61,18 +62,7 @@ class OrientedTwoRegular:
         pred: dict = {}
         pos: dict = {}
         comp: dict = {}
-        seen: set = set()
-        for start in g.ids:
-            if start in seen:
-                continue
-            members = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in g.adj[u]:
-                    if w not in members:
-                        members.add(w)
-                        stack.append(w)
+        for members in components(g.adj.__getitem__, g.ids):
             ends = sorted(v for v in members if g.degree(v) <= 1)
             if not ends:
                 raise HypothesisFailedError(
@@ -84,7 +74,6 @@ class OrientedTwoRegular:
             while True:
                 pos[v] = k
                 comp[v] = root
-                seen.add(v)
                 step = [w for w in g.adj[v] if w != prev]
                 if not step:
                     break
@@ -411,13 +400,7 @@ def forest_from_paradox(ts: TripleFunctionSystem) -> ForestWindow:
                 ny.add(x)
 
     isolated = n - len(nbrs)
-    seen: set = set()
-    comps = []
-    for p in sorted(nbrs):
-        if p not in seen:
-            members = bfs_distances(nbrs.__getitem__, (p,))
-            seen.update(members)
-            comps.append(sorted(members))
+    comps = list(components(nbrs.__getitem__, nbrs))
 
     kept = [True] * len(comps)
     cycle_hist: dict = {}
@@ -582,38 +565,11 @@ class F2ActionResult:
         }
 
 
-def _greedy_net(adjacency, points, separation):
-    """Ascending-index net: accepted points block everything within separation."""
-    blocked: set = set()
-    out = []
-    for p in points:
-        if p in blocked:
-            continue
-        out.append(p)
-        blocked.update(bfs_distances(adjacency.__getitem__, (p,), separation))
-    return out
-
-
-def _domain_components(adjacency, domain):
-    comp = {}
-    for s in sorted(domain):
-        if s in comp:
-            continue
-        comp[s] = s
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for y in adjacency[u]:
-                if y in domain and y not in comp:
-                    comp[y] = s
-                    queue.append(y)
-    return comp
-
-
 def _stage_audit(forest: ForestWindow, domain: set, stage: int) -> dict:
     """Measure the stage conditions: local connectivity and G^{<=8} diameters."""
     adjacency = forest.adjacency
-    comp = _domain_components(adjacency, domain)
+    pieces = components(lambda u: [y for y in adjacency[u] if y in domain], domain)
+    comp = {y: members[0] for members in pieces for y in members}
     for x in sorted(domain):
         for y in bfs_distances(adjacency.__getitem__, (x,), 4):
             if y in domain and comp[y] != comp[x]:
@@ -628,24 +584,12 @@ def _stage_audit(forest: ForestWindow, domain: set, stage: int) -> dict:
         for y in bfs_distances(adjacency.__getitem__, (x,), 8):
             if y != x and y in domain:
                 g8[x].add(y)
-    seen: set = set()
-    max_diam = 0
-    for s in sorted(domain):
-        if s in seen:
-            continue
-        members = [s]
-        seen.add(s)
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for y in g8[u]:
-                if y not in seen:
-                    seen.add(y)
-                    members.append(y)
-                    queue.append(y)
-        for a in members:
-            diam = max(bfs_distances(g8.__getitem__, (a,)).values())
-            max_diam = max(max_diam, diam)
+    # a search never leaves its start's component, so the largest
+    # eccentricity over the domain is the largest component diameter
+    max_diam = max(
+        (max(bfs_distances(g8.__getitem__, (a,)).values()) for a in domain),
+        default=0,
+    )
     bound = 4**stage
     if max_diam > bound:
         raise HypothesisFailedError(
@@ -700,7 +644,7 @@ def f2_action_from_forest(forest: ForestWindow, stages: int) -> F2ActionResult:
 
     for s_n in range(stages + 1):
         separation = SEPARATION_BASE * 4**s_n
-        layer = _greedy_net(adjacency, eligible, separation)
+        layer = greedy_net(adjacency.__getitem__, eligible, separation)
         newcomers = [p for p in layer if p not in domain]
         dist_prev = bfs_distances(adjacency.__getitem__, domain, 3)
 

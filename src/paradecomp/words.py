@@ -59,13 +59,6 @@ def inv(w: str) -> str:
     return w[::-1].translate(_INVERT)
 
 
-def left_mul_letter(c: str, w: str) -> str:
-    """c * w for a single letter c, in O(1)."""
-    if w and w[0] == c.translate(_INVERT):
-        return w[1:]
-    return c + w
-
-
 def word_key(w: str):
     """Shortlex sort key: length first, then letter order a < A < b < B."""
     return (len(w), w.translate(_SHORTLEX))

@@ -155,7 +155,6 @@ def test_doubling_graph_shape():
     n = w.n_points()
     assert dg.n_vertices() == 3 * n
     assert dg.side(0) == 0 and dg.side(n) == 1
-    assert dg.copy_of(2 * n + 1) == 2
     # interior side-0 vertex sees all of S^2 in both copies
     i = w.base_index
     assert len(dg.neighbors(i)) == 2 * len(s2.elements)

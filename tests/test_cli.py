@@ -107,6 +107,29 @@ def test_bad_graph_shape_exits_one(capsys, tmp_path):
     assert "vertices" in obj["message"]
 
 
+def test_boolean_edge_endpoint_exits_one(capsys, tmp_path):
+    # JSON true == 1 in Python; as an endpoint it stood for vertex 1 and
+    # leaked into the printed matching
+    f = tmp_path / "g.json"
+    f.write_text(
+        json.dumps(
+            {
+                "vertices": [
+                    {"id": 0, "side": 0},
+                    {"id": 1, "side": 1},
+                    {"id": 2, "side": 0},
+                    {"id": 3, "side": 1},
+                ],
+                "edges": [[0, True], [0, 3], [2, 1], [2, 3]],
+            }
+        )
+    )
+    code, obj = run(capsys, ["match", str(f), "--epsilon", "1/100", "--cap", "1"])
+    assert code == 1
+    assert obj["error"] == "BAD_GRAPH"
+    assert "edges[0]" in obj["message"]
+
+
 def test_window_radius_under_margin_is_a_precondition(capsys, tmp_path):
     code, obj = run(
         capsys,

@@ -72,7 +72,9 @@ def run_on(reader, doc):
     out = buf.getvalue()
     assert code in (0, 1, 2), out
     assert out.count("\n") == 1 and out.endswith("\n")
-    assert isinstance(json.loads(out), dict)
+    obj = json.loads(out)
+    assert isinstance(obj, dict)
+    return obj
 
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True)
@@ -82,6 +84,32 @@ FUZZ = settings(max_examples=60, deadline=None, derandomize=True)
 @given(documents("graph"))
 def test_graph_reader_fuzz(doc):
     run_on("graph", doc)
+
+
+# well-shaped graphs whose edge endpoints may be JSON booleans, which Python
+# would otherwise read as the vertices 0 and 1
+graph_shaped = st.fixed_dictionaries(
+    {
+        "vertices": st.lists(
+            st.fixed_dictionaries(
+                {"id": st.integers(0, 3), "side": st.integers(0, 1)}
+            ),
+            max_size=4,
+        ),
+        "edges": st.lists(
+            st.lists(st.integers(-1, 4) | st.booleans(), min_size=2, max_size=2),
+            max_size=4,
+        ),
+    }
+)
+
+
+@FUZZ
+@given(graph_shaped)
+def test_graph_reader_rejects_boolean_endpoints(doc):
+    obj = run_on("graph", doc)
+    if any(type(u) is bool for e in doc["edges"] for u in e):
+        assert obj["error"] == "BAD_GRAPH"
 
 
 @FUZZ

@@ -4,20 +4,17 @@ from hypothesis import given, strategies as st
 from paradecomp.errors import (
     GraphFormatError,
     InvalidMatchingError,
-    MixedSidesError,
     UnknownVertexError,
 )
 from paradecomp import graphs
 from paradecomp.graphs import (
     bipartite_graph,
     distances_from,
-    g2_connected_components,
     g2_neighbors,
     graph_from_obj,
     graph_to_obj,
     induced_subgraph,
     neighborhood,
-    remove_matched,
     to_dot,
     validate_matching,
 )
@@ -55,7 +52,9 @@ def test_construct_and_basics():
     assert g.edges() == [(0, 2), (0, 3), (1, 2)]
     assert g.n_edges() == 3
     assert g.degree(0) == 2
-    assert g.has_vertex(3) and not g.has_vertex(9)
+    g.require_vertex(3)
+    with pytest.raises(UnknownVertexError):
+        g.require_vertex(9)
 
 
 def test_construct_rejects_duplicates_and_same_side():
@@ -121,6 +120,56 @@ def test_multi_source_bounded_bfs_matches_plain_bfs(obj, picks, bound):
     assert graphs.bfs_distances(g.adj.__getitem__, sources, bound) == want
 
 
+@given(small_graph_objs(), st.sets(st.integers(0, 7)))
+def test_components_are_the_reachability_classes(obj, drop):
+    g = graph_from_obj(obj)
+    subset = {v for i, v in enumerate(g.ids) if i not in drop}
+    for keep in (set(g.ids), subset):
+        h = induced_subgraph(g, keep)
+        # vertices come in descending order; the result must not follow it
+        comps = list(
+            graphs.components(
+                lambda u: [w for w in g.adj[u] if w in keep],
+                sorted(keep, reverse=True),
+            )
+        )
+        want = []
+        left = set(h.ids)
+        for v in h.ids:
+            if v in left:
+                reach = set(bfs_distances(h.adj, v))
+                left -= reach
+                want.append(reach)
+        assert [set(c) for c in comps] == want
+        assert sum(len(c) for c in comps) == len(keep)
+        for c in comps:
+            assert c[0] == min(c)
+            dist = bfs_distances(h.adj, c[0])
+            assert [dist[v] for v in c] == sorted(dist[v] for v in c)
+
+
+@given(
+    small_graph_objs(),
+    st.lists(st.integers(0, 7), unique=True),
+    st.integers(0, 3),
+)
+def test_greedy_net_is_separated_and_covers_what_it_skips(obj, picks, radius):
+    g = graph_from_obj(obj)
+    points = [g.ids[i] for i in picks if i < len(g.ids)]
+    kept = graphs.greedy_net(g.adj.__getitem__, points, radius)
+    dist = {v: bfs_distances(g.adj, v) for v in g.ids}
+    assert kept == [p for p in points if p in kept]
+    for i, p in enumerate(kept):
+        for q in kept[i + 1 :]:
+            assert dist[p].get(q, radius + 1) > radius
+    for i, p in enumerate(points):
+        if p not in kept:
+            assert any(
+                q in kept and dist[q].get(p, radius + 1) <= radius
+                for q in points[:i]
+            )
+
+
 def test_distances_bound_cuts_off():
     g = bipartite_graph([0, 2], [1, 3], [(0, 1), (2, 1), (2, 3)])
     assert distances_from(g, 0, bound=1) == {0: 0, 1: 1}
@@ -143,9 +192,6 @@ def test_validate_matching_and_removal():
         validate_matching(g, [(0, 2), (0, 3)])  # repeats 0
     with pytest.raises(UnknownVertexError):
         validate_matching(g, [(0, 9)])
-    rest = remove_matched(g, [(0, 2)])
-    assert rest.ids == (1, 3)
-    assert rest.adj[1] == ()
 
 
 def test_induced_subgraph_drops_edges():
@@ -159,16 +205,3 @@ def test_neighborhood_excludes_f():
     g = bipartite_graph([0, 1], [2], [(0, 2), (1, 2)])
     assert neighborhood(g, [0, 1]) == {2}
     assert g2_neighbors(g, 0) == {1}
-
-
-def test_g2_components_of_star():
-    # all leaves meet through the center, one class
-    g = bipartite_graph([0], [1, 2, 3], [(0, 1), (0, 2), (0, 3)])
-    assert g2_connected_components(g, [1, 2, 3]) == [(1, 2, 3)]
-    with pytest.raises(MixedSidesError):
-        g2_connected_components(g, [0, 1])
-
-
-def test_g2_components_split_when_no_shared_neighbor():
-    g = bipartite_graph([0, 1], [2, 3], [(0, 2), (1, 3)])
-    assert g2_connected_components(g, [0, 1]) == [(0,), (1,)]

@@ -5,17 +5,13 @@ from hypothesis import given, strategies as st
 
 from paradecomp.errors import BudgetExhaustedError, HypothesisFailedError
 from paradecomp.generators import complete_bipartite, line_window, union_of_permutations
-from paradecomp.graphs import distance
+from paradecomp.graphs import distances_from
 from paradecomp.layers import (
-    UNRELIABLE,
     explicit_schedule,
     geometric_schedule,
     greedy_layering,
-    local_layer_membership,
     validate_layering,
-    window_layering,
 )
-from paradecomp.actions import expand_window, standard_generators
 
 import random
 
@@ -75,9 +71,9 @@ def test_greedy_layering_covers_and_separates(seed, n):
         fn = sched.f(m)
         members = sorted(layer)
         for i, v in enumerate(members):
+            near = distances_from(g, v, bound=fn)
             for w in members[i + 1 :]:
-                d = distance(g, v, w, bound=fn)
-                assert d is None or d > fn
+                assert w not in near
 
 
 def test_validate_layering_rejects_close_pair():
@@ -108,23 +104,3 @@ def test_line_layering_is_fully_predictable():
         (3, 11),
         (7,),
     )
-
-
-def test_window_layering_matches_membership_probe():
-    s = standard_generators()
-    w = expand_window("f2", (), s, 5, 1)
-    sched = explicit_schedule([2, 4, 8], Fraction(8))
-    layers = window_layering(w, sched, 2)
-    assert layers[0]  # base point accepted first
-    assert 0 in layers[0]
-    probe = local_layer_membership(w, 0, 0, sched)
-    # base is distance 0; reach 2*2=4 < radius 5, so the answer is reliable
-    assert probe is True
-    # a point on the rim cannot be decided for stage 1
-    rim = w.n_points() - 1
-    assert local_layer_membership(w, rim, 1, sched) is UNRELIABLE
-
-
-def test_unreliable_is_a_singleton_sentinel():
-    assert UNRELIABLE is type(UNRELIABLE)()
-    assert repr(UNRELIABLE) == "UNRELIABLE"

@@ -3,17 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from paradecomp.errors import HallViolatedError, HypothesisFailedError
+from paradecomp.errors import HypothesisFailedError
 from paradecomp.generators import (
     complete_bipartite,
     hall_family,
     star_graph,
     union_of_permutations,
 )
-from paradecomp.graphs import bipartite_graph, remove_matched, validate_matching
+from paradecomp.graphs import bipartite_graph, induced_subgraph, validate_matching
 from paradecomp.hall import ExpansionParams, check_hall
 from paradecomp.layers import explicit_schedule, geometric_schedule
-from paradecomp.matcher import layered_perfect_matching, select_hall_preserving_edge
+from paradecomp.matcher import _Engine, layered_perfect_matching
 
 from oracles import has_perfect_matching_on, kuhn_max_matching
 
@@ -55,19 +55,20 @@ def test_select_preserves_matchability():
     rng = random.Random(31)
     for _ in range(25):
         g = union_of_permutations(rng.randint(3, 8), rng.randint(2, 3), rng)
-        residual = g
-        while residual.side_vertices(0):
-            x = residual.side_vertices(0)[0]
-            _, y = select_hall_preserving_edge(residual, x)
-            assert y in residual.adj[x]
-            residual = remove_matched(residual, [(x, y)])
-            assert has_perfect_matching_on(residual, 0)
+        engine = _Engine(g)
+        assert engine.perfect
+        for x in g.side_vertices(0):
+            if x not in engine.alive:
+                continue
+            y = engine.select(x)
+            assert y in g.adj[x]
+            assert x not in engine.alive and y not in engine.alive
+            assert has_perfect_matching_on(induced_subgraph(g, engine.alive), 0)
+        assert not engine.alive
 
 
 def test_select_raises_on_unmatchable_residual():
-    g = star_graph(3)
-    with pytest.raises(HallViolatedError):
-        select_hall_preserving_edge(g, 1)
+    assert not _Engine(star_graph(3)).perfect
 
 
 def test_stage_records_exact_epsilons():

@@ -1,0 +1,29 @@
+import ast
+from pathlib import Path
+
+import paradecomp
+
+
+def _uses_deque(node) -> bool:
+    if isinstance(node, ast.ImportFrom) and node.module == "collections":
+        return any(a.name == "deque" for a in node.names)
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "deque"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "collections"
+    )
+
+
+def test_only_matching_uses_deque():
+    # graphs.bfs_distances is the one breadth-first search; Hopcroft-Karp's
+    # layered search in matching.py keeps its own queue
+    found = []
+    for path in sorted(Path(paradecomp.__file__).parent.glob("*.py")):
+        if path.name == "matching.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree) if _uses_deque(node)
+        ]
+    assert found == []

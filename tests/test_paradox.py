@@ -9,7 +9,6 @@ from paradecomp.actions import (
 )
 from paradecomp.errors import NotPerfectOnInteriorError
 from paradecomp.paradox import (
-    build_equidecomposition_graph,
     classical_f2_decomposition,
     matching_to_paradox,
     paradox_to_matching,
@@ -151,7 +150,7 @@ def test_matching_must_cover_interior(f2_setup):
     s, w, dg, matching, pd = f2_setup
     broken = set(matching)
     for e in matching:
-        if w.is_interior(dg.point_of(e[0])):
+        if w.is_interior(e[0] % dg.n_points):
             broken.discard(e)
             break
     with pytest.raises(NotPerfectOnInteriorError):
@@ -201,21 +200,3 @@ def test_sphere_pipeline_matches_f2_behaviour():
     assert cert.status == "PASS"
     classical = classical_f2_decomposition(w)
     assert verify_paradox(classical, w).status == "PASS"
-
-
-def test_equidecomposition_graph_ids_and_edges():
-    s = standard_generators()
-    w = expand_window("f2", (), s, 3, 1)
-    n = w.n_points()
-    a_set = w.interior_indices()
-    b_set = list(range(n))
-    eg = build_equidecomposition_graph(w, s, a_set, b_set)
-    assert eg.a_set == tuple(sorted(a_set))
-    g = eg.graph
-    base = w.base_index
-    expected = {n + j for j in [base] + w.neighbors(base)}
-    assert set(g.adj[base]) == expected
-    for i in a_set:
-        for v in g.adj[i]:
-            j = v - n
-            assert any(w.apply(gamma, i) == j for gamma in s.elements)

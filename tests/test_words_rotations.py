@@ -22,7 +22,6 @@ from paradecomp.words import (
     inv,
     is_reduced,
     iter_reduced,
-    left_mul_letter,
     mul,
     reduce_word,
     word_key,
@@ -51,13 +50,6 @@ def test_mul_is_concat_then_reduce(u, v):
 def test_inverse_cancels(w):
     assert mul(w, inv(w)) == ""
     assert mul(inv(w), w) == ""
-
-
-@given(words_st)
-def test_left_mul_letter_agrees_with_mul(w):
-    r = reduce_word(w)
-    for c in "aAbB":
-        assert left_mul_letter(c, r) == mul(c, r)
 
 
 def test_word_key_is_shortlex():
