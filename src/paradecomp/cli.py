@@ -130,6 +130,20 @@ def _parse_base(kind: str, raw):
     return tuple(nums)
 
 
+def _add_window_flags(p) -> None:
+    """The window flags of window, paradox and demo; verify's are optional."""
+    p.add_argument("--kind", choices=[F2, SPHERE], required=True)
+    p.add_argument("--radius", type=int, required=True)
+    p.add_argument("--margin", type=int, default=4)
+    p.add_argument("--base", default=None)
+
+
+def _window_from_args(args, s):
+    """The window those flags name, expanded over the generating set s."""
+    base = _parse_base(args.kind, args.base)
+    return expand_window(args.kind, base, s, args.radius, args.margin)
+
+
 def _window_geometry(obj, flags=None) -> tuple:
     """(kind, base, radius, margin) of the window an input file was made on.
 
@@ -233,9 +247,7 @@ def cmd_window(args):
     s = standard_generators()
     if args.square:
         s = square_set(s)
-    w = expand_window(
-        args.kind, _parse_base(args.kind, args.base), s, args.radius, args.margin
-    )
+    w = _window_from_args(args, s)
     dg = build_doubling(w, s, args.copies)
     g = dg.to_bipartite()
     _write_json(args.out, {"schema": _schema("graph"), **graph_to_obj(g)})
@@ -271,9 +283,7 @@ def cmd_window(args):
 
 def cmd_paradox(args):
     s = standard_generators()
-    w = expand_window(
-        args.kind, _parse_base(args.kind, args.base), s, args.radius, args.margin
-    )
+    w = _window_from_args(args, s)
     boundary = None
     if args.oracle == "classical":
         pd = classical_f2_decomposition(w)
@@ -385,9 +395,7 @@ def cmd_f2action(args):
 
 def cmd_demo(args):
     s = standard_generators()
-    w = expand_window(
-        args.kind, _parse_base(args.kind, args.base), s, args.radius, args.margin
-    )
+    w = _window_from_args(args, s)
     dg = build_doubling(w, s, 3)
     matching = interior_saturating_matching(dg)
     pd = matching_to_paradox(dg, matching)
@@ -464,19 +472,13 @@ def build_parser() -> _Parser:
     p.add_argument("--dot", default=None, help="write a DOT rendering here")
 
     p = add("window", cmd_window, "expand an action window and dump its doubling graph")
-    p.add_argument("--kind", choices=[F2, SPHERE], required=True)
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--margin", type=int, default=4)
-    p.add_argument("--base", default=None)
+    _add_window_flags(p)
     p.add_argument("--square", action="store_true", help="use S^2, radius in S^2 steps")
     p.add_argument("--copies", type=int, choices=[3, 4], default=3)
     p.add_argument("--out", required=True)
 
     p = add("paradox", cmd_paradox, "build and verify a paradoxical decomposition")
-    p.add_argument("--kind", choices=[F2, SPHERE], required=True)
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--margin", type=int, default=4)
-    p.add_argument("--base", default=None)
+    _add_window_flags(p)
     p.add_argument("--oracle", choices=["classical", "matched"], default="matched")
     p.add_argument("--out", default=None)
 
@@ -505,10 +507,7 @@ def build_parser() -> _Parser:
     p.add_argument("--free-len", dest="free_len", type=int, default=6)
 
     p = add("demo", cmd_demo, "window -> doubling -> match -> pieces -> certificate")
-    p.add_argument("--kind", choices=[F2, SPHERE], required=True)
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--margin", type=int, default=4)
-    p.add_argument("--base", default=None)
+    _add_window_flags(p)
 
     return parser
 

@@ -71,7 +71,9 @@ def connected_side_sets(g: BipartiteGraph, side: int, max_size: int, min_size: i
 
     Canonical grow-from-least-id enumeration: each set appears exactly once,
     grown from its minimum element, candidates scanned in ascending order.
-    Yields sorted tuples.
+    Yields sorted tuples, in preorder of the growth tree.  The tree is walked
+    with an explicit stack, so its depth (up to max_size) is not bounded by
+    the interpreter's recursion limit.
     """
     if max_size < 1:
         return
@@ -88,24 +90,22 @@ def connected_side_sets(g: BipartiteGraph, side: int, max_size: int, min_size: i
             yield (root,)
         if max_size == 1:
             continue
-        first_ext = [w for w in nb(root) if w > root]
-        yield from _grow(
-            {root}, first_ext, frozenset(), nb, root, min_size, max_size
-        )
-
-
-def _grow(s_set, ext, banned, nb, root, min_size, max_size):
-    for i, v in enumerate(ext):
-        s2 = s_set | {v}
-        if len(s2) >= min_size:
-            yield tuple(sorted(s2))
-        if len(s2) < max_size:
-            blocked = banned | set(ext) | s2
-            new = [w for w in nb(v) if w > root and w not in blocked]
-            yield from _grow(
-                s2, ext[i + 1 :] + new, banned | frozenset(ext[: i + 1]),
-                nb, root, min_size, max_size,
-            )
+        # frame: (set so far, extension candidates, banned ids, next index)
+        stack = [({root}, [w for w in nb(root) if w > root], frozenset(), 0)]
+        while stack:
+            s_set, ext, banned, i = stack.pop()
+            if i == len(ext):
+                continue
+            stack.append((s_set, ext, banned, i + 1))
+            s2 = s_set | {ext[i]}
+            if len(s2) >= min_size:
+                yield tuple(sorted(s2))
+            if len(s2) < max_size:
+                blocked = banned | set(ext) | s2
+                new = [w for w in nb(ext[i]) if w > root and w not in blocked]
+                stack.append(
+                    (s2, ext[i + 1 :] + new, banned | frozenset(ext[: i + 1]), 0)
+                )
 
 
 def _first_plain_violator(g: BipartiteGraph, side: int):

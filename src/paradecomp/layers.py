@@ -17,31 +17,25 @@ from .errors import BudgetExhaustedError, HypothesisFailedError
 from .graphs import BipartiteGraph, distances_from, greedy_net
 
 
+@dataclass(frozen=True)
 class LayerSchedule:
     """Separation function f plus a certified epsilon budget.
 
-    kind "geometric": f(n) = base * ratio**n, infinite tail certified by the
-    closed-form series total.  kind "explicit": finite table, total certified
+    Geometric (f_list None): f(n) = base * ratio**n, infinite tail certified
+    by the closed-form series total.  Explicit: finite table, total certified
     by direct summation; asking past the table raises BUDGET_EXHAUSTED.
     """
 
-    def __init__(self, kind, epsilon_budget, base=None, ratio=None, f_list=None):
-        self.kind = kind
-        self.epsilon_budget = Fraction(epsilon_budget)
-        self.base = base
-        self.ratio = ratio
-        self.f_list = tuple(f_list) if f_list is not None else None
-        if kind == "geometric":
-            self.series_total = Fraction(8, base) * Fraction(ratio, ratio - 1)
-        else:
-            self.series_total = sum(
-                (Fraction(8, f) for f in self.f_list), Fraction(0)
-            )
+    epsilon_budget: Fraction
+    series_total: Fraction
+    base: int | None = None
+    ratio: int | None = None
+    f_list: tuple | None = None
 
     def f(self, n: int) -> int:
         if n < 0:
             raise ValueError("stage index must be >= 0")
-        if self.kind == "geometric":
+        if self.f_list is None:
             return self.base * self.ratio ** n
         if n >= len(self.f_list):
             raise BudgetExhaustedError(
@@ -50,25 +44,11 @@ class LayerSchedule:
             )
         return self.f_list[n]
 
-    def partial_sum(self, n: int) -> Fraction:
-        """sum_{i<=n} 8/f(i), exact."""
-        return sum((Fraction(8, self.f(i)) for i in range(n + 1)), Fraction(0))
-
     def epsilon_after(self, n: int) -> Fraction:
-        return self.epsilon_budget - self.partial_sum(n)
-
-    def as_obj(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "epsilon_budget": str(self.epsilon_budget),
-            "series_total": str(self.series_total),
-        }
-        if self.kind == "geometric":
-            out["base"] = self.base
-            out["ratio"] = self.ratio
-        else:
-            out["f_list"] = list(self.f_list)
-        return out
+        """epsilon_n = epsilon - sum_{i<=n} 8/f(i), exact."""
+        return self.epsilon_budget - sum(
+            (Fraction(8, self.f(i)) for i in range(n + 1)), Fraction(0)
+        )
 
 
 def geometric_schedule(epsilon, ratio: int = 2) -> LayerSchedule:
@@ -83,9 +63,9 @@ def geometric_schedule(epsilon, ratio: int = 2) -> LayerSchedule:
     if ratio < 2:
         raise ValueError("ratio must be >= 2")
     c = 8
-    while Fraction(8, c) * Fraction(ratio, ratio - 1) >= epsilon:
+    while (total := Fraction(8 * ratio, c * (ratio - 1))) >= epsilon:
         c *= ratio
-    return LayerSchedule("geometric", epsilon, base=c, ratio=ratio)
+    return LayerSchedule(epsilon, total, base=c, ratio=ratio)
 
 
 def explicit_schedule(f_list, epsilon_budget) -> LayerSchedule:
@@ -95,7 +75,7 @@ def explicit_schedule(f_list, epsilon_budget) -> LayerSchedule:
     here (the stage arithmetic still works as long as the budget covers the
     sum); the stock geometric constructor is the one that honors f >= 8.
     """
-    f_list = list(f_list)
+    f_list = tuple(f_list)
     if not f_list:
         raise ValueError("need at least one stage")
     for i, f in enumerate(f_list):
@@ -103,19 +83,17 @@ def explicit_schedule(f_list, epsilon_budget) -> LayerSchedule:
             raise ValueError("f values must be >= 1")
         if i and f < f_list[i - 1]:
             raise ValueError("f must be non-decreasing")
-    sched = LayerSchedule("explicit", Fraction(epsilon_budget), f_list=f_list)
-    if sched.series_total >= sched.epsilon_budget:
-        raise ValueError(
-            f"sum 8/f = {sched.series_total} not below budget {sched.epsilon_budget}"
-        )
-    return sched
+    epsilon_budget = Fraction(epsilon_budget)
+    total = sum((Fraction(8, f) for f in f_list), Fraction(0))
+    if total >= epsilon_budget:
+        raise ValueError(f"sum 8/f = {total} not below budget {epsilon_budget}")
+    return LayerSchedule(epsilon_budget, total, f_list=f_list)
 
 
 @dataclass(frozen=True)
 class Layering:
     layers: tuple
     f_values: tuple
-    schedule: LayerSchedule
 
     def as_obj(self) -> dict:
         return {
@@ -141,7 +119,7 @@ def greedy_layering(g: BipartiteGraph, schedule: LayerSchedule) -> Layering:
         uncovered.difference_update(accepted)
         layers.append(tuple(accepted))
         f_values.append(fn)
-    return Layering(tuple(layers), tuple(f_values), schedule)
+    return Layering(tuple(layers), tuple(f_values))
 
 
 def validate_layering(g: BipartiteGraph, layers, schedule: LayerSchedule) -> None:

@@ -166,23 +166,14 @@ def layered_perfect_matching(
         raise ValueError(
             f"params epsilon {p.epsilon} != schedule budget {schedule.epsilon_budget}"
         )
-    # Hall check first: unbalanced sides always fail the exact both-sided
-    # check, and this way the caller gets a deficient-set witness instead of
-    # a bare cardinality complaint.
+    # plain Hall on both sides forces |side 0| = max matching = |side 1|, so
+    # this also rejects unbalanced graphs, with a deficient-set witness
     report = check_hall_eps_n(g, p, cap)
     if not report.satisfied:
         raise HypothesisFailedError(
             "graph fails the Hall_(eps,n) hypothesis up to the cap",
             cap=cap,
             witness=report.witness.as_obj() if report.witness else None,
-        )
-    n0 = len(g.side_vertices(0))
-    n1 = len(g.side_vertices(1))
-    if n0 != n1:
-        raise HypothesisFailedError(
-            f"sides have {n0} and {n1} vertices; no perfect matching can exist",
-            side0=n0,
-            side1=n1,
         )
 
     if layering is None:
@@ -191,7 +182,7 @@ def layered_perfect_matching(
         if not isinstance(layering, Layering):
             raw = [tuple(sorted(layer)) for layer in layering]
             layering = Layering(
-                tuple(raw), tuple(schedule.f(i) for i in range(len(raw))), schedule
+                tuple(raw), tuple(schedule.f(i) for i in range(len(raw)))
             )
         validate_layering(g, layering.layers, schedule)
 
@@ -201,8 +192,10 @@ def layered_perfect_matching(
             "no perfect matching found despite Hall precheck", vertices=len(g.ids)
         )
     stages = []
+    eps_n = schedule.epsilon_budget
     for n, layer in enumerate(layering.layers):
-        eps_n = schedule.epsilon_after(n)
+        fn = schedule.f(n)
+        eps_n -= Fraction(8, fn)
         if eps_n <= 0:
             raise BudgetExhaustedError(
                 f"epsilon_{n} = {eps_n} not positive", stage=n, epsilon=str(eps_n)
@@ -216,13 +209,13 @@ def layered_perfect_matching(
         if audit:
             residual = induced_subgraph(g, engine.alive)
             acap = cap if audit_cap is None else audit_cap
-            rep = _hall_eps_capped(residual, eps_n, schedule.f(n), acap)
+            rep = _hall_eps_capped(residual, eps_n, fn, acap)
             if not rep.satisfied:
                 raise HallViolatedError(
                     "stage invariant Hall_(eps_n, f(n)) failed",
                     stage=n,
                     epsilon_n=str(eps_n),
-                    f_n=schedule.f(n),
+                    f_n=fn,
                     witness=rep.witness.as_obj() if rep.witness else None,
                 )
         stages.append(StageRecord(n=n, epsilon_n=eps_n, matched=tuple(picked)))

@@ -102,37 +102,57 @@ def brute_deficiency(g: BipartiteGraph, side: int) -> int:
     return worst
 
 
+def brute_connected_side_sets(g: BipartiteGraph, side: int, floor: int, cap: int):
+    """Every subset of one side with floor <= size <= cap that is G^2-connected.
+
+    Two vertices of a side are G^2-adjacent when they share a neighbor; a set
+    is connected when a BFS over those links inside the set reaches all of
+    it.  Sorted tuples, in size order, then lexicographic.
+    """
+    vs = sorted(g.side_vertices(side))
+    out = []
+    for k in range(floor, min(cap, len(vs)) + 1):
+        for f_set in combinations(vs, k):
+            inner = {
+                v: [w for w in f_set if w != v and set(g.adj[v]) & set(g.adj[w])]
+                for v in f_set
+            }
+            if len(bfs_distances(inner, f_set[0])) == k:
+                out.append(f_set)
+    return out
+
+
 def brute_hall_eps(g: BipartiteGraph, epsilon, floor: int, cap: int):
     """Hall + expansion over ALL subsets up to cap, not just connected ones.
 
     A disconnected set splits into G^2-components that are themselves no
     bigger, and neighborhoods of distinct components of one side are
     disjoint, so at equal caps this agrees with the connected-set checker.
-    Returns None or a violating (side, f_set, required, actual).
+    Returns None or the least violator (side, f_set, required, actual) by
+    (size, sorted tuple, side): plain Hall violators of any size first, then,
+    if there are none and epsilon > 0, expansion violators of floor..cap.
     """
     epsilon = Fraction(epsilon)
-    for side in (0, 1):
-        if brute_deficiency(g, side) > 0:
-            for k in range(1, len(g.side_vertices(side)) + 1):
-                for f_set in combinations(g.side_vertices(side), k):
+
+    def least(factor, lo, hi):
+        best = None
+        for side in (0, 1):
+            vs = sorted(g.side_vertices(side))
+            for k in range(lo, min(hi, len(vs)) + 1):
+                for f_set in combinations(vs, k):
                     nbr = set()
                     for v in f_set:
                         nbr.update(g.adj[v])
-                    if len(nbr) < len(f_set):
-                        return (side, f_set, Fraction(len(f_set)), len(nbr))
-    if epsilon == 0:
-        return None
-    for side in (0, 1):
-        vs = g.side_vertices(side)
-        for k in range(floor, min(cap, len(vs)) + 1):
-            for f_set in combinations(vs, k):
-                nbr = set()
-                for v in f_set:
-                    nbr.update(g.adj[v])
-                required = (1 + epsilon) * k
-                if len(nbr) < required:
-                    return (side, f_set, required, len(nbr))
-    return None
+                    required = factor * k
+                    key = (k, f_set, side)
+                    if len(nbr) < required and (best is None or key < best[0]):
+                        best = (key, (side, f_set, required, len(nbr)))
+        return None if best is None else best[1]
+
+    found = least(Fraction(1), 1, len(g.ids))
+    if found is not None or epsilon == 0:
+        return found
+    return least(1 + epsilon, floor, cap)
 
 
 def cloned_graph(g: BipartiteGraph, side: int, mult: int) -> BipartiteGraph:

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from paradecomp.errors import BadCapError
-from paradecomp.generators import complete_bipartite, star_graph, union_of_permutations
+from paradecomp.generators import (
+    complete_bipartite,
+    line_window,
+    star_graph,
+    union_of_permutations,
+)
 from paradecomp.graphs import bipartite_graph, graph_from_obj
 from paradecomp.hall import (
     ExpansionParams,
@@ -17,6 +22,7 @@ from paradecomp.hall import (
 from paradecomp.matching import max_matching
 
 from oracles import (
+    brute_connected_side_sets,
     brute_deficiency,
     brute_hall_eps,
     cloned_graph,
@@ -40,6 +46,21 @@ def random_graphs():
     return st.builds(
         build, st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**25 - 1)
     )
+
+
+def matchable_graphs():
+    """Balanced graphs holding the perfect matching i -- 50+i: plain Hall holds."""
+
+    def build(n, edge_bits):
+        edges = [
+            (i, 50 + j)
+            for i in range(n)
+            for j in range(n)
+            if i == j or edge_bits & (1 << (i * n + j))
+        ]
+        return bipartite_graph(list(range(n)), [50 + j for j in range(n)], edges)
+
+    return st.builds(build, st.integers(1, 5), st.integers(0, 2**25 - 1))
 
 
 def test_k33_satisfies_plain_hall():
@@ -83,14 +104,19 @@ def test_deficiency_via_matching_agrees_with_brute(g):
 
 
 @given(
-    random_graphs(),
+    st.one_of(random_graphs(), matchable_graphs()),
     st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2)]),
     st.integers(1, 3),
 )
 def test_eps_check_agrees_with_subset_oracle(g, eps, cap):
     p = ExpansionParams(eps, 1)
     rep = check_hall_eps_n(g, p, cap)
-    assert rep.satisfied == (brute_hall_eps(g, eps, 1, cap) is None)
+    want = brute_hall_eps(g, eps, 1, cap)
+    assert rep.satisfied == (want is None)
+    if want is not None:
+        # with floor 1 every least-size violator is G^2-connected
+        w = rep.witness
+        assert (w.side, w.f_set, w.required, w.actual) == want
 
 
 @given(random_graphs())
@@ -160,3 +186,18 @@ def test_connected_side_sets_enumeration():
     assert len([s for s in sets1 if len(s) == 1]) == 3
     assert len([s for s in sets1 if len(s) == 2]) == 3
     assert all(len(s) >= 2 for s in connected_side_sets(g, 1, 3, min_size=2))
+
+
+@given(random_graphs(), st.integers(0, 1), st.integers(1, 3), st.integers(0, 3))
+def test_connected_side_sets_agree_with_subset_oracle(g, side, floor, extra):
+    cap = floor + extra
+    got = list(connected_side_sets(g, side, cap, floor))
+    assert len(got) == len(set(got))
+    assert sorted(got) == sorted(brute_connected_side_sets(g, side, floor, cap))
+
+
+def test_connected_side_sets_reach_past_the_recursion_limit():
+    # the one set of size 1200 is grown through a 1,199-step chain
+    g = line_window(2400)
+    side0 = tuple(sorted(g.side_vertices(0)))
+    assert next(connected_side_sets(g, 0, 1200, 1200)) == side0

@@ -37,10 +37,12 @@ def test_star_fails_hypothesis_with_witness():
 
 def test_unbalanced_sides_fail():
     g = bipartite_graph([0, 1, 2], [3, 4], [(0, 3), (1, 4), (2, 3)])
-    with pytest.raises(HypothesisFailedError):
+    with pytest.raises(HypothesisFailedError) as exc:
         layered_perfect_matching(
             g, ExpansionParams(Fraction(1), 1), geometric_schedule(Fraction(1))
         )
+    # the Hall precheck rejects unbalanced sides itself, with a witness
+    assert exc.value.details["witness"] is not None
 
 
 def test_epsilon_must_match_schedule_budget():
