@@ -95,9 +95,8 @@ class ActionWindow:
     interior (dist <= radius - margin) is decided here, once.
     """
 
-    def __init__(self, kind, gens, radius, margin, words, dist, coord_index, base_index):
+    def __init__(self, kind, radius, margin, words, dist, coord_index, base_index):
         self.kind = kind
-        self.gens = gens
         self.radius = radius
         self.margin = margin
         self.words = words
@@ -110,7 +109,6 @@ class ActionWindow:
         self._word_index = dict(zip(words, range(len(words))))
         self._coord_index = coord_index
         self._rot_cache: dict = {}
-        self._nbr_cache: dict = {}
 
     def n_points(self) -> int:
         return len(self.words)
@@ -120,9 +118,6 @@ class ActionWindow:
 
     def index_of_word(self, w: str):
         return self._word_index.get(w)
-
-    def dist_to_base(self, i: int) -> int:
-        return self.dist[i]
 
     def is_interior(self, i: int) -> bool:
         return self.dist[i] <= self._interior_bound
@@ -144,18 +139,6 @@ class ActionWindow:
             return self._word_index.get(mul(gamma, self.words[i]))
         target = apply_to_point(self._rotation(gamma), self.coords[i])
         return self._coord_index.get(target)
-
-    def neighbors(self, i: int):
-        """Orbit-graph neighbors inside the window (nonidentity generators)."""
-        got = self._nbr_cache.get(i)
-        if got is None:
-            out = set()
-            for gamma in self.gens.nonidentity():
-                j = self.apply(gamma, i)
-                if j is not None:
-                    out.add(j)
-            got = self._nbr_cache[i] = sorted(out)
-        return got
 
 
 def expand_window(kind, base, s: GeneratingSet, radius: int, margin: int) -> ActionWindow:
@@ -186,7 +169,7 @@ def expand_window(kind, base, s: GeneratingSet, radius: int, margin: int) -> Act
             )
             words, dist = (tuple(col) for col in zip(*pts))
         base_index = words.index(base_word)
-        return ActionWindow(F2, s, radius, margin, words, dist, None, base_index)
+        return ActionWindow(F2, radius, margin, words, dist, None, base_index)
 
     if kind != SPHERE:
         raise ValueError(f"unknown window kind {kind!r}")
@@ -231,7 +214,7 @@ def expand_window(kind, base, s: GeneratingSet, radius: int, margin: int) -> Act
                 nxt.append((cw, p))
         level = nxt
     dist = tuple(map(ceil.__getitem__, map(len, words)))
-    return ActionWindow(SPHERE, s, radius, margin, tuple(words), dist, index, 0)
+    return ActionWindow(SPHERE, radius, margin, tuple(words), dist, index, 0)
 
 
 class DoublingGraph:

@@ -1,18 +1,21 @@
 """Hall's condition and the strengthened expansion condition.
 
-The plain condition is decided exactly through the matching-based deficiency
-(Koenig defect form), never by subset enumeration; enumeration only runs to
-produce a canonical witness after a failure is already certain, or to check
-the (1+epsilon) clause up to the caller's size cap.
+Whether the plain condition holds is decided exactly through the matching
+number (Koenig defect form), never by subset enumeration.  One least-violator
+search over G^2-connected sets then produces every witness: the plain one,
+after a failure is already certain, and the (1+epsilon) one, up to the
+caller's size cap.  It grows the sets level by level in size, compares
+integers, and stops at the first size that holds a violator.
 
 Witness canonicality: the reported violator minimizes (size, sorted id
-tuple), so failures reproduce byte-for-byte across runs.
+tuple, side), so failures reproduce byte-for-byte across runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import BadCapError, InvariantError
 from .graphs import BipartiteGraph, g2_neighbors, neighborhood
@@ -61,22 +64,18 @@ class HallReport:
         return out
 
 
-def deficiency(g: BipartiteGraph, side: int) -> int:
-    """max over F in the side of |F| - |N(F)|, via |side| - max matching."""
-    return len(g.side_vertices(side)) - len(max_matching(g))
+def _side_levels(g: BipartiteGraph, side: int, max_size: int):
+    """Yield the G^2-connected subsets of one side, one size at a time.
 
-
-def connected_side_sets(g: BipartiteGraph, side: int, max_size: int, min_size: int = 1):
-    """Yield the G^2-connected subsets of one side, sizes within the bounds.
-
-    Canonical grow-from-least-id enumeration: each set appears exactly once,
-    grown from its minimum element, candidates scanned in ascending order.
-    Yields sorted tuples, in preorder of the growth tree.  The tree is walked
-    with an explicit stack, so its depth (up to max_size) is not bounded by
-    the interpreter's recursion limit.
+    The k-th item iterates over those of size k, for k up to max_size, as
+    tuples in growth order; the generator ends early after the last size
+    that has any.  Each set is grown once, from its least id: its extension
+    candidates are those left after the id it was grown by, then that id's
+    G^2-neighbors above the least id that none of its ancestors has seen.
+    One level is kept to grow the next, and a level is grown only when it is
+    asked for, so a caller that stops at size k pays for nothing larger.
+    Sets of size max_size are streamed, never kept.
     """
-    if max_size < 1:
-        return
     cache: dict = {}
 
     def nb(v):
@@ -85,81 +84,76 @@ def connected_side_sets(g: BipartiteGraph, side: int, max_size: int, min_size: i
             got = cache[v] = sorted(g2_neighbors(g, v))
         return got
 
-    for root in g.side_vertices(side):
-        if min_size <= 1:
-            yield (root,)
-        if max_size == 1:
-            continue
-        # frame: (set so far, extension candidates, banned ids, next index)
-        stack = [({root}, [w for w in nb(root) if w > root], frozenset(), 0)]
-        while stack:
-            s_set, ext, banned, i = stack.pop()
-            if i == len(ext):
-                continue
-            stack.append((s_set, ext, banned, i + 1))
-            s2 = s_set | {ext[i]}
-            if len(s2) >= min_size:
-                yield tuple(sorted(s2))
-            if len(s2) < max_size:
-                blocked = banned | set(ext) | s2
-                new = [w for w in nb(ext[i]) if w > root and w not in blocked]
-                stack.append(
-                    (s2, ext[i + 1 :] + new, banned | frozenset(ext[: i + 1]), 0)
-                )
+    # item: (the set, its parent's candidates, index of the first one left
+    # after it, ids seen by its ancestors)
+    def children(items):
+        for f_set, cands, start, seen in items:
+            root = f_set[0]
+            new = [w for w in nb(f_set[-1]) if w > root and w not in seen]
+            ext = cands[start:] + new
+            seen = seen.union(new)
+            for i, x in enumerate(ext, 1):
+                yield f_set + (x,), ext, i, seen
+
+    items = [((r,), [], 0, frozenset()) for r in g.side_vertices(side)]
+    for size in range(1, max_size + 1):
+        if size > 1:
+            items = children(items)
+        if size == max_size:
+            yield (item[0] for item in items)
+            return
+        items = list(items)
+        if not items:
+            return
+        yield [item[0] for item in items]
 
 
-def _first_plain_violator(g: BipartiteGraph, side: int):
-    """Smallest (size, then lex) G^2-connected set with |N(F)| < |F|.
+def connected_side_sets(g: BipartiteGraph, side: int, max_size: int, min_size: int = 1):
+    """Yield the G^2-connected subsets of one side, sizes within the bounds.
 
-    Level-by-level in set size so the search stops at the first violating
-    size; only called once a violator is known to exist.
+    Each set appears exactly once, as a sorted tuple, smaller sizes first.
     """
-    vs = g.side_vertices(side)
-    level = {frozenset((v,)) for v in vs}
-    size = 1
-    while level:
-        best = None
-        for fs in level:
-            actual = len(neighborhood(g, fs))
-            if actual < len(fs):
-                t = tuple(sorted(fs))
-                if best is None or t < best[0]:
-                    best = (t, actual)
-        if best is not None:
-            return best
-        if size >= len(vs):
-            break
-        nxt = set()
-        for fs in level:
-            for v in fs:
-                for w in g2_neighbors(g, v):
-                    if w not in fs:
-                        nxt.add(fs | {w})
-        level = nxt
-        size += 1
+    for k, level in enumerate(_side_levels(g, side, max_size), 1):
+        if k >= min_size:
+            for f_set in level:
+                yield tuple(sorted(f_set))
+
+
+def _least_violator(g: BipartiteGraph, sides, floor: int, cap: int, num: int, den: int):
+    """Least (size, sorted tuple, side) G^2-connected F with den*|N(F)| < num*|F|.
+
+    F ranges over the given sides and floor <= |F| <= cap.  Sizes are taken
+    in ascending order, all sides at each size, and the search stops at the
+    first size that holds a violator, or that holds no connected set at all
+    (each connected set of size k + 1 contains one of size k).  Returns the
+    witness, with required = (num/den)*|F|, or None.
+    """
+    levels = zip_longest(*(_side_levels(g, s, cap) for s in sides), fillvalue=())
+    for k, by_side in enumerate(levels, 1):
+        if k < floor:
+            continue
+        found = []
+        for side, level in zip(sides, by_side):
+            for f_set in level:
+                actual = len(neighborhood(g, f_set))
+                if den * actual < num * k:
+                    found.append((tuple(sorted(f_set)), side, actual))
+        if found:
+            f_set, side, actual = min(found)
+            return HallWitness(side, f_set, Fraction(num * k, den), actual)
     return None
 
 
 def check_hall(g: BipartiteGraph) -> HallReport:
     nu = len(max_matching(g))
-    bad_sides = [
-        s for s in (0, 1) if len(g.side_vertices(s)) - nu > 0
-    ]
-    if not bad_sides:
+    # Koenig: a side holds a violator iff it is larger than the matching
+    short = [s for s in (0, 1) if len(g.side_vertices(s)) > nu]
+    if not short:
         return HallReport(satisfied=True)
-    best = None
-    for side in bad_sides:
-        found = _first_plain_violator(g, side)
-        if found is None:
-            raise InvariantError(
-                "deficiency positive but no violator found", side=side
-            )
-        t, actual = found
-        key = (len(t), t, side)
-        if best is None or key < best[0]:
-            best = (key, side, t, actual)
-    _, side, t, actual = best
-    witness = HallWitness(side=side, f_set=t, required=Fraction(len(t)), actual=actual)
+    larger = max(len(g.side_vertices(s)) for s in short)
+    witness = _least_violator(g, short, 1, larger, 1, 1)
+    if witness is None:
+        raise InvariantError("deficiency positive but no violator found")
     return HallReport(satisfied=False, witness=witness)
 
 
@@ -170,7 +164,8 @@ def check_hall_eps_n(
 
     The plain condition is checked exactly; the expansion clause is checked
     for every single-sided G^2-connected F with size_floor <= |F| <= size_cap
-    on both sides, rational arithmetic throughout.
+    on both sides, in integer arithmetic on the numerator and denominator of
+    1 + eps.
     """
     if size_cap < p.size_floor:
         raise BadCapError(
@@ -179,25 +174,11 @@ def check_hall_eps_n(
             size_floor=p.size_floor,
         )
     base = check_hall(g)
-    if not base.satisfied:
-        return base
-    if p.epsilon == 0:
+    if not base.satisfied or p.epsilon == 0:
         # (1+0)|F| <= |N(F)| already follows from Hall everywhere
-        return HallReport(satisfied=True)
+        return base
     factor = 1 + p.epsilon
-    best = None
-    for side in (0, 1):
-        for f_set in connected_side_sets(g, side, size_cap, p.size_floor):
-            actual = len(neighborhood(g, f_set))
-            required = factor * len(f_set)
-            if actual < required:
-                key = (len(f_set), f_set, side)
-                if best is None or key < best[0]:
-                    best = (key, side, f_set, required, actual)
-    if best is None:
-        return HallReport(satisfied=True)
-    _, side, f_set, required, actual = best
-    return HallReport(
-        satisfied=False,
-        witness=HallWitness(side=side, f_set=f_set, required=required, actual=actual),
+    witness = _least_violator(
+        g, (0, 1), p.size_floor, size_cap, factor.numerator, factor.denominator
     )
+    return HallReport(satisfied=witness is None, witness=witness)

@@ -25,6 +25,7 @@ from .errors import (
 from .graphs import BipartiteGraph, induced_subgraph
 from .hall import ExpansionParams, HallReport, check_hall, check_hall_eps_n
 from .layers import LayerSchedule, Layering, greedy_layering, validate_layering
+from .matching import hopcroft_karp
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,6 @@ class _Engine:
     """Perfect matching of the residual, updated incrementally."""
 
     def __init__(self, g: BipartiteGraph):
-        from .matching import hopcroft_karp
-
         self.g = g
         self.alive = set(g.ids)
         pair_l = hopcroft_karp(g.side_vertices(0), lambda u: g.adj[u])

@@ -22,7 +22,7 @@ from paradecomp.errors import (
 from paradecomp.words import iter_reduced, word_key
 from paradecomp.rotations import BASE_POINT, apply_to_point, word_rotation
 
-from oracles import bfs_distances, bfs_window
+from oracles import bfs_window
 
 
 def ball_size(r: int) -> int:
@@ -107,7 +107,7 @@ def test_f2_window_distances_are_word_lengths():
     s = standard_generators()
     w = expand_window("f2", (), s, 4, 1)
     for i in range(w.n_points()):
-        assert w.dist_to_base(i) == len(w.words[i])
+        assert w.dist[i] == len(w.words[i])
 
 
 def test_window_apply_respects_group_multiplication():
@@ -119,15 +119,6 @@ def test_window_apply_respects_group_multiplication():
     # falling off the rim gives None
     rim = w.index_of_word("a" * 4)
     assert w.apply("a", rim) is None
-
-
-def test_window_neighbors_match_bfs_metric():
-    s = standard_generators()
-    w = expand_window("f2", (), s, 4, 1)
-    adj = {i: w.neighbors(i) for i in range(w.n_points())}
-    dist = bfs_distances(adj, 0)
-    for i in range(w.n_points()):
-        assert dist[i] == w.dist_to_base(i)
 
 
 def test_sphere_window_is_free_copy_of_f2():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from paradecomp import hall
 from paradecomp.errors import BadCapError
 from paradecomp.generators import (
     complete_bipartite,
@@ -11,13 +12,17 @@ from paradecomp.generators import (
     star_graph,
     union_of_permutations,
 )
-from paradecomp.graphs import bipartite_graph, graph_from_obj
+from paradecomp.graphs import (
+    bipartite_graph,
+    g2_neighbors,
+    graph_from_obj,
+    neighborhood,
+)
 from paradecomp.hall import (
     ExpansionParams,
     check_hall,
     check_hall_eps_n,
     connected_side_sets,
-    deficiency,
 )
 from paradecomp.matching import max_matching
 
@@ -95,12 +100,9 @@ def test_plain_check_agrees_with_brute_deficiency(g):
         for v in w.f_set:
             nbr.update(g.adj[v])
         assert len(nbr) == w.actual < len(w.f_set)
-
-
-@given(random_graphs())
-def test_deficiency_via_matching_agrees_with_brute(g):
-    for side in (0, 1):
-        assert deficiency(g, side) == brute_deficiency(g, side)
+        # least by (size, sorted tuple, side) across both sides
+        want = brute_hall_eps(g, 0, 1, len(g.ids))
+        assert (w.side, w.f_set, w.required, w.actual) == want
 
 
 @given(
@@ -144,6 +146,40 @@ def test_no_finite_graph_satisfies_uncapped_eps():
         p = ExpansionParams(Fraction(1, 2), 1)
         rep = check_hall_eps_n(g, p, size_cap=2 * n)
         assert not rep.satisfied
+
+
+def test_eps_check_stops_at_the_first_violating_size(monkeypatch):
+    # the path's end vertex 0 has one neighbor, so the singleton (0,) is the
+    # least violator; scanning the 40 singletons must settle it
+    calls = []
+
+    def counted(g, f_set):
+        calls.append(f_set)
+        return neighborhood(g, f_set)
+
+    monkeypatch.setattr(hall, "neighborhood", counted)
+    rep = check_hall_eps_n(line_window(40), ExpansionParams(Fraction(1, 2), 1), 30)
+    assert (rep.witness.side, rep.witness.f_set) == (0, (0,))
+    assert len(calls) <= 40
+
+
+def test_plain_witness_grows_each_set_once(monkeypatch):
+    # an odd path's least plain violator is its whole larger side, reached
+    # through every interval of that side; grown level by level, each vertex
+    # asks for its G^2-neighbors once, and only on the side that is larger
+    # than the matching
+    calls = []
+
+    def counted(g, v):
+        calls.append(v)
+        return g2_neighbors(g, v)
+
+    monkeypatch.setattr(hall, "g2_neighbors", counted)
+    rep = check_hall(line_window(201))
+    assert (rep.witness.side, rep.witness.f_set) == (0, tuple(range(0, 201, 2)))
+    assert rep.witness.actual == 100
+    assert len(calls) == len(set(calls)) <= 101
+    assert all(v % 2 == 0 for v in calls)
 
 
 def test_cap_below_floor_rejected():
