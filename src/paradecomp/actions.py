@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, islice
+from operator import gt
 
 from .errors import (
     FixedBaseError,
@@ -463,14 +464,28 @@ def interior_saturating_matching(dg: DoublingGraph) -> set:
 
 
 def unmatched_boundary_stats(dg: DoublingGraph, matching) -> dict:
-    """Count and least depth of the unmatched vertices, all of them boundary."""
+    """Count and least depth of the unmatched vertices, all of them boundary.
+
+    dg.partners refuses a matching that misses an interior vertex, so each
+    copy is walked past its interior in ascending depth, up to its first
+    unmatched vertex.  Window points are in depth order already, except on
+    an f2 window based away from the identity, whose points are sorted here.
+    """
     partner = dg.partners(matching)
     dist, n = dg.window.dist, dg.n_points
-    depths = (dist[vid % n] for vid in range(dg.n_vertices()) if vid not in partner)
+    order = range(n)
+    if any(map(gt, dist, islice(dist, 1, None))):
+        order = sorted(order, key=dist.__getitem__)
+    # in depth order the interior comes first
+    boundary = order[len(dg.window.interior_indices()) :]
+    firsts = (
+        next((dist[i] for i in boundary if base + i not in partner), None)
+        for base in range(0, dg.n_vertices(), n)
+    )
     return {
         "unmatched": dg.n_vertices() - len(partner),
         "unmatched_interior": 0,  # dg.partners refuses an interior miss
-        "min_depth": min(depths, default=None),
+        "min_depth": min((d for d in firsts if d is not None), default=None),
         "radius": dg.window.radius,
         "margin": dg.window.margin,
     }

@@ -10,6 +10,7 @@ everything is a flag.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -440,6 +441,8 @@ def cmd_demo(args):
     return payload, 0 if ok else 3
 
 
+# built once per process: parse_args keeps its results in a fresh namespace
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="paradecomp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExhaustedError, HypothesisFailedError
-from .graphs import BipartiteGraph, distances_from, greedy_net
+from .graphs import BipartiteGraph, bfs_distances, components
+from .graphs import distances_from, greedy_net
 
 
 @dataclass(frozen=True)
@@ -106,18 +107,38 @@ def greedy_layering(g: BipartiteGraph, schedule: LayerSchedule) -> Layering:
     """Layer n is a greedy net of the still-uncovered vertices, radius f(n).
 
     The balls are taken in the full graph, so they pass through covered
-    vertices too.
+    vertices too.  A ball never leaves its component, so each component gets
+    its own net and a layer is their sorted union.  A component whose
+    diameter bound min(size - 1, 2 * ecc(root)) is at most f(n) lies inside
+    the first ball, so its net is its least uncovered vertex, taken with no
+    search.
     """
+    nbrs = g.adj.__getitem__
+    # per component: [diameter bound, uncovered members ascending, index of
+    # the least one]; only the no-search branch moves the index
+    comps = []
+    for members in components(nbrs, g.ids):
+        ecc = max(bfs_distances(nbrs, members[:1]).values())
+        comps.append([min(len(members) - 1, 2 * ecc), sorted(members), 0])
     layers = []
     f_values = []
-    uncovered = set(g.ids)
-    while uncovered:
+    while comps:
         fn = schedule.f(len(layers))
-        accepted = greedy_net(
-            g.adj.__getitem__, [v for v in g.ids if v in uncovered], fn
-        )
-        uncovered.difference_update(accepted)
-        layers.append(tuple(accepted))
+        layer = []
+        for comp in comps:
+            diam, rest, i = comp
+            if diam <= fn:
+                layer.append(rest[i])
+                comp[2] = i + 1
+            else:
+                net = greedy_net(nbrs, rest[i:], fn)
+                layer += net
+                taken = set(net)
+                comp[1] = [v for v in rest[i:] if v not in taken]
+                comp[2] = 0
+        comps = [c for c in comps if c[2] < len(c[1])]
+        layer.sort()
+        layers.append(tuple(layer))
         f_values.append(fn)
     return Layering(tuple(layers), tuple(f_values))
 

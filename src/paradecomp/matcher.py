@@ -9,6 +9,15 @@ id order, which realizes the "least such edge" rule.
 
 Hall's condition throughout this module means perfect matchability: balanced
 sides and zero deficiency from both.
+
+The per-stage audit checks Hall_(eps_n, f(n)) on the residual.  While the
+audit cap is below f(n) only the plain clause is in range, and the engine's
+own matching is its certificate: every live vertex must have a live partner
+across an edge of the graph, which pairs it back.  That costs one pass over
+the residual.  If the certificate fails, the full check runs: a real
+violation is reported with its canonical witness, and a residual that still
+satisfies Hall means the engine itself is broken (INVARIANT).  Once the cap
+reaches f(n) the expansion clause is enumerated on the residual as before.
 """
 
 from __future__ import annotations
@@ -68,6 +77,15 @@ class _Engine:
             self.pair[u] = v
             self.pair[v] = u
         self.perfect = len(self.pair) == len(g.ids)
+
+    def certifies_residual(self) -> bool:
+        """Whether pair is a perfect matching of the residual, checked edge by edge."""
+        pair, alive, adj = self.pair, self.alive, self.g.adj
+        for v in alive:
+            w = pair.get(v)
+            if w not in alive or pair.get(w) != v or w not in adj[v]:
+                return False
+        return True
 
     def candidates(self, x):
         return [y for y in self.g.adj[x] if y in self.alive]
@@ -192,6 +210,7 @@ def layered_perfect_matching(
         )
     stages = []
     eps_n = schedule.epsilon_budget
+    acap = cap if audit_cap is None else audit_cap
     for n, layer in enumerate(layering.layers):
         fn = schedule.f(n)
         eps_n -= Fraction(8, fn)
@@ -205,9 +224,10 @@ def layered_perfect_matching(
                 continue
             y = engine.select(x)
             picked.append((x, y))
-        if audit:
+        # below f(n) only plain Hall is audited, and a perfect matching of the
+        # residual proves it; the full check runs when that certificate fails
+        if audit and (acap >= fn or not engine.certifies_residual()):
             residual = induced_subgraph(g, engine.alive)
-            acap = cap if audit_cap is None else audit_cap
             rep = _hall_eps_capped(residual, eps_n, fn, acap)
             if not rep.satisfied:
                 raise HallViolatedError(
@@ -216,6 +236,11 @@ def layered_perfect_matching(
                     epsilon_n=str(eps_n),
                     f_n=fn,
                     witness=rep.witness.as_obj() if rep.witness else None,
+                )
+            if acap < fn:
+                raise InvariantError(
+                    "engine lost its residual matching although Hall holds",
+                    stage=n,
                 )
         stages.append(StageRecord(n=n, epsilon_n=eps_n, matched=tuple(picked)))
 

@@ -162,7 +162,7 @@ def verify_paradox(pd: ParadoxicalDecomposition, w: ActionWindow) -> Certificate
     if not deep:
         warnings.append("empty deep interior; certificate is vacuous")
 
-    both = sorted(set(pd.pieces_a) & set(pd.pieces_b))
+    both = sorted(pd.pieces_a.keys() & pd.pieces_b.keys())
     if both:
         i = both[0]
         return Certificate(
@@ -185,9 +185,8 @@ def verify_paradox(pd: ParadoxicalDecomposition, w: ActionWindow) -> Certificate
             if j is not None:
                 hits.setdefault(j, []).append(i)
 
-    assigned = set(pd.pieces_a) | set(pd.pieces_b)
     for z in deep:
-        if z not in assigned:
+        if z not in pd.pieces_a and z not in pd.pieces_b:
             return Certificate(
                 status="FAIL",
                 deep_interior=len(deep),

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: exponential subset scans, Kuhn's
 augmenting paths, recursive Hopcroft-Karp, repeated-scan word reduction,
-breadth-first window expansion.
+breadth-first window expansion, one full ball per layered vertex, full
+copy x point scans of a doubling graph.
 Slow is fine; these run on small instances only and must share no code
 with the package internals they check.
 """
@@ -257,6 +258,39 @@ def bfs_distances(adj, source):
         frontier = nxt
     return dist
 
+
+
+def scan_greedy_layering(g: BipartiteGraph, schedule) -> dict:
+    """The greedy layering by one ball per kept vertex, as Layering.as_obj().
+
+    Stage n scans the uncovered vertices in ascending id order and keeps one
+    unless a kept vertex lies within f(n) of it in the whole graph; no
+    component split, no diameter shortcut.  schedule.f(n) is asked once per
+    stage, so a short explicit schedule raises at the same stage.
+    """
+    layers, f_values = [], []
+    uncovered = set(g.ids)
+    while uncovered:
+        fn = schedule.f(len(layers))
+        kept, blocked = [], set()
+        for v in sorted(uncovered):
+            if v not in blocked:
+                kept.append(v)
+                blocked.update(w for w, d in bfs_distances(g.adj, v).items() if d <= fn)
+        uncovered.difference_update(kept)
+        layers.append(kept)
+        f_values.append(fn)
+    return {"layers": layers, "f": f_values}
+
+
+def scan_unmatched_boundary(dg, matching) -> tuple:
+    """(unmatched count, least depth or None) by walking every copy x point."""
+    matched = {v for e in matching for v in e}
+    n = dg.n_points
+    depths = [
+        dg.window.dist[vid % n] for vid in range(dg.copies * n) if vid not in matched
+    ]
+    return len(depths), min(depths, default=None)
 
 def dfs_identity_word(letters, max_len: int):
     """First reduced nonidentity word of length <= max_len acting trivially.

@@ -22,7 +22,7 @@ from paradecomp.errors import (
 from paradecomp.words import iter_reduced, word_key
 from paradecomp.rotations import BASE_POINT, apply_to_point, word_rotation
 
-from oracles import bfs_window
+from oracles import bfs_window, scan_unmatched_boundary
 
 
 def ball_size(r: int) -> int:
@@ -234,3 +234,30 @@ def test_partners_names_the_least_missed_interior_vertex():
     assert ei.value.details == {"vid": n + k1, "copy": 1, "point": w.words[k1]}
     with pytest.raises(InvariantError):
         dg.partners({(n, 2 * n)})
+
+
+@pytest.mark.parametrize("kind", ["f2", "sphere"])
+def test_boundary_stats_stop_at_the_first_unmatched_point(kind):
+    s = standard_generators()
+    for radius in range(6, 11):
+        w = expand_window(kind, None, s, radius, 4)
+        # the walk past the interior relies on points coming in depth order
+        assert list(w.dist) == sorted(w.dist)
+        dg = build_doubling(w, s, 3)
+        m = interior_saturating_matching(dg)
+        stats = unmatched_boundary_stats(dg, m)
+        assert (stats["unmatched"], stats["min_depth"]) == scan_unmatched_boundary(dg, m)
+
+
+@pytest.mark.parametrize("base", ["ab", "Ba", "aab"])
+def test_boundary_stats_on_windows_out_of_depth_order(base):
+    # an f2 window based away from the identity lists points by label, so its
+    # depths are not sorted; four copies over S^2 leave another boundary
+    s = standard_generators()
+    for radius, gens, copies in [(7, s, 3), (6, square_set(s), 4)]:
+        w = expand_window("f2", base, s, radius, 4)
+        assert list(w.dist) != sorted(w.dist)
+        dg = build_doubling(w, gens, copies)
+        m = interior_saturating_matching(dg)
+        stats = unmatched_boundary_stats(dg, m)
+        assert (stats["unmatched"], stats["min_depth"]) == scan_unmatched_boundary(dg, m)

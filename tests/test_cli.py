@@ -381,3 +381,21 @@ def test_malformed_window_metadata_exits_one(capsys, tmp_path, command, data, na
     assert code == 1
     assert obj["error"] == "BAD_INPUT"
     assert named in obj["message"]
+
+
+def test_main_runs_again_in_one_process(capsys, tmp_path, k33):
+    # the parser is built once per process; no call may see another's flags
+    dot = tmp_path / "m.dot"
+    argv = ["match", k33, "--epsilon", "1/4", "--cap", "2"]
+    code, obj = run(capsys, argv + ["--dot", str(dot)])
+    assert code == 0 and obj["dot"] == str(dot)
+    code, obj = run(capsys, argv)
+    assert code == 0 and obj["dot"] is None
+    with pytest.raises(SystemExit) as ei:
+        cli.main(argv + ["--no-such-flag"])
+    assert ei.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: paradecomp")
+    assert "error: unrecognized arguments: --no-such-flag" in err
+    code, obj = run(capsys, ["hall-check", k33])
+    assert code == 0 and obj["satisfied"] is True

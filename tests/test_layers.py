@@ -3,9 +3,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import paradecomp.graphs
+import paradecomp.layers
 from paradecomp.errors import BudgetExhaustedError, HypothesisFailedError
-from paradecomp.generators import complete_bipartite, line_window, union_of_permutations
-from paradecomp.graphs import distances_from
+from paradecomp.generators import (
+    complete_bipartite,
+    hall_family,
+    line_window,
+    union_of_permutations,
+)
+from paradecomp.graphs import bipartite_graph, components, distances_from
 from paradecomp.layers import (
     explicit_schedule,
     geometric_schedule,
@@ -14,6 +21,8 @@ from paradecomp.layers import (
 )
 
 import random
+
+from oracles import scan_greedy_layering
 
 
 def test_geometric_schedule_budget_is_exact():
@@ -103,3 +112,107 @@ def test_line_layering_is_fully_predictable():
         (3, 11),
         (7,),
     )
+
+
+@st.composite
+def multi_component_graphs(draw):
+    """1-5 connected bipartite components plus 0-3 isolated vertices, ids shuffled."""
+    side0, side1, edges = [], [], []
+    n = 0
+    for _ in range(draw(st.integers(1, 5))):
+        # each new vertex hangs off an earlier one of the other side
+        sides = [0]
+        comp_edges = []
+        for k in range(1, draw(st.integers(1, 13))):
+            at = draw(st.integers(0, k - 1))
+            sides.append(1 - sides[at])
+            comp_edges.append((at, k))
+        for _ in range(draw(st.integers(0, 4))):
+            u = draw(st.integers(0, len(sides) - 1))
+            v = draw(st.integers(0, len(sides) - 1))
+            if sides[u] != sides[v]:
+                comp_edges.append((u, v))
+        for k, side in enumerate(sides):
+            (side0 if side == 0 else side1).append(n + k)
+        edges += [(n + u, n + v) for u, v in comp_edges]
+        n += len(sides)
+    for _ in range(draw(st.integers(0, 3))):
+        (side0 if draw(st.booleans()) else side1).append(n)
+        n += 1
+    ids = draw(st.permutations(range(n)))
+    return bipartite_graph(
+        [ids[v] for v in side0], [ids[v] for v in side1],
+        [(ids[u], ids[v]) for u, v in edges],
+    )
+
+
+schedules = st.one_of(
+    # short tables run out mid-layering, and both must fail at the same stage
+    st.lists(st.integers(1, 12), min_size=1, max_size=12).map(
+        lambda fs: explicit_schedule(sorted(fs), Fraction(100))
+    ),
+    st.builds(
+        geometric_schedule,
+        st.sampled_from([Fraction(1, 4), Fraction(1), Fraction(4), Fraction(16)]),
+        st.integers(2, 3),
+    ),
+)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except BudgetExhaustedError as e:
+        return e.as_json()
+
+
+@given(multi_component_graphs(), schedules)
+def test_greedy_layering_matches_scan_oracle(g, sched):
+    got = _outcome(lambda: greedy_layering(g, sched).as_obj())
+    assert got == _outcome(lambda: scan_greedy_layering(g, sched))
+
+
+def _even_cycle(n):
+    return bipartite_graph(
+        range(0, n, 2), range(1, n, 2), [(k, (k + 1) % n) for k in range(n)]
+    )
+
+
+def test_greedy_layering_matches_scan_oracle_near_the_diameter():
+    # paths reach the size - 1 bound and cycles the 2 * ecc(root) one, so a
+    # constant f on either side of the diameter tries both branches exactly
+    graphs = [line_window(n) for n in range(2, 15)]
+    graphs += [_even_cycle(n) for n in range(4, 17, 2)]
+    graphs.append(complete_bipartite(3, 4))
+    for g in graphs:
+        for f in range(1, 14):
+            sched = explicit_schedule([f] * len(g.ids), Fraction(8 * len(g.ids) + 1))
+            assert greedy_layering(g, sched).as_obj() == scan_greedy_layering(g, sched)
+
+
+def _count_bfs(monkeypatch):
+    calls = []
+    real = paradecomp.graphs.bfs_distances
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    # layers calls it directly, and through components and greedy_net
+    monkeypatch.setattr(paradecomp.graphs, "bfs_distances", counted)
+    monkeypatch.setattr(paradecomp.layers, "bfs_distances", counted)
+    return calls
+
+
+def test_saturated_layering_makes_two_searches_per_component(monkeypatch):
+    rng = random.Random(20260816)
+    graphs = [g for g, _ in hall_family(40, rng, [Fraction(1, 4), Fraction(1, 2)])]
+    graphs.append(line_window(41))
+    for g in graphs:
+        n_comps = sum(1 for _ in components(g.adj.__getitem__, g.ids))
+        sched = geometric_schedule(Fraction(1, 4))  # f(0) = 128 saturates them all
+        calls = _count_bfs(monkeypatch)
+        layering = greedy_layering(g, sched)
+        assert len(calls) <= 2 * n_comps
+        monkeypatch.undo()
+        assert layering.as_obj() == scan_greedy_layering(g, sched)

@@ -1,9 +1,17 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from paradecomp.errors import HypothesisFailedError
+import paradecomp.matcher
+import paradecomp.matching
+from paradecomp.errors import (
+    HallViolatedError,
+    HypothesisFailedError,
+    InvariantError,
+    ParadecompError,
+)
 from paradecomp.generators import (
     complete_bipartite,
     hall_family,
@@ -134,3 +142,124 @@ def test_cardinality_equals_maximum():
         assert check_hall(g).satisfied
         res = layered_perfect_matching(g, p, geometric_schedule(p.epsilon), cap=2)
         assert len(res.matching) == len(kuhn_max_matching(g))
+
+
+def _count_hopcroft_karp(monkeypatch):
+    calls = []
+    real = paradecomp.matching.hopcroft_karp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(paradecomp.matching, "hopcroft_karp", counted)
+    monkeypatch.setattr(paradecomp.matcher, "hopcroft_karp", counted)
+    return calls
+
+
+def test_plain_audit_rests_on_the_engine_matching(monkeypatch):
+    # audit cap 2 is below every f(n), so each stage audits plain Hall only,
+    # and the engine's residual matching certifies it without a new matching
+    rng = random.Random(12)
+    epsilons = [Fraction(1, 4), Fraction(1, 2), Fraction(1)]
+    for g, p in hall_family(20, rng, epsilons, n_range=(4, 30)):
+        sched = geometric_schedule(p.epsilon)
+        calls = _count_hopcroft_karp(monkeypatch)
+        audited = layered_perfect_matching(g, p, sched, cap=2, audit=True)
+        monkeypatch.undo()
+        assert len(calls) == 2  # the precheck's and the engine's
+        assert audited.as_obj() == layered_perfect_matching(g, p, sched, cap=2).as_obj()
+
+
+def test_residual_certificate_checks_each_pair():
+    g = union_of_permutations(6, 2, random.Random(4))
+    engine = _Engine(g)
+    assert engine.certifies_residual()
+    pair = dict(engine.pair)
+    u = 0
+    v = pair[u]
+    w = next(x for x in g.side_vertices(1) if x not in g.adj[u])
+    a = pair[w]
+    t = next(x for x in g.adj[v] if x != u)
+    broken = [
+        {x: y for x, y in pair.items() if x != u},  # u has no partner
+        {**pair, u: w, w: u, a: v, v: a},  # all mutual, but u-w is no edge
+        {**pair, v: t},  # one way, along an edge: t still points elsewhere
+    ]
+    for bad in broken:
+        engine.pair = bad
+        assert not engine.certifies_residual(), bad
+    engine.pair = pair
+    engine.alive.discard(v)  # v left the residual, but u still points at it
+    assert not engine.certifies_residual()
+
+
+def _drop_without_repair(self, x, y):
+    # a broken engine: forgets the removed pair, repairs no alternating path
+    self.pair.pop(x, None)
+    self.pair.pop(y, None)
+    self.alive.discard(x)
+    self.alive.discard(y)
+    return True
+
+
+def _error_json(call) -> str:
+    with pytest.raises(ParadecompError) as ei:
+        call()
+    return json.dumps(ei.value.as_json(), sort_keys=True)
+
+
+def test_audit_catches_an_engine_that_skips_repair(monkeypatch):
+    family = hall_family(12, random.Random(12), [Fraction(1, 2)], n_range=(4, 12))
+    sched = geometric_schedule(Fraction(1, 2))
+    good = [layered_perfect_matching(g, p, sched, cap=2).as_obj() for g, p in family]
+    monkeypatch.setattr(_Engine, "remove_preserving", _drop_without_repair)
+    codes = []
+    for (g, p), want in zip(family, good):
+        try:
+            res = layered_perfect_matching(g, p, sched, cap=2, audit=True)
+        except (HallViolatedError, InvariantError) as e:
+            codes.append(e.code)
+            continue
+        # a run returns only if every pick was already a matched pair, so the
+        # skipped repair never happened and the result is the correct one
+        assert res.as_obj() == want
+    assert len(codes) == 9
+    assert "INVARIANT" in codes
+    g, p = family[0]
+    err = _error_json(
+        lambda: layered_perfect_matching(g, p, sched, cap=2, audit=True)
+    )
+    assert err == (
+        '{"details": {"stage": 1}, "error": "INVARIANT", '
+        '"message": "engine lost its residual matching although Hall holds"}'
+    )
+
+
+def test_epsilon_clause_audit_failures_keep_their_witness(monkeypatch):
+    # a genuine expansion failure: eps_0 = 36 asks for 37|F| neighbors
+    g = complete_bipartite(3, 3)
+    sched = explicit_schedule([2] * 8, Fraction(40))
+    p = ExpansionParams(Fraction(40), 8)
+    err = _error_json(
+        lambda: layered_perfect_matching(g, p, sched, cap=8, audit=True, audit_cap=3)
+    )
+    assert err == (
+        '{"details": {"epsilon_n": "36", "f_n": 2, "stage": 0, "witness": '
+        '{"actual": 2, "f_set": [1, 2], "required": "74", "side": 0}}, '
+        '"error": "HALL_VIOLATED", "message": "stage invariant Hall_(eps_n, f(n)) failed"}'
+    )
+    # a broken engine audited with the clause in range at every stage
+    family = hall_family(12, random.Random(12), [Fraction(1, 2)], n_range=(4, 12))
+    g, p = family[5]
+    monkeypatch.setattr(_Engine, "remove_preserving", _drop_without_repair)
+    err = _error_json(
+        lambda: layered_perfect_matching(
+            g, p, geometric_schedule(p.epsilon), cap=2, audit=True, audit_cap=10**6
+        )
+    )
+    assert err == (
+        '{"details": {"epsilon_n": "17/64", "f_n": 512, "stage": 3, "witness": '
+        '{"actual": 1, "f_set": [6, 9], "required": "2", "side": 0}}, '
+        '"error": "HALL_VIOLATED", "message": "stage invariant Hall_(eps_n, f(n)) failed"}'
+    )
