@@ -93,13 +93,18 @@ class ActionWindow:
     words[i] is the canonical label of point i (for the sphere: the unique
     reduced word reaching it from the base, unique by freeness).  dist[i] is
     the graph distance to the base under the expanding generator set.  The
-    interior (dist <= radius - margin) is decided here, once.
+    interior (dist <= radius - margin) is decided here, once.  The window
+    may hold fewer points than the ball of its radius; ball_size counts the
+    whole ball, held or not.
     """
 
-    def __init__(self, kind, radius, margin, words, dist, coord_index, base_index):
+    def __init__(
+        self, kind, radius, margin, ball_size, words, dist, coord_index, base_index
+    ):
         self.kind = kind
         self.radius = radius
         self.margin = margin
+        self.ball_size = ball_size
         self.words = words
         self.dist = dist
         # coord_index lists the sphere's points in index order (None for f2)
@@ -142,14 +147,20 @@ class ActionWindow:
         return self._coord_index.get(target)
 
 
-def expand_window(kind, base, s: GeneratingSet, radius: int, margin: int) -> ActionWindow:
+def expand_window(
+    kind, base, s: GeneratingSet, radius: int, margin: int, reach: int | None = None
+) -> ActionWindow:
     """Ball of the action graph of s around base, generated in shortlex order.
 
     s must be the ball of reduced words of some radius L >= 1 (S itself has
     L = 1, S^2 has L = 2), so the window is every g.base with |g| <= radius*L
-    at distance ceil(|g| / L).  The sphere labels a point by its word g and
-    refuses any point reached twice: two distinct reduced words with the same
-    image of the base would contradict freeness of the orbit.
+    at distance ceil(|g| / L).  A caller that only translates interior points
+    by words of at most reach letters passes reach, and the expansion stops
+    at distance hold = min(radius, radius - margin + reach); the interior and
+    the stated radius stay as they are.  Without reach the whole ball is held.
+    The sphere labels a point by its word g and refuses any point reached
+    twice: two distinct reduced words with the same image of the base would
+    contradict freeness of the orbit.
     """
     if radius <= margin:
         raise ValueError(f"radius {radius} must exceed margin {margin}")
@@ -158,10 +169,13 @@ def expand_window(kind, base, s: GeneratingSet, radius: int, margin: int) -> Act
     step = s.max_word_length()
     if step < 1 or sorted(s.elements, key=word_key) != list(iter_reduced(step)):
         raise ValueError("the generating set must be a ball of reduced words")
-    ceil = [-(-m // step) for m in range(radius * step + 1)]  # |g| -> distance
+    hold = radius if reach is None else min(radius, radius - margin + reach)
+    # reduced words of length <= radius*L; the orbit is free on the sphere too
+    ball_size = 2 * 3 ** (radius * step) - 1
+    ceil = [-(-m // step) for m in range(hold * step + 1)]  # |g| -> distance
     if kind == F2:
         base_word = reduce_word(base if base is not None else IDENTITY)
-        words = tuple(iter_reduced(radius * step))
+        words = tuple(iter_reduced(hold * step))
         dist = tuple(map(ceil.__getitem__, map(len, words)))
         if base_word:
             pts = sorted(
@@ -170,7 +184,9 @@ def expand_window(kind, base, s: GeneratingSet, radius: int, margin: int) -> Act
             )
             words, dist = (tuple(col) for col in zip(*pts))
         base_index = words.index(base_word)
-        return ActionWindow(F2, radius, margin, words, dist, None, base_index)
+        return ActionWindow(
+            F2, radius, margin, ball_size, words, dist, None, base_index
+        )
 
     if kind != SPHERE:
         raise ValueError(f"unknown window kind {kind!r}")
@@ -187,7 +203,7 @@ def expand_window(kind, base, s: GeneratingSet, radius: int, margin: int) -> Act
     words = [IDENTITY]
     index = {base: 0}
     level = [(IDENTITY, base)]
-    for _ in range(radius * step):
+    for _ in range(hold * step):
         nxt = []
         for c in ALPHABET:
             ci, rot = inv(c), letter_rotation(c)
@@ -215,7 +231,7 @@ def expand_window(kind, base, s: GeneratingSet, radius: int, margin: int) -> Act
                 nxt.append((cw, p))
         level = nxt
     dist = tuple(map(ceil.__getitem__, map(len, words)))
-    return ActionWindow(SPHERE, radius, margin, tuple(words), dist, index, 0)
+    return ActionWindow(SPHERE, radius, margin, ball_size, tuple(words), dist, index, 0)
 
 
 class DoublingGraph:
@@ -466,26 +482,33 @@ def interior_saturating_matching(dg: DoublingGraph) -> set:
 def unmatched_boundary_stats(dg: DoublingGraph, matching) -> dict:
     """Count and least depth of the unmatched vertices, all of them boundary.
 
-    dg.partners refuses a matching that misses an interior vertex, so each
-    copy is walked past its interior in ascending depth, up to its first
-    unmatched vertex.  Window points are in depth order already, except on
-    an f2 window based away from the identity, whose points are sorted here.
+    The counts are those of the whole ball of the window's radius.  A point
+    the window does not hold is never matched, so the unmatched count is
+    copies * ball_size - 2|M|.  The least depth is read from the held
+    points: side 1 holds at least twice as many vertices as copy 0, so some
+    held vertex is always unmatched, and it lies above every point past the
+    hold.  dg.partners refuses a matching that misses an interior vertex,
+    so each copy is walked past its interior in ascending depth, up to its
+    first unmatched vertex.  Window points are in depth order already,
+    except on an f2 window based away from the identity, whose points are
+    sorted here.
     """
     partner = dg.partners(matching)
-    dist, n = dg.window.dist, dg.n_points
+    w = dg.window
+    dist, n = w.dist, dg.n_points
     order = range(n)
     if any(map(gt, dist, islice(dist, 1, None))):
         order = sorted(order, key=dist.__getitem__)
     # in depth order the interior comes first
-    boundary = order[len(dg.window.interior_indices()) :]
+    boundary = order[len(w.interior_indices()) :]
     firsts = (
         next((dist[i] for i in boundary if base + i not in partner), None)
         for base in range(0, dg.n_vertices(), n)
     )
     return {
-        "unmatched": dg.n_vertices() - len(partner),
+        "unmatched": dg.copies * w.ball_size - len(partner),
         "unmatched_interior": 0,  # dg.partners refuses an interior miss
         "min_depth": min((d for d in firsts if d is not None), default=None),
-        "radius": dg.window.radius,
-        "margin": dg.window.margin,
+        "radius": w.radius,
+        "margin": w.margin,
     }

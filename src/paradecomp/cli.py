@@ -53,8 +53,8 @@ class _InputError(ParadecompError):
     exit_status = 1
 
 
-def _schema(name: str) -> str:
-    return f"paradecomp/{name}/1"
+def _schema(name: str, version: int = 1) -> str:
+    return f"paradecomp/{name}/{version}"
 
 
 def canonical_json(obj) -> str:
@@ -139,10 +139,14 @@ def _add_window_flags(p) -> None:
     p.add_argument("--base", default=None)
 
 
-def _window_from_args(args, s):
-    """The window those flags name, expanded over the generating set s."""
+def _window_from_args(args, s, reach=None):
+    """The window those flags name, expanded over the generating set s.
+
+    reach is the longest word the command translates an interior point by;
+    the window then holds only the points such translations reach.
+    """
     base = _parse_base(args.kind, args.base)
-    return expand_window(args.kind, base, s, args.radius, args.margin)
+    return expand_window(args.kind, base, s, args.radius, args.margin, reach)
 
 
 def _window_geometry(obj, flags=None) -> tuple:
@@ -284,11 +288,13 @@ def cmd_window(args):
 
 def cmd_paradox(args):
     s = standard_generators()
-    w = _window_from_args(args, s)
     boundary = None
     if args.oracle == "classical":
+        # the classical pieces list every point of the ball
+        w = _window_from_args(args, s)
         pd = classical_f2_decomposition(w)
     else:
+        w = _window_from_args(args, s, s.max_word_length())
         dg = build_doubling(w, s, 3)
         matching = interior_saturating_matching(dg)
         pd = matching_to_paradox(dg, matching)
@@ -355,8 +361,9 @@ def cmd_forest(args):
     # same window as the paradox run; only the translation set is squared
     # (expanding the window itself over S^2 would double the word radius)
     s = standard_generators()
-    w = expand_window(kind, base, s, radius, margin)
-    dg = build_doubling(w, square_set(s), 4)
+    s2 = square_set(s)
+    w = expand_window(kind, base, s, radius, margin, s2.max_word_length())
+    dg = build_doubling(w, s2, 4)
     matching = interior_saturating_matching(dg)
     ts = triple_system_from_matching(dg, matching)
     fw = forest_from_paradox(ts)
@@ -364,7 +371,7 @@ def cmd_forest(args):
     if args.out:
         _write_json(args.out, forest_obj)
     payload = {
-        "schema": _schema("forest"),
+        "schema": _schema("forest", 2),
         "window": _window_meta(w),
         "n_points": fw.n_points(),
         "kept_points": sum(1 for b in fw.present if b),
@@ -396,7 +403,7 @@ def cmd_f2action(args):
 
 def cmd_demo(args):
     s = standard_generators()
-    w = _window_from_args(args, s)
+    w = _window_from_args(args, s, s.max_word_length())
     dg = build_doubling(w, s, 3)
     matching = interior_saturating_matching(dg)
     pd = matching_to_paradox(dg, matching)
@@ -424,7 +431,7 @@ def cmd_demo(args):
         and boundary_ok
     )
     payload = {
-        "schema": _schema("demo"),
+        "schema": _schema("demo", 2),
         "window": _window_meta(w),
         "piece_sizes": pd.piece_sizes(),
         "certificate": cert.as_obj(),

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from .errors import BadCapError, InvariantError
-from .graphs import BipartiteGraph, g2_neighbors, neighborhood
+from .graphs import BipartiteGraph, g2_neighbors
 from .matching import max_matching
 
 
@@ -126,8 +126,11 @@ def _least_violator(g: BipartiteGraph, sides, floor: int, cap: int, num: int, de
     in ascending order, all sides at each size, and the search stops at the
     first size that holds a violator, or that holds no connected set at all
     (each connected set of size k + 1 contains one of size k).  Returns the
-    witness, with required = (num/den)*|F|, or None.
+    witness, with required = (num/den)*|F|, or None.  N(F) is read off g.adj
+    with no vertex checks: the ids come from g's own side lists, and a
+    one-sided F of a bipartite graph never meets its neighborhood.
     """
+    adj = g.adj
     levels = zip_longest(*(_side_levels(g, s, cap) for s in sides), fillvalue=())
     for k, by_side in enumerate(levels, 1):
         if k < floor:
@@ -135,7 +138,7 @@ def _least_violator(g: BipartiteGraph, sides, floor: int, cap: int, num: int, de
         found = []
         for side, level in zip(sides, by_side):
             for f_set in level:
-                actual = len(neighborhood(g, f_set))
+                actual = len(set().union(*map(adj.__getitem__, f_set)))
                 if den * actual < num * k:
                     found.append((tuple(sorted(f_set)), side, actual))
         if found:

@@ -16,7 +16,6 @@ from paradecomp.graphs import (
     bipartite_graph,
     g2_neighbors,
     graph_from_obj,
-    neighborhood,
 )
 from paradecomp.hall import (
     ExpansionParams,
@@ -150,17 +149,18 @@ def test_no_finite_graph_satisfies_uncapped_eps():
 
 def test_eps_check_stops_at_the_first_violating_size(monkeypatch):
     # the path's end vertex 0 has one neighbor, so the singleton (0,) is the
-    # least violator; scanning the 40 singletons must settle it
+    # least violator; scanning the 40 singletons must settle it, and growing
+    # any set of size 2 would ask for a G^2-neighborhood
     calls = []
 
-    def counted(g, f_set):
-        calls.append(f_set)
-        return neighborhood(g, f_set)
+    def counted(g, v):
+        calls.append(v)
+        return g2_neighbors(g, v)
 
-    monkeypatch.setattr(hall, "neighborhood", counted)
+    monkeypatch.setattr(hall, "g2_neighbors", counted)
     rep = check_hall_eps_n(line_window(40), ExpansionParams(Fraction(1, 2), 1), 30)
     assert (rep.witness.side, rep.witness.f_set) == (0, (0,))
-    assert len(calls) <= 40
+    assert calls == []
 
 
 def test_plain_witness_grows_each_set_once(monkeypatch):
