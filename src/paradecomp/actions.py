@@ -15,7 +15,6 @@ because interesting windows are far too large to materialize edge lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress, islice
 from operator import gt
 
@@ -27,7 +26,7 @@ from .errors import (
     NotPerfectOnInteriorError,
 )
 from .graphs import BipartiteGraph, bipartite_graph
-from .hall import HallReport, HallWitness
+from .hall import HallReport, least_violator
 from .matching import combine_saturating, hopcroft_karp
 from .rotations import BASE_POINT, apply_to_point, is_unit_point, letter_rotation
 from .rotations import normalize_point, word_rotation
@@ -329,17 +328,16 @@ def build_doubling(window: ActionWindow, s: GeneratingSet, copies: int) -> Doubl
 
 
 def interior_expansion_audit(
-    dg: DoublingGraph, s2: GeneratingSet, sample_cap: int, size_cap: int
+    dg: DoublingGraph, s2: GeneratingSet, size_cap: int
 ) -> HallReport:
-    """Check the doubled expansion on interior connected sets, up to caps.
+    """Check the doubled expansion on interior connected sets up to size_cap.
 
     Side-1 sets need |N(F)| >= 2|F|; copy-0 sets only |N(F)| >= |F| (that
-    direction is the trivial one).  Sets are G^2-connected, all-interior,
-    grown in the canonical least-root order.  |N(F)| only grows under
-    extension, so a branch whose neighborhood already meets the requirement
-    at the size cap certifies all its extensions and is pruned; the verdict
-    stays exhaustive.  sample_cap bounds the sets actually inspected, and
-    the stats say whether the walk finished inside the budget.
+    direction is the trivial one).  Sets are G^2-connected and all-interior;
+    hall.least_violator searches them, pruning the sets whose neighborhood
+    already meets the requirement at the size cap, so the verdict is
+    exhaustive and a failure reports the least (size, sorted tuple, side)
+    violator.
     """
     if dg.copies != 3:
         raise ValueError("expansion audit is defined on the 3-copy graph")
@@ -351,99 +349,18 @@ def interior_expansion_audit(
             required=need,
         )
     n = dg.n_points
-    interior_pts = dg.window.interior_indices()
-    interior_set = set(interior_pts)
+    interior = dg.window.interior_indices()
 
-    def nb_side0(vid):
-        return [j for j in dg.g2_point_neighbors(vid) if j != vid and j in interior_set]
+    def g2(vid):
+        # the search drops the non-interior points itself
+        pts = dg.g2_point_neighbors(vid % n)
+        return pts if vid < n else [c * n + j for c in (1, 2) for j in pts]
 
-    g2_cache: dict = {}
-
-    def nb_side1(vid):
-        got = g2_cache.get(vid)
-        if got is None:
-            i = vid % n
-            pts = [j for j in dg.g2_point_neighbors(i) if j in interior_set]
-            got = g2_cache[vid] = [
-                c * n + j for c in range(1, 3) for j in pts if c * n + j != vid
-            ]
-            got.sort()
-        return got
-
-    stats = {}
-    plans = [
-        (0, interior_pts, nb_side0, 1),
-        (1, sorted(c * n + i for c in (1, 2) for i in interior_pts), nb_side1, 2),
-    ]
-    for side, roots, nb, mult in plans:
-        target = mult * size_cap
-        checked = 0
-        pruned = 0
-        exhausted = True
-        witness = None
-
-        def grow(root, s_set, ext, banned, nbr):
-            # mirrors the finite checker's discipline: ext holds candidate
-            # extensions above root, banned the ones already branched over
-            nonlocal checked, pruned, witness, exhausted
-            for i, v in enumerate(ext):
-                if checked >= sample_cap:
-                    exhausted = False
-                    return False
-                f2_set = s_set | {v}
-                nbr2 = nbr | set(dg.neighbors(v))
-                checked += 1
-                if len(nbr2) < mult * len(f2_set):
-                    witness = HallWitness(
-                        side=side,
-                        f_set=tuple(sorted(f2_set)),
-                        required=Fraction(mult * len(f2_set)),
-                        actual=len(nbr2),
-                    )
-                    return False
-                if len(nbr2) >= target:
-                    pruned += 1
-                    continue
-                if len(f2_set) < size_cap:
-                    blocked = banned | set(ext) | f2_set
-                    new = [w for w in nb(v) if w > root and w not in blocked]
-                    if not grow(
-                        root,
-                        f2_set,
-                        ext[i + 1 :] + new,
-                        banned | frozenset(ext[: i + 1]),
-                        nbr2,
-                    ):
-                        return False
-            return True
-
-        for root in roots:
-            if checked >= sample_cap:
-                exhausted = False
-                break
-            nbr = set(dg.neighbors(root))
-            checked += 1
-            if len(nbr) < mult:
-                witness = HallWitness(
-                    side=side,
-                    f_set=(root,),
-                    required=Fraction(mult),
-                    actual=len(nbr),
-                )
-                break
-            if len(nbr) >= target:
-                pruned += 1
-                continue
-            if size_cap > 1:
-                ext = [w for w in nb(root) if w > root]
-                if not grow(root, {root}, ext, frozenset(), nbr):
-                    break
-        if witness is not None:
-            return HallReport(satisfied=False, witness=witness)
-        stats[f"checked_side{side}"] = checked
-        stats[f"pruned_side{side}"] = pruned
-        stats[f"exhausted_side{side}"] = exhausted
-    return HallReport(satisfied=True, stats=stats)
+    copies12 = [c * n + i for c in (1, 2) for i in interior]
+    witness = least_violator(
+        dg.neighbors, g2, [(0, interior, 1, 1), (1, copies12, 2, 1)], 1, size_cap
+    )
+    return HallReport(satisfied=witness is None, witness=witness)
 
 
 def interior_saturating_matching(dg: DoublingGraph) -> set:

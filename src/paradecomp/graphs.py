@@ -207,17 +207,6 @@ def distances_from(g: BipartiteGraph, source, bound=None) -> dict:
     return bfs_distances(g.adj.__getitem__, (source,), bound)
 
 
-def neighborhood(g: BipartiteGraph, f_set) -> set:
-    """N_G(F): neighbors of F that are not themselves in F."""
-    fs = set(f_set)
-    for v in fs:
-        g.require_vertex(v)
-    out = set()
-    for v in fs:
-        out.update(g.adj[v])
-    return out - fs
-
-
 def validate_matching(g: BipartiteGraph, matching):
     """Normalize a matching to a set of (min, max) pairs, or raise."""
     seen = set()

@@ -3,9 +3,10 @@
 Whether the plain condition holds is decided exactly through the matching
 number (Koenig defect form), never by subset enumeration.  One least-violator
 search over G^2-connected sets then produces every witness: the plain one,
-after a failure is already certain, and the (1+epsilon) one, up to the
-caller's size cap.  It grows the sets level by level in size, compares
-integers, and stops at the first size that holds a violator.
+after a failure is already certain, the (1+epsilon) one, up to the caller's
+size cap, and the doubled-expansion one of actions.interior_expansion_audit.
+It grows the sets level by level in size as int bitsets, compares integers,
+and stops at the first size that holds a violator.
 
 Witness canonicality: the reported violator minimizes (size, sorted id
 tuple, side), so failures reproduce byte-for-byte across runs.
@@ -54,97 +55,127 @@ class HallWitness:
 class HallReport:
     satisfied: bool
     witness: HallWitness | None = None
-    stats: dict | None = None  # enumeration counts, when a capped audit ran
 
     def as_obj(self) -> dict:
-        out = {"satisfied": self.satisfied}
-        out["witness"] = self.witness.as_obj() if self.witness else None
-        if self.stats is not None:
-            out["stats"] = self.stats
-        return out
+        return {
+            "satisfied": self.satisfied,
+            "witness": self.witness.as_obj() if self.witness else None,
+        }
 
 
-def _side_levels(g: BipartiteGraph, side: int, max_size: int):
-    """Yield the G^2-connected subsets of one side, one size at a time.
+def _members(bits: int, roots) -> tuple:
+    """The ids of roots at the set bits' positions, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(roots[low.bit_length() - 1])
+        bits ^= low
+    return tuple(out)
 
-    The k-th item iterates over those of size k, for k up to max_size, as
-    tuples in growth order; the generator ends early after the last size
-    that has any.  Each set is grown once, from its least id: its extension
-    candidates are those left after the id it was grown by, then that id's
-    G^2-neighbors above the least id that none of its ancestors has seen.
-    One level is kept to grow the next, and a level is grown only when it is
-    asked for, so a caller that stops at size k pays for nothing larger.
-    Sets of size max_size are streamed, never kept.
+
+def _side_levels(roots, nbrs, g2, num: int, den: int, cap: int):
+    """Yield the G^2-connected subsets F of roots that cap does not certify.
+
+    The k-th item lists those of size k, for k up to cap, as tuples whose
+    first two entries are bitsets: F's members, by position in the sorted id
+    list roots (so bit order is id order), and N(F), by the position each
+    neighbor id got when first seen.  The generator ends after the last size
+    that has any.  A set with den*|N(F)| >= num*cap is dropped and not grown:
+    N only grows under extension, so every set of size <= cap containing it
+    meets the ratio.  For the same reason an id whose singleton is dropped
+    never becomes a candidate, and neither does an id g2 names outside roots.
+
+    Each set is grown once, from its least id.  Its candidates are those left
+    after the id it was grown by, plus that id's G^2-neighbors not yet seen
+    by the set or its ancestors; "seen" starts as every position up to the
+    root's, so only larger ids are ever taken.
     """
-    cache: dict = {}
-
-    def nb(v):
-        got = cache.get(v)
-        if got is None:
-            got = cache[v] = sorted(g2_neighbors(g, v))
-        return got
-
-    # item: (the set, its parent's candidates, index of the first one left
-    # after it, ids seen by its ancestors)
-    def children(items):
-        for f_set, cands, start, seen in items:
-            root = f_set[0]
-            new = [w for w in nb(f_set[-1]) if w > root and w not in seen]
-            ext = cands[start:] + new
-            seen = seen.union(new)
-            for i, x in enumerate(ext, 1):
-                yield f_set + (x,), ext, i, seen
-
-    items = [((r,), [], 0, frozenset()) for r in g.side_vertices(side)]
-    for size in range(1, max_size + 1):
-        if size > 1:
-            items = children(items)
-        if size == max_size:
-            yield (item[0] for item in items)
+    bound = num * cap
+    npos: dict = {}
+    nb = {}  # position -> N({id}) bits, for the ids cap does not certify
+    for p, v in enumerate(roots):
+        ns = set(nbrs(v))
+        if den * len(ns) < bound:
+            nb[p] = sum(1 << npos.setdefault(u, len(npos)) for u in ns)
+    pos = {v: p for p, v in enumerate(roots)}
+    g2_bits: dict = {}
+    # item: (members, N(F), candidates, seen, position of the last id added)
+    level = [(1 << p, bits, 0, (2 << p) - 1, p) for p, bits in nb.items()]
+    for size in range(1, cap + 1):
+        if not level:
             return
-        items = list(items)
-        if not items:
+        yield level
+        if size == cap:
             return
-        yield [item[0] for item in items]
+        grown = []
+        for members, nbr, ext, seen, last in level:
+            new = g2_bits.get(last)
+            if new is None:
+                new = 0
+                for w in g2(roots[last]):
+                    p = pos.get(w)
+                    if p in nb:
+                        new |= 1 << p
+                g2_bits[last] = new
+            new &= ~seen
+            ext |= new
+            seen |= new
+            while ext:
+                low = ext & -ext
+                ext ^= low
+                x = low.bit_length() - 1
+                child = nbr | nb[x]
+                if den * child.bit_count() < bound:
+                    grown.append((members | low, child, ext, seen, x))
+        level = grown
 
 
-def connected_side_sets(g: BipartiteGraph, side: int, max_size: int, min_size: int = 1):
-    """Yield the G^2-connected subsets of one side, sizes within the bounds.
-
-    Each set appears exactly once, as a sorted tuple, smaller sizes first.
-    """
-    for k, level in enumerate(_side_levels(g, side, max_size), 1):
-        if k >= min_size:
-            for f_set in level:
-                yield tuple(sorted(f_set))
-
-
-def _least_violator(g: BipartiteGraph, sides, floor: int, cap: int, num: int, den: int):
+def least_violator(nbrs, g2, sides, floor: int, cap: int):
     """Least (size, sorted tuple, side) G^2-connected F with den*|N(F)| < num*|F|.
 
-    F ranges over the given sides and floor <= |F| <= cap.  Sizes are taken
-    in ascending order, all sides at each size, and the search stops at the
-    first size that holds a violator, or that holds no connected set at all
-    (each connected set of size k + 1 contains one of size k).  Returns the
-    witness, with required = (num/den)*|F|, or None.  N(F) is read off g.adj
-    with no vertex checks: the ids come from g's own side lists, and a
-    one-sided F of a bipartite graph never meets its neighborhood.
+    nbrs and g2 map an id to its neighbor ids and to its G^2-neighbor ids.
+    sides holds one (side, roots, num, den) per side searched: F ranges over
+    the subsets of the sorted id list roots with floor <= |F| <= cap, and
+    must beat the ratio num/den.  Sizes are taken in ascending order, all
+    sides at each size, and the search stops at the first size that holds a
+    violator, or that holds no set left to grow (each connected set of size
+    k + 1 contains one of size k, and _side_levels drops only sets whose
+    extensions all meet the ratio).  Returns the witness, with
+    required = (num/den)*|F|, or None.
     """
-    adj = g.adj
-    levels = zip_longest(*(_side_levels(g, s, cap) for s in sides), fillvalue=())
+    levels = zip_longest(
+        *(_side_levels(roots, nbrs, g2, num, den, cap) for _, roots, num, den in sides),
+        fillvalue=(),
+    )
     for k, by_side in enumerate(levels, 1):
         if k < floor:
             continue
-        found = []
-        for side, level in zip(sides, by_side):
-            for f_set in level:
-                actual = len(set().union(*map(adj.__getitem__, f_set)))
-                if den * actual < num * k:
-                    found.append((tuple(sorted(f_set)), side, actual))
+        found = [
+            (_members(members, roots), side, nbr.bit_count(), num, den)
+            for (side, roots, num, den), level in zip(sides, by_side)
+            for members, nbr, *_ in level
+            if den * nbr.bit_count() < num * k
+        ]
         if found:
-            f_set, side, actual = min(found)
+            f_set, side, actual, num, den = min(found)
             return HallWitness(side, f_set, Fraction(num * k, den), actual)
     return None
+
+
+def _graph_violator(g: BipartiteGraph, sides, floor: int, cap: int, num: int, den: int):
+    """least_violator over the given sides of g, one ratio for both.
+
+    N(F) is read off g.adj with no vertex checks: the ids come from g's own
+    side lists, and a one-sided F of a bipartite graph never meets its
+    neighborhood.
+    """
+    return least_violator(
+        g.adj.__getitem__,
+        lambda v: g2_neighbors(g, v),
+        [(s, g.side_vertices(s), num, den) for s in sides],
+        floor,
+        cap,
+    )
 
 
 def check_hall(g: BipartiteGraph) -> HallReport:
@@ -154,7 +185,7 @@ def check_hall(g: BipartiteGraph) -> HallReport:
     if not short:
         return HallReport(satisfied=True)
     larger = max(len(g.side_vertices(s)) for s in short)
-    witness = _least_violator(g, short, 1, larger, 1, 1)
+    witness = _graph_violator(g, short, 1, larger, 1, 1)
     if witness is None:
         raise InvariantError("deficiency positive but no violator found")
     return HallReport(satisfied=False, witness=witness)
@@ -181,7 +212,7 @@ def check_hall_eps_n(
         # (1+0)|F| <= |N(F)| already follows from Hall everywhere
         return base
     factor = 1 + p.epsilon
-    witness = _least_violator(
+    witness = _graph_violator(
         g, (0, 1), p.size_floor, size_cap, factor.numerator, factor.denominator
     )
     return HallReport(satisfied=witness is None, witness=witness)

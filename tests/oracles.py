@@ -292,6 +292,54 @@ def scan_unmatched_boundary(dg, matching) -> tuple:
     ]
     return len(depths), min(depths, default=None)
 
+def brute_doubled_expansion(dg, cap: int):
+    """Least doubled-expansion violator over ALL interior subsets up to cap.
+
+    Copy-0 sets need |N(F)| >= |F|; sets of copy-1 and copy-2 vertices need
+    |N(F)| >= 2|F|.  Returns None or the least violator (side, f_set,
+    required, actual) by (size, sorted tuple, side).  As in brute_hall_eps,
+    the least-size violator is G^2-connected, so this agrees with a search
+    over connected sets.
+    """
+    n = dg.n_points
+    interior = [i for i in range(n) if dg.window.is_interior(i)]
+    best = None
+    for side, vids, mult in (
+        (0, interior, 1),
+        (1, [c * n + i for c in (1, 2) for i in interior], 2),
+    ):
+        for k in range(1, cap + 1):
+            for f_set in combinations(vids, k):
+                nbr = set()
+                for v in f_set:
+                    nbr.update(dg.neighbors(v))
+                key = (k, f_set, side)
+                if len(nbr) < mult * k and (best is None or key < best[0]):
+                    best = (key, (side, f_set, Fraction(mult * k), len(nbr)))
+    return None if best is None else best[1]
+
+
+def record_oracle_calls(dg):
+    """Log the ids a doubling graph's neighbor and G^2 oracles are asked for.
+
+    Returns the two lists (neighbors, g2_point_neighbors), filled as the
+    instance's methods are called.
+    """
+    reads, g2_reads = [], []
+    neighbors, g2_point_neighbors = dg.neighbors, dg.g2_point_neighbors
+
+    def logged_neighbors(vid):
+        reads.append(vid)
+        return neighbors(vid)
+
+    def logged_g2(i):
+        g2_reads.append(i)
+        return g2_point_neighbors(i)
+
+    dg.neighbors, dg.g2_point_neighbors = logged_neighbors, logged_g2
+    return reads, g2_reads
+
+
 def dfs_identity_word(letters, max_len: int):
     """First reduced nonidentity word of length <= max_len acting trivially.
 

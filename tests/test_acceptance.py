@@ -39,7 +39,7 @@ from paradecomp.treedyn import (
 )
 from paradecomp.words import invert_letter
 
-from oracles import kuhn_max_matching
+from oracles import kuhn_max_matching, record_oracle_calls
 
 
 @contextmanager
@@ -131,11 +131,13 @@ def test_criterion_3_interior_expansion_exhaustive(capsys):
         s2 = square_set(standard_generators())
         w = expand_window("f2", "", standard_generators(), 12, 4)
         dg = build_doubling(w, s2, 3)
-        rep = interior_expansion_audit(dg, s2, sample_cap=10**12, size_cap=6)
+        reads, _ = record_oracle_calls(dg)
+        rep = interior_expansion_audit(dg, s2, size_cap=6)
         assert rep.satisfied
         assert rep.witness is None
-        assert rep.stats["exhausted_side0"] and rep.stats["exhausted_side1"]
-        assert rep.stats["checked_side0"] > 0 and rep.stats["checked_side1"] > 0
+        # every interior vid of both sides was looked at: no vacuous pass
+        interior, n = w.interior_indices(), w.n_points()
+        assert sorted(reads) == interior + [c * n + i for c in (1, 2) for i in interior]
         assert time.monotonic() - t0 <= 120
 
 

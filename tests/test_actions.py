@@ -22,7 +22,12 @@ from paradecomp.errors import (
 from paradecomp.words import iter_reduced, word_key
 from paradecomp.rotations import BASE_POINT, apply_to_point, word_rotation
 
-from oracles import bfs_window, scan_unmatched_boundary
+from oracles import (
+    bfs_window,
+    brute_doubled_expansion,
+    record_oracle_calls,
+    scan_unmatched_boundary,
+)
 
 
 def ball_size(r: int) -> int:
@@ -160,21 +165,30 @@ def test_expansion_audit_passes_and_prunes():
     w = expand_window("f2", (), s, 6, 4)
     s2 = square_set(s)
     dg = build_doubling(w, s2, 3)
-    rep = interior_expansion_audit(dg, s2, sample_cap=10**6, size_cap=6)
-    assert rep.satisfied
-    assert rep.stats["exhausted_side0"] and rep.stats["exhausted_side1"]
-    # every interior singleton already clears 2 * size_cap neighbors
-    assert rep.stats["pruned_side1"] == rep.stats["checked_side1"]
+    reads, g2_reads = record_oracle_calls(dg)
+    rep = interior_expansion_audit(dg, s2, size_cap=6)
+    assert rep.satisfied and rep.witness is None
+    # every interior vid of both sides is read once; each singleton already
+    # clears ratio * size_cap neighbors, so no set is grown
+    interior, n = w.interior_indices(), w.n_points()
+    assert sorted(reads) == interior + [c * n + i for c in (1, 2) for i in interior]
+    assert g2_reads == []
 
 
-def test_expansion_audit_budget_reports_nonexhaustive():
+@pytest.mark.parametrize("cap", [5, 6])
+def test_expansion_audit_reports_the_least_violator(cap):
+    # over S rather than S^2 a side-1 vertex has only 5 neighbors: both copies
+    # of {e, a, b} reach 11 < 12 points, while no set of 5 falls short
     s = standard_generators()
-    w = expand_window("f2", (), s, 6, 4)
-    s2 = square_set(s)
-    dg = build_doubling(w, s2, 3)
-    rep = interior_expansion_audit(dg, s2, sample_cap=5, size_cap=6)
-    assert rep.satisfied
-    assert not rep.stats["exhausted_side1"]
+    w = expand_window("f2", (), s, 5, 4)
+    dg = build_doubling(w, s, 3)
+    rep = interior_expansion_audit(dg, square_set(s), size_cap=cap)
+    want = brute_doubled_expansion(dg, cap)
+    assert rep.satisfied == (want is None) == (cap == 5)
+    if want is not None:
+        wit = rep.witness
+        assert (wit.side, wit.f_set, wit.required, wit.actual) == want
+        assert (wit.side, len(wit.f_set), wit.actual) == (1, 6, 11)
 
 
 def test_expansion_audit_needs_margin():
@@ -183,7 +197,7 @@ def test_expansion_audit_needs_margin():
     s2 = square_set(s)
     dg = build_doubling(w, s2, 3)
     with pytest.raises(MarginTooSmallError):
-        interior_expansion_audit(dg, s2, sample_cap=10, size_cap=2)
+        interior_expansion_audit(dg, s2, size_cap=2)
 
 
 def test_expansion_audit_rejects_four_copies():
@@ -191,7 +205,7 @@ def test_expansion_audit_rejects_four_copies():
     w = expand_window("f2", (), s, 6, 4)
     dg = build_doubling(w, square_set(s), 4)
     with pytest.raises(ValueError):
-        interior_expansion_audit(dg, square_set(s), sample_cap=10, size_cap=2)
+        interior_expansion_audit(dg, square_set(s), size_cap=2)
 
 
 def test_interior_matching_saturates_interior_only():

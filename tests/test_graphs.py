@@ -14,7 +14,6 @@ from paradecomp.graphs import (
     graph_from_obj,
     graph_to_obj,
     induced_subgraph,
-    neighborhood,
     to_dot,
     validate_matching,
 )
@@ -202,6 +201,6 @@ def test_induced_subgraph_drops_edges():
 
 
 def test_neighborhood_excludes_f():
+    # 0 and 1 share the neighbor 2; the G^2-neighborhood of 0 leaves 0 out
     g = bipartite_graph([0, 1], [2], [(0, 2), (1, 2)])
-    assert neighborhood(g, [0, 1]) == {2}
     assert g2_neighbors(g, 0) == {1}

@@ -17,12 +17,7 @@ from paradecomp.graphs import (
     g2_neighbors,
     graph_from_obj,
 )
-from paradecomp.hall import (
-    ExpansionParams,
-    check_hall,
-    check_hall_eps_n,
-    connected_side_sets,
-)
+from paradecomp.hall import ExpansionParams, check_hall, check_hall_eps_n
 from paradecomp.matching import max_matching
 
 from oracles import (
@@ -214,26 +209,43 @@ def test_witness_is_minimal():
     assert rep.witness.actual == 0
 
 
+def connected_side_sets(g, side, floor, cap):
+    """Every set hall's enumerator grows on one side, as sorted tuples.
+
+    The ratio asked for exceeds any |N(F)|, so no set is certified and
+    dropped.
+    """
+    roots = g.side_vertices(side)
+    levels = hall._side_levels(
+        roots, g.adj.__getitem__, lambda v: g2_neighbors(g, v), len(g.ids) + 1, 1, cap
+    )
+    return [
+        hall._members(item[0], roots)
+        for k, level in enumerate(levels, 1)
+        if k >= floor
+        for item in level
+    ]
+
+
 def test_connected_side_sets_enumeration():
     g = star_graph(3)
-    sets1 = list(connected_side_sets(g, 1, 2))
+    sets1 = connected_side_sets(g, 1, 1, 2)
     # three singletons and three pairs, all connected through the center
-    assert ((1,) in sets1) and ((1, 2) in sets1) and ((2, 3) in sets1)
-    assert len([s for s in sets1 if len(s) == 1]) == 3
-    assert len([s for s in sets1 if len(s) == 2]) == 3
-    assert all(len(s) >= 2 for s in connected_side_sets(g, 1, 3, min_size=2))
+    assert sets1 == [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]
+    assert connected_side_sets(g, 1, 2, 3) == [(1, 2), (1, 3), (2, 3), (1, 2, 3)]
 
 
 @given(random_graphs(), st.integers(0, 1), st.integers(1, 3), st.integers(0, 3))
 def test_connected_side_sets_agree_with_subset_oracle(g, side, floor, extra):
     cap = floor + extra
-    got = list(connected_side_sets(g, side, cap, floor))
+    got = connected_side_sets(g, side, floor, cap)
     assert len(got) == len(set(got))
     assert sorted(got) == sorted(brute_connected_side_sets(g, side, floor, cap))
 
 
-def test_connected_side_sets_reach_past_the_recursion_limit():
-    # the one set of size 1200 is grown through a 1,199-step chain
-    g = line_window(2400)
-    side0 = tuple(sorted(g.side_vertices(0)))
-    assert next(connected_side_sets(g, 0, 1200, 1200)) == side0
+def test_plain_witness_reaches_past_the_recursion_limit():
+    # the least violator of a 2,401-vertex path is its whole side 0, grown
+    # through a 1,200-step chain
+    rep = check_hall(line_window(2401))
+    assert (rep.witness.side, rep.witness.f_set) == (0, tuple(range(0, 2401, 2)))
+    assert rep.witness.actual == 1200
