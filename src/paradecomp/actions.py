@@ -1,9 +1,11 @@
 """Group actions, finite windows of their orbit graphs, doubling graphs.
 
-Group elements are reduced words everywhere; the sphere action interprets a
-word through the exact rational rotations of rotations.py.  Since the
-standard rotation pair is free, words double as canonical point labels in
-both modes, and the artifact-wide point order is the shortlex word key.
+Group elements are reduced words everywhere.  Both actions are free, so a
+window is a ball of the Cayley graph of F2: a point is labelled by its
+canonical word, the artifact-wide point order is the shortlex word key, and
+every point is moved by letter tables recorded while the ball is expanded.
+The sphere adds the exact rational coordinates of rotations.py to each
+point, and its certificate is that no two words reach one coordinate.
 
 A window is the ball of a chosen radius around a base point, with a margin
 marking which points are interior (their generator images are complete
@@ -14,6 +16,7 @@ because interesting windows are far too large to materialize edge lists.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import compress, islice
 from operator import gt
@@ -91,14 +94,16 @@ class ActionWindow:
 
     words[i] is the canonical label of point i (for the sphere: the unique
     reduced word reaching it from the base, unique by freeness).  dist[i] is
-    the graph distance to the base under the expanding generator set.  The
-    interior (dist <= radius - margin) is decided here, once.  The window
-    may hold fewer points than the ball of its radius; ball_size counts the
-    whole ball, held or not.
+    the graph distance to the base under the expanding generator set.
+    tables[c][i] is the index of c . point_i, or -1 off the window; coords
+    lists the sphere's points in index order (None for f2).  The interior
+    (dist <= radius - margin) is decided here, once.  The window may hold
+    fewer points than the ball of its radius; ball_size counts the whole
+    ball, held or not.
     """
 
     def __init__(
-        self, kind, radius, margin, ball_size, words, dist, coord_index, base_index
+        self, kind, radius, margin, ball_size, words, dist, tables, coords, base_index
     ):
         self.kind = kind
         self.radius = radius
@@ -106,14 +111,12 @@ class ActionWindow:
         self.ball_size = ball_size
         self.words = words
         self.dist = dist
-        # coord_index lists the sphere's points in index order (None for f2)
-        self.coords = tuple(coord_index) if coord_index is not None else None
+        self.tables = tables
+        self.coords = coords
         self.base_index = base_index
         self._interior_bound = bound = radius - margin
         self._interior = tuple(compress(range(len(dist)), map(bound.__ge__, dist)))
-        self._word_index = dict(zip(words, range(len(words))))
-        self._coord_index = coord_index
-        self._rot_cache: dict = {}
+        self._word_index = None  # built by the first index_of_word
 
     def n_points(self) -> int:
         return len(self.words)
@@ -122,6 +125,8 @@ class ActionWindow:
         return self.words[i]
 
     def index_of_word(self, w: str):
+        if self._word_index is None:
+            self._word_index = dict(zip(self.words, range(len(self.words))))
         return self._word_index.get(w)
 
     def is_interior(self, i: int) -> bool:
@@ -132,18 +137,18 @@ class ActionWindow:
         bound = self._interior_bound - extra
         return [i for i in self._interior if self.dist[i] <= bound]
 
-    def _rotation(self, w: str):
-        rot = self._rot_cache.get(w)
-        if rot is None:
-            rot = self._rot_cache[w] = word_rotation(w)
-        return rot
-
     def apply(self, gamma: str, i: int):
-        """Index of gamma . point_i, or None when it leaves the window."""
-        if self.kind == F2:
-            return self._word_index.get(mul(gamma, self.words[i]))
-        target = apply_to_point(self._rotation(gamma), self.coords[i])
-        return self._coord_index.get(target)
+        """Index of gamma . point_i, or None when it leaves the window.
+
+        gamma is reduced and walked from its last letter.  Along a reduced
+        word the distance to the base falls, then rises, so in a ball a step
+        off the window means the end point is off it too.
+        """
+        for c in reversed(gamma):
+            i = self.tables[c][i]
+            if i < 0:
+                return None
+        return i
 
 
 def expand_window(
@@ -157,9 +162,12 @@ def expand_window(
     by words of at most reach letters passes reach, and the expansion stops
     at distance hold = min(radius, radius - margin + reach); the interior and
     the stated radius stay as they are.  Without reach the whole ball is held.
-    The sphere labels a point by its word g and refuses any point reached
-    twice: two distinct reduced words with the same image of the base would
-    contradict freeness of the orbit.
+    One level loop serves both kinds, as in words.iter_reduced, recording
+    both table entries of each new edge.  The sphere then computes each
+    point from its parent and refuses any point reached twice: two distinct
+    reduced words with the same image of the base would contradict freeness
+    of the orbit.  An f2 window based at a nonidentity word is the same
+    ball, relabelled by g.base and re-sorted.
     """
     if radius <= margin:
         raise ValueError(f"radius {radius} must exceed margin {margin}")
@@ -168,69 +176,74 @@ def expand_window(
     step = s.max_word_length()
     if step < 1 or sorted(s.elements, key=word_key) != list(iter_reduced(step)):
         raise ValueError("the generating set must be a ball of reduced words")
+    if kind == F2:
+        base_word = reduce_word(base if base is not None else IDENTITY)
+    elif kind == SPHERE:
+        if base is None:
+            base = BASE_POINT
+        if not is_unit_point(base):
+            raise ValueError(f"base {base} is not a unit vector")
+        base = normalize_point(*base)
+        for gamma in s.nonidentity():
+            if apply_to_point(word_rotation(gamma), base) == base:
+                raise FixedBaseError(
+                    f"generator {gamma!r} fixes the base point", generator=gamma
+                )
+    else:
+        raise ValueError(f"unknown window kind {kind!r}")
     hold = radius if reach is None else min(radius, radius - margin + reach)
     # reduced words of length <= radius*L; the orbit is free on the sphere too
     ball_size = 2 * 3 ** (radius * step) - 1
-    ceil = [-(-m // step) for m in range(hold * step + 1)]  # |g| -> distance
-    if kind == F2:
-        base_word = reduce_word(base if base is not None else IDENTITY)
-        words = tuple(iter_reduced(hold * step))
-        dist = tuple(map(ceil.__getitem__, map(len, words)))
-        if base_word:
-            pts = sorted(
-                ((mul(g, base_word), d) for g, d in zip(words, dist)),
-                key=lambda t: word_key(t[0]),
-            )
-            words, dist = (tuple(col) for col in zip(*pts))
-        base_index = words.index(base_word)
-        return ActionWindow(
-            F2, radius, margin, ball_size, words, dist, None, base_index
-        )
-
-    if kind != SPHERE:
-        raise ValueError(f"unknown window kind {kind!r}")
-    if base is None:
-        base = BASE_POINT
-    if not is_unit_point(base):
-        raise ValueError(f"base {base} is not a unit vector")
-    base = normalize_point(*base)
-    for gamma in s.nonidentity():
-        if apply_to_point(word_rotation(gamma), base) == base:
-            raise FixedBaseError(
-                f"generator {gamma!r} fixes the base point", generator=gamma
-            )
+    n = 2 * 3 ** (hold * step) - 1
+    tables = {c: array("i", [-1]) * n for c in ALPHABET}
     words = [IDENTITY]
-    index = {base: 0}
-    level = [(IDENTITY, base)]
+    level = range(1)
     for _ in range(hold * step):
-        nxt = []
+        start = len(words)
         for c in ALPHABET:
-            ci, rot = inv(c), letter_rotation(c)
-            n0, n1, n2, n3, n4, n5, n6, n7, n8 = rot.num
-            for w, (x, y, z, k) in level:
-                if w[:1] == ci:
-                    continue
-                # apply_to_point inlined: rot(c) times the point of w, normalized
-                px = n0 * x + n1 * y + n2 * z
-                py = n3 * x + n4 * y + n5 * z
-                pz = n6 * x + n7 * y + n8 * z
-                k += rot.scale
-                while k and not (px % 5 or py % 5 or pz % 5):
-                    px, py, pz, k = px // 5, py // 5, pz // 5, k - 1
-                p, cw = (px, py, pz, k), c + w
-                if p in index:
-                    raise FreeActionViolationError(
-                        "two reduced words reach one point",
-                        point=list(p),
-                        word_a=words[index[p]],
-                        word_b=cw,
-                    )
-                index[p] = len(words)
-                words.append(cw)
-                nxt.append((cw, p))
-        level = nxt
+            ci = inv(c)
+            out, back = tables[c], tables[ci]
+            for i in level:
+                w = words[i]
+                if w[:1] != ci:
+                    out[i] = len(words)
+                    back[len(words)] = i
+                    words.append(c + w)
+        level = range(start, len(words))
+    ceil = [-(-m // step) for m in range(hold * step + 1)]  # |g| -> distance
     dist = tuple(map(ceil.__getitem__, map(len, words)))
-    return ActionWindow(SPHERE, radius, margin, ball_size, tuple(words), dist, index, 0)
+
+    coords, base_index = None, 0
+    if kind == SPHERE:
+        coords = [base]
+        index = {base: 0}
+        moves = {c: (tables[inv(c)], letter_rotation(c)) for c in ALPHABET}
+        for j in range(1, n):
+            back, rot = moves[words[j][0]]
+            p = apply_to_point(rot, coords[back[j]])
+            if index.setdefault(p, j) != j:
+                raise FreeActionViolationError(
+                    "two reduced words reach one point",
+                    point=list(p),
+                    word_a=words[index[p]],
+                    word_b=words[j],
+                )
+            coords.append(p)
+        coords = tuple(coords)
+    elif base_word:
+        # point g is g.base: sort by that label and renumber the tables
+        labels = [mul(g, base_word) for g in words]
+        order = sorted(range(n), key=lambda i: word_key(labels[i]))
+        rank = array("i", [-1]) * (n + 1)  # rank[-1] == -1 keeps off-window
+        for new, old in enumerate(order):
+            rank[old] = new
+        words = [labels[i] for i in order]
+        dist = tuple(map(dist.__getitem__, order))
+        tables = {c: array("i", [rank[t[i]] for i in order]) for c, t in tables.items()}
+        base_index = rank[0]
+    return ActionWindow(
+        kind, radius, margin, ball_size, tuple(words), dist, tables, coords, base_index
+    )
 
 
 class DoublingGraph:
@@ -248,6 +261,7 @@ class DoublingGraph:
         self.s = s
         self.copies = copies
         self.n_points = window.n_points()
+        self._ids = tuple(range(self.n_points))  # shared by image lists, not copied
         self._im: dict = {}
         self._im2: dict = {}
 
@@ -290,7 +304,7 @@ class DoublingGraph:
             for gamma in self.s.elements:
                 j = self.window.apply(gamma, i)
                 if j is not None:
-                    out.add(j)
+                    out.add(self._ids[j])
             got = self._im[i] = sorted(out)
         return got
 
@@ -374,25 +388,20 @@ def interior_saturating_matching(dg: DoublingGraph) -> set:
     """
     n = dg.n_points
     left_a = dg.window.interior_indices()  # interior copy-0 vids
-    pair_a = hopcroft_karp(left_a, dg.neighbors)
-    missing = [v for v in left_a if v not in pair_a]
-    if missing:
-        raise NotPerfectOnInteriorError(
-            "interior copy-0 vertices left unmatched",
-            count=len(missing),
-            sample=missing[:5],
-        )
-    left_b = sorted(c * n + i for c in range(1, dg.copies) for i in left_a)
-    pair_b = hopcroft_karp(left_b, dg.neighbors)
-    missing = [v for v in left_b if v not in pair_b]
-    if missing:
-        raise NotPerfectOnInteriorError(
-            "interior side-1 vertices left unmatched",
-            count=len(missing),
-            sample=missing[:5],
-        )
-    m1 = {(u, v) for u, v in pair_a.items()}
-    m2 = {(v, u) for u, v in pair_b.items()}  # orient as (copy0, side1)
+    left_b = [c * n + i for c in range(1, dg.copies) for i in left_a]  # ascending
+    pairs = []
+    for side, left in (("copy-0", left_a), ("side-1", left_b)):
+        pair = hopcroft_karp(left, dg.neighbors)
+        missing = [v for v in left if v not in pair]
+        if missing:
+            raise NotPerfectOnInteriorError(
+                f"interior {side} vertices left unmatched",
+                count=len(missing),
+                sample=missing[:5],
+            )
+        pairs.append(pair)
+    m1 = set(pairs[0].items())
+    m2 = {(v, u) for u, v in pairs[1].items()}  # orient as (copy0, side1)
     return combine_saturating(m1, m2, set(left_a), set(left_b))
 
 

@@ -364,8 +364,8 @@ def cmd_forest(args):
     s2 = square_set(s)
     w = expand_window(kind, base, s, radius, margin, s2.max_word_length())
     dg = build_doubling(w, s2, 4)
-    matching = interior_saturating_matching(dg)
-    ts = triple_system_from_matching(dg, matching)
+    ts = triple_system_from_matching(dg, interior_saturating_matching(dg))
+    del dg  # the forest reads only ts; its peak memory is lower without the graph
     fw = forest_from_paradox(ts)
     forest_obj = {"schema": _schema("forest-window"), **fw.to_obj()}
     if args.out:

@@ -8,10 +8,7 @@ in the order returned, so callers fix the tie-breaks by sorting.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .errors import InvariantError
-from .graphs import components
 
 
 def hopcroft_karp(left_ids, neighbors) -> dict:
@@ -19,64 +16,64 @@ def hopcroft_karp(left_ids, neighbors) -> dict:
 
     left_ids: iterable of left-side vertices (order fixes determinism).
     neighbors: callable left_id -> iterable of right-side vertices.
+    Left vertices are held by position p in left_ids (adj, dist and mate
+    are lists); pair_r maps a right vertex to its partner's position.  The
+    dict lists left vertices in the order they were first matched.
     """
     left = list(left_ids)
-    adj = {u: list(neighbors(u)) for u in left}
-    pair_l: dict = {}
+    adj = [list(neighbors(u)) for u in left]
+    n = len(left)
+    mate: list = [None] * n
     pair_r: dict = {}
-    INF = float("inf")
-    dist: dict = {}
+    INF = n + 1  # above every layer; only compared for equality
+    dist = [0] * n
+    first_matched = []
 
     def bfs() -> bool:
-        q = deque()
-        for u in left:
-            if u not in pair_l:
-                dist[u] = 0
-                q.append(u)
-            else:
-                dist[u] = INF
+        dist[:] = [INF if m is not None else 0 for m in mate]
+        q = [p for p in range(n) if mate[p] is None]
         found = False
-        while q:
-            u = q.popleft()
-            for v in adj[u]:
+        for p in q:  # q grows while it is walked, which makes it a FIFO
+            d = dist[p] + 1
+            for v in adj[p]:
                 w = pair_r.get(v)
                 if w is None:
                     found = True
                 elif dist[w] == INF:
-                    dist[w] = dist[u] + 1
+                    dist[w] = d
                     q.append(w)
         return found
 
     def augment(root) -> bool:
         # depth-first along the BFS layers on an explicit stack, so path
         # length is not bounded by the recursion limit; a frame is
-        # [left vertex, its remaining neighbors, the neighbor it went through]
+        # [left position, its remaining neighbors, the neighbor it went through]
         stack = [[root, iter(adj[root]), None]]
         while stack:
             frame = stack[-1]
-            u = frame[0]
+            p = frame[0]
             for v in frame[1]:
                 w = pair_r.get(v)
-                if w is None or dist[w] == dist[u] + 1:
+                if w is None or dist[w] == dist[p] + 1:
                     frame[2] = v
                     break
             else:
-                dist[u] = INF  # dead end: no later search enters u again
+                dist[p] = INF  # dead end: no later search enters p again
                 stack.pop()
                 continue
             if w is None:
                 for x, _, y in stack:
-                    pair_l[x] = y
+                    mate[x] = y
                     pair_r[y] = x
                 return True
             stack.append([w, iter(adj[w]), None])
         return False
 
     while bfs():
-        for u in left:
-            if u not in pair_l:
-                augment(u)
-    return pair_l
+        for p in range(n):
+            if mate[p] is None and augment(p):
+                first_matched.append(p)
+    return {left[p]: mate[p] for p in first_matched}
 
 
 def max_matching(g) -> set:
@@ -97,7 +94,8 @@ def combine_saturating(m1, m2, need_a, need_b) -> set:
     the other side).  Classic alternating-component argument: over each
     component of the symmetric difference take m1's edges when the component
     holds a need_a vertex that m2 misses, otherwise m2's; shared edges are
-    kept as-is.  Sides being distinct makes the two critical endpoint kinds
+    kept as-is.  Such a vertex ends an alternating path, so only those paths
+    are walked.  Sides being distinct makes the two critical endpoint kinds
     collide in no component (parity), checked at the end.
     """
     s1 = {(min(u, v), max(u, v)) for u, v in m1}
@@ -106,29 +104,20 @@ def combine_saturating(m1, m2, need_a, need_b) -> set:
     d1 = s1 - shared
     d2 = s2 - shared
 
-    partner1 = {}
-    for u, v in d1:
-        partner1[u] = v
-        partner1[v] = u
-    partner2 = {}
-    for u, v in d2:
-        partner2[u] = v
-        partner2[v] = u
-
-    covered2 = set()
-    for u, v in s2:
-        covered2.add(u)
-        covered2.add(v)
-
-    def partners(x):
-        return [p for p in (partner1.get(x), partner2.get(x)) if p is not None]
+    partner1 = {x: y for u, v in d1 for x, y in ((u, v), (v, u))}
+    partner2 = {x: y for u, v in d2 for x, y in ((u, v), (v, u))}
+    covered2 = {x for e in s2 for x in e}
 
     need_a = set(need_a)
     need_b = set(need_b)
     first: set = set()  # vertices of the components that take m1's edges
-    for comp in components(partners, partner1.keys() | partner2.keys()):
-        if any(x in need_a and x not in covered2 for x in comp):
-            first.update(comp)
+    for x in need_a - covered2:
+        # alternate m1, m2, m1, ... edges until the path ends
+        step, other = partner1, partner2
+        while x is not None and x not in first:
+            first.add(x)
+            x = step.get(x)
+            step, other = other, step
     out = shared | {e for e in d1 if e[0] in first}
     out |= {e for e in d2 if e[0] not in first}
 

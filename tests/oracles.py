@@ -90,6 +90,52 @@ def recursive_hopcroft_karp(left_ids, neighbors) -> dict:
     return pair_l
 
 
+def component_combine_saturating(m1, m2, need_a, need_b) -> set:
+    """matching.combine_saturating by labelling every alternating component.
+
+    The components of the symmetric difference are found by a plain stack
+    search from every vertex; a component takes m1's edges when it holds a
+    need_a vertex that m2 misses, otherwise m2's.  The result set is built
+    by the same expressions as the package's, so it iterates in the same
+    order.  Raises ValueError where the package raises InvariantError.
+    """
+    s1 = {(min(u, v), max(u, v)) for u, v in m1}
+    s2 = {(min(u, v), max(u, v)) for u, v in m2}
+    shared = s1 & s2
+    d1 = s1 - shared
+    d2 = s2 - shared
+    adj: dict = {}
+    for u, v in d1 | d2:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    covered2 = {x for e in s2 for x in e}
+    need_a = set(need_a)
+    first: set = set()
+    seen: set = set()
+    for start in adj:
+        if start in seen:
+            continue
+        comp, stack = [], [start]
+        seen.add(start)
+        while stack:
+            x = stack.pop()
+            comp.append(x)
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if any(x in need_a and x not in covered2 for x in comp):
+            first.update(comp)
+    out = shared | {e for e in d1 if e[0] in first}
+    out |= {e for e in d2 if e[0] not in first}
+    covered = [x for e in out for x in e]
+    if len(covered) != len(set(covered)):
+        raise ValueError("combination not a matching")
+    if (need_a | set(need_b)) - set(covered):
+        raise ValueError("combination dropped required vertices")
+    return out
+
+
 def brute_deficiency(g: BipartiteGraph, side: int) -> int:
     """max over all F of |F| - |N(F)|, every subset, no connectivity."""
     vs = g.side_vertices(side)

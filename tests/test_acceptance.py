@@ -131,13 +131,16 @@ def test_criterion_3_interior_expansion_exhaustive(capsys):
         s2 = square_set(standard_generators())
         w = expand_window("f2", "", standard_generators(), 12, 4)
         dg = build_doubling(w, s2, 3)
-        reads, _ = record_oracle_calls(dg)
-        rep = interior_expansion_audit(dg, s2, size_cap=6)
+        reads, g2_reads = record_oracle_calls(dg)
+        # at cap 6 every singleton already meets ratio * cap and no set grows
+        rep = interior_expansion_audit(dg, s2, size_cap=9)
         assert rep.satisfied
         assert rep.witness is None
         # every interior vid of both sides was looked at: no vacuous pass
         interior, n = w.interior_indices(), w.n_points()
         assert sorted(reads) == interior + [c * n + i for c in (1, 2) for i in interior]
+        # and sets grew along G^2
+        assert g2_reads
         assert time.monotonic() - t0 <= 120
 
 

@@ -1,6 +1,9 @@
+import json
 import random
 
 import pytest
+
+from paradecomp import cli
 
 from paradecomp.actions import (
     build_doubling,
@@ -134,6 +137,40 @@ def test_sphere_window_is_free_copy_of_f2():
     assert ws.n_points() == wf.n_points()
     assert ws.words == wf.words
     assert len(set(ws.coords)) == ws.n_points()
+
+
+# a certified base away from the default: no generator fixes it, and the
+# radius-8 ball around it has distinct points
+OTHER_BASE = (3, 0, 4, 1)
+
+
+@pytest.mark.parametrize("base", [BASE_POINT, OTHER_BASE], ids=["default", "other"])
+def test_letter_tables_agree_with_the_rotations(base):
+    # the tables move points by word; the rotations move their coordinates
+    s = standard_generators()
+    for gens, reach in ((s, None), (square_set(s), 2)):
+        w = expand_window("sphere", base, s, 8, 4, reach)
+        index = {p: i for i, p in enumerate(w.coords)}
+        assert len(index) == w.n_points()
+        for gamma in gens.nonidentity():
+            rot = word_rotation(gamma)
+            for i, p in enumerate(w.coords):
+                assert w.apply(gamma, i) == index.get(apply_to_point(rot, p))
+
+
+@pytest.mark.parametrize("base", [None, "3,0,4,1"])
+@pytest.mark.parametrize("radius", [8, 10])
+def test_sphere_pieces_and_certificate_are_those_of_f2(capsys, base, radius):
+    flags = ["--radius", str(radius), "--margin", "4"]
+    sphere = ["paradox", "--kind", "sphere", *flags]
+    if base is not None:
+        sphere += ["--base", base]
+    got = []
+    for argv in (sphere, ["paradox", "--kind", "f2", *flags]):
+        assert cli.main(argv) == 0
+        got.append(json.loads(capsys.readouterr().out))
+    for key in ("pieces", "certificate", "boundary"):
+        assert got[0][key] == got[1][key], key
 
 
 def test_sphere_window_rejects_fixed_base():
