@@ -348,9 +348,7 @@ def cmd_transfer(args):
     res = transfer_matching(tr, pairs, args.n)
     payload = {
         "schema": _schema("transfer"),
-        "n": args.n,
-        "matching": sorted([x, y] for x, y in res.matching.items()),
-        "excluded": sorted(res.excluded),
+        **res.as_obj(),
         "directions": sorted([x, d] for x, d in res.directions(tr).items()),
     }
     return payload, 0

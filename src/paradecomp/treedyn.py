@@ -28,7 +28,6 @@ from .graphs import (
     bfs_distances,
     bipartite_graph,
     components,
-    distances_from,
     greedy_net,
     validate_matching,
 )
@@ -37,17 +36,17 @@ from .graphs import (
 class OrientedTwoRegular:
     """Window of a 2-regular acyclic graph with each component ordered.
 
-    Components of such a window are simple paths.  Each is walked away from
-    its least endpoint, so succ/pred realize the component linear order and
-    pos gives the rank within the component.
+    Components of such a window are simple paths.  paths maps each
+    component's least endpoint to the component walked from that endpoint,
+    so a path lists its vertices in the component's linear order; pos gives a
+    vertex's rank along its path and comp the key of that path.
     """
 
-    __slots__ = ("graph", "succ", "pred", "pos", "comp")
+    __slots__ = ("graph", "paths", "pos", "comp")
 
-    def __init__(self, graph, succ, pred, pos, comp):
+    def __init__(self, graph, paths, pos, comp):
         self.graph = graph
-        self.succ = succ
-        self.pred = pred
+        self.paths = paths
         self.pos = pos
         self.comp = comp
 
@@ -58,36 +57,23 @@ class OrientedTwoRegular:
                 raise HypothesisFailedError(
                     "degree above 2 in a 2-regular window", vertex=v
                 )
-        succ: dict = {}
-        pred: dict = {}
+        paths: dict = {}
         pos: dict = {}
         comp: dict = {}
         for members in components(g.adj.__getitem__, g.ids):
-            ends = sorted(v for v in members if g.degree(v) <= 1)
+            ends = [v for v in members if g.degree(v) <= 1]
             if not ends:
                 raise HypothesisFailedError(
                     "cycle inside a 2-regular window",
                     component=sorted(members)[:8],
                 )
-            root = ends[0]
-            v, prev, k = root, None, 0
-            while True:
+            root = min(ends)
+            # a breadth-first search from an endpoint walks the path in order
+            path = paths[root] = list(bfs_distances(g.adj.__getitem__, (root,)))
+            for k, v in enumerate(path):
                 pos[v] = k
                 comp[v] = root
-                step = [w for w in g.adj[v] if w != prev]
-                if not step:
-                    break
-                succ[v] = step[0]
-                pred[step[0]] = v
-                prev, v = v, step[0]
-                k += 1
-        return cls(g, succ, pred, pos, comp)
-
-    def component_members(self):
-        out: dict = {}
-        for v, root in self.comp.items():
-            out.setdefault(root, []).append(v)
-        return {root: sorted(vs, key=self.pos.get) for root, vs in out.items()}
+        return cls(g, paths, pos, comp)
 
 
 def odd_path_graph(g, n: int) -> BipartiteGraph:
@@ -96,25 +82,29 @@ def odd_path_graph(g, n: int) -> BipartiteGraph:
         raise ValueError("n must be >= 1")
     tr = g if isinstance(g, OrientedTwoRegular) else OrientedTwoRegular.from_graph(g)
     base = tr.graph
-    edges = []
-    for seq in tr.component_members().values():
-        for i, u in enumerate(seq):
-            for d in range(1, 2 * n, 2):
-                if i + d < len(seq):
-                    edges.append((u, seq[i + d]))
+    edges = [
+        (u, v)
+        for path in tr.paths.values()
+        for i, u in enumerate(path)
+        for v in path[i + 1 : i + 2 * n : 2]
+    ]
     return bipartite_graph(base.side_vertices(0), base.side_vertices(1), edges)
 
 
 def majority_ball(tr: OrientedTwoRegular, x, n: int) -> tuple:
-    """D_n(x): the side-0 vertices within distance 2n-2 of x; always 2n-1 many."""
+    """D_n(x): the side-0 vertices within distance 2n-2 of x; always 2n-1 many.
+
+    Sides alternate along a path, so these are the vertices at even offsets
+    of at most 2n-2 from x, listed in path order.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     base = tr.graph
     base.require_vertex(x)
     if base.side_of[x] != 0:
         raise ValueError("majority ball is anchored at a side-0 vertex")
-    dist = distances_from(base, x, bound=2 * n - 2)
-    ball = sorted(v for v in dist if base.side_of[v] == 0)
+    k, r = tr.pos[x], 2 * n - 2
+    ball = tr.paths[tr.comp[x]][max(k - r, k % 2) : k + r + 1 : 2]
     if len(ball) != 2 * n - 1:
         raise BallTruncatedError(
             "majority ball leaves the window", center=x, n=n, found=len(ball)
@@ -168,9 +158,11 @@ def transfer_matching(tr: OrientedTwoRegular, m_n, n: int) -> TransferResult:
             excluded.append(x)
             continue
         below = sum(1 for y in ball if tr.pos[partner[y]] < tr.pos[x])
-        y = tr.pred.get(x) if below >= n else tr.succ.get(x)
-        if y is None:
+        path = tr.paths[tr.comp[x]]
+        k = tr.pos[x] - 1 if below >= n else tr.pos[x] + 1
+        if not 0 <= k < len(path):
             raise InvariantError("complete ball but missing neighbor", vertex=x)
+        y = path[k]
         if y in taken:
             raise InvalidMatchingError(
                 "transfer demanded the same partner twice",
@@ -191,30 +183,28 @@ class TripleFunctionSystem:
     interior: tuple  # bool per point
     labels: tuple | None = None
 
-    def predecessors(self) -> dict:
-        """point -> (map index, source); single-valued by range disjointness."""
-        pred: dict = {}
-        for i, f in enumerate(self.maps):
-            for x, y in f.items():
-                if y in pred:
-                    raise HypothesisFailedError(
-                        "ranges overlap", point=y, maps=[pred[y][0], i]
-                    )
-                pred[y] = (i, x)
-        return pred
-
     def validate(self, require_interior_coverage: bool = True) -> dict:
+        """Check the hypotheses; return point -> (map index, its preimage).
+
+        One pass checks that every entry lies in the window and that no point
+        is an image twice: twice in one map means the map is not injective,
+        in two maps that their ranges overlap.
+        """
         if len(self.maps) != 3:
             raise ValueError("exactly three maps expected")
+        pred: dict = {}
         for i, f in enumerate(self.maps):
             for x, y in f.items():
                 if not (0 <= x < self.n_points and 0 <= y < self.n_points):
                     raise HypothesisFailedError(
                         "map entry outside the window", index=i, entry=[x, y]
                     )
-            if len(set(f.values())) != len(f):
-                raise HypothesisFailedError("map not injective", index=i)
-        pred = self.predecessors()
+                if y in pred:
+                    j = pred[y][0]
+                    if j == i:
+                        raise HypothesisFailedError("map not injective", index=i)
+                    raise HypothesisFailedError("ranges overlap", point=y, maps=[j, i])
+                pred[y] = (i, x)
         if require_interior_coverage:
             for p in range(self.n_points):
                 if self.interior[p] and p not in pred:
@@ -275,9 +265,6 @@ class ForestWindow:
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
 
-    def is_interior(self, i: int) -> bool:
-        return self.interior[i]
-
     def to_obj(self) -> dict:
         return {
             "n_points": self.n_points(),
@@ -297,7 +284,11 @@ class ForestWindow:
 
 
 def forest_from_obj(obj) -> ForestWindow:
-    """Parse the forest interchange dict, naming the offending field on bad input."""
+    """Parse the forest interchange dict, naming the offending field on bad input.
+
+    The edges must form a forest: a self-loop or an edge list that closes a
+    cycle is refused like any other malformed field.
+    """
     if not isinstance(obj, dict):
         raise ForestFormatError("top level must be an object")
     for key in ("n_points", "edges", "interior", "present", "depth", "radius"):
@@ -331,9 +322,11 @@ def forest_from_obj(obj) -> ForestWindow:
             raise ForestFormatError(
                 f"edge [{u}, {v}]: endpoint outside 0..{n - 1}", edge=[u, v]
             )
+        if u == v:
+            raise ForestFormatError(f"edge [{u}, {v}]: self-loop", edge=[u, v])
         nbrs[u].add(v)
         nbrs[v].add(u)
-    return ForestWindow(
+    fw = ForestWindow(
         adjacency=tuple(tuple(sorted(s)) for s in nbrs),
         interior=tuple(bool(b) for b in obj["interior"]),
         present=tuple(bool(b) for b in obj["present"]),
@@ -342,9 +335,12 @@ def forest_from_obj(obj) -> ForestWindow:
         labels=tuple(labels) if labels is not None else None,
         stats=dict(stats),
     )
+    if not forest_is_acyclic(fw):
+        raise ForestFormatError("edges: the edge list closes a cycle")
+    return fw
 
 
-def _steal(edges: set, start, first, ray, g0):
+def _steal(nbrs: dict, start, first, ray, g0):
     """Move each subtree hanging by a g0 edge one step down an injective ray.
 
     Adds {z, g0(z')} and removes {z', g0(z')} along consecutive ray points
@@ -357,8 +353,10 @@ def _steal(edges: set, start, first, ray, g0):
         tgt = g0.get(nxt)
         if tgt is None or tgt == z:
             break
-        edges.discard(frozenset((nxt, tgt)))
-        edges.add(frozenset((z, tgt)))
+        nbrs[nxt].discard(tgt)
+        nbrs[tgt].discard(nxt)
+        nbrs[z].add(tgt)
+        nbrs[tgt].add(z)
         z, nxt = nxt, ray.get(nxt)
 
 
@@ -379,7 +377,9 @@ def forest_from_paradox(ts: TripleFunctionSystem) -> ForestWindow:
     step moving one hanging subtree a step closer.  Shifting along every ray
     off the cycle would overshoot (cycle vertices would end up with five
     edges and the cycle itself would survive); the two endpoint rays are
-    exactly enough for 4-regularity away from the boundary.
+    exactly enough for 4-regularity away from the boundary.  The surgery
+    edits the graph's neighbour sets in place; a kept point's final set is
+    its adjacency.
 
     Interior coverage is not required here: a relaxed synthetic system may
     have a chain dying at an interior point, which certifies the component
@@ -387,7 +387,6 @@ def forest_from_paradox(ts: TripleFunctionSystem) -> ForestWindow:
     """
     pred = ts.validate(require_interior_coverage=False)
     n = ts.n_points
-    edges: set = set()
     # only the points the maps touch (keys and values) can carry an edge or a
     # predecessor; every other window point is an isolated component
     nbrs: dict = {}
@@ -395,18 +394,19 @@ def forest_from_paradox(ts: TripleFunctionSystem) -> ForestWindow:
         for x, y in f.items():
             nx, ny = nbrs.setdefault(x, set()), nbrs.setdefault(y, set())
             if x != y:
-                edges.add(frozenset((x, y)))
                 nx.add(y)
                 ny.add(x)
 
-    isolated = n - len(nbrs)
-    comps = list(components(nbrs.__getitem__, nbrs))
-
-    kept = [True] * len(comps)
+    adjacency = [()] * n
+    interior = [False] * n
+    present = [False] * n
+    roots = []
     cycle_hist: dict = {}
-    truncated = 0
-    free_components = 0
-    for ci, members in enumerate(comps):
+    n_comps = truncated = free_components = 0
+    # surgery edits only the sets of the component at hand, so the labeller
+    # still meets every later component as the maps built it
+    for members in components(nbrs.__getitem__, nbrs):
+        n_comps += 1
         start = members[0]
         chain = [start]
         index = {start: 0}
@@ -414,11 +414,6 @@ def forest_from_paradox(ts: TripleFunctionSystem) -> ForestWindow:
         while True:
             p = pred.get(chain[-1])
             if p is None:
-                if ts.interior[chain[-1]]:
-                    free_components += 1
-                else:
-                    kept[ci] = False
-                    truncated += 1
                 break
             x = p[1]
             j = index.get(x)
@@ -429,58 +424,51 @@ def forest_from_paradox(ts: TripleFunctionSystem) -> ForestWindow:
             index[x] = len(chain)
             chain.append(x)
         if cyc is None:
-            continue
-        k = cyc.index(min(cyc))
-        cyc = cyc[k:] + cyc[:k]
-        cycle_hist[len(cyc)] = cycle_hist.get(len(cyc), 0) + 1
-
-        succ_in_cycle = {cyc[t]: cyc[(t + 1) % len(cyc)] for t in range(len(cyc))}
-        rot = {}
-        for x, y in succ_in_cycle.items():
-            for j in range(3):
-                if ts.maps[j].get(x) == y:
-                    rot[x] = j
-                    break
-            else:
-                raise InvariantError("cycle edge not realized by any map", edge=[x, y])
-
-        def g_at(x, offset):
-            return ts.maps[(rot[x] + offset) % 3].get(x)
-
-        if len(cyc) == 1:
-            x0 = cyc[0]
-            _steal(edges, x0, g_at(x0, 1), ts.maps[1], ts.maps[0])
-            _steal(edges, x0, g_at(x0, 2), ts.maps[2], ts.maps[0])
-        elif len(cyc) == 2:
-            x0, x1 = cyc
-            _steal(edges, x0, g_at(x0, 1), ts.maps[1], ts.maps[0])
-            _steal(edges, x1, g_at(x1, 1), ts.maps[1], ts.maps[0])
+            if not ts.interior[chain[-1]]:
+                truncated += 1
+                continue
+            free_components += 1
         else:
-            x0, xn = cyc[0], cyc[-1]
-            edges.discard(frozenset((xn, x0)))
-            _steal(edges, xn, g_at(xn, 1), ts.maps[1], ts.maps[0])
-            _steal(edges, x0, g_at(x0, 1), ts.maps[1], ts.maps[0])
+            k = cyc.index(min(cyc))
+            cyc = cyc[k:] + cyc[:k]
+            cycle_hist[len(cyc)] = cycle_hist.get(len(cyc), 0) + 1
+            rot = {}
+            for t, x in enumerate(cyc):
+                y = cyc[(t + 1) % len(cyc)]
+                for j in range(3):
+                    if ts.maps[j].get(x) == y:
+                        rot[x] = j
+                        break
+                else:
+                    raise InvariantError(
+                        "cycle edge not realized by any map", edge=[x, y]
+                    )
 
-    present = [False] * n
-    interior = [False] * n
-    for ci, members in enumerate(comps):
-        if kept[ci]:
-            for p in members:
-                present[p] = True
-                interior[p] = bool(ts.interior[p])
-    final: dict = {}
-    for e in edges:
-        u, v = e
-        if present[u] and present[v]:
-            final.setdefault(u, set()).add(v)
-            final.setdefault(v, set()).add(u)
-    adjacency = [()] * n
-    for p, got in final.items():
-        adjacency[p] = tuple(sorted(got))
+            def g_at(x, offset):
+                return ts.maps[(rot[x] + offset) % 3].get(x)
+
+            if len(cyc) == 1:
+                x0 = cyc[0]
+                _steal(nbrs, x0, g_at(x0, 1), ts.maps[1], ts.maps[0])
+                _steal(nbrs, x0, g_at(x0, 2), ts.maps[2], ts.maps[0])
+            elif len(cyc) == 2:
+                x0, x1 = cyc
+                _steal(nbrs, x0, g_at(x0, 1), ts.maps[1], ts.maps[0])
+                _steal(nbrs, x1, g_at(x1, 1), ts.maps[1], ts.maps[0])
+            else:
+                x0, xn = cyc[0], cyc[-1]
+                nbrs[xn].discard(x0)
+                nbrs[x0].discard(xn)
+                _steal(nbrs, xn, g_at(xn, 1), ts.maps[1], ts.maps[0])
+                _steal(nbrs, x0, g_at(x0, 1), ts.maps[1], ts.maps[0])
+        roots.append(start)
+        for p in members:
+            present[p] = True
+            interior[p] = bool(ts.interior[p])
+            adjacency[p] = tuple(sorted(nbrs[p]))
 
     # surgery keeps every edge inside its component, so one search from all
     # kept roots gives each point its depth below its own root
-    roots = [members[0] for ci, members in enumerate(comps) if kept[ci]]
     depth = [-1] * n
     below = bfs_distances(adjacency.__getitem__, roots)
     for p, d in below.items():
@@ -494,10 +482,10 @@ def forest_from_paradox(ts: TripleFunctionSystem) -> ForestWindow:
         radius=max(below.values(), default=0),
         labels=ts.labels,
         stats={
-            "components": len(comps) + isolated,
-            "kept": sum(kept),
+            "components": n_comps + n - len(nbrs),
+            "kept": len(roots),
             "truncated": truncated,
-            "isolated": isolated,
+            "isolated": n - len(nbrs),
             "cycle_free": free_components,
             "cycles": {str(k): v for k, v in sorted(cycle_hist.items())},
         },
@@ -566,24 +554,29 @@ class F2ActionResult:
 
 
 def _stage_audit(forest: ForestWindow, domain: set, stage: int) -> dict:
-    """Measure the stage conditions: local connectivity and G^{<=8} diameters."""
+    """Measure the stage conditions: local connectivity and G^{<=8} diameters.
+
+    One radius-8 search per domain point serves both: the domain points on
+    its levels up to 4 must lie in the point's own piece of the domain, and
+    those of the whole ball are the point's G^{<=8} neighbours.
+    """
     adjacency = forest.adjacency
     pieces = components(lambda u: [y for y in adjacency[u] if y in domain], domain)
     comp = {y: members[0] for members in pieces for y in members}
+    g8: dict = {}
     for x in sorted(domain):
-        for y in bfs_distances(adjacency.__getitem__, (x,), 4):
-            if y in domain and comp[y] != comp[x]:
+        near = []
+        for y, d in bfs_distances(adjacency.__getitem__, (x,), 8).items():
+            if y == x or y not in domain:
+                continue
+            if d <= 4 and comp[y] != comp[x]:
                 raise HypothesisFailedError(
                     "domain points within distance 4 in separate pieces",
                     stage=stage,
                     pair=[x, y],
                 )
-    # G^{<=8} restricted to the domain
-    g8: dict = {x: set() for x in domain}
-    for x in sorted(domain):
-        for y in bfs_distances(adjacency.__getitem__, (x,), 8):
-            if y != x and y in domain:
-                g8[x].add(y)
+            near.append(y)
+        g8[x] = near
     # a search never leaves its start's component, so the largest
     # eccentricity over the domain is the largest component diameter
     max_diam = max(

@@ -3,7 +3,7 @@
 Everything here is deliberately naive: exponential subset scans, Kuhn's
 augmenting paths, recursive Hopcroft-Karp, repeated-scan word reduction,
 breadth-first window expansion, one full ball per layered vertex, full
-copy x point scans of a doubling graph.
+copy x point scans of a doubling graph, cycle surgery on a set of edges.
 Slow is fine; these run on small instances only and must share no code
 with the package internals they check.
 """
@@ -14,6 +14,7 @@ from itertools import combinations
 
 from paradecomp.graphs import BipartiteGraph, bipartite_graph
 from paradecomp.rotations import apply_to_point, word_rotation
+from paradecomp.treedyn import ForestWindow
 from paradecomp.words import mul, reduce_word, word_key
 
 
@@ -459,3 +460,144 @@ def bfs_window(kind, base, moves, radius: int):
     dist = tuple(dist_of[p] for p in pts)
     coords = None if kind == "f2" else tuple(pts)
     return words, dist, coords, pts.index(start)
+
+
+def bfs_majority_ball(g: BipartiteGraph, x, n: int) -> list:
+    """Sorted side-0 vertices within distance 2n-2 of x, by a plain BFS.
+
+    The majority ball D_n(x) when it has 2n-1 members; fewer mean the ball
+    leaves the window.
+    """
+    dist = {x: 0}
+    frontier = [x]
+    for d in range(1, 2 * n - 1):
+        nxt = []
+        for u in frontier:
+            for v in g.adj[u]:
+                if v not in dist:
+                    dist[v] = d
+                    nxt.append(v)
+        frontier = nxt
+    return sorted(v for v in dist if g.side_of[v] == 0)
+
+
+def edge_set_forest_from_paradox(ts) -> ForestWindow:
+    """Cycle surgery on a set of frozenset edges, kept apart from the graph.
+
+    Same resolution as the package: each component is walked back along the
+    unique predecessors from its least point, dropped when the walk dies at
+    a non-interior point, and a cycle is relabelled along the first map, cut
+    before its least vertex and its deficit pushed down the two endpoint
+    rays.  Only edges with both ends kept survive.
+    """
+    n = ts.n_points
+    maps = ts.maps
+    pred = {}
+    for i, f in enumerate(maps):
+        for x, y in f.items():
+            if y in pred:
+                raise ValueError(f"{y} is an image twice")
+            pred[y] = (i, x)
+    edges = set()
+    touched = set()
+    for f in maps:
+        for x, y in f.items():
+            touched.update((x, y))
+            if x != y:
+                edges.add(frozenset((x, y)))
+    nbrs = {p: [] for p in touched}
+    for e in edges:
+        u, v = e
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    comps = []
+    seen = set()
+    for p in sorted(touched):
+        if p not in seen:
+            members = sorted(bfs_distances(nbrs, p))
+            seen.update(members)
+            comps.append(members)
+
+    def steal(start, first, ray):
+        z, nxt = start, first
+        while nxt is not None:
+            tgt = maps[0].get(nxt)
+            if tgt is None or tgt == z:
+                break
+            edges.discard(frozenset((nxt, tgt)))
+            edges.add(frozenset((z, tgt)))
+            z, nxt = nxt, ray.get(nxt)
+
+    kept = []
+    hist = {}
+    truncated = cycle_free = 0
+    for members in comps:
+        chain = [members[0]]
+        cyc = None
+        while chain[-1] in pred:
+            x = pred[chain[-1]][1]
+            if x in chain:
+                cyc = list(reversed(chain[chain.index(x):]))
+                break
+            chain.append(x)
+        if cyc is None:
+            if ts.interior[chain[-1]]:
+                cycle_free += 1
+                kept.append(members)
+            else:
+                truncated += 1
+            continue
+        kept.append(members)
+        k = cyc.index(min(cyc))
+        cyc = cyc[k:] + cyc[:k]
+        hist[len(cyc)] = hist.get(len(cyc), 0) + 1
+        rot = {}
+        for t, x in enumerate(cyc):
+            rot[x] = next(
+                j for j in range(3) if maps[j].get(x) == cyc[(t + 1) % len(cyc)]
+            )
+
+        def g_at(x, offset):
+            return maps[(rot[x] + offset) % 3].get(x)
+
+        if len(cyc) == 1:
+            steal(cyc[0], g_at(cyc[0], 1), maps[1])
+            steal(cyc[0], g_at(cyc[0], 2), maps[2])
+        elif len(cyc) == 2:
+            steal(cyc[0], g_at(cyc[0], 1), maps[1])
+            steal(cyc[1], g_at(cyc[1], 1), maps[1])
+        else:
+            edges.discard(frozenset((cyc[-1], cyc[0])))
+            steal(cyc[-1], g_at(cyc[-1], 1), maps[1])
+            steal(cyc[0], g_at(cyc[0], 1), maps[1])
+
+    present = [False] * n
+    for members in kept:
+        for p in members:
+            present[p] = True
+    adj = {p: set() for p in range(n)}
+    for e in edges:
+        u, v = e
+        if present[u] and present[v]:
+            adj[u].add(v)
+            adj[v].add(u)
+    depth = [-1] * n
+    for members in kept:
+        for p, d in bfs_distances(adj, members[0]).items():
+            depth[p] = d
+    return ForestWindow(
+        adjacency=tuple(tuple(sorted(adj[p])) for p in range(n)),
+        interior=tuple(present[p] and bool(ts.interior[p]) for p in range(n)),
+        present=tuple(present),
+        depth=tuple(depth),
+        radius=max([0] + depth),
+        labels=ts.labels,
+        stats={
+            "components": len(comps) + n - len(touched),
+            "kept": len(kept),
+            "truncated": truncated,
+            "isolated": n - len(touched),
+            "cycle_free": cycle_free,
+            "cycles": {str(k): v for k, v in sorted(hist.items())},
+        },
+    )

@@ -333,6 +333,9 @@ def test_f2action_edge_outside_points_exits_one(capsys, tmp_path):
         (lambda fobj: fobj.pop("radius"), "radius"),
         (lambda fobj: fobj.update(n_points=1.5), "n_points"),
         (lambda fobj: fobj["depth"].pop(), "depth"),
+        (lambda fobj: fobj["edges"].append([3, 3]), "self-loop"),
+        # the spine runs 0 - 1 - 2, so [0, 2] closes a triangle
+        (lambda fobj: fobj["edges"].append([0, 2]), "cycle"),
     ],
     ids=[
         "empty_object",
@@ -340,6 +343,8 @@ def test_f2action_edge_outside_points_exits_one(capsys, tmp_path):
         "missing_radius",
         "non_integer_n_points",
         "short_depth",
+        "self_loop",
+        "cycle",
     ],
 )
 def test_f2action_malformed_forest_exits_one(capsys, tmp_path, breakage, named):
@@ -351,6 +356,31 @@ def test_f2action_malformed_forest_exits_one(capsys, tmp_path, breakage, named):
     assert code == 1
     assert obj["error"] == "BAD_FOREST"
     assert named in obj["message"]
+
+
+def test_f2action_refuses_a_torus(capsys, tmp_path):
+    # C_300 x C_3 is 4-regular without a self-loop; read as a forest, its
+    # cycles used to reach the freeness check and exit 3
+    n = 300 * 3
+    edges = []
+    for i in range(300):
+        for j in range(3):
+            edges.append([3 * i + j, 3 * ((i + 1) % 300) + j])
+            edges.append([3 * i + j, 3 * i + (j + 1) % 3])
+    fobj = {
+        "n_points": n,
+        "edges": edges,
+        "interior": [1] * n,
+        "present": [1] * n,
+        "depth": [0] * n,
+        "radius": 150,
+    }
+    src = tmp_path / "torus.json"
+    src.write_text(json.dumps(fobj))
+    code, obj = run(capsys, ["f2action", "--from", str(src), "--stages", "1"])
+    assert code == 1
+    assert obj["error"] == "BAD_FOREST"
+    assert "cycle" in obj["message"]
 
 
 SPHERE_WINDOW = {"kind": "sphere", "radius": 6, "margin": 2, "base": [0, 1, 0, 0]}

@@ -54,13 +54,13 @@ def documents(reader):
 PATH_GRAPH = json.dumps(graph_to_obj(line_window(8)))
 
 
-def run_on(reader, doc):
+def run_on(reader, doc, stages=1):
     # the files live in memory: the run reads the same text, skipping the disk
     files = {"doc.json": json.dumps(doc), "path.json": PATH_GRAPH}
     argv = {
         "graph": ["hall-check", "doc.json"],
         "pieces": ["verify", "--pieces", "doc.json", "--kind", "f2", "--radius", "3"],
-        "forest": ["f2action", "--from", "doc.json", "--stages", "1"],
+        "forest": ["f2action", "--from", "doc.json", "--stages", str(stages)],
         "matching": [
             "transfer", "--graph", "path.json", "--gn-matching", "doc.json", "--n", "2"
         ],
@@ -122,6 +122,57 @@ def test_pieces_reader_fuzz(doc):
 @given(documents("forest"))
 def test_forest_reader_fuzz(doc):
     run_on("forest", doc)
+
+
+def _forest_doc(n):
+    def lists_of(values):
+        return st.lists(values, min_size=n, max_size=n)
+
+    return st.fixed_dictionaries(
+        {
+            "n_points": st.just(n),
+            "edges": st.lists(
+                st.lists(st.integers(0, n - 1), min_size=2, max_size=2), max_size=10
+            ),
+            "interior": lists_of(st.booleans()),
+            "present": lists_of(st.booleans()),
+            "depth": lists_of(st.integers(-1, 3)),
+            "radius": st.integers(0, 200),
+        }
+    )
+
+
+# well-shaped forests whose edges may hold self-loops and cycles, with radius
+# up to 200 so that both stages of the action can run
+forest_shaped = st.integers(1, 6).flatmap(_forest_doc)
+
+
+def closes_a_loop(n, edges) -> bool:
+    """A self-loop, or a cycle left after stripping leaves one at a time."""
+    if any(u == v for u, v in edges):
+        return True
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    leaves = [v for v in range(n) if len(nbrs[v]) == 1]
+    while leaves:
+        v = leaves.pop()
+        for w in nbrs[v]:
+            nbrs[w].discard(v)
+            if len(nbrs[w]) == 1:
+                leaves.append(w)
+        nbrs[v].clear()
+    return any(nbrs)
+
+
+@FUZZ
+@given(forest_shaped, st.integers(0, 1))
+def test_forest_reader_refuses_exactly_loops_and_cycles(doc, stages):
+    obj = run_on("forest", doc, stages)
+    assert (obj.get("error") == "BAD_FOREST") == closes_a_loop(
+        doc["n_points"], doc["edges"]
+    )
 
 
 @FUZZ

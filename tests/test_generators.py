@@ -63,9 +63,8 @@ def test_random_path_window_is_a_single_even_path():
         assert n % 2 == 0
         assert 32 <= n <= 60
         tr = OrientedTwoRegular.from_graph(g)
-        members = tr.component_members()
-        assert len(members) == 1
-        (seq,) = members.values()
+        assert len(tr.paths) == 1
+        (seq,) = tr.paths.values()
         assert len(seq) == n
         assert all(v < 500 for v in g.ids)
 

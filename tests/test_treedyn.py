@@ -41,18 +41,20 @@ from paradecomp.treedyn import (
 )
 from paradecomp.words import inv, mul
 
-from oracles import all_perfect_matchings
+from oracles import (
+    all_perfect_matchings,
+    bfs_majority_ball,
+    edge_set_forest_from_paradox,
+)
 
 
 def test_orientation_walks_from_least_endpoint():
     g = line_window(8)
     tr = OrientedTwoRegular.from_graph(g)
-    assert tr.component_members() == {0: list(range(8))}
+    assert tr.paths == {0: list(range(8))}
     for v in range(8):
         assert tr.pos[v] == v
         assert tr.comp[v] == 0
-    assert all(tr.succ[v] == v + 1 for v in range(7))
-    assert all(tr.pred[v + 1] == v for v in range(7))
 
 
 def test_orientation_separates_components():
@@ -61,8 +63,7 @@ def test_orientation_separates_components():
         [(0, 1), (1, 2), (2, 3), (10, 11), (11, 12), (12, 13)],
     )
     tr = OrientedTwoRegular.from_graph(g)
-    members = tr.component_members()
-    assert members == {0: [0, 1, 2, 3], 10: [10, 11, 12, 13]}
+    assert tr.paths == {0: [0, 1, 2, 3], 10: [10, 11, 12, 13]}
     assert tr.pos[12] == 2
 
 
@@ -103,6 +104,29 @@ def test_majority_ball_is_centered_and_sized():
         majority_ball(tr, 0, 2)
     with pytest.raises(ValueError):
         majority_ball(tr, 11, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_majority_ball_agrees_with_bfs_oracle(n):
+    rng = random.Random(n)
+    graphs = [line_window(k) for k in (1, 2, 7, 16)]
+    # an odd path with side-1 endpoints: side-0 ranks are odd along it
+    odd = [(v, v + 1) for v in range(6)]
+    graphs.append(bipartite_graph([1, 3, 5], [0, 2, 4, 6], odd))
+    graphs += [random_path_window(rng, 3, 29, 200) for _ in range(6)]
+    truncated = 0
+    for g in graphs:
+        tr = OrientedTwoRegular.from_graph(g)
+        for x in g.side_vertices(0):
+            want = bfs_majority_ball(g, x, n)
+            if len(want) == 2 * n - 1:
+                assert sorted(majority_ball(tr, x, n)) == want
+                continue
+            truncated += 1
+            with pytest.raises(BallTruncatedError) as err:
+                majority_ball(tr, x, n)
+            assert err.value.details["found"] == len(want)
+    assert (truncated > 0) == (n > 1)
 
 
 def test_transfer_n1_returns_the_input():
@@ -178,7 +202,7 @@ def test_triple_system_reads_off_matching(quad_setup):
     for i, f in enumerate(ts.maps):
         for x, y in f.items():
             assert frozenset(((i + 1) * n + x, y)) in mset
-    pred = ts.predecessors()
+    pred = ts.validate()
     for p in w.interior_indices():
         assert p in pred
 
@@ -194,15 +218,15 @@ def test_predecessors_reject_range_overlap():
     ts = TripleFunctionSystem(
         maps=({0: 1}, {2: 1}, {}), n_points=3, interior=(False,) * 3
     )
-    with pytest.raises(HypothesisFailedError):
-        ts.predecessors()
+    with pytest.raises(HypothesisFailedError, match="ranges overlap"):
+        ts.validate(require_interior_coverage=False)
 
 
 def test_validate_rejects_non_injective_map():
     ts = TripleFunctionSystem(
         maps=({0: 2, 1: 2}, {}, {}), n_points=3, interior=(False,) * 3
     )
-    with pytest.raises(HypothesisFailedError):
+    with pytest.raises(HypothesisFailedError, match="map not injective"):
         ts.validate(require_interior_coverage=False)
 
 
@@ -259,6 +283,41 @@ def test_surgery_drops_components_with_outside_cycles():
     assert fw.stats["kept"] == 0
     assert not any(fw.present)
     assert all(fw.degree(v) == 0 for v in range(4))
+
+
+def _window_system(kind, base, radius):
+    s = standard_generators()
+    s2 = square_set(s)
+    w = expand_window(kind, base, s, radius, 4, s2.max_word_length())
+    dg = build_doubling(w, s2, 4)
+    return triple_system_from_matching(dg, interior_saturating_matching(dg))
+
+
+def test_surgery_agrees_with_edge_set_oracle_on_synthetic_systems():
+    systems = [
+        planted_cycle_system(cycle_len, 5, random.Random(seed))
+        for cycle_len in range(1, 7)
+        for seed in range(3)
+    ]
+    systems.append(source_tree_system(4))
+    systems.append(
+        TripleFunctionSystem(
+            maps=({0: 1, 1: 2}, {}, {}), n_points=4, interior=(False,) * 4
+        )
+    )
+    for ts in systems:
+        assert forest_from_paradox(ts) == edge_set_forest_from_paradox(ts)
+
+
+@pytest.mark.parametrize("radius", [6, 7, 8])
+@pytest.mark.parametrize(
+    "kind,base", [("f2", ""), ("f2", "ab"), ("f2", "Ba"), ("sphere", None)]
+)
+def test_surgery_agrees_with_edge_set_oracle_on_windows(kind, base, radius):
+    ts = _window_system(kind, base, radius)
+    fw = forest_from_paradox(ts)
+    assert fw == edge_set_forest_from_paradox(ts)
+    assert fw.stats["kept"] > 0
 
 
 @pytest.mark.parametrize("kind,radius", [("f2", 6), ("sphere", 5)])
