@@ -12,6 +12,7 @@ counted, never silently guessed.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import (
@@ -268,12 +269,12 @@ class ForestWindow:
     def to_obj(self) -> dict:
         return {
             "n_points": self.n_points(),
-            "edges": sorted(
+            "edges": [
                 [u, v]
                 for u in range(self.n_points())
                 for v in self.adjacency[u]
                 if u < v
-            ),
+            ],
             "interior": [int(b) for b in self.interior],
             "present": [int(b) for b in self.present],
             "depth": list(self.depth),
@@ -287,7 +288,12 @@ def forest_from_obj(obj) -> ForestWindow:
     """Parse the forest interchange dict, naming the offending field on bad input.
 
     The edges must form a forest: a self-loop or an edge list that closes a
-    cycle is refused like any other malformed field.
+    cycle is refused like any other malformed field.  One pass over the edges
+    checks each in list order, appends it to its endpoints' neighbour lists
+    and links their trees in a union-find.  An edge inside one tree is a
+    repeat when it is already listed (skipped) and closes a cycle otherwise;
+    the cycle is reported after the whole list is read, so a malformed later
+    edge is named first.
     """
     if not isinstance(obj, dict):
         raise ForestFormatError("top level must be an object")
@@ -311,7 +317,9 @@ def forest_from_obj(obj) -> ForestWindow:
     edges = obj["edges"]
     if not isinstance(edges, list):
         raise ForestFormatError("edges: expected a list")
-    nbrs = [set() for _ in range(n)]
+    nbrs = [[] for _ in range(n)]
+    root = list(range(n))
+    inner = []  # edges whose endpoints already shared a tree
     for i, e in enumerate(edges):
         if not isinstance(e, list) or len(e) != 2:
             raise ForestFormatError(f"edges[{i}]: expected a pair [u, v]")
@@ -324,20 +332,39 @@ def forest_from_obj(obj) -> ForestWindow:
             )
         if u == v:
             raise ForestFormatError(f"edge [{u}, {v}]: self-loop", edge=[u, v])
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    fw = ForestWindow(
-        adjacency=tuple(tuple(sorted(s)) for s in nbrs),
-        interior=tuple(bool(b) for b in obj["interior"]),
-        present=tuple(bool(b) for b in obj["present"]),
+        ru = u
+        while root[ru] != ru:
+            root[ru] = ru = root[root[ru]]
+        rv = v
+        while root[rv] != rv:
+            root[rv] = rv = root[root[rv]]
+        if ru == rv:
+            inner.append((u, v))
+            continue
+        if ru < rv:
+            root[rv] = ru
+        else:
+            root[ru] = rv
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    for ns in nbrs:
+        ns.sort()
+    # an edge is listed only when it joins two trees, so an inner edge that
+    # is not listed joins two points of one tree a second way
+    for u, v in inner:
+        ns = nbrs[u]
+        k = bisect_left(ns, v)
+        if k == len(ns) or ns[k] != v:
+            raise ForestFormatError("edges: the edge list closes a cycle")
+    return ForestWindow(
+        adjacency=tuple(map(tuple, nbrs)),
+        interior=tuple(map(bool, obj["interior"])),
+        present=tuple(map(bool, obj["present"])),
         depth=tuple(obj["depth"]),
         radius=obj["radius"],
         labels=tuple(labels) if labels is not None else None,
         stats=dict(stats),
     )
-    if not forest_is_acyclic(fw):
-        raise ForestFormatError("edges: the edge list closes a cycle")
-    return fw
 
 
 def _steal(nbrs: dict, start, first, ray, g0):
@@ -553,30 +580,51 @@ class F2ActionResult:
         }
 
 
-def _stage_audit(forest: ForestWindow, domain: set, stage: int) -> dict:
+def _stage_audit(forest: ForestWindow, domain: set, stage: int, near: dict) -> dict:
     """Measure the stage conditions: local connectivity and G^{<=8} diameters.
 
-    One radius-8 search per domain point serves both: the domain points on
-    its levels up to 4 must lie in the point's own piece of the domain, and
-    those of the whole ball are the point's G^{<=8} neighbours.
+    near maps each domain point searched so far to the domain points within
+    distance 8 of it, as (point, distance) pairs.  The domain only grows and
+    distance is symmetric, so the audit runs one radius-8 search per point
+    new to the domain: it lists the domain points met and adds the new point
+    to the lists of those searched before.  The pairs serve both conditions:
+    domain points within distance 4 must lie in one piece of the domain, and
+    the pairs are the edges of G^{<=8}.
     """
     adjacency = forest.adjacency
+    fresh = domain.difference(near)
+    for x in fresh:
+        near[x] = []
+    for x in fresh:
+        met = near[x]
+        for y, d in bfs_distances(adjacency.__getitem__, (x,), 8).items():
+            if y != x and y in domain:
+                met.append((y, d))
+                if y not in fresh:
+                    near[y].append((x, d))
     pieces = components(lambda u: [y for y in adjacency[u] if y in domain], domain)
     comp = {y: members[0] for members in pieces for y in members}
-    g8: dict = {}
-    for x in sorted(domain):
-        near = []
-        for y, d in bfs_distances(adjacency.__getitem__, (x,), 8).items():
-            if y == x or y not in domain:
-                continue
-            if d <= 4 and comp[y] != comp[x]:
-                raise HypothesisFailedError(
-                    "domain points within distance 4 in separate pieces",
-                    stage=stage,
-                    pair=[x, y],
-                )
-            near.append(y)
-        g8[x] = near
+    split = min(
+        (
+            x
+            for x, met in near.items()
+            if any(d <= 4 and comp[y] != comp[x] for y, d in met)
+        ),
+        default=None,
+    )
+    if split is not None:
+        # the least such point, paired with the first one its search reaches
+        y = next(
+            y
+            for y in bfs_distances(adjacency.__getitem__, (split,), 4)
+            if y in domain and comp[y] != comp[split]
+        )
+        raise HypothesisFailedError(
+            "domain points within distance 4 in separate pieces",
+            stage=stage,
+            pair=[split, y],
+        )
+    g8 = {x: [y for y, _ in met] for x, met in near.items()}
     # a search never leaves its start's component, so the largest
     # eccentricity over the domain is the largest component diameter
     max_diam = max(
@@ -620,18 +668,20 @@ def f2_action_from_forest(forest: ForestWindow, stages: int) -> F2ActionResult:
             required=need,
             stages=stages,
         )
-    n = forest.n_points()
+    adjacency = forest.adjacency
     eligible = [
         p
-        for p in range(n)
-        if forest.present[p] and forest.interior[p] and forest.degree(p) == 4
+        for p, (on, inner, nbrs) in enumerate(
+            zip(forest.present, forest.interior, adjacency)
+        )
+        if on and inner and len(nbrs) == 4
     ]
     elig_set = set(eligible)
-    adjacency = forest.adjacency
 
     maps = {i: {} for i in EXTENSION_ORDER}
     ran = {i: set() for i in EXTENSION_ORDER}
     domain: set = set()
+    near: dict = {}  # the audits' radius-8 searches, kept as the domain grows
     stages_out = []
     audits = []
 
@@ -722,7 +772,7 @@ def f2_action_from_forest(forest: ForestWindow, stages: int) -> F2ActionResult:
                 domain=frozenset(domain),
             )
         )
-        audits.append(_stage_audit(forest, domain, s_n))
+        audits.append(_stage_audit(forest, domain, s_n, near))
 
     return F2ActionResult(
         maps=maps,

@@ -3,7 +3,9 @@
 Everything here is deliberately naive: exponential subset scans, Kuhn's
 augmenting paths, recursive Hopcroft-Karp, repeated-scan word reduction,
 breadth-first window expansion, one full ball per layered vertex, full
-copy x point scans of a doubling graph, cycle surgery on a set of edges.
+copy x point scans of a doubling graph, cycle surgery on a set of edges,
+a forest reader on neighbour sets, a stage audit that searches every
+ball afresh.
 Slow is fine; these run on small instances only and must share no code
 with the package internals they check.
 """
@@ -14,6 +16,7 @@ from itertools import combinations
 
 from paradecomp.graphs import BipartiteGraph, bipartite_graph
 from paradecomp.rotations import apply_to_point, word_rotation
+from paradecomp.errors import ForestFormatError, HypothesisFailedError
 from paradecomp.treedyn import ForestWindow
 from paradecomp.words import mul, reduce_word, word_key
 
@@ -601,3 +604,117 @@ def edge_set_forest_from_paradox(ts) -> ForestWindow:
             "cycles": {str(k): v for k, v in sorted(hist.items())},
         },
     )
+
+
+def set_forest_from_obj(obj) -> ForestWindow:
+    """The forest reader on neighbour sets, with a separate acyclicity pass.
+
+    Same checks, messages and order as the package: the top-level fields,
+    then each edge in list order, and only after the whole list a cycle,
+    found by a search that meets a visited point other than its parent.
+    """
+    if not isinstance(obj, dict):
+        raise ForestFormatError("top level must be an object")
+    for key in ("n_points", "edges", "interior", "present", "depth", "radius"):
+        if key not in obj:
+            raise ForestFormatError(f"missing field: {key}")
+    n = obj["n_points"]
+    if type(n) is not int or n < 0:
+        raise ForestFormatError("n_points: expected a non-negative integer")
+    if type(obj["radius"]) is not int:
+        raise ForestFormatError("radius: expected an integer")
+    for key in ("interior", "present", "depth"):
+        if not isinstance(obj[key], list) or len(obj[key]) != n:
+            raise ForestFormatError(f"{key}: expected a list of n_points = {n} entries")
+    labels = obj.get("labels")
+    if labels is not None and (not isinstance(labels, list) or len(labels) != n):
+        raise ForestFormatError(f"labels: expected null or a list of {n} entries")
+    stats = obj.get("stats", {})
+    if not isinstance(stats, dict):
+        raise ForestFormatError("stats: expected an object")
+    edges = obj["edges"]
+    if not isinstance(edges, list):
+        raise ForestFormatError("edges: expected a list")
+    nbrs = [set() for _ in range(n)]
+    for i, e in enumerate(edges):
+        if not isinstance(e, list) or len(e) != 2:
+            raise ForestFormatError(f"edges[{i}]: expected a pair [u, v]")
+        u, v = e
+        if type(u) is not int or type(v) is not int:
+            raise ForestFormatError(f"edges[{i}]: endpoints must be integers")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ForestFormatError(
+                f"edge [{u}, {v}]: endpoint outside 0..{n - 1}", edge=[u, v]
+            )
+        if u == v:
+            raise ForestFormatError(f"edge [{u}, {v}]: self-loop", edge=[u, v])
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    parent = {}
+    for root in range(n):
+        if root in parent:
+            continue
+        parent[root] = None
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for w in nbrs[u]:
+                if w == parent[u]:
+                    continue
+                if w in parent:
+                    raise ForestFormatError("edges: the edge list closes a cycle")
+                parent[w] = u
+                queue.append(w)
+    return ForestWindow(
+        adjacency=tuple(tuple(sorted(s)) for s in nbrs),
+        interior=tuple(bool(b) for b in obj["interior"]),
+        present=tuple(bool(b) for b in obj["present"]),
+        depth=tuple(obj["depth"]),
+        radius=obj["radius"],
+        labels=tuple(labels) if labels is not None else None,
+        stats=dict(stats),
+    )
+
+
+def rescan_stage_audit(forest: ForestWindow, domain: set, stage: int) -> dict:
+    """The stage audit with a full search from every domain point.
+
+    Pieces are labelled by a search inside the domain; each ball is read in
+    search order, so a separation failure names the least point and the
+    first domain point of another piece that its search reaches.
+    """
+    adj = forest.adjacency
+    inside = {x: [y for y in adj[x] if y in domain] for x in domain}
+    piece = {}
+    for x in sorted(domain):
+        if x not in piece:
+            for y in bfs_distances(inside, x):
+                piece[y] = x
+    g8 = {}
+    for x in sorted(domain):
+        g8[x] = []
+        for y, d in bfs_distances(adj, x).items():
+            if y == x or y not in domain or d > 8:
+                continue
+            if d <= 4 and piece[y] != piece[x]:
+                raise HypothesisFailedError(
+                    "domain points within distance 4 in separate pieces",
+                    stage=stage,
+                    pair=[x, y],
+                )
+            g8[x].append(y)
+    diameter = max((max(bfs_distances(g8, a).values()) for a in domain), default=0)
+    bound = 4**stage
+    if diameter > bound:
+        raise HypothesisFailedError(
+            "stage component diameter above bound",
+            stage=stage,
+            diameter=diameter,
+            bound=bound,
+        )
+    return {
+        "stage": stage,
+        "domain": len(domain),
+        "g8_diameter": diameter,
+        "g8_bound": bound,
+    }

@@ -13,8 +13,12 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from paradecomp import cli
+from paradecomp.errors import ForestFormatError
 from paradecomp.generators import line_window
 from paradecomp.graphs import graph_to_obj
+from paradecomp.treedyn import forest_from_obj
+
+from oracles import set_forest_from_obj
 
 FIELDS = {
     "graph": ["vertices", "edges", "id", "side"],
@@ -173,6 +177,50 @@ def test_forest_reader_refuses_exactly_loops_and_cycles(doc, stages):
     assert (obj.get("error") == "BAD_FOREST") == closes_a_loop(
         doc["n_points"], doc["edges"]
     )
+
+
+# malformed edges, each refused on its own before any cycle is reported
+BAD_EDGES = [[0], "e", [0, "1"], [0, True], [-1, 0], [0, 99], [0, 0]]
+
+
+@st.composite
+def forests_with_repeats(draw):
+    """A shaped forest, or a tree on its points, with repeated and reversed
+    edges; then maybe a triangle and maybe a bad edge after it."""
+    doc = draw(forest_shaped)
+    n = doc["n_points"]
+    kind = draw(st.sampled_from(["drawn", "loopless", "tree", "tree"]))
+    if kind == "tree":
+        tree = [[v, draw(st.integers(0, v - 1))] for v in range(1, n)]
+        edges = draw(st.permutations(tree))
+    elif kind == "loopless":
+        edges = [e for e in doc["edges"] if e[0] != e[1]]
+    else:
+        edges = list(doc["edges"])
+    if edges:
+        for u, v in draw(st.lists(st.sampled_from(edges), max_size=4)):
+            pair = draw(st.sampled_from([[u, v], [v, u]]))
+            edges.insert(draw(st.integers(0, len(edges))), pair)
+    extra = draw(st.sampled_from(["none", "none", "cycle", "bad", "cycle, bad"]))
+    if "cycle" in extra and n >= 3:
+        edges += [[0, 1], [1, 2], [2, 0]]
+    if "bad" in extra:
+        edges.append(draw(st.sampled_from(BAD_EDGES)))
+    return {**doc, "edges": edges}
+
+
+def read_or_error(reader, doc):
+    try:
+        return reader(doc)
+    except ForestFormatError as e:
+        return e.message, e.details
+
+
+# both readers run in process on small documents, so more examples are cheap
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(forests_with_repeats())
+def test_forest_reader_agrees_with_set_reader(doc):
+    assert read_or_error(forest_from_obj, doc) == read_or_error(set_forest_from_obj, doc)
 
 
 @FUZZ

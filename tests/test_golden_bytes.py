@@ -9,13 +9,19 @@ their translations reach from the interior (radius - margin + 1 over S,
 digests are too; demo's classical certificate counts only the held points,
 and forest lists only them (n_points, per-point lists, components and
 isolated counts).
+
+f2action: --stages 0 and 1 over synthetic_forest(Random(k)), k = 0..4, each
+forest written as the benchmark writes it (forest-window/1 schema plus
+to_obj(), through canonical_json).
 """
 
 import hashlib
+import random
 
 import pytest
 
 from paradecomp import cli
+from paradecomp.generators import synthetic_forest
 
 GOLDEN = {
     ("f2", "demo"): "372f1171afd987a572d5161e90753a7299421c417155a432d965f010f865f5d7",
@@ -24,6 +30,19 @@ GOLDEN = {
     ("sphere", "demo"): "5c0bfd241d942d7b4417038cc4281ce17941c241131afcee6ea6d3ee130675f4",
     ("sphere", "paradox"): "aeeff2762f2cfa433c2548434c64b33bbca658fa3ba11623504ccff3fc93cd96",
     ("sphere", "forest"): "0873bbfedde457a1b1ba1f7c476d9c693e0f646eca63ba3e5fde7833f87136da",
+}
+
+F2ACTION_GOLDEN = {
+    (0, 0): "6a7e4d51ab3accb4e68a03e5d029daac8b925fcb872178ffb569991c8306abe6",
+    (0, 1): "30057818a768e3e2fd9f304a31b6eaf1cbb99022b2f3ce3902765760851d7846",
+    (1, 0): "b5be302188ecaea08ef1dd3491511bda26e7a9afcc92bb62f100c7e03f1108fe",
+    (1, 1): "0675ad1d3785887e0b0389f02f1a0c96b64aad7a7091f8c269b0d644c3f235a4",
+    (2, 0): "e561a0f50aa89bbba8a4c8fd29b28274c318351d8d67c5ae99e9164d5dca5174",
+    (2, 1): "eee8f627ecb3e4e880128ea86e682f74065394449c1cbe6c1a10ba2e361ee2ea",
+    (3, 0): "2efa1db4744dac2a590b08c20c88213a0125fac7d643235dd8e1be299c2ed01d",
+    (3, 1): "dc90e8a84122bdd1a349b4d904155117e5bfdd02a34a273592b8652a56b03214",
+    (4, 0): "355bb22a8836966a98904ed3545c9b20ac1a106ca8201bcf6242b87fa12ede8f",
+    (4, 1): "fc5d02eca009a396055a4f601a87bb26beb4b9bf6599e260166cf666a8445aa2",
 }
 
 
@@ -45,3 +64,15 @@ def test_radius_eight_stdout_is_pinned(capsys, tmp_path, kind):
     for command, out in got.items():
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == GOLDEN[kind, command], command
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_f2action_stdout_is_pinned(capsys, tmp_path, k):
+    fw = synthetic_forest(random.Random(k))
+    src = tmp_path / "forest.json"
+    obj = {"schema": "paradecomp/forest-window/1", **fw.to_obj()}
+    src.write_text(cli.canonical_json(obj))
+    for stages in (0, 1):
+        out = stdout_of(capsys, ["f2action", "--from", str(src), "--stages", str(stages)])
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == F2ACTION_GOLDEN[k, stages], stages

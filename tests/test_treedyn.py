@@ -1,7 +1,10 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, strategies as st
 
+from paradecomp import treedyn
 from paradecomp.actions import (
     build_doubling,
     expand_window,
@@ -11,6 +14,7 @@ from paradecomp.actions import (
 )
 from paradecomp.errors import (
     BallTruncatedError,
+    ForestFormatError,
     HypothesisFailedError,
     InvalidMatchingError,
     WindowTooSmallError,
@@ -24,7 +28,7 @@ from paradecomp.generators import (
     star_graph,
     synthetic_forest,
 )
-from paradecomp.graphs import bipartite_graph
+from paradecomp.graphs import bfs_distances, bipartite_graph
 from paradecomp.treedyn import (
     ForestWindow,
     OrientedTwoRegular,
@@ -45,6 +49,7 @@ from oracles import (
     all_perfect_matchings,
     bfs_majority_ball,
     edge_set_forest_from_paradox,
+    rescan_stage_audit,
 )
 
 
@@ -345,6 +350,33 @@ def test_forest_obj_roundtrip():
     assert back == fw
 
 
+def test_forest_reader_takes_a_doubled_star_in_linear_time():
+    # every leaf edge twice, the repeat from the hub's side, so a repeat
+    # found by scanning the hub's list would cost 20,000 steps each
+    n = 20_001
+    leaves = range(1, n)
+    doc = {
+        "n_points": n,
+        "edges": [[v, 0] for v in leaves] + [[0, v] for v in leaves],
+        "interior": [0] * n,
+        "present": [1] * n,
+        "depth": [0] + [1] * (n - 1),
+        "radius": 1,
+    }
+    t0 = time.perf_counter()
+    fw = forest_from_obj(doc)
+    assert time.perf_counter() - t0 < 2
+    assert fw.adjacency[0] == tuple(leaves)
+    assert all(fw.adjacency[v] == (0,) for v in leaves)
+
+    doc["edges"].insert(n // 2, [1, 2])
+    t0 = time.perf_counter()
+    with pytest.raises(ForestFormatError, match="closes a cycle") as ei:
+        forest_from_obj(doc)
+    assert time.perf_counter() - t0 < 2
+    assert ei.value.code == "BAD_FOREST"
+
+
 def test_forest_is_acyclic_detects_cycles():
     fw = ForestWindow(
         adjacency=((1, 2), (0, 2), (0, 1)),
@@ -429,6 +461,98 @@ def test_action_is_deterministic():
     a = f2_action_from_forest(forest, 0)
     b = f2_action_from_forest(forest, 0)
     assert a.as_obj() == b.as_obj()
+
+
+def test_stage_audits_search_each_domain_point_once(monkeypatch):
+    searched = []
+    real = treedyn.bfs_distances
+
+    def counting(neighbors, sources, bound=None):
+        if bound == 8:
+            searched.append(tuple(sources))
+        return real(neighbors, sources, bound)
+
+    for seed in range(100):  # the forests of acceptance criterion 8
+        fw = synthetic_forest(random.Random(seed))
+        searched.clear()
+        with monkeypatch.context() as m:
+            m.setattr(treedyn, "bfs_distances", counting)
+            res = f2_action_from_forest(fw, 1)
+        assert sorted(searched) == sorted((x,) for x in res.covered)
+        fresh = [treedyn._stage_audit(fw, set(st.domain), st.n, {}) for st in res.stages]
+        assert res.audits == fresh
+
+
+def bare_forest(adjacency) -> ForestWindow:
+    """A window that holds only its edges; every point present and interior."""
+    adjacency = tuple(adjacency)
+    n = len(adjacency)
+    return ForestWindow(
+        adjacency=adjacency,
+        interior=(True,) * n,
+        present=(True,) * n,
+        depth=(0,) * n,
+        radius=0,
+        labels=None,
+        stats={},
+    )
+
+
+@st.composite
+def trees_with_growing_domains(draw):
+    n = draw(st.integers(1, 40))
+    nbrs = [[] for _ in range(n)]
+    for v in range(1, n):
+        u = draw(st.integers(max(0, v - 3), v - 1))
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    fw = bare_forest(tuple(sorted(ns)) for ns in nbrs)
+
+    def points():
+        # a scattered set, or a ball, which is connected and may be wide
+        if draw(st.booleans()):
+            return draw(st.sets(st.integers(0, n - 1), max_size=n))
+        ball = bfs_distances(nbrs.__getitem__, (draw(st.integers(0, n - 1)),))
+        r = draw(st.integers(0, 12))
+        return {y for y, d in ball.items() if d <= r}
+
+    domains = [points()]
+    for _ in range(2):
+        domains.append(domains[-1] | points())
+    stages = draw(st.lists(st.integers(0, 2), min_size=3, max_size=3))
+    return fw, list(zip(stages, domains))
+
+
+def _audit_or_error(audit):
+    try:
+        return audit()
+    except HypothesisFailedError as e:
+        return e.message, e.details
+
+
+@given(trees_with_growing_domains())
+def test_stage_audits_sharing_searches_match_rescans(case):
+    fw, audits = case
+    near: dict = {}
+    for stage, domain in audits:
+        got = _audit_or_error(lambda: treedyn._stage_audit(fw, domain, stage, near))
+        assert got == _audit_or_error(lambda: rescan_stage_audit(fw, domain, stage))
+        if not isinstance(got, dict):
+            break
+
+
+def test_stage_audit_names_the_pair_its_search_meets_first():
+    # 0 is searched at the first audit; 4 and 5 join later, 5 nearer to 0
+    # but searched after 4, so the kept lists meet them in the other order
+    fw = bare_forest([(1, 2), (0, 5), (0, 3), (2, 4), (3,), (1,)])
+    near: dict = {}
+    assert treedyn._stage_audit(fw, {0}, 0, near) == rescan_stage_audit(fw, {0}, 0)
+    with pytest.raises(HypothesisFailedError, match="separate pieces") as ei:
+        treedyn._stage_audit(fw, {0, 4, 5}, 1, near)
+    assert ei.value.details == {"stage": 1, "pair": [0, 5]}
+    with pytest.raises(HypothesisFailedError) as oracle:
+        rescan_stage_audit(fw, {0, 4, 5}, 1)
+    assert oracle.value.details == ei.value.details
 
 
 def test_free_word_violation_finds_short_relations():
