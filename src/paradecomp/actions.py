@@ -377,14 +377,15 @@ def interior_expansion_audit(
     return HallReport(satisfied=witness is None, witness=witness)
 
 
-def interior_saturating_matching(dg: DoublingGraph) -> set:
+def interior_saturating_matching(dg: DoublingGraph) -> list:
     """Matching of the doubling graph covering every interior vertex.
 
     No finite window admits a perfect matching (sides are 1 to copies-1), so
     the contract is saturation of the interior of both sides.  Two runs of
     Hopcroft-Karp, one per side's interior, are merged by the alternating
     component rule; boundary vertices may stay unmatched and that is the
-    expected outcome, reported by the caller, never an error here.
+    expected outcome, reported by the caller, never an error here.  The
+    edges come as (copy-0 vid, side-1 vid) pairs.
     """
     n = dg.n_points
     left_a = dg.window.interior_indices()  # interior copy-0 vids
@@ -392,17 +393,15 @@ def interior_saturating_matching(dg: DoublingGraph) -> set:
     pairs = []
     for side, left in (("copy-0", left_a), ("side-1", left_b)):
         pair = hopcroft_karp(left, dg.neighbors)
-        missing = [v for v in left if v not in pair]
-        if missing:
+        if len(pair) < len(left):
+            missing = [v for v in left if v not in pair]
             raise NotPerfectOnInteriorError(
                 f"interior {side} vertices left unmatched",
                 count=len(missing),
                 sample=missing[:5],
             )
         pairs.append(pair)
-    m1 = set(pairs[0].items())
-    m2 = {(v, u) for u, v in pairs[1].items()}  # orient as (copy0, side1)
-    return combine_saturating(m1, m2, set(left_a), set(left_b))
+    return combine_saturating(*pairs)
 
 
 def unmatched_boundary_stats(dg: DoublingGraph, matching) -> dict:

@@ -1,7 +1,8 @@
 """Finite bipartite graphs and the search machinery everything else shares.
 
-One breadth-first search serves distances, connected components and greedy
-nets; every other module reaches those through the helpers here.
+One breadth-first search serves distances and connected components; greedy
+nets run their own ball search, which keeps the radius left per vertex.
+Every other module reaches those through the helpers here.
 
 Vertex ids are opaque integers; every algorithm in the package breaks ties by
 ascending id, so the structures here keep adjacency lists sorted.  Graphs are
@@ -190,14 +191,30 @@ def greedy_net(neighbors, points, radius) -> list:
     """Points kept by a scan in the given order, pairwise farther than radius.
 
     A point is kept unless an already-kept point lies within radius; each kept
-    point blocks its ball in the graph neighbors describes.
+    point blocks its ball in the graph neighbors describes.  spare records,
+    per blocked vertex, the most radius a kept ball had left on reaching it,
+    and the balls block every vertex within spare of it.  A ball's search
+    therefore goes on from a vertex only when it reaches it with more to
+    spare, and the blocked set is still the union of the balls.
     """
-    blocked: set = set()
+    spare: dict = {}
     kept = []
     for p in points:
-        if p not in blocked:
-            kept.append(p)
-            blocked.update(bfs_distances(neighbors, (p,), radius))
+        if p in spare:
+            continue
+        kept.append(p)
+        spare[p] = radius
+        frontier = [p]
+        for r in range(radius - 1, -1, -1):
+            nxt = []
+            for u in frontier:
+                for w in neighbors(u):
+                    if spare.get(w, -1) < r:
+                        spare[w] = r
+                        nxt.append(w)
+            if not nxt:
+                break
+            frontier = nxt
     return kept
 
 

@@ -14,13 +14,13 @@ tuple, side), so failures reproduce byte-for-byte across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
 
 from .errors import BadCapError, InvariantError
 from .graphs import BipartiteGraph, g2_neighbors
-from .matching import max_matching
+from .matching import hopcroft_karp
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,8 @@ class HallWitness:
 class HallReport:
     satisfied: bool
     witness: HallWitness | None = None
+    # check_hall's maximum matching, side 0 -> side 1; not part of the payload
+    matching: dict | None = field(default=None, compare=False, repr=False)
 
     def as_obj(self) -> dict:
         return {
@@ -179,16 +181,17 @@ def _graph_violator(g: BipartiteGraph, sides, floor: int, cap: int, num: int, de
 
 
 def check_hall(g: BipartiteGraph) -> HallReport:
-    nu = len(max_matching(g))
+    """Plain Hall on both sides; the report keeps the maximum matching found."""
+    pairs = hopcroft_karp(g.side_vertices(0), g.adj.__getitem__)
     # Koenig: a side holds a violator iff it is larger than the matching
-    short = [s for s in (0, 1) if len(g.side_vertices(s)) > nu]
+    short = [s for s in (0, 1) if len(g.side_vertices(s)) > len(pairs)]
     if not short:
-        return HallReport(satisfied=True)
+        return HallReport(satisfied=True, matching=pairs)
     larger = max(len(g.side_vertices(s)) for s in short)
     witness = _graph_violator(g, short, 1, larger, 1, 1)
     if witness is None:
         raise InvariantError("deficiency positive but no violator found")
-    return HallReport(satisfied=False, witness=witness)
+    return HallReport(satisfied=False, witness=witness, matching=pairs)
 
 
 def check_hall_eps_n(
@@ -215,4 +218,6 @@ def check_hall_eps_n(
     witness = _graph_violator(
         g, (0, 1), p.size_floor, size_cap, factor.numerator, factor.denominator
     )
-    return HallReport(satisfied=witness is None, witness=witness)
+    return HallReport(
+        satisfied=witness is None, witness=witness, matching=base.matching
+    )

@@ -34,7 +34,6 @@ from .errors import (
 from .graphs import BipartiteGraph, induced_subgraph
 from .hall import ExpansionParams, HallReport, check_hall, check_hall_eps_n
 from .layers import LayerSchedule, Layering, greedy_layering, validate_layering
-from .matching import hopcroft_karp
 
 
 @dataclass(frozen=True)
@@ -68,10 +67,10 @@ class MatchResult:
 class _Engine:
     """Perfect matching of the residual, updated incrementally."""
 
-    def __init__(self, g: BipartiteGraph):
+    def __init__(self, g: BipartiteGraph, pair_l: dict):
+        """Start from pair_l, a maximum matching of g as side 0 -> side 1."""
         self.g = g
         self.alive = set(g.ids)
-        pair_l = hopcroft_karp(g.side_vertices(0), lambda u: g.adj[u])
         self.pair = {}
         for u, v in pair_l.items():
             self.pair[u] = v
@@ -203,7 +202,7 @@ def layered_perfect_matching(
             )
         validate_layering(g, layering.layers, schedule)
 
-    engine = _Engine(g)
+    engine = _Engine(g, report.matching)
     if not engine.perfect:
         raise HallViolatedError(
             "no perfect matching found despite Hall precheck", vertices=len(g.ids)

@@ -2,8 +2,8 @@
 
 Hopcroft-Karp over a callable neighbor oracle, so the same engine serves
 materialized graphs and lazily expanded doubling graphs.  Deterministic:
-left vertices are processed in the order given and neighbor lists are used
-in the order returned, so callers fix the tie-breaks by sorting.
+left vertices are processed in the order given and neighbor sequences are
+used in the order returned, so callers fix the tie-breaks by sorting.
 """
 
 from __future__ import annotations
@@ -15,13 +15,24 @@ def hopcroft_karp(left_ids, neighbors) -> dict:
     """Maximum matching; returns {left_id: right_id}.
 
     left_ids: iterable of left-side vertices (order fixes determinism).
-    neighbors: callable left_id -> iterable of right-side vertices.
+    neighbors: callable left_id -> sequence of right-side vertices; each is
+    kept as given, read several times and never changed.
     Left vertices are held by position p in left_ids (adj, dist and mate
     are lists); pair_r maps a right vertex to its partner's position.  The
     dict lists left vertices in the order they were first matched.
+
+    Two shortcuts leave the dict, and its order, as the textbook phases
+    (tests/oracles.py) make it:
+    - In the first phase every left vertex is free, so each sits at layer 0,
+      and no right vertex is matched.  The layered search from a left vertex
+      can then only take a free neighbor, the first one in its sequence, so
+      one greedy loop in left order is that phase.
+    - A later phase's BFS stops once it has seen a free right vertex and
+      queued all n left vertices: every dist value is then set, and the rest
+      of the scan could set none.
     """
     left = list(left_ids)
-    adj = [list(neighbors(u)) for u in left]
+    adj = [neighbors(u) for u in left]
     n = len(left)
     mate: list = [None] * n
     pair_r: dict = {}
@@ -29,19 +40,30 @@ def hopcroft_karp(left_ids, neighbors) -> dict:
     dist = [0] * n
     first_matched = []
 
-    def bfs() -> bool:
+    for p, vs in enumerate(adj):  # the first phase
+        for v in vs:
+            if v not in pair_r:
+                mate[p] = v
+                pair_r[v] = p
+                first_matched.append(p)
+                break
+
+    def bfs(free) -> bool:
         dist[:] = [INF if m is not None else 0 for m in mate]
-        q = [p for p in range(n) if mate[p] is None]
+        q = list(free)
         found = False
+        partner = pair_r.get
         for p in q:  # q grows while it is walked, which makes it a FIFO
             d = dist[p] + 1
             for v in adj[p]:
-                w = pair_r.get(v)
+                w = partner(v)
                 if w is None:
                     found = True
                 elif dist[w] == INF:
                     dist[w] = d
                     q.append(w)
+            if found and len(q) == n:
+                return True
         return found
 
     def augment(root) -> bool:
@@ -69,67 +91,61 @@ def hopcroft_karp(left_ids, neighbors) -> dict:
             stack.append([w, iter(adj[w]), None])
         return False
 
-    while bfs():
-        for p in range(n):
-            if mate[p] is None and augment(p):
+    while True:
+        # an augmenting path frees no left vertex and passes through no free
+        # one but its root, so the phase's roots are the free ones at its start
+        free = [p for p in range(n) if mate[p] is None]
+        if not free or not bfs(free):
+            break
+        for p in free:
+            if augment(p):
                 first_matched.append(p)
     return {left[p]: mate[p] for p in first_matched}
 
 
-def max_matching(g) -> set:
-    """Maximum matching of a BipartiteGraph as a set of (u, v) pairs, u < v.
+def combine_saturating(pair1: dict, pair2: dict) -> list:
+    """Merge two matchings into one covering the keys of both.
 
-    Left side is side 0; ascending id order everywhere, so the result is
-    canonical for a given graph.
+    pair1 maps each vertex of one side it must cover to its partner on the
+    other side; pair2 maps each vertex of the other side it must cover back
+    to the first side (Hopcroft-Karp pair maps, one per left side).  Classic
+    alternating-component argument: over each component of the symmetric
+    difference take pair1's edges when the component holds a pair1 key that
+    pair2 misses, otherwise pair2's; shared edges are kept as-is.  Such a key
+    ends an alternating path, so only those paths are walked, each one
+    moving pair2's keys along it to their pair1 partners.  pair2's keys are
+    never dropped; the checks at the end are that no first-side vertex is
+    used twice and that every pair1 key is covered.
+
+    Returns the edges as (first side, second side) pairs, listed in the
+    order of pair2's keys, then the walked paths' last vertices that pair2
+    misses, in the order their paths start in pair1.
     """
-    left = g.side_vertices(0)
-    pair_l = hopcroft_karp(left, lambda u: g.adj[u])
-    return {(min(u, v), max(u, v)) for u, v in pair_l.items()}
+    out = dict(pair2)  # second side -> first side
+    covered2 = set(pair2.values())
+    walked: set = set()  # guards the walk against inputs that are no matchings
+    for start in pair1:
+        if start in covered2:
+            continue
+        # alternate pair1, pair2, pair1, ... edges until the path ends
+        x = start
+        while x is not None and x not in walked:
+            walked.add(x)
+            y = pair1.get(x)
+            if y is None:
+                break
+            out[y], x = x, pair2.get(y)
 
-
-def combine_saturating(m1, m2, need_a, need_b) -> set:
-    """Merge two matchings into one covering need_a union need_b.
-
-    m1 must cover need_a (vertices on one side), m2 must cover need_b (on
-    the other side).  Classic alternating-component argument: over each
-    component of the symmetric difference take m1's edges when the component
-    holds a need_a vertex that m2 misses, otherwise m2's; shared edges are
-    kept as-is.  Such a vertex ends an alternating path, so only those paths
-    are walked.  Sides being distinct makes the two critical endpoint kinds
-    collide in no component (parity), checked at the end.
-    """
-    s1 = {(min(u, v), max(u, v)) for u, v in m1}
-    s2 = {(min(u, v), max(u, v)) for u, v in m2}
-    shared = s1 & s2
-    d1 = s1 - shared
-    d2 = s2 - shared
-
-    partner1 = {x: y for u, v in d1 for x, y in ((u, v), (v, u))}
-    partner2 = {x: y for u, v in d2 for x, y in ((u, v), (v, u))}
-    covered2 = {x for e in s2 for x in e}
-
-    need_a = set(need_a)
-    need_b = set(need_b)
-    first: set = set()  # vertices of the components that take m1's edges
-    for x in need_a - covered2:
-        # alternate m1, m2, m1, ... edges until the path ends
-        step, other = partner1, partner2
-        while x is not None and x not in first:
-            first.add(x)
-            x = step.get(x)
-            step, other = other, step
-    out = shared | {e for e in d1 if e[0] in first}
-    out |= {e for e in d2 if e[0] not in first}
-
-    covered = set()
-    for u, v in out:
-        if u in covered or v in covered:
-            raise InvariantError("combination not a matching", edge=[u, v])
-        covered.add(u)
-        covered.add(v)
-    missing = (need_a | need_b) - covered
+    covered = set(out.values())
+    if len(covered) != len(out):
+        seen = set()
+        for y, x in out.items():
+            if x in seen:
+                raise InvariantError("combination not a matching", edge=[x, y])
+            seen.add(x)
+    missing = pair1.keys() - covered
     if missing:
         raise InvariantError(
             "combination dropped required vertices", missing=sorted(missing)[:5]
         )
-    return out
+    return list(zip(out.values(), out))

@@ -94,49 +94,76 @@ def recursive_hopcroft_karp(left_ids, neighbors) -> dict:
     return pair_l
 
 
-def component_combine_saturating(m1, m2, need_a, need_b) -> set:
+def ball_union_greedy_net(neighbors, points, radius) -> list:
+    """graphs.greedy_net blocking each kept point's whole ball afresh."""
+    blocked: set = set()
+    kept = []
+    for p in points:
+        if p not in blocked:
+            kept.append(p)
+            dist = {p: 0}
+            frontier = [p]
+            for d in range(1, radius + 1):
+                frontier = [w for u in frontier for w in neighbors(u) if w not in dist]
+                dist.update(dict.fromkeys(frontier, d))
+            blocked.update(dist)
+    return kept
+
+
+def component_combine_saturating(pair1, pair2) -> list:
     """matching.combine_saturating by labelling every alternating component.
 
-    The components of the symmetric difference are found by a plain stack
-    search from every vertex; a component takes m1's edges when it holds a
-    need_a vertex that m2 misses, otherwise m2's.  The result set is built
-    by the same expressions as the package's, so it iterates in the same
-    order.  Raises ValueError where the package raises InvariantError.
+    The pair maps become edge sets oriented (pair1 side, pair2 side).  The
+    components of their symmetric difference are found by a plain stack
+    search from every vertex, and each gets a label; a component takes
+    pair1's edges when it holds a pair1 key that pair2 misses, otherwise
+    pair2's.  The chosen edges are listed by their pair2-side vertex: the
+    keys of pair2 in order, then, for each such pair1 key in pair1's order,
+    the pair2-side vertices of its component that pair2 misses.  Raises
+    ValueError where the package raises InvariantError.
     """
-    s1 = {(min(u, v), max(u, v)) for u, v in m1}
-    s2 = {(min(u, v), max(u, v)) for u, v in m2}
-    shared = s1 & s2
-    d1 = s1 - shared
-    d2 = s2 - shared
+    m1 = set(pair1.items())
+    m2 = {(x, y) for y, x in pair2.items()}
+    shared = m1 & m2
+    d1 = m1 - shared
+    d2 = m2 - shared
     adj: dict = {}
     for u, v in d1 | d2:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    covered2 = {x for e in s2 for x in e}
-    need_a = set(need_a)
-    first: set = set()
-    seen: set = set()
+    covered2 = {x for x, _ in m2}
+    label: dict = {}
+    members: list = []
     for start in adj:
-        if start in seen:
+        if start in label:
             continue
         comp, stack = [], [start]
-        seen.add(start)
+        label[start] = len(members)
         while stack:
             x = stack.pop()
             comp.append(x)
             for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
+                if y not in label:
+                    label[y] = len(members)
                     stack.append(y)
-        if any(x in need_a and x not in covered2 for x in comp):
-            first.update(comp)
-    out = shared | {e for e in d1 if e[0] in first}
-    out |= {e for e in d2 if e[0] not in first}
-    covered = [x for e in out for x in e]
+        members.append(comp)
+    starts = [x for x in pair1 if x not in covered2]
+    first = {label[x] for x in starts}
+    chosen = shared | {e for e in d1 if label[e[0]] in first}
+    chosen |= {e for e in d2 if label[e[0]] not in first}
+    covered = [x for e in chosen for x in e]
     if len(covered) != len(set(covered)):
         raise ValueError("combination not a matching")
-    if (need_a | set(need_b)) - set(covered):
+    if (set(pair1) | set(pair2)) - set(covered):
         raise ValueError("combination dropped required vertices")
+    partner = {y: x for x, y in chosen}
+    second_side = set(pair1.values()) | set(pair2)
+    order = list(pair2)
+    for x in starts:
+        order += [y for y in members[label[x]] if y in second_side and y not in pair2]
+    out = [(partner[y], y) for y in order]
+    if len(out) != len(chosen):
+        raise ValueError("an edge is left out of the order")
     return out
 
 

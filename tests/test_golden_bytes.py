@@ -1,4 +1,4 @@
-"""The exact stdout bytes of the radius-8 pipelines, pinned by sha256.
+"""The exact stdout bytes of the radius-8 and radius-10 pipelines, pinned by sha256.
 
 A speed or design change must leave these digests alone.  If an output is
 meant to change, the new digest goes here together with the reason.
@@ -10,12 +10,16 @@ digests are too; demo's classical certificate counts only the held points,
 and forest lists only them (n_points, per-point lists, components and
 isolated counts).
 
+Radius 10: demo and forest as the benchmark runs them, f2 at the identity
+and the sphere at --base 0,1,0, forest reading a window-metadata file.
+
 f2action: --stages 0 and 1 over synthetic_forest(Random(k)), k = 0..4, each
 forest written as the benchmark writes it (forest-window/1 schema plus
 to_obj(), through canonical_json).
 """
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -30,6 +34,13 @@ GOLDEN = {
     ("sphere", "demo"): "5c0bfd241d942d7b4417038cc4281ce17941c241131afcee6ea6d3ee130675f4",
     ("sphere", "paradox"): "aeeff2762f2cfa433c2548434c64b33bbca658fa3ba11623504ccff3fc93cd96",
     ("sphere", "forest"): "0873bbfedde457a1b1ba1f7c476d9c693e0f646eca63ba3e5fde7833f87136da",
+}
+
+RADIUS_TEN_GOLDEN = {
+    ("f2", "demo"): "de1be3dfc4477bfc3bf68b8b2c98b75db699db85cb7c8a8cb0450fc492fbaba3",
+    ("f2", "forest"): "2a632f1db840796d579f2d14a9a94cc01133092f6fd15d5a200d0d4f25297b75",
+    ("sphere", "demo"): "31b2659a8facba3b83dd3f92e8f076d47b72f253fd06e4e2cac75e316b381dc3",
+    ("sphere", "forest"): "b484ed0a175ba864c44011b564867a1c2741aa37d2361bb58fbc00c5339d3abd",
 }
 
 F2ACTION_GOLDEN = {
@@ -64,6 +75,25 @@ def test_radius_eight_stdout_is_pinned(capsys, tmp_path, kind):
     for command, out in got.items():
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == GOLDEN[kind, command], command
+
+
+@pytest.mark.parametrize(
+    "kind, base, meta_base", [("f2", None, ""), ("sphere", "0,1,0", [0, 1, 0, 0])]
+)
+def test_radius_ten_stdout_is_pinned(capsys, tmp_path, kind, base, meta_base):
+    demo = ["demo", "--kind", kind, "--radius", "10"]
+    if base is not None:
+        demo += ["--base", base]
+    window = {"base": meta_base, "kind": kind, "margin": 4, "radius": 10}
+    meta = tmp_path / "window.json"
+    meta.write_text(json.dumps({"window": window}))
+    got = {
+        "demo": stdout_of(capsys, demo),
+        "forest": stdout_of(capsys, ["forest", "--from", str(meta)]),
+    }
+    for command, out in got.items():
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == RADIUS_TEN_GOLDEN[kind, command], command
 
 
 @pytest.mark.parametrize("k", range(5))

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +10,7 @@ from paradecomp.errors import (
     UnknownVertexError,
 )
 from paradecomp import graphs
+from paradecomp.generators import hall_family, synthetic_forest
 from paradecomp.graphs import (
     bipartite_graph,
     distances_from,
@@ -17,8 +21,9 @@ from paradecomp.graphs import (
     to_dot,
     validate_matching,
 )
+from paradecomp.layers import geometric_schedule
 
-from oracles import bfs_distances
+from oracles import ball_union_greedy_net, bfs_distances
 
 
 def small_graph_objs():
@@ -204,3 +209,31 @@ def test_neighborhood_excludes_f():
     # 0 and 1 share the neighbor 2; the G^2-neighborhood of 0 leaves 0 out
     g = bipartite_graph([0, 1], [2], [(0, 2), (1, 2)])
     assert g2_neighbors(g, 0) == {1}
+
+
+@pytest.mark.parametrize("radius", [16, 64])
+def test_greedy_net_keeps_what_blocking_whole_balls_keeps_on_forests(radius):
+    # the f2action stages' separations 16 * 4^s for s = 0, 1, over every
+    # present point in index order and in a shuffled order
+    for k in range(5):
+        rng = random.Random(k)
+        fw = synthetic_forest(rng)
+        nbrs = fw.adjacency.__getitem__
+        points = [i for i, on in enumerate(fw.present) if on]
+        for order in (points, rng.sample(points, len(points))):
+            want = ball_union_greedy_net(nbrs, order, radius)
+            assert graphs.greedy_net(nbrs, order, radius) == want
+
+
+def test_greedy_net_keeps_what_blocking_whole_balls_keeps_on_hall_family():
+    # the layering radii f(n) of each graph's schedule, and the small radii
+    # at which these expanders keep more than one point per component
+    rng = random.Random(15)
+    epsilons = [Fraction(1, 4), Fraction(1, 2), Fraction(1)]
+    for g, p in hall_family(20, rng, epsilons, n_range=(4, 60)):
+        sched = geometric_schedule(p.epsilon)
+        nbrs = g.adj.__getitem__
+        points = rng.sample(g.ids, len(g.ids))
+        for radius in [0, 1, 2, 3] + [sched.f(n) for n in range(3)]:
+            want = ball_union_greedy_net(nbrs, points, radius)
+            assert graphs.greedy_net(nbrs, points, radius) == want

@@ -16,9 +16,9 @@ from paradecomp.graphs import (
     bipartite_graph,
     g2_neighbors,
     graph_from_obj,
+    validate_matching,
 )
 from paradecomp.hall import ExpansionParams, check_hall, check_hall_eps_n
-from paradecomp.matching import max_matching
 
 from oracles import (
     brute_connected_side_sets,
@@ -79,7 +79,9 @@ def test_star_violates_hall_with_least_witness():
 
 @given(random_graphs())
 def test_max_matching_equals_kuhn(g):
-    assert len(max_matching(g)) == len(kuhn_max_matching(g))
+    # check_hall keeps the Hopcroft-Karp matching it counts, for the matcher
+    pairs = check_hall(g).matching
+    assert len(validate_matching(g, pairs.items())) == len(kuhn_max_matching(g))
 
 
 @given(random_graphs())

@@ -198,7 +198,7 @@ def _count_bfs(monkeypatch):
         calls.append(1)
         return real(*args, **kwargs)
 
-    # layers calls it directly, and through components and greedy_net
+    # layers calls it directly, and through components
     monkeypatch.setattr(paradecomp.graphs, "bfs_distances", counted)
     monkeypatch.setattr(paradecomp.layers, "bfs_distances", counted)
     return calls

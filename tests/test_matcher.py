@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import paradecomp.hall
 import paradecomp.matcher
 import paradecomp.matching
 from paradecomp.errors import (
@@ -61,11 +62,16 @@ def test_epsilon_must_match_schedule_budget():
         )
 
 
+def engine_on(g):
+    # the engine starts from the maximum matching of the Hall precheck
+    return _Engine(g, check_hall(g).matching)
+
+
 def test_select_preserves_matchability():
     rng = random.Random(31)
     for _ in range(25):
         g = union_of_permutations(rng.randint(3, 8), rng.randint(2, 3), rng)
-        engine = _Engine(g)
+        engine = engine_on(g)
         assert engine.perfect
         for x in g.side_vertices(0):
             if x not in engine.alive:
@@ -78,7 +84,7 @@ def test_select_preserves_matchability():
 
 
 def test_select_raises_on_unmatchable_residual():
-    assert not _Engine(star_graph(3)).perfect
+    assert not engine_on(star_graph(3)).perfect
 
 
 def test_stage_records_exact_epsilons():
@@ -153,7 +159,7 @@ def _count_hopcroft_karp(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(paradecomp.matching, "hopcroft_karp", counted)
-    monkeypatch.setattr(paradecomp.matcher, "hopcroft_karp", counted)
+    monkeypatch.setattr(paradecomp.hall, "hopcroft_karp", counted)
     return calls
 
 
@@ -167,13 +173,13 @@ def test_plain_audit_rests_on_the_engine_matching(monkeypatch):
         calls = _count_hopcroft_karp(monkeypatch)
         audited = layered_perfect_matching(g, p, sched, cap=2, audit=True)
         monkeypatch.undo()
-        assert len(calls) == 2  # the precheck's and the engine's
+        assert len(calls) == 1  # the precheck's, which the engine starts from
         assert audited.as_obj() == layered_perfect_matching(g, p, sched, cap=2).as_obj()
 
 
 def test_residual_certificate_checks_each_pair():
     g = union_of_permutations(6, 2, random.Random(4))
-    engine = _Engine(g)
+    engine = engine_on(g)
     assert engine.certifies_residual()
     pair = dict(engine.pair)
     u = 0

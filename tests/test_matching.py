@@ -44,39 +44,41 @@ def test_hopcroft_karp_long_augmenting_path():
 
 
 def test_combine_saturating_refuses_to_drop_a_required_vertex():
-    # m2 was supposed to cover need_b but misses vertex 11
+    # pair1 is no matching: both keys claim vertex 10, so key 0 loses it
     with pytest.raises(InvariantError) as ei:
-        combine_saturating({(0, 10)}, set(), {0}, {11})
+        combine_saturating({0: 10, 1: 10}, {})
     assert ei.value.code == "INVARIANT"
-    assert ei.value.details["missing"] == [11]
+    assert ei.value.details["missing"] == [0]
+
+
+def test_combine_saturating_refuses_a_vertex_used_twice():
+    # pair2 is no matching: both keys map back to vertex 0
+    with pytest.raises(InvariantError) as ei:
+        combine_saturating({}, {10: 0, 11: 0})
+    assert ei.value.details["edge"] == [0, 11]
 
 
 @st.composite
-def matchings_and_needs(draw):
-    """Two matchings between 0..7 and 100..107, and vertex sets to cover.
+def pair_maps(draw):
+    """Two pair maps between 0..7 and 100..107, keys in drawn order.
 
-    Each need set is a drawn subset of the vertices its matching covers on
-    its own side, as interior_saturating_matching passes them.
+    pair1 maps vertices of 0..7 into 100..107, pair2 vertices of 100..107
+    back into 0..7, as interior_saturating_matching passes its two
+    Hopcroft-Karp results; each map's keys are the vertices it must cover.
     """
 
-    def matching():
+    def pair_map(keys, values):
         k = draw(st.integers(0, 8))
-        us = draw(st.permutations(range(8)))[:k]
-        vs = draw(st.permutations(range(100, 108)))[:k]
-        return set(zip(us, vs))
+        return dict(zip(draw(st.permutations(keys))[:k], draw(st.permutations(values))))
 
-    def subset(xs):
-        keep = draw(st.lists(st.booleans(), min_size=len(xs), max_size=len(xs)))
-        return {x for x, k in zip(xs, keep) if k}
-
-    m1, m2 = matching(), matching()
-    return m1, m2, subset(sorted(u for u, _ in m1)), subset(sorted(v for _, v in m2))
+    lows, highs = range(8), range(100, 108)
+    return pair_map(lows, highs), pair_map(highs, lows)
 
 
-@given(matchings_and_needs())
+@given(pair_maps())
 def test_combine_saturating_agrees_with_component_labelling(case):
     got = combine_saturating(*case)
-    assert list(got) == list(component_combine_saturating(*case))
+    assert got == component_combine_saturating(*case)
 
 
 @pytest.mark.parametrize("kind", ["f2", "sphere"])
@@ -87,12 +89,35 @@ def test_combine_saturating_agrees_on_window_inputs(monkeypatch, kind, square):
 
     def both(*args):
         got = combine_saturating(*args)
-        calls.append(list(got) == list(component_combine_saturating(*args)))
+        calls.append(got == component_combine_saturating(*args))
         return got
 
     monkeypatch.setattr(actions, "combine_saturating", both)
+    interior_saturating_matching(radius_eight_doubling(kind, square))
+    assert calls == [True]
+
+
+@pytest.mark.parametrize("kind", ["f2", "sphere"])
+@pytest.mark.parametrize("square", [False, True], ids=["S-3copy", "S2-4copy"])
+def test_hopcroft_karp_agrees_on_window_inputs(monkeypatch, kind, square):
+    # both runs of interior_saturating_matching: the greedy first phase
+    # matches all of copy 0, and the side-1 run needs 2 to 4 more phases, in
+    # at least one of which the BFS stops before the end of its scan
+    calls = []
+
+    def both(left, neighbors):
+        got = hopcroft_karp(left, neighbors)
+        want = recursive_hopcroft_karp(left, neighbors)
+        calls.append(list(got.items()) == list(want.items()))
+        return got
+
+    monkeypatch.setattr(actions, "hopcroft_karp", both)
+    interior_saturating_matching(radius_eight_doubling(kind, square))
+    assert calls == [True, True]
+
+
+def radius_eight_doubling(kind, square):
     s = standard_generators()
     gens, copies = (square_set(s), 4) if square else (s, 3)
     w = expand_window(kind, None, s, 8, 4, gens.max_word_length())
-    interior_saturating_matching(build_doubling(w, gens, copies))
-    assert calls == [True]
+    return build_doubling(w, gens, copies)

@@ -16,8 +16,9 @@ def _uses_deque(node) -> bool:
 
 
 def test_only_matching_uses_deque():
-    # graphs.bfs_distances is the one breadth-first search; Hopcroft-Karp's
-    # layered search in matching.py keeps its own queue
+    # graphs.bfs_distances is the one breadth-first search over vertices
+    # (greedy_net's ball search keeps lists too); Hopcroft-Karp's layered
+    # search in matching.py keeps its own queue
     found = []
     for path in sorted(Path(paradecomp.__file__).parent.glob("*.py")):
         if path.name == "matching.py":
