@@ -190,17 +190,23 @@ def test_greedy_layering_matches_scan_oracle_near_the_diameter():
             assert greedy_layering(g, sched).as_obj() == scan_greedy_layering(g, sched)
 
 
-def _count_bfs(monkeypatch):
+def _count_searches(monkeypatch):
     calls = []
-    real = paradecomp.graphs.bfs_distances
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
 
-    # layers calls it directly, and through components
-    monkeypatch.setattr(paradecomp.graphs, "bfs_distances", counted)
-    monkeypatch.setattr(paradecomp.layers, "bfs_distances", counted)
+        return counted
+
+    # layers calls bfs_distances directly and through components;
+    # greedy_net runs its own ball search, so it is counted by name
+    bfs = counting("bfs_distances", paradecomp.graphs.bfs_distances)
+    monkeypatch.setattr(paradecomp.graphs, "bfs_distances", bfs)
+    monkeypatch.setattr(paradecomp.layers, "bfs_distances", bfs)
+    net = counting("greedy_net", paradecomp.graphs.greedy_net)
+    monkeypatch.setattr(paradecomp.layers, "greedy_net", net)
     return calls
 
 
@@ -211,8 +217,9 @@ def test_saturated_layering_makes_two_searches_per_component(monkeypatch):
     for g in graphs:
         n_comps = sum(1 for _ in components(g.adj.__getitem__, g.ids))
         sched = geometric_schedule(Fraction(1, 4))  # f(0) = 128 saturates them all
-        calls = _count_bfs(monkeypatch)
+        calls = _count_searches(monkeypatch)
         layering = greedy_layering(g, sched)
+        assert "greedy_net" not in calls
         assert len(calls) <= 2 * n_comps
         monkeypatch.undo()
         assert layering.as_obj() == scan_greedy_layering(g, sched)
