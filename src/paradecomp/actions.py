@@ -121,9 +121,6 @@ class ActionWindow:
     def n_points(self) -> int:
         return len(self.words)
 
-    def point_key(self, i: int) -> str:
-        return self.words[i]
-
     def index_of_word(self, w: str):
         if self._word_index is None:
             self._word_index = dict(zip(self.words, range(len(self.words))))
@@ -268,20 +265,20 @@ class DoublingGraph:
     def n_vertices(self) -> int:
         return self.copies * self.n_points
 
-    def side(self, vid: int) -> int:
-        return 0 if vid < self.n_points else 1
-
     def partners(self, matching) -> dict:
         """Partner of each matched vid, in both directions.
 
-        Refuses an edge inside one side, and a matching that misses an interior
-        vid, naming the least one (copies, then interior points, ascending).
+        Refuses an edge inside one side, an edge at a vid already matched, and
+        a matching that misses an interior vid, naming the least one (copies,
+        then interior points, ascending).
         """
         n = self.n_points
         partner: dict = {}
         for u, v in matching:
             if (u < n) == (v < n):
                 raise InvariantError("matching edge within one side", edge=[u, v])
+            if u in partner or v in partner:
+                raise InvariantError("matching vertex in two edges", edge=[u, v])
             partner[u] = v
             partner[v] = u
         interior = self.window.interior_indices()
@@ -292,7 +289,7 @@ class DoublingGraph:
                         "matching misses an interior vertex",
                         vid=c * n + i,
                         copy=c,
-                        point=self.window.point_key(i),
+                        point=self.window.words[i],
                     )
         return partner
 
@@ -337,10 +334,6 @@ class DoublingGraph:
         return bipartite_graph(side0, side1, edges)
 
 
-def build_doubling(window: ActionWindow, s: GeneratingSet, copies: int) -> DoublingGraph:
-    return DoublingGraph(window, s, copies)
-
-
 def interior_expansion_audit(
     dg: DoublingGraph, s2: GeneratingSet, size_cap: int
 ) -> HallReport:
@@ -377,7 +370,7 @@ def interior_expansion_audit(
     return HallReport(satisfied=witness is None, witness=witness)
 
 
-def interior_saturating_matching(dg: DoublingGraph) -> list:
+def interior_saturating_matching(dg: DoublingGraph) -> dict:
     """Matching of the doubling graph covering every interior vertex.
 
     No finite window admits a perfect matching (sides are 1 to copies-1), so
@@ -385,7 +378,8 @@ def interior_saturating_matching(dg: DoublingGraph) -> list:
     Hopcroft-Karp, one per side's interior, are merged by the alternating
     component rule; boundary vertices may stay unmatched and that is the
     expected outcome, reported by the caller, never an error here.  The
-    edges come as (copy-0 vid, side-1 vid) pairs.
+    matching comes as its partner map, checked once by dg.partners: every
+    reader of it takes that map.
     """
     n = dg.n_points
     left_a = dg.window.interior_indices()  # interior copy-0 vids
@@ -401,10 +395,10 @@ def interior_saturating_matching(dg: DoublingGraph) -> list:
                 sample=missing[:5],
             )
         pairs.append(pair)
-    return combine_saturating(*pairs)
+    return dg.partners(combine_saturating(*pairs))
 
 
-def unmatched_boundary_stats(dg: DoublingGraph, matching) -> dict:
+def unmatched_boundary_stats(dg: DoublingGraph, partner: dict) -> dict:
     """Count and least depth of the unmatched vertices, all of them boundary.
 
     The counts are those of the whole ball of the window's radius.  A point
@@ -412,13 +406,13 @@ def unmatched_boundary_stats(dg: DoublingGraph, matching) -> dict:
     copies * ball_size - 2|M|.  The least depth is read from the held
     points: side 1 holds at least twice as many vertices as copy 0, so some
     held vertex is always unmatched, and it lies above every point past the
-    hold.  dg.partners refuses a matching that misses an interior vertex,
-    so each copy is walked past its interior in ascending depth, up to its
+    hold.  partner is the map dg.partners returns (as
+    interior_saturating_matching does), which misses no interior vertex, so
+    each copy is walked past its interior in ascending depth, up to its
     first unmatched vertex.  Window points are in depth order already,
     except on an f2 window based away from the identity, whose points are
     sorted here.
     """
-    partner = dg.partners(matching)
     w = dg.window
     dist, n = w.dist, dg.n_points
     order = range(n)

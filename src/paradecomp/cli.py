@@ -18,7 +18,7 @@ from fractions import Fraction
 from .actions import (
     F2,
     SPHERE,
-    build_doubling,
+    DoublingGraph,
     expand_window,
     interior_saturating_matching,
     square_set,
@@ -253,7 +253,7 @@ def cmd_window(args):
     if args.square:
         s = square_set(s)
     w = _window_from_args(args, s)
-    dg = build_doubling(w, s, args.copies)
+    dg = DoublingGraph(w, s, args.copies)
     g = dg.to_bipartite()
     _write_json(args.out, {"schema": _schema("graph"), **graph_to_obj(g)})
     points_out = _sidecar_path(args.out)
@@ -295,10 +295,10 @@ def cmd_paradox(args):
         pd = classical_f2_decomposition(w)
     else:
         w = _window_from_args(args, s, s.max_word_length())
-        dg = build_doubling(w, s, 3)
-        matching = interior_saturating_matching(dg)
-        pd = matching_to_paradox(dg, matching)
-        boundary = unmatched_boundary_stats(dg, matching)
+        dg = DoublingGraph(w, s, 3)
+        partner = interior_saturating_matching(dg)
+        pd = matching_to_paradox(dg, partner)
+        boundary = unmatched_boundary_stats(dg, partner)
     cert = verify_paradox(pd, w)
     payload = {
         "schema": _schema("paradox"),
@@ -361,7 +361,7 @@ def cmd_forest(args):
     s = standard_generators()
     s2 = square_set(s)
     w = expand_window(kind, base, s, radius, margin, s2.max_word_length())
-    dg = build_doubling(w, s2, 4)
+    dg = DoublingGraph(w, s2, 4)
     ts = triple_system_from_matching(dg, interior_saturating_matching(dg))
     del dg  # the forest reads only ts; its peak memory is lower without the graph
     fw = forest_from_paradox(ts)
@@ -402,21 +402,20 @@ def cmd_f2action(args):
 def cmd_demo(args):
     s = standard_generators()
     w = _window_from_args(args, s, s.max_word_length())
-    dg = build_doubling(w, s, 3)
-    matching = interior_saturating_matching(dg)
-    pd = matching_to_paradox(dg, matching)
+    dg = DoublingGraph(w, s, 3)
+    partner = interior_saturating_matching(dg)
+    pd = matching_to_paradox(dg, partner)
     cert = verify_paradox(pd, w)
     classical = classical_f2_decomposition(w)
     cert_classical = verify_paradox(classical, w)
 
     m2 = paradox_to_matching(pd, dg)
-    mset = {frozenset(e) for e in matching}
-    subset_ok = all(frozenset(e) in mset for e in m2)
+    subset_ok = all(partner.get(u) == v for u, v in m2)
     covered0 = {e[0] for e in m2}
     interior0 = set(w.interior_indices())
     covers_interior = interior0 <= covered0
 
-    bstats = unmatched_boundary_stats(dg, matching)
+    bstats = unmatched_boundary_stats(dg, partner)
     reach = 2 * square_set(s).max_word_length()
     boundary_ok = bstats["unmatched_interior"] == 0 and (
         bstats["min_depth"] is None or bstats["min_depth"] >= w.radius - reach

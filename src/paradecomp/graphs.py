@@ -218,12 +218,6 @@ def greedy_net(neighbors, points, radius) -> list:
     return kept
 
 
-def distances_from(g: BipartiteGraph, source, bound=None) -> dict:
-    """BFS distances; omits vertices beyond bound (or other components)."""
-    g.require_vertex(source)
-    return bfs_distances(g.adj.__getitem__, (source,), bound)
-
-
 def validate_matching(g: BipartiteGraph, matching):
     """Normalize a matching to a set of (min, max) pairs, or raise."""
     seen = set()

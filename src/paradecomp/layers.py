@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExhaustedError, HypothesisFailedError
-from .graphs import BipartiteGraph, bfs_distances, components
-from .graphs import distances_from, greedy_net
+from .graphs import BipartiteGraph, bfs_distances, components, greedy_net
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,7 @@ def validate_layering(g: BipartiteGraph, layers, schedule: LayerSchedule) -> Non
         for v in members:
             g.require_vertex(v)
         for v in members:
-            dist = distances_from(g, v, bound=fn)
+            dist = bfs_distances(g.adj.__getitem__, (v,), fn)
             for w, d in dist.items():
                 if w != v and w in mset:
                     raise HypothesisFailedError(

@@ -32,7 +32,7 @@ from .errors import (
     InvariantError,
 )
 from .graphs import BipartiteGraph, induced_subgraph
-from .hall import ExpansionParams, HallReport, check_hall, check_hall_eps_n
+from .hall import ExpansionParams, check_hall, check_hall_eps_n
 from .layers import LayerSchedule, Layering, greedy_layering, validate_layering
 
 
@@ -85,9 +85,6 @@ class _Engine:
             if w not in alive or pair.get(w) != v or w not in adj[v]:
                 return False
         return True
-
-    def candidates(self, x):
-        return [y for y in self.g.adj[x] if y in self.alive]
 
     def _alt_path(self, w, z, x, y):
         """Alternating path from w to the free-to-be vertex z, avoiding x, y.
@@ -143,19 +140,13 @@ class _Engine:
 
     def select(self, x):
         """Least partner whose removal with x preserves perfect matchability."""
-        for y in self.candidates(x):
-            if self.remove_preserving(x, y):
+        # a failed removal leaves alive as it was, so it can be read as we go
+        for y in self.g.adj[x]:
+            if y in self.alive and self.remove_preserving(x, y):
                 return y
         raise HallViolatedError(
             f"no Hall-preserving edge at vertex {x}", vertex=x
         )
-
-
-def _hall_eps_capped(g, epsilon, floor, cap) -> HallReport:
-    # an empty enumeration range [floor, cap] leaves only plain Hall to check
-    if cap < floor:
-        return check_hall(g)
-    return check_hall_eps_n(g, ExpansionParams(epsilon, floor), cap)
 
 
 def layered_perfect_matching(
@@ -177,6 +168,8 @@ def layered_perfect_matching(
     differently: the precheck's floor is p.size_floor (usually 1), so any
     cap at or past the largest component size is unsatisfiable on finite
     graphs, while the stage audit floors at f(n) and tolerates a large cap.
+    A supplied layering is a list of vertex collections, checked for
+    separation only; by default the greedy layering is built here.
     """
     if p.epsilon != schedule.epsilon_budget:
         raise ValueError(
@@ -195,12 +188,9 @@ def layered_perfect_matching(
     if layering is None:
         layering = greedy_layering(g, schedule)
     else:
-        if not isinstance(layering, Layering):
-            raw = [tuple(sorted(layer)) for layer in layering]
-            layering = Layering(
-                tuple(raw), tuple(schedule.f(i) for i in range(len(raw)))
-            )
-        validate_layering(g, layering.layers, schedule)
+        raw = tuple(tuple(sorted(layer)) for layer in layering)
+        layering = Layering(raw, tuple(schedule.f(i) for i in range(len(raw))))
+        validate_layering(g, raw, schedule)
 
     engine = _Engine(g, report.matching)
     if not engine.perfect:
@@ -227,7 +217,11 @@ def layered_perfect_matching(
         # residual proves it; the full check runs when that certificate fails
         if audit and (acap >= fn or not engine.certifies_residual()):
             residual = induced_subgraph(g, engine.alive)
-            rep = _hall_eps_capped(residual, eps_n, fn, acap)
+            # an empty enumeration range [f(n), cap] leaves only plain Hall
+            if acap < fn:
+                rep = check_hall(residual)
+            else:
+                rep = check_hall_eps_n(residual, ExpansionParams(eps_n, fn), acap)
             if not rep.satisfied:
                 raise HallViolatedError(
                     "stage invariant Hall_(eps_n, f(n)) failed",

@@ -35,12 +35,8 @@ class ParadoxicalDecomposition:
     def as_obj(self, window: ActionWindow) -> dict:
         return {
             "gens": list(self.gens.elements),
-            "pieces_a": sorted(
-                [window.point_key(i), t] for i, t in self.pieces_a.items()
-            ),
-            "pieces_b": sorted(
-                [window.point_key(i), t] for i, t in self.pieces_b.items()
-            ),
+            "pieces_a": sorted([window.words[i], t] for i, t in self.pieces_a.items()),
+            "pieces_b": sorted([window.words[i], t] for i, t in self.pieces_b.items()),
         }
 
 
@@ -98,15 +94,15 @@ class Certificate:
         }
 
 
-def matching_to_paradox(dg: DoublingGraph, matching) -> ParadoxicalDecomposition:
+def matching_to_paradox(dg: DoublingGraph, partner: dict) -> ParadoxicalDecomposition:
     """Piece assignment from a matching, least generator index breaking ties.
 
-    Requires every interior vertex of all copies to be matched; boundary
-    vertices may be unmatched.
+    partner is the matching's partner map, as dg.partners returns it (and
+    interior_saturating_matching with it): every interior vertex of all
+    copies is matched there; boundary vertices may be unmatched.
     """
     if dg.copies != 3:
         raise ValueError("piece extraction needs the 3-copy doubling graph")
-    partner = dg.partners(matching)
     w = dg.window
     pieces_a: dict = {}
     pieces_b: dict = {}
@@ -158,22 +154,24 @@ def verify_paradox(pd: ParadoxicalDecomposition, w: ActionWindow) -> Certificate
     """
     reach = pd.gens.max_word_length()
     deep = w.interior_indices(reach)
-    warnings = []
+    warnings = ()
     if not deep:
-        warnings.append("empty deep interior; certificate is vacuous")
+        warnings = ("empty deep interior; certificate is vacuous",)
+    violation = _first_violation(pd, w, deep)
+    return Certificate(
+        status="PASS" if violation is None else "FAIL",
+        deep_interior=len(deep),
+        violation=violation,
+        warnings=warnings,
+        stats=pd.piece_sizes() if violation is None else None,
+    )
 
+
+def _first_violation(pd: ParadoxicalDecomposition, w: ActionWindow, deep):
+    """The violation verify_paradox reports, or None when there is none."""
     both = sorted(pd.pieces_a.keys() & pd.pieces_b.keys())
     if both:
-        i = both[0]
-        return Certificate(
-            status="FAIL",
-            deep_interior=len(deep),
-            violation={
-                "kind": "point_in_both_tables",
-                "point": w.point_key(i),
-            },
-            warnings=tuple(warnings),
-        )
+        return {"kind": "point_in_both_tables", "point": w.words[both[0]]}
 
     a_hits: dict = {}
     b_hits: dict = {}
@@ -187,32 +185,16 @@ def verify_paradox(pd: ParadoxicalDecomposition, w: ActionWindow) -> Certificate
 
     for z in deep:
         if z not in pd.pieces_a and z not in pd.pieces_b:
-            return Certificate(
-                status="FAIL",
-                deep_interior=len(deep),
-                violation={"kind": "deep_point_unassigned", "point": w.point_key(z)},
-                warnings=tuple(warnings),
-            )
+            return {"kind": "deep_point_unassigned", "point": w.words[z]}
         for label, hits in (("a", a_hits), ("b", b_hits)):
             got = hits.get(z, [])
             if len(got) != 1:
-                return Certificate(
-                    status="FAIL",
-                    deep_interior=len(deep),
-                    violation={
-                        "kind": f"coverage_{label}",
-                        "point": w.point_key(z),
-                        "preimages": sorted(w.point_key(i) for i in got),
-                    },
-                    warnings=tuple(warnings),
-                )
-    return Certificate(
-        status="PASS",
-        deep_interior=len(deep),
-        violation=None,
-        warnings=tuple(warnings),
-        stats=pd.piece_sizes(),
-    )
+                return {
+                    "kind": f"coverage_{label}",
+                    "point": w.words[z],
+                    "preimages": sorted(w.words[i] for i in got),
+                }
+    return None
 
 
 def classical_f2_decomposition(w: ActionWindow) -> ParadoxicalDecomposition:

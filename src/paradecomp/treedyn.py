@@ -184,12 +184,14 @@ class TripleFunctionSystem:
     interior: tuple  # bool per point
     labels: tuple | None = None
 
-    def validate(self, require_interior_coverage: bool = True) -> dict:
+    def validate(self) -> dict:
         """Check the hypotheses; return point -> (map index, its preimage).
 
         One pass checks that every entry lies in the window and that no point
         is an image twice: twice in one map means the map is not injective,
-        in two maps that their ranges overlap.
+        in two maps that their ranges overlap.  Interior coverage is not
+        checked: a system read off a matching has it by dg.partners, and a
+        relaxed synthetic one may lack it.
         """
         if len(self.maps) != 3:
             raise ValueError("exactly three maps expected")
@@ -206,40 +208,36 @@ class TripleFunctionSystem:
                         raise HypothesisFailedError("map not injective", index=i)
                     raise HypothesisFailedError("ranges overlap", point=y, maps=[j, i])
                 pred[y] = (i, x)
-        if require_interior_coverage:
-            for p in range(self.n_points):
-                if self.interior[p] and p not in pred:
-                    raise HypothesisFailedError(
-                        "interior point missed by every range", point=p
-                    )
         return pred
 
 
-def triple_system_from_matching(dg, matching) -> TripleFunctionSystem:
+def triple_system_from_matching(dg, partner: dict) -> TripleFunctionSystem:
     """Read the three functions off a 4-copy doubling matching.
 
-    f_i(x) = y when (i+1, x) is matched to (0, y).  Perfect-on-interior makes
-    every interior point carry all three values and lie in exactly one range.
+    partner is the matching's partner map, as dg.partners returns it (and
+    interior_saturating_matching with it).  f_i(x) = y when (i+1, x) is
+    matched to (0, y).  The map is a matching that misses no interior vertex,
+    so the maps are injective with disjoint ranges, and every interior point
+    carries all three values and lies in exactly one range.  The system is
+    validated once, by forest_from_paradox as it reads it.
     """
     if dg.copies != 4:
         raise ValueError("triple systems come from the 4-copy doubling graph")
     n = dg.n_points
     maps: tuple = ({}, {}, {})
-    for u, v in dg.partners(matching).items():
+    for u, v in partner.items():
         if u >= n:
             c, x = divmod(u, n)
             maps[c - 1][x] = v
     interior = [False] * n
     for i in dg.window.interior_indices():
         interior[i] = True
-    ts = TripleFunctionSystem(
+    return TripleFunctionSystem(
         maps=maps,
         n_points=n,
         interior=tuple(interior),
         labels=tuple(dg.window.words),
     )
-    ts.validate()
-    return ts
 
 
 @dataclass(frozen=True)
@@ -412,7 +410,7 @@ def forest_from_paradox(ts: TripleFunctionSystem) -> ForestWindow:
     have a chain dying at an interior point, which certifies the component
     cycle-free.
     """
-    pred = ts.validate(require_interior_coverage=False)
+    pred = ts.validate()
     n = ts.n_points
     # only the points the maps touch (keys and values) can carry an edge or a
     # predecessor; every other window point is an isolated component

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from paradecomp import cli
 from paradecomp.actions import (
-    build_doubling,
+    DoublingGraph,
     expand_window,
     interior_expansion_audit,
     square_set,
@@ -130,7 +130,7 @@ def test_criterion_3_interior_expansion_exhaustive(capsys):
         t0 = time.monotonic()
         s2 = square_set(standard_generators())
         w = expand_window("f2", "", standard_generators(), 12, 4)
-        dg = build_doubling(w, s2, 3)
+        dg = DoublingGraph(w, s2, 3)
         reads, g2_reads = record_oracle_calls(dg)
         # at cap 6 every singleton already meets ratio * cap and no set grows
         rep = interior_expansion_audit(dg, s2, size_cap=9)

@@ -6,7 +6,7 @@ import pytest
 from paradecomp import cli
 
 from paradecomp.actions import (
-    build_doubling,
+    DoublingGraph,
     expand_window,
     interior_expansion_audit,
     interior_saturating_matching,
@@ -184,13 +184,13 @@ def test_doubling_graph_shape():
     s = standard_generators()
     w = expand_window("f2", (), s, 3, 1)
     s2 = square_set(s)
-    dg = build_doubling(w, s2, 3)
+    dg = DoublingGraph(w, s2, 3)
     n = w.n_points()
     assert dg.n_vertices() == 3 * n
-    assert dg.side(0) == 0 and dg.side(n) == 1
-    # interior side-0 vertex sees all of S^2 in both copies
+    # interior side-0 vertex sees all of S^2 in both copies, all on side 1
     i = w.base_index
     assert len(dg.neighbors(i)) == 2 * len(s2.elements)
+    assert min(dg.neighbors(i)) >= n
     # vertical edge from the identity element in S^2
     assert n + i in dg.neighbors(i)
     for vid in dg.neighbors(i):
@@ -201,7 +201,7 @@ def test_expansion_audit_passes_and_prunes():
     s = standard_generators()
     w = expand_window("f2", (), s, 6, 4)
     s2 = square_set(s)
-    dg = build_doubling(w, s2, 3)
+    dg = DoublingGraph(w, s2, 3)
     reads, g2_reads = record_oracle_calls(dg)
     rep = interior_expansion_audit(dg, s2, size_cap=6)
     assert rep.satisfied and rep.witness is None
@@ -218,7 +218,7 @@ def test_expansion_audit_reports_the_least_violator(cap):
     # of {e, a, b} reach 11 < 12 points, while no set of 5 falls short
     s = standard_generators()
     w = expand_window("f2", (), s, 5, 4)
-    dg = build_doubling(w, s, 3)
+    dg = DoublingGraph(w, s, 3)
     rep = interior_expansion_audit(dg, square_set(s), size_cap=cap)
     want = brute_doubled_expansion(dg, cap)
     assert rep.satisfied == (want is None) == (cap == 5)
@@ -232,7 +232,7 @@ def test_expansion_audit_needs_margin():
     s = standard_generators()
     w = expand_window("f2", (), s, 6, 1)
     s2 = square_set(s)
-    dg = build_doubling(w, s2, 3)
+    dg = DoublingGraph(w, s2, 3)
     with pytest.raises(MarginTooSmallError):
         interior_expansion_audit(dg, s2, size_cap=2)
 
@@ -240,7 +240,7 @@ def test_expansion_audit_needs_margin():
 def test_expansion_audit_rejects_four_copies():
     s = standard_generators()
     w = expand_window("f2", (), s, 6, 4)
-    dg = build_doubling(w, square_set(s), 4)
+    dg = DoublingGraph(w, square_set(s), 4)
     with pytest.raises(ValueError):
         interior_expansion_audit(dg, square_set(s), size_cap=2)
 
@@ -249,9 +249,9 @@ def test_interior_matching_saturates_interior_only():
     s = standard_generators()
     w = expand_window("f2", (), s, 6, 4)
     s2 = square_set(s)
-    dg = build_doubling(w, s2, 4)
+    dg = DoublingGraph(w, s2, 4)
     m = interior_saturating_matching(dg)
-    covered = {v for e in m for v in e}
+    covered = set(m)
     n = dg.n_points
     for i in w.interior_indices():
         assert i in covered
@@ -266,7 +266,7 @@ def test_interior_matching_saturates_interior_only():
 def test_interior_matching_fails_without_margin():
     s = standard_generators()
     w = expand_window("f2", (), s, 3, 0)
-    dg = build_doubling(w, square_set(s), 4)
+    dg = DoublingGraph(w, square_set(s), 4)
     with pytest.raises(NotPerfectOnInteriorError):
         interior_saturating_matching(dg)
 
@@ -274,7 +274,7 @@ def test_interior_matching_fails_without_margin():
 def test_partners_names_the_least_missed_interior_vertex():
     s = standard_generators()
     w = expand_window("f2", (), s, 4, 2)
-    dg = build_doubling(w, s, 3)
+    dg = DoublingGraph(w, s, 3)
     n = dg.n_points
     k1, k2 = w.interior_indices()[-2:]
     # copy 0 fully covered, copy 1 misses k1 and k2, copy 2 covers two points
@@ -287,6 +287,22 @@ def test_partners_names_the_least_missed_interior_vertex():
         dg.partners({(n, 2 * n)})
 
 
+def test_partners_refuses_a_vertex_in_two_edges():
+    s = standard_generators()
+    w = expand_window("f2", (), s, 4, 2)
+    dg = DoublingGraph(w, s, 3)
+    n = dg.n_points
+    m = interior_saturating_matching(dg)
+    # the partner map is symmetric and pairs copy 0 with side 1
+    assert all(m[v] == u and (u < n) != (v < n) for u, v in m.items())
+    edges = sorted((u, v) for u, v in m.items() if u < n)
+    assert dg.partners(edges) == m
+    extra = (0, m[0] + 1)
+    with pytest.raises(InvariantError) as ei:
+        dg.partners(edges + [extra])
+    assert ei.value.details == {"edge": list(extra)}
+
+
 @pytest.mark.parametrize("kind", ["f2", "sphere"])
 def test_boundary_stats_stop_at_the_first_unmatched_point(kind):
     s = standard_generators()
@@ -294,10 +310,11 @@ def test_boundary_stats_stop_at_the_first_unmatched_point(kind):
         w = expand_window(kind, None, s, radius, 4)
         # the walk past the interior relies on points coming in depth order
         assert list(w.dist) == sorted(w.dist)
-        dg = build_doubling(w, s, 3)
+        dg = DoublingGraph(w, s, 3)
         m = interior_saturating_matching(dg)
         stats = unmatched_boundary_stats(dg, m)
-        assert (stats["unmatched"], stats["min_depth"]) == scan_unmatched_boundary(dg, m)
+        want = scan_unmatched_boundary(dg, m.items())
+        assert (stats["unmatched"], stats["min_depth"]) == want
 
 
 @pytest.mark.parametrize("base", ["ab", "Ba", "aab"])
@@ -308,7 +325,8 @@ def test_boundary_stats_on_windows_out_of_depth_order(base):
     for radius, gens, copies in [(7, s, 3), (6, square_set(s), 4)]:
         w = expand_window("f2", base, s, radius, 4)
         assert list(w.dist) != sorted(w.dist)
-        dg = build_doubling(w, gens, copies)
+        dg = DoublingGraph(w, gens, copies)
         m = interior_saturating_matching(dg)
         stats = unmatched_boundary_stats(dg, m)
-        assert (stats["unmatched"], stats["min_depth"]) == scan_unmatched_boundary(dg, m)
+        want = scan_unmatched_boundary(dg, m.items())
+        assert (stats["unmatched"], stats["min_depth"]) == want

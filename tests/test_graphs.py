@@ -13,7 +13,6 @@ from paradecomp import graphs
 from paradecomp.generators import hall_family, synthetic_forest
 from paradecomp.graphs import (
     bipartite_graph,
-    distances_from,
     g2_neighbors,
     graph_from_obj,
     graph_to_obj,
@@ -109,7 +108,8 @@ def test_obj_round_trip(obj):
 def test_distances_match_plain_bfs(obj, pick):
     g = graph_from_obj(obj)
     src = g.ids[pick % len(g.ids)]
-    assert distances_from(g, src) == bfs_distances(g.adj, src)
+    want = bfs_distances(g.adj, src)
+    assert graphs.bfs_distances(g.adj.__getitem__, (src,)) == want
 
 
 @given(small_graph_objs(), st.sets(st.integers(0, 7), min_size=1), st.integers(0, 3))
@@ -176,7 +176,7 @@ def test_greedy_net_is_separated_and_covers_what_it_skips(obj, picks, radius):
 
 def test_distances_bound_cuts_off():
     g = bipartite_graph([0, 2], [1, 3], [(0, 1), (2, 1), (2, 3)])
-    assert distances_from(g, 0, bound=1) == {0: 0, 1: 1}
+    assert graphs.bfs_distances(g.adj.__getitem__, (0,), 1) == {0: 0, 1: 1}
 
 
 def test_to_dot_marks_matching():

@@ -12,7 +12,7 @@ import pytest
 
 from paradecomp import cli
 from paradecomp.actions import (
-    build_doubling,
+    DoublingGraph,
     expand_window,
     interior_saturating_matching,
     square_set,
@@ -38,7 +38,7 @@ def run(capsys, argv) -> dict:
 
 def paradox_on(w) -> dict:
     s = standard_generators()
-    dg = build_doubling(w, s, 3)
+    dg = DoublingGraph(w, s, 3)
     m = interior_saturating_matching(dg)
     pd = matching_to_paradox(dg, m)
     payload = {
@@ -58,7 +58,7 @@ def forest_by_label(obj) -> tuple:
 
 
 def forest_on(w) -> dict:
-    dg = build_doubling(w, square_set(standard_generators()), 4)
+    dg = DoublingGraph(w, square_set(standard_generators()), 4)
     ts = triple_system_from_matching(dg, interior_saturating_matching(dg))
     return forest_from_paradox(ts).to_obj()
 

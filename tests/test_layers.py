@@ -12,7 +12,7 @@ from paradecomp.generators import (
     line_window,
     union_of_permutations,
 )
-from paradecomp.graphs import bipartite_graph, components, distances_from
+from paradecomp.graphs import bfs_distances, bipartite_graph, components
 from paradecomp.layers import (
     explicit_schedule,
     geometric_schedule,
@@ -79,7 +79,7 @@ def test_greedy_layering_covers_and_separates(seed, n):
         fn = sched.f(m)
         members = sorted(layer)
         for i, v in enumerate(members):
-            near = distances_from(g, v, bound=fn)
+            near = bfs_distances(g.adj.__getitem__, (v,), fn)
             for w in members[i + 1 :]:
                 assert w not in near
 

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from paradecomp import actions
 from paradecomp.actions import (
-    build_doubling,
+    DoublingGraph,
     expand_window,
     interior_saturating_matching,
     square_set,
@@ -120,4 +120,4 @@ def radius_eight_doubling(kind, square):
     s = standard_generators()
     gens, copies = (square_set(s), 4) if square else (s, 3)
     w = expand_window(kind, None, s, 8, 4, gens.max_word_length())
-    return build_doubling(w, gens, copies)
+    return DoublingGraph(w, gens, copies)

@@ -15,14 +15,12 @@ def _uses_deque(node) -> bool:
     )
 
 
-def test_only_matching_uses_deque():
-    # graphs.bfs_distances is the one breadth-first search over vertices
-    # (greedy_net's ball search keeps lists too); Hopcroft-Karp's layered
-    # search in matching.py keeps its own queue
+def test_no_module_uses_deque():
+    # graphs.bfs_distances is the one breadth-first search over vertices;
+    # greedy_net's ball search and Hopcroft-Karp's layered search in
+    # matching.py keep plain lists too
     found = []
     for path in sorted(Path(paradecomp.__file__).parent.glob("*.py")):
-        if path.name == "matching.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [
             f"{path.name}:{node.lineno}" for node in ast.walk(tree) if _uses_deque(node)

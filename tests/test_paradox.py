@@ -1,7 +1,7 @@
 import pytest
 
 from paradecomp.actions import (
-    build_doubling,
+    DoublingGraph,
     expand_window,
     interior_saturating_matching,
     standard_generators,
@@ -22,14 +22,14 @@ from paradecomp.rotations import BASE_POINT
 def f2_setup():
     s = standard_generators()
     w = expand_window("f2", (), s, 6, 2)
-    dg = build_doubling(w, s, 3)
-    matching = interior_saturating_matching(dg)
-    pd = matching_to_paradox(dg, matching)
-    return s, w, dg, matching, pd
+    dg = DoublingGraph(w, s, 3)
+    partner = interior_saturating_matching(dg)
+    pd = matching_to_paradox(dg, partner)
+    return s, w, dg, partner, pd
 
 
 def test_pieces_partition_the_interior(f2_setup):
-    s, w, dg, matching, pd = f2_setup
+    s, w, dg, partner, pd = f2_setup
     keys_a = set(pd.pieces_a)
     keys_b = set(pd.pieces_b)
     assert not (keys_a & keys_b)
@@ -40,11 +40,7 @@ def test_pieces_partition_the_interior(f2_setup):
 
 
 def test_piece_translates_agree_with_matching(f2_setup):
-    s, w, dg, matching, pd = f2_setup
-    partner = {}
-    for u, v in matching:
-        partner[u] = v
-        partner[v] = u
+    s, w, dg, partner, pd = f2_setup
     n = dg.n_points
     for pieces, copy in ((pd.pieces_a, 1), (pd.pieces_b, 2)):
         for i, t in pieces.items():
@@ -53,7 +49,7 @@ def test_piece_translates_agree_with_matching(f2_setup):
 
 
 def test_verify_passes_on_extracted_pieces(f2_setup):
-    s, w, dg, matching, pd = f2_setup
+    s, w, dg, partner, pd = f2_setup
     cert = verify_paradox(pd, w)
     assert cert.status == "PASS"
     # reach of the generating set is 1, so deep means distance <= 6-2-1
@@ -70,23 +66,22 @@ def test_piece_sizes_total(f2_setup):
 
 
 def test_unmatched_vertices_hug_the_boundary(f2_setup):
-    s, w, dg, matching, _ = f2_setup
-    stats = unmatched_boundary_stats(dg, matching)
+    s, w, dg, partner, _ = f2_setup
+    stats = unmatched_boundary_stats(dg, partner)
     assert stats["unmatched_interior"] == 0
     assert stats["min_depth"] > w.radius - w.margin
 
 
 def test_roundtrip_reconstructs_interior_matching(f2_setup):
-    s, w, dg, matching, pd = f2_setup
+    s, w, dg, partner, pd = f2_setup
     m2 = paradox_to_matching(pd, dg)
-    mset = {frozenset(e) for e in matching}
-    assert all(frozenset(e) in mset for e in m2)
+    assert all(partner[u] == v for u, v in m2)
     covered0 = {u for u, v in m2}
     assert set(w.interior_indices()) <= covered0
 
 
 def test_as_obj_roundtrip(f2_setup):
-    s, w, dg, matching, pd = f2_setup
+    s, w, dg, partner, pd = f2_setup
     obj = pd.as_obj(w)
     back = pieces_from_obj(obj, w)
     assert back.gens.elements == pd.gens.elements
@@ -95,7 +90,7 @@ def test_as_obj_roundtrip(f2_setup):
 
 
 def test_pieces_from_obj_drops_out_of_window_points(f2_setup):
-    s, w, dg, matching, pd = f2_setup
+    s, w, dg, partner, pd = f2_setup
     obj = pd.as_obj(w)
     obj["pieces_a"] = obj["pieces_a"] + [["a" * 40, 0]]
     back = pieces_from_obj(obj, w)
@@ -103,7 +98,7 @@ def test_pieces_from_obj_drops_out_of_window_points(f2_setup):
 
 
 def test_tampered_double_assignment_fails(f2_setup):
-    s, w, dg, matching, pd = f2_setup
+    s, w, dg, partner, pd = f2_setup
     from paradecomp.paradox import ParadoxicalDecomposition
 
     bad_b = dict(pd.pieces_b)
@@ -117,7 +112,7 @@ def test_tampered_double_assignment_fails(f2_setup):
 
 
 def test_tampered_unassigned_deep_point_fails(f2_setup):
-    s, w, dg, matching, pd = f2_setup
+    s, w, dg, partner, pd = f2_setup
     from paradecomp.paradox import ParadoxicalDecomposition
 
     z = w.interior_indices(1)[0]
@@ -134,7 +129,7 @@ def test_tampered_unassigned_deep_point_fails(f2_setup):
 
 
 def test_tampered_translate_breaks_coverage(f2_setup):
-    s, w, dg, matching, pd = f2_setup
+    s, w, dg, partner, pd = f2_setup
     from paradecomp.paradox import ParadoxicalDecomposition
 
     a = dict(pd.pieces_a)
@@ -147,22 +142,24 @@ def test_tampered_translate_breaks_coverage(f2_setup):
 
 
 def test_matching_must_cover_interior(f2_setup):
-    s, w, dg, matching, pd = f2_setup
-    broken = set(matching)
-    for e in matching:
-        if w.is_interior(e[0] % dg.n_points):
+    s, w, dg, partner, pd = f2_setup
+    n = dg.n_points
+    broken = {(u, v) for u, v in partner.items() if u < n}
+    for e in sorted(broken):
+        if w.is_interior(e[0] % n):
             broken.discard(e)
             break
+    # the reader takes a partner map; dg.partners is what refuses the gap
     with pytest.raises(NotPerfectOnInteriorError):
-        matching_to_paradox(dg, broken)
+        matching_to_paradox(dg, dg.partners(broken))
 
 
 def test_piece_extraction_needs_three_copies():
     s = standard_generators()
     w = expand_window("f2", (), s, 3, 1)
-    dg4 = build_doubling(w, s, 4)
+    dg4 = DoublingGraph(w, s, 4)
     with pytest.raises(ValueError):
-        matching_to_paradox(dg4, set())
+        matching_to_paradox(dg4, {})
 
 
 def test_classical_oracle_passes_and_partitions():
@@ -193,9 +190,9 @@ def test_classical_oracle_needs_identity_base():
 def test_sphere_pipeline_matches_f2_behaviour():
     s = standard_generators()
     w = expand_window("sphere", BASE_POINT, s, 5, 2)
-    dg = build_doubling(w, s, 3)
-    matching = interior_saturating_matching(dg)
-    pd = matching_to_paradox(dg, matching)
+    dg = DoublingGraph(w, s, 3)
+    partner = interior_saturating_matching(dg)
+    pd = matching_to_paradox(dg, partner)
     cert = verify_paradox(pd, w)
     assert cert.status == "PASS"
     classical = classical_f2_decomposition(w)

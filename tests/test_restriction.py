@@ -13,7 +13,7 @@ further or mends it shows here.
 import pytest
 
 from paradecomp.actions import (
-    build_doubling,
+    DoublingGraph,
     expand_window,
     interior_saturating_matching,
     square_set,
@@ -34,7 +34,7 @@ PIECES_KEPT = {("f2", "ab", 5, 6): 2, ("f2", "Ba", 5, 6): 2}
 def pieces_by_word(kind, base, radius, margin) -> dict:
     s = standard_generators()
     w = expand_window(kind, base, s, radius, margin, s.max_word_length())
-    dg = build_doubling(w, s, 3)
+    dg = DoublingGraph(w, s, 3)
     pd = matching_to_paradox(dg, interior_saturating_matching(dg))
     out = {w.words[i]: ("a", t) for i, t in pd.pieces_a.items()}
     out.update((w.words[i], ("b", t)) for i, t in pd.pieces_b.items())
@@ -46,7 +46,7 @@ def triples_by_word(kind, base, radius, margin) -> dict:
     s = standard_generators()
     s2 = square_set(s)
     w = expand_window(kind, base, s, radius, margin, s2.max_word_length())
-    dg = build_doubling(w, s2, 4)
+    dg = DoublingGraph(w, s2, 4)
     ts = triple_system_from_matching(dg, interior_saturating_matching(dg))
     labels = ts.labels
     return {

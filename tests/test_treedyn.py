@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from paradecomp import treedyn
 from paradecomp.actions import (
-    build_doubling,
+    DoublingGraph,
     expand_window,
     interior_saturating_matching,
     square_set,
@@ -193,30 +193,29 @@ def test_transfer_rejects_non_edges():
 def quad_setup():
     s = standard_generators()
     w = expand_window("f2", (), s, 6, 4)
-    dg = build_doubling(w, square_set(s), 4)
-    matching = interior_saturating_matching(dg)
-    ts = triple_system_from_matching(dg, matching)
-    return s, w, dg, matching, ts
+    dg = DoublingGraph(w, square_set(s), 4)
+    partner = interior_saturating_matching(dg)
+    ts = triple_system_from_matching(dg, partner)
+    return s, w, dg, partner, ts
 
 
 def test_triple_system_reads_off_matching(quad_setup):
-    s, w, dg, matching, ts = quad_setup
-    mset = {frozenset(e) for e in matching}
+    s, w, dg, partner, ts = quad_setup
     n = dg.n_points
     assert len(ts.maps) == 3
     for i, f in enumerate(ts.maps):
         for x, y in f.items():
-            assert frozenset(((i + 1) * n + x, y)) in mset
+            assert partner[(i + 1) * n + x] == y
     pred = ts.validate()
     for p in w.interior_indices():
         assert p in pred
 
 
 def test_triple_system_needs_four_copies(quad_setup):
-    s, w, dg, matching, ts = quad_setup
-    dg3 = build_doubling(w, square_set(s), 3)
+    s, w, dg, partner, ts = quad_setup
+    dg3 = DoublingGraph(w, square_set(s), 3)
     with pytest.raises(ValueError):
-        triple_system_from_matching(dg3, set())
+        triple_system_from_matching(dg3, {})
 
 
 def test_predecessors_reject_range_overlap():
@@ -224,7 +223,7 @@ def test_predecessors_reject_range_overlap():
         maps=({0: 1}, {2: 1}, {}), n_points=3, interior=(False,) * 3
     )
     with pytest.raises(HypothesisFailedError, match="ranges overlap"):
-        ts.validate(require_interior_coverage=False)
+        ts.validate()
 
 
 def test_validate_rejects_non_injective_map():
@@ -232,16 +231,7 @@ def test_validate_rejects_non_injective_map():
         maps=({0: 2, 1: 2}, {}, {}), n_points=3, interior=(False,) * 3
     )
     with pytest.raises(HypothesisFailedError, match="map not injective"):
-        ts.validate(require_interior_coverage=False)
-
-
-def test_validate_requires_interior_coverage():
-    ts = TripleFunctionSystem(
-        maps=({0: 1}, {}, {}), n_points=3, interior=(False, False, True)
-    )
-    with pytest.raises(HypothesisFailedError):
         ts.validate()
-    ts.validate(require_interior_coverage=False)
 
 
 def test_surgery_on_planted_cycles():
@@ -294,7 +284,7 @@ def _window_system(kind, base, radius):
     s = standard_generators()
     s2 = square_set(s)
     w = expand_window(kind, base, s, radius, 4, s2.max_word_length())
-    dg = build_doubling(w, s2, 4)
+    dg = DoublingGraph(w, s2, 4)
     return triple_system_from_matching(dg, interior_saturating_matching(dg))
 
 
@@ -329,7 +319,7 @@ def test_surgery_agrees_with_edge_set_oracle_on_windows(kind, base, radius):
 def test_surgery_accounts_for_every_point(kind, radius):
     s = standard_generators()
     w = expand_window(kind, None, s, radius, 4)
-    dg = build_doubling(w, square_set(s), 4)
+    dg = DoublingGraph(w, square_set(s), 4)
     ts = triple_system_from_matching(dg, interior_saturating_matching(dg))
     fw = forest_from_paradox(ts)
     st = fw.stats
@@ -391,7 +381,7 @@ def test_forest_is_acyclic_detects_cycles():
 
 
 def test_forest_edges_from_matching_are_lipschitz(quad_setup):
-    s, w, dg, matching, ts = quad_setup
+    s, w, dg, partner, ts = quad_setup
     fw = forest_from_paradox(ts)
     assert forest_is_acyclic(fw)
     assert fw.labels == w.words
