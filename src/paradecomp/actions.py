@@ -334,9 +334,7 @@ class DoublingGraph:
         return bipartite_graph(side0, side1, edges)
 
 
-def interior_expansion_audit(
-    dg: DoublingGraph, s2: GeneratingSet, size_cap: int
-) -> HallReport:
+def interior_expansion_audit(dg: DoublingGraph, size_cap: int) -> HallReport:
     """Check the doubled expansion on interior connected sets up to size_cap.
 
     Side-1 sets need |N(F)| >= 2|F|; copy-0 sets only |N(F)| >= |F| (that
@@ -344,14 +342,15 @@ def interior_expansion_audit(
     hall.least_violator searches them, pruning the sets whose neighborhood
     already meets the requirement at the size cap, so the verdict is
     exhaustive and a failure reports the least (size, sorted tuple, side)
-    violator.
+    violator.  G^2 reaches two dg.s-steps past an interior point, so the
+    window needs margin 2 * maxlen(dg.s).
     """
     if dg.copies != 3:
         raise ValueError("expansion audit is defined on the 3-copy graph")
-    need = 2 * s2.max_word_length()
+    need = 2 * dg.s.max_word_length()
     if dg.window.margin < need:
         raise MarginTooSmallError(
-            f"window margin {dg.window.margin} below 2*maxlen(S^2) = {need}",
+            f"window margin {dg.window.margin} below 2*maxlen(S) = {need}",
             margin=dg.window.margin,
             required=need,
         )

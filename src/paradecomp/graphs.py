@@ -106,9 +106,9 @@ def graph_from_obj(obj) -> BipartiteGraph:
         if "id" not in entry or "side" not in entry:
             raise GraphFormatError(f"{where}: needs id and side")
         vid, side = entry["id"], entry["side"]
-        if not isinstance(vid, int) or isinstance(vid, bool):
+        if type(vid) is not int:
             raise GraphFormatError(f"{where}.id: expected an integer")
-        if side not in (0, 1):
+        if type(side) is not int or side not in (0, 1):
             raise GraphFormatError(f"{where}.side: expected 0 or 1")
         (side0 if side == 0 else side1).append(vid)
     edges = obj["edges"]

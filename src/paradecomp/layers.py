@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExhaustedError, HypothesisFailedError
+from .errors import BudgetExhaustedError
 from .graphs import BipartiteGraph, bfs_distances, components, greedy_net
 
 
@@ -141,27 +141,3 @@ def greedy_layering(g: BipartiteGraph, schedule: LayerSchedule) -> Layering:
         f_values.append(fn)
     return Layering(tuple(layers), tuple(f_values))
 
-
-def validate_layering(g: BipartiteGraph, layers, schedule: LayerSchedule) -> None:
-    """Check only the separation property: pairs in layer n farther than f(n).
-
-    Deliberately nothing else; an externally supplied layering is accepted on
-    this evidence alone (coverage failures surface later as unmatched
-    vertices).
-    """
-    for n, layer in enumerate(layers):
-        fn = schedule.f(n)
-        members = list(layer)
-        mset = set(members)
-        for v in members:
-            g.require_vertex(v)
-        for v in members:
-            dist = bfs_distances(g.adj.__getitem__, (v,), fn)
-            for w, d in dist.items():
-                if w != v and w in mset:
-                    raise HypothesisFailedError(
-                        f"layer {n} members {v} and {w} at distance {d} <= f({n}) = {fn}",
-                        layer=n,
-                        pair=[v, w],
-                        distance=d,
-                    )

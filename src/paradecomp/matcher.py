@@ -33,7 +33,7 @@ from .errors import (
 )
 from .graphs import BipartiteGraph, induced_subgraph
 from .hall import ExpansionParams, check_hall, check_hall_eps_n
-from .layers import LayerSchedule, Layering, greedy_layering, validate_layering
+from .layers import LayerSchedule, Layering, greedy_layering
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,6 @@ def layered_perfect_matching(
     schedule: LayerSchedule,
     cap: int = 8,
     audit: bool = False,
-    layering=None,
     audit_cap=None,
 ) -> MatchResult:
     """Perfect matching via the staged Hall-preserving construction.
@@ -168,8 +167,6 @@ def layered_perfect_matching(
     differently: the precheck's floor is p.size_floor (usually 1), so any
     cap at or past the largest component size is unsatisfiable on finite
     graphs, while the stage audit floors at f(n) and tolerates a large cap.
-    A supplied layering is a list of vertex collections, checked for
-    separation only; by default the greedy layering is built here.
     """
     if p.epsilon != schedule.epsilon_budget:
         raise ValueError(
@@ -185,13 +182,7 @@ def layered_perfect_matching(
             witness=report.witness.as_obj() if report.witness else None,
         )
 
-    if layering is None:
-        layering = greedy_layering(g, schedule)
-    else:
-        raw = tuple(tuple(sorted(layer)) for layer in layering)
-        layering = Layering(raw, tuple(schedule.f(i) for i in range(len(raw))))
-        validate_layering(g, raw, schedule)
-
+    layering = greedy_layering(g, schedule)
     engine = _Engine(g, report.matching)
     if not engine.perfect:
         raise HallViolatedError(
@@ -200,15 +191,14 @@ def layered_perfect_matching(
     stages = []
     eps_n = schedule.epsilon_budget
     acap = cap if audit_cap is None else audit_cap
-    for n, layer in enumerate(layering.layers):
-        fn = schedule.f(n)
+    for n, (layer, fn) in enumerate(zip(layering.layers, layering.f_values)):
         eps_n -= Fraction(8, fn)
         if eps_n <= 0:
             raise BudgetExhaustedError(
                 f"epsilon_{n} = {eps_n} not positive", stage=n, epsilon=str(eps_n)
             )
         picked = []
-        for x in sorted(layer):
+        for x in layer:
             if x not in engine.alive:
                 continue
             y = engine.select(x)
@@ -237,11 +227,7 @@ def layered_perfect_matching(
                 )
         stages.append(StageRecord(n=n, epsilon_n=eps_n, matched=tuple(picked)))
 
-    if engine.alive:
-        raise HypothesisFailedError(
-            "layering did not cover the vertex set; vertices left unmatched",
-            remaining=sorted(engine.alive)[:20],
-        )
+    # the greedy layering covers every vertex, so the picks pair them all
     matching = frozenset(
         (min(x, y), max(x, y)) for rec in stages for x, y in rec.matched
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .actions import ActionWindow, DoublingGraph, GeneratingSet, standard_generators
 from .errors import InvariantError, PiecesFormatError
-from .words import IDENTITY
+from .words import IDENTITY, inv, is_reduced, mul
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,8 @@ def pieces_from_obj(obj, window: ActionWindow) -> ParadoxicalDecomposition:
             word, idx = entry
             if not isinstance(word, str):
                 raise PiecesFormatError(f"{where}: point must be a word")
+            if not is_reduced(word):
+                raise PiecesFormatError(f"{where}: {word!r} is not a reduced word")
             if not isinstance(idx, int) or isinstance(idx, bool):
                 raise PiecesFormatError(f"{where}: index must be an integer")
             if not 0 <= idx < len(gens):
@@ -203,14 +205,16 @@ def classical_f2_decomposition(w: ActionWindow) -> ParadoxicalDecomposition:
     Pieces by leading letter, with the powers of the inverse generator
     (identity included) absorbed into the piece translated by the identity:
     points starting with 'a' or lying in P = {A^k} translate by e; the rest
-    of W(A) translates by a; W(b) by e; W(B) by b.
+    of W(A) translates by a; W(b) by e; W(B) by b.  The point labelled
+    g.base is classified by g, which is its label when the base is the
+    identity (f2 at the identity, and every sphere window).
     """
-    if w.words[w.base_index] != IDENTITY:
-        raise ValueError("classical decomposition needs an identity-based window")
+    base = w.words[w.base_index]
+    words = w.words if base == IDENTITY else [mul(x, inv(base)) for x in w.words]
     gens = standard_generators()
     pieces_a: dict = {}
     pieces_b: dict = {}
-    for i, word in enumerate(w.words):
+    for i, word in enumerate(words):
         if not word or word == "A" * len(word):
             pieces_a[i] = 0  # P, absorbed
         elif word[0] == "a":

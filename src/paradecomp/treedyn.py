@@ -77,11 +77,10 @@ class OrientedTwoRegular:
         return cls(g, paths, pos, comp)
 
 
-def odd_path_graph(g, n: int) -> BipartiteGraph:
+def odd_path_graph(tr: OrientedTwoRegular, n: int) -> BipartiteGraph:
     """G_n: x joined to y when the unique path between them has odd length <= 2n-1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    tr = g if isinstance(g, OrientedTwoRegular) else OrientedTwoRegular.from_graph(g)
     base = tr.graph
     edges = [
         (u, v)
@@ -518,23 +517,11 @@ def forest_from_paradox(ts: TripleFunctionSystem) -> ForestWindow:
 
 
 def forest_is_acyclic(fw: ForestWindow) -> bool:
-    """Union-find over the edge list; False as soon as an edge closes a loop."""
-    parent = list(range(fw.n_points()))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u in range(fw.n_points()):
-        for v in fw.adjacency[u]:
-            if u < v:
-                ru, rv = find(u), find(v)
-                if ru == rv:
-                    return False
-                parent[ru] = rv
-    return True
+    """A graph is a forest exactly when it has n - #components edges."""
+    adj = fw.adjacency
+    n_edges = sum(1 for u, ns in enumerate(adj) for v in ns if u < v)
+    n_comps = sum(1 for _ in components(adj.__getitem__, range(len(adj))))
+    return n_edges == len(adj) - n_comps
 
 
 SEPARATION_BASE = 16

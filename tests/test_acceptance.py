@@ -133,7 +133,7 @@ def test_criterion_3_interior_expansion_exhaustive(capsys):
         dg = DoublingGraph(w, s2, 3)
         reads, g2_reads = record_oracle_calls(dg)
         # at cap 6 every singleton already meets ratio * cap and no set grows
-        rep = interior_expansion_audit(dg, s2, size_cap=9)
+        rep = interior_expansion_audit(dg, size_cap=9)
         assert rep.satisfied
         assert rep.witness is None
         # every interior vid of both sides was looked at: no vacuous pass

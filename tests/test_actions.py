@@ -200,10 +200,9 @@ def test_doubling_graph_shape():
 def test_expansion_audit_passes_and_prunes():
     s = standard_generators()
     w = expand_window("f2", (), s, 6, 4)
-    s2 = square_set(s)
-    dg = DoublingGraph(w, s2, 3)
+    dg = DoublingGraph(w, square_set(s), 3)
     reads, g2_reads = record_oracle_calls(dg)
-    rep = interior_expansion_audit(dg, s2, size_cap=6)
+    rep = interior_expansion_audit(dg, size_cap=6)
     assert rep.satisfied and rep.witness is None
     # every interior vid of both sides is read once; each singleton already
     # clears ratio * size_cap neighbors, so no set is grown
@@ -219,7 +218,7 @@ def test_expansion_audit_reports_the_least_violator(cap):
     s = standard_generators()
     w = expand_window("f2", (), s, 5, 4)
     dg = DoublingGraph(w, s, 3)
-    rep = interior_expansion_audit(dg, square_set(s), size_cap=cap)
+    rep = interior_expansion_audit(dg, size_cap=cap)
     want = brute_doubled_expansion(dg, cap)
     assert rep.satisfied == (want is None) == (cap == 5)
     if want is not None:
@@ -229,12 +228,15 @@ def test_expansion_audit_reports_the_least_violator(cap):
 
 
 def test_expansion_audit_needs_margin():
+    # G^2 reaches two dg.s-steps past an interior point: margin 2 * maxlen
     s = standard_generators()
-    w = expand_window("f2", (), s, 6, 1)
-    s2 = square_set(s)
-    dg = DoublingGraph(w, s2, 3)
-    with pytest.raises(MarginTooSmallError):
-        interior_expansion_audit(dg, s2, size_cap=2)
+    for gens, need in ((s, 2), (square_set(s), 4)):
+        dg = DoublingGraph(expand_window("f2", (), s, 6, need - 1), gens, 3)
+        with pytest.raises(MarginTooSmallError) as ei:
+            interior_expansion_audit(dg, size_cap=2)
+        assert ei.value.details["required"] == need
+        dg = DoublingGraph(expand_window("f2", (), s, 6, need), gens, 3)
+        assert interior_expansion_audit(dg, size_cap=1).satisfied
 
 
 def test_expansion_audit_rejects_four_copies():
@@ -242,7 +244,7 @@ def test_expansion_audit_rejects_four_copies():
     w = expand_window("f2", (), s, 6, 4)
     dg = DoublingGraph(w, square_set(s), 4)
     with pytest.raises(ValueError):
-        interior_expansion_audit(dg, square_set(s), size_cap=2)
+        interior_expansion_audit(dg, size_cap=2)
 
 
 def test_interior_matching_saturates_interior_only():

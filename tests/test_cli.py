@@ -130,6 +130,47 @@ def test_boolean_edge_endpoint_exits_one(capsys, tmp_path):
     assert "edges[0]" in obj["message"]
 
 
+def test_boolean_side_exits_one(capsys, tmp_path):
+    # JSON true == 1 in Python, so a boolean side would pass for side 1
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps({"vertices": [{"id": 1, "side": True}], "edges": []}))
+    code, obj = run(capsys, ["hall-check", str(f)])
+    assert code == 1
+    assert obj["error"] == "BAD_GRAPH"
+    assert "vertices[0].side" in obj["message"]
+
+
+def test_window_square_writes_the_s2_sidecar(capsys, tmp_path):
+    out = tmp_path / "w.json"
+    argv = ["window", "--kind", "f2", "--radius", "2", "--margin", "1", "--square"]
+    code, obj = run(capsys, argv + ["--out", str(out)])
+    assert code == 0
+    assert obj["square"] is True
+    # radius 2 in S^2 steps holds the reduced words of length up to 4
+    assert (obj["n_points"], obj["interior_points"]) == (161, 17)
+    sidecar = json.loads((tmp_path / "w.points.json").read_text())
+    assert len(sidecar["gens"]) == 17
+
+
+@pytest.mark.parametrize("kind", ["f2", "sphere"])
+def test_paradox_classical_oracle_passes(capsys, kind):
+    argv = ["paradox", "--kind", kind, "--radius", "6", "--oracle", "classical"]
+    code, obj = run(capsys, argv)
+    assert code == 0
+    assert obj["oracle"] == "classical"
+    assert obj["certificate"]["status"] == "PASS"
+    assert obj["boundary"] is None
+
+
+def test_demo_on_a_translated_f2_base_passes(capsys):
+    argv = ["demo", "--kind", "f2", "--radius", "8", "--base", "ab"]
+    code, obj = run(capsys, argv)
+    assert code == 0
+    assert obj["window"]["base"] == "ab"
+    assert obj["classical_certificate"]["status"] == "PASS"
+    assert obj["pass"] is True
+
+
 def test_window_radius_under_margin_is_a_precondition(capsys, tmp_path):
     code, obj = run(
         capsys,
@@ -262,7 +303,7 @@ def test_demo_f2_radius_ten_passes(capsys):
 
 
 def test_demo_on_a_sphere_base_with_a_stabilizer_exits_three(capsys):
-    # (3,4,0,1) is a.x for x on the a-axis, so aBA fixes it
+    # (3,4,0,1) is a.x for x on the b-axis, so aBA fixes it
     code, obj = run(
         capsys, ["demo", "--kind", "sphere", "--radius", "8", "--base", "3,4,0,1"]
     )
@@ -311,6 +352,18 @@ def test_verify_piece_index_out_of_range_exits_one(capsys, tmp_path, pieces_obj)
     assert code == 1
     assert obj["error"] == "BAD_PIECES"
     assert "pieces_b[0]" in obj["message"]
+
+
+@pytest.mark.parametrize("point", ["zz", "aA"])
+def test_verify_non_reduced_point_exits_one(capsys, tmp_path, pieces_obj, point):
+    # such a point lies in no window, so skipping it would hide the bad entry
+    pieces_obj["pieces"]["pieces_a"][3][0] = point
+    f = tmp_path / "badpoint.json"
+    f.write_text(json.dumps(pieces_obj))
+    code, obj = run(capsys, ["verify", "--pieces", str(f)])
+    assert code == 1
+    assert obj["error"] == "BAD_PIECES"
+    assert "pieces_a[3]" in obj["message"]
 
 
 def test_f2action_edge_outside_points_exits_one(capsys, tmp_path):

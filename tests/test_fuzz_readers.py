@@ -90,13 +90,13 @@ def test_graph_reader_fuzz(doc):
     run_on("graph", doc)
 
 
-# well-shaped graphs whose edge endpoints may be JSON booleans, which Python
-# would otherwise read as the vertices 0 and 1
+# well-shaped graphs whose sides and edge endpoints may be JSON booleans,
+# which Python would otherwise read as the integers 0 and 1
 graph_shaped = st.fixed_dictionaries(
     {
         "vertices": st.lists(
             st.fixed_dictionaries(
-                {"id": st.integers(0, 3), "side": st.integers(0, 1)}
+                {"id": st.integers(0, 3), "side": st.integers(0, 1) | st.booleans()}
             ),
             max_size=4,
         ),
@@ -112,7 +112,8 @@ graph_shaped = st.fixed_dictionaries(
 @given(graph_shaped)
 def test_graph_reader_rejects_boolean_endpoints(doc):
     obj = run_on("graph", doc)
-    if any(type(u) is bool for e in doc["edges"] for u in e):
+    sides = [v["side"] for v in doc["vertices"]]
+    if any(type(u) is bool for u in sides + [u for e in doc["edges"] for u in e]):
         assert obj["error"] == "BAD_GRAPH"
 
 

@@ -111,28 +111,6 @@ def test_audit_mode_checks_residual_every_stage():
         assert len(res.matching) == len(g.side_vertices(0))
 
 
-def test_explicit_layering_can_be_supplied():
-    g = complete_bipartite(2, 2)
-    sched = explicit_schedule([32, 64, 128, 256], Fraction(1))
-    layers = [(0,), (1,), (2,), (3,)]
-    res = layered_perfect_matching(
-        g, ExpansionParams(Fraction(1), 1), sched, cap=1, layering=layers
-    )
-    assert len(res.matching) == 2
-
-
-def test_supplied_layering_must_be_separated():
-    g = complete_bipartite(3, 3)
-    sched = explicit_schedule([1000] * 10, 1)
-    with pytest.raises(HypothesisFailedError) as ei:
-        layered_perfect_matching(
-            g, ExpansionParams(Fraction(1), 1), sched, cap=1, layering=[g.ids]
-        )
-    assert ei.value.code == "HYPOTHESIS_FAILED"
-    assert ei.value.details["pair"] == [0, 3]
-    assert ei.value.details["distance"] == 1
-
-
 def test_matching_is_deterministic():
     rng = random.Random(88)
     g = union_of_permutations(20, 3, rng)

@@ -16,6 +16,7 @@ from paradecomp.paradox import (
     verify_paradox,
 )
 from paradecomp.rotations import BASE_POINT
+from paradecomp.words import mul
 
 
 @pytest.fixture(scope="module")
@@ -180,11 +181,20 @@ def test_classical_oracle_passes_and_partitions():
     assert cert.status == "PASS"
 
 
-def test_classical_oracle_needs_identity_base():
+@pytest.mark.parametrize("base", ["ab", "Ba", "bbA"])
+@pytest.mark.parametrize("radius", [6, 8])
+@pytest.mark.parametrize("reach", [None, 1])
+def test_classical_oracle_passes_on_translated_windows(base, radius, reach):
+    # the point g.base gets the piece the identity-based window gives g
     s = standard_generators()
-    w = expand_window("f2", "a", s, 3, 1)
-    with pytest.raises(ValueError):
-        classical_f2_decomposition(w)
+    w = expand_window("f2", base, s, radius, 4, reach)
+    home = expand_window("f2", "", s, radius, 4, reach)
+    pd = classical_f2_decomposition(w)
+    ref = classical_f2_decomposition(home)
+    for got, want in ((pd.pieces_a, ref.pieces_a), (pd.pieces_b, ref.pieces_b)):
+        moved = {mul(home.words[i], base): t for i, t in want.items()}
+        assert {w.words[i]: t for i, t in got.items()} == moved
+    assert verify_paradox(pd, w).status == "PASS"
 
 
 def test_sphere_pipeline_matches_f2_behaviour():

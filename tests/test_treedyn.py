@@ -86,17 +86,18 @@ def test_orientation_rejects_cycles():
 def test_odd_path_power_one_is_the_graph():
     rng = random.Random(3)
     g = random_path_window(rng)
-    g1 = odd_path_graph(g, 1)
+    g1 = odd_path_graph(OrientedTwoRegular.from_graph(g), 1)
     assert {frozenset(e) for e in g1.edges()} == {frozenset(e) for e in g.edges()}
 
 
 def test_odd_path_power_offsets():
     g = line_window(12)
-    g2 = odd_path_graph(g, 2)
+    tr = OrientedTwoRegular.from_graph(g)
+    g2 = odd_path_graph(tr, 2)
     for v in g2.ids:
         expected = {v + d for d in (-3, -1, 1, 3) if 0 <= v + d < 12}
         assert set(g2.adj[v]) == expected
-    g3 = odd_path_graph(g, 3)
+    g3 = odd_path_graph(tr, 3)
     assert set(g3.adj[6]) == {1, 3, 5, 7, 9, 11}
 
 
@@ -172,7 +173,7 @@ def test_transfer_is_direction_consistent_for_all_matchings():
     g = line_window(10)
     tr = OrientedTwoRegular.from_graph(g)
     for n in (2, 3):
-        gn = odd_path_graph(g, n)
+        gn = odd_path_graph(tr, n)
         count = 0
         for m in all_perfect_matchings(gn):
             res = transfer_matching(tr, m, n)
