@@ -17,7 +17,7 @@ because interesting windows are far too large to materialize edge lists.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress, islice
 from operator import gt
 
@@ -41,52 +41,39 @@ SPHERE = "sphere"
 
 @dataclass(frozen=True)
 class GeneratingSet:
-    """Finite symmetric set of reduced words containing the identity.
+    """The ball of reduced words of a radius L >= 1, named by L.
 
-    Element order is meaningful (piece indices refer to it); the constructor
-    puts the identity first, keeps the supplied order otherwise, and appends
-    any missing inverses at the end.
+    S is the ball of radius 1 and S^2 that of radius 2.  Element order is
+    meaningful (piece indices refer to it): shortlex, so the identity comes
+    first.  A ball is symmetric and holds the identity, as the doubling
+    graph needs.
     """
 
-    elements: tuple
+    radius: int
+    elements: tuple = field(init=False, repr=False, compare=False)
 
-    @staticmethod
-    def from_words(words) -> "GeneratingSet":
-        seen = []
-        for w in words:
-            r = reduce_word(w)
-            if r not in seen:
-                seen.append(r)
-        if IDENTITY in seen:
-            seen.remove(IDENTITY)
-        out = [IDENTITY] + seen
-        for w in list(out):
-            if inv(w) not in out:
-                out.append(inv(w))
-        return GeneratingSet(tuple(out))
+    def __post_init__(self):
+        if self.radius < 1:
+            raise ValueError(f"generating set radius {self.radius} must be >= 1")
+        object.__setattr__(self, "elements", tuple(iter_reduced(self.radius)))
 
     def nonidentity(self) -> tuple:
-        return tuple(w for w in self.elements if w)
+        return self.elements[1:]
 
     def max_word_length(self) -> int:
-        return max((len(w) for w in self.elements), default=0)
+        return self.radius
 
     def __len__(self):
         return len(self.elements)
 
 
 def standard_generators() -> GeneratingSet:
-    return GeneratingSet((IDENTITY, "a", "A", "b", "B"))
+    return GeneratingSet(1)
 
 
 def square_set(s: GeneratingSet) -> GeneratingSet:
-    """S^2 = all pairwise products, canonical shortlex order.
-
-    Contains s (identity in s makes every element a product), symmetric,
-    identity first because the empty word has the least key.
-    """
-    prods = {mul(u, v) for u in s.elements for v in s.elements}
-    return GeneratingSet(tuple(sorted(prods, key=word_key)))
+    """S^2: the pairwise products of a ball of radius L are the ball of 2L."""
+    return GeneratingSet(2 * s.radius)
 
 
 class ActionWindow:
@@ -153,9 +140,9 @@ def expand_window(
 ) -> ActionWindow:
     """Ball of the action graph of s around base, generated in shortlex order.
 
-    s must be the ball of reduced words of some radius L >= 1 (S itself has
-    L = 1, S^2 has L = 2), so the window is every g.base with |g| <= radius*L
-    at distance ceil(|g| / L).  A caller that only translates interior points
+    s is the ball of reduced words of its radius L (S has L = 1, S^2 has
+    L = 2), so the window is every g.base with |g| <= radius*L at distance
+    ceil(|g| / L).  A caller that only translates interior points
     by words of at most reach letters passes reach, and the expansion stops
     at distance hold = min(radius, radius - margin + reach); the interior and
     the stated radius stay as they are.  Without reach the whole ball is held.
@@ -170,9 +157,7 @@ def expand_window(
         raise ValueError(f"radius {radius} must exceed margin {margin}")
     if margin < 0:
         raise ValueError("margin must be >= 0")
-    step = s.max_word_length()
-    if step < 1 or sorted(s.elements, key=word_key) != list(iter_reduced(step)):
-        raise ValueError("the generating set must be a ball of reduced words")
+    step = s.radius
     if kind == F2:
         base_word = reduce_word(base if base is not None else IDENTITY)
     elif kind == SPHERE:
@@ -308,9 +293,10 @@ class DoublingGraph:
     def neighbors(self, vid: int):
         n = self.n_points
         i = vid % n
+        ims = self.images(i)
         if vid < n:
-            return [c * n + j for c in range(1, self.copies) for j in self.images(i)]
-        return self.images(i)
+            return [c * n + j for c in range(1, self.copies) for j in ims]
+        return ims
 
     def g2_point_neighbors(self, i: int):
         """Points j whose s-images intersect i's (i itself included)."""

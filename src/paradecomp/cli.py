@@ -105,7 +105,7 @@ def _schedule_from_args(args):
         except ValueError:
             raise _InputError(f"bad schedule list: {args.schedule!r}")
         return explicit_schedule(f_list, args.epsilon)
-    return geometric_schedule(args.epsilon, args.ratio)
+    return geometric_schedule(args.epsilon)
 
 
 def _parse_base(kind: str, raw):
@@ -465,7 +465,6 @@ def build_parser() -> _Parser:
     p = add("layers", cmd_layers, "greedy sparse layering of a graph")
     p.add_argument("graph")
     p.add_argument("--epsilon", type=_fraction, required=True)
-    p.add_argument("--ratio", type=int, default=2)
     p.add_argument("--schedule", default=None, help="explicit f values, comma separated")
 
     p = add("match", cmd_match, "layered Hall-preserving perfect matching")
@@ -473,7 +472,6 @@ def build_parser() -> _Parser:
     p.add_argument("--epsilon", type=_fraction, required=True)
     p.add_argument("--floor", type=int, default=1)
     p.add_argument("--cap", type=int, default=8)
-    p.add_argument("--ratio", type=int, default=2)
     p.add_argument("--schedule", default=None)
     p.add_argument("--audit", action="store_true")
     p.add_argument("--dot", default=None, help="write a DOT rendering here")

@@ -84,7 +84,7 @@ def _side_levels(roots, nbrs, g2, num: int, den: int, cap: int):
     neighbor id got when first seen.  The generator ends after the last size
     that has any.  A set with den*|N(F)| >= num*cap is dropped and not grown:
     N only grows under extension, so every set of size <= cap containing it
-    meets the ratio.  For the same reason an id whose singleton is dropped
+    meets num/den.  For the same reason an id whose singleton is dropped
     never becomes a candidate, and neither does an id g2 names outside roots.
 
     Each set is grown once, from its least id.  Its candidates are those left
@@ -138,11 +138,11 @@ def least_violator(nbrs, g2, sides, floor: int, cap: int):
     nbrs and g2 map an id to its neighbor ids and to its G^2-neighbor ids.
     sides holds one (side, roots, num, den) per side searched: F ranges over
     the subsets of the sorted id list roots with floor <= |F| <= cap, and
-    must beat the ratio num/den.  Sizes are taken in ascending order, all
+    must beat num/den.  Sizes are taken in ascending order, all
     sides at each size, and the search stops at the first size that holds a
     violator, or that holds no set left to grow (each connected set of size
     k + 1 contains one of size k, and _side_levels drops only sets whose
-    extensions all meet the ratio).  Returns the witness, with
+    extensions all meet num/den).  Returns the witness, with
     required = (num/den)*|F|, or None.
     """
     levels = zip_longest(
@@ -165,7 +165,7 @@ def least_violator(nbrs, g2, sides, floor: int, cap: int):
 
 
 def _graph_violator(g: BipartiteGraph, sides, floor: int, cap: int, num: int, den: int):
-    """least_violator over the given sides of g, one ratio for both.
+    """least_violator over the given sides of g, one num/den for both.
 
     N(F) is read off g.adj with no vertex checks: the ids come from g's own
     side lists, and a one-sided F of a bipartite graph never meets its

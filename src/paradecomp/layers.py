@@ -1,11 +1,12 @@
 """Sparse layerings: decompositions A_0, A_1, ... with growing separation.
 
-A schedule fixes the separation function f (non-decreasing, f(n) >= 8 for
-the stock constructor) together with an exact rational budget certifying
-sum 8/f(n) < epsilon.  The greedy layering scans vertices in ascending id
-order and accepts a vertex into layer n unless an already-accepted one lies
-within distance f(n); this keeps pairwise distances strictly above f(n) and
-covers everything in finitely many layers.
+A schedule fixes the separation function f (non-decreasing; the stock
+geometric one doubles at each stage from a base of at least 8) together with
+an exact rational budget certifying sum 8/f(n) < epsilon.  The greedy
+layering scans vertices in ascending id order and accepts a vertex into
+layer n unless an already-accepted one lies within distance f(n); this keeps
+pairwise distances strictly above f(n) and covers everything in finitely
+many layers.
 """
 
 from __future__ import annotations
@@ -21,22 +22,21 @@ from .graphs import BipartiteGraph, bfs_distances, components, greedy_net
 class LayerSchedule:
     """Separation function f plus a certified epsilon budget.
 
-    Geometric (f_list None): f(n) = base * ratio**n, infinite tail certified
-    by the closed-form series total.  Explicit: finite table, total certified
-    by direct summation; asking past the table raises BUDGET_EXHAUSTED.
+    Geometric (f_list None): f(n) = base * 2**n, infinite tail certified by
+    the closed-form series total.  Explicit: finite table, total certified by
+    direct summation; asking past the table raises BUDGET_EXHAUSTED.
     """
 
     epsilon_budget: Fraction
     series_total: Fraction
     base: int | None = None
-    ratio: int | None = None
     f_list: tuple | None = None
 
     def f(self, n: int) -> int:
         if n < 0:
             raise ValueError("stage index must be >= 0")
         if self.f_list is None:
-            return self.base * self.ratio ** n
+            return self.base * 2**n
         if n >= len(self.f_list):
             raise BudgetExhaustedError(
                 f"explicit schedule has {len(self.f_list)} stages, asked for {n}",
@@ -51,21 +51,19 @@ class LayerSchedule:
         )
 
 
-def geometric_schedule(epsilon, ratio: int = 2) -> LayerSchedule:
-    """f(n) = c * ratio^n with c the least 8 * ratio^k summing under epsilon.
+def geometric_schedule(epsilon) -> LayerSchedule:
+    """f(n) = c * 2^n with c the least 8 * 2^k summing under epsilon.
 
-    sum_n 8/(c * ratio^n) = (8/c) * ratio/(ratio-1), kept exact; the budget
-    certificate is this closed form.
+    sum_n 8/(c * 2^n) = 16/c, kept exact; the budget certificate is this
+    closed form.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if ratio < 2:
-        raise ValueError("ratio must be >= 2")
     c = 8
-    while (total := Fraction(8 * ratio, c * (ratio - 1))) >= epsilon:
-        c *= ratio
-    return LayerSchedule(epsilon, total, base=c, ratio=ratio)
+    while (total := Fraction(16, c)) >= epsilon:
+        c *= 2
+    return LayerSchedule(epsilon, total, base=c)
 
 
 def explicit_schedule(f_list, epsilon_budget) -> LayerSchedule:

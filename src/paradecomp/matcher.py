@@ -10,14 +10,15 @@ id order, which realizes the "least such edge" rule.
 Hall's condition throughout this module means perfect matchability: balanced
 sides and zero deficiency from both.
 
-The per-stage audit checks Hall_(eps_n, f(n)) on the residual.  While the
-audit cap is below f(n) only the plain clause is in range, and the engine's
-own matching is its certificate: every live vertex must have a live partner
-across an edge of the graph, which pairs it back.  That costs one pass over
-the residual.  If the certificate fails, the full check runs: a real
-violation is reported with its canonical witness, and a residual that still
-satisfies Hall means the engine itself is broken (INVARIANT).  Once the cap
-reaches f(n) the expansion clause is enumerated on the residual as before.
+The per-stage audit checks Hall_(eps_n, f(n)) on the residual, up to the
+same cap as the precheck.  While the cap is below f(n) only the plain clause
+is in range, and the engine's own matching is its certificate: every live
+vertex must have a live partner across an edge of the graph, which pairs it
+back.  That costs one pass over the residual.  If the certificate fails,
+the full check runs: a real violation is reported with its canonical
+witness, and a residual that still satisfies Hall means the engine itself is
+broken (INVARIANT).  Once the cap reaches f(n) the expansion clause is
+enumerated on the residual as before.
 """
 
 from __future__ import annotations
@@ -155,18 +156,13 @@ def layered_perfect_matching(
     schedule: LayerSchedule,
     cap: int = 8,
     audit: bool = False,
-    audit_cap=None,
 ) -> MatchResult:
     """Perfect matching via the staged Hall-preserving construction.
 
     Precondition Hall_{epsilon, size_floor} is verified up to `cap` before
     starting (HYPOTHESIS_FAILED with the witness otherwise).  audit=True
     re-verifies the stage invariant on the residual after every stage, with
-    the enumeration clause active only when the audit cap reaches f(n).
-    audit_cap defaults to cap; it exists because the two checks scale
-    differently: the precheck's floor is p.size_floor (usually 1), so any
-    cap at or past the largest component size is unsatisfiable on finite
-    graphs, while the stage audit floors at f(n) and tolerates a large cap.
+    the enumeration clause active only when cap reaches f(n).
     """
     if p.epsilon != schedule.epsilon_budget:
         raise ValueError(
@@ -190,7 +186,6 @@ def layered_perfect_matching(
         )
     stages = []
     eps_n = schedule.epsilon_budget
-    acap = cap if audit_cap is None else audit_cap
     for n, (layer, fn) in enumerate(zip(layering.layers, layering.f_values)):
         eps_n -= Fraction(8, fn)
         if eps_n <= 0:
@@ -205,13 +200,13 @@ def layered_perfect_matching(
             picked.append((x, y))
         # below f(n) only plain Hall is audited, and a perfect matching of the
         # residual proves it; the full check runs when that certificate fails
-        if audit and (acap >= fn or not engine.certifies_residual()):
+        if audit and (cap >= fn or not engine.certifies_residual()):
             residual = induced_subgraph(g, engine.alive)
             # an empty enumeration range [f(n), cap] leaves only plain Hall
-            if acap < fn:
+            if cap < fn:
                 rep = check_hall(residual)
             else:
-                rep = check_hall_eps_n(residual, ExpansionParams(eps_n, fn), acap)
+                rep = check_hall_eps_n(residual, ExpansionParams(eps_n, fn), cap)
             if not rep.satisfied:
                 raise HallViolatedError(
                     "stage invariant Hall_(eps_n, f(n)) failed",
@@ -220,7 +215,7 @@ def layered_perfect_matching(
                     f_n=fn,
                     witness=rep.witness.as_obj() if rep.witness else None,
                 )
-            if acap < fn:
+            if cap < fn:
                 raise InvariantError(
                     "engine lost its residual matching although Hall holds",
                     stage=n,

@@ -11,10 +11,11 @@ on the deep interior, where finite truncation cannot interfere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .actions import ActionWindow, DoublingGraph, GeneratingSet, standard_generators
 from .errors import InvariantError, PiecesFormatError
-from .words import IDENTITY, inv, is_reduced, mul
+from .words import IDENTITY, inv, is_reduced, iter_reduced, mul
 
 
 @dataclass(frozen=True)
@@ -49,10 +50,19 @@ def pieces_from_obj(obj, window: ActionWindow) -> ParadoxicalDecomposition:
             raise PiecesFormatError(f"missing field: {key}")
         if not isinstance(obj[key], list):
             raise PiecesFormatError(f"{key}: expected a list")
-    for i, w in enumerate(obj["gens"]):
+    words = obj["gens"]
+    for i, w in enumerate(words):
         if not isinstance(w, str):
             raise PiecesFormatError(f"gens[{i}]: expected a word")
-    gens = GeneratingSet.from_words(obj["gens"])
+    # the only list accepted is a ball in shortlex order, as written; islice
+    # keeps one long word from enumerating its whole ball
+    radius = max(map(len, words), default=0)
+    if radius < 1 or list(islice(iter_reduced(radius), len(words) + 1)) != words:
+        raise PiecesFormatError(
+            "gens: expected the reduced words of length <= L in shortlex order, "
+            "for some L >= 1"
+        )
+    gens = GeneratingSet(radius)
     pieces_a = {}
     pieces_b = {}
     for key, target in (("pieces_a", pieces_a), ("pieces_b", pieces_b)):

@@ -456,17 +456,8 @@ def forest_from_paradox(ts: TripleFunctionSystem) -> ForestWindow:
             k = cyc.index(min(cyc))
             cyc = cyc[k:] + cyc[:k]
             cycle_hist[len(cyc)] = cycle_hist.get(len(cyc), 0) + 1
-            rot = {}
-            for t, x in enumerate(cyc):
-                y = cyc[(t + 1) % len(cyc)]
-                for j in range(3):
-                    if ts.maps[j].get(x) == y:
-                        rot[x] = j
-                        break
-                else:
-                    raise InvariantError(
-                        "cycle edge not realized by any map", edge=[x, y]
-                    )
+            # the cycle was walked through pred, so pred names each edge's map
+            rot = {pred[y][1]: pred[y][0] for y in cyc}
 
             def g_at(x, offset):
                 return ts.maps[(rot[x] + offset) % 3].get(x)

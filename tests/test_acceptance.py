@@ -101,9 +101,7 @@ def test_criterion_2_stage_invariant_holds(capsys):
             sched = geometric_schedule(p.epsilon)
             # audit=True re-runs the same invariant inside the matcher and
             # raises on any violation; the loop below recomputes it here.
-            res = layered_perfect_matching(
-                g, p, sched, cap=2, audit=True, audit_cap=12
-            )
+            res = layered_perfect_matching(g, p, sched, cap=2, audit=True)
             alive = set(g.ids)
             spent = Fraction(0)
             for rec in res.stages:

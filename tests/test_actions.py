@@ -22,7 +22,7 @@ from paradecomp.errors import (
     MarginTooSmallError,
     NotPerfectOnInteriorError,
 )
-from paradecomp.words import iter_reduced, word_key
+from paradecomp.words import iter_reduced, mul, word_key
 from paradecomp.rotations import BASE_POINT, apply_to_point, word_rotation
 
 from oracles import (
@@ -49,18 +49,17 @@ def test_standard_generators_shape():
     assert list(s2.elements) == sorted(s2.elements, key=word_key)
 
 
-def test_generating_set_closes_under_inverse():
-    s = GeneratingSet.from_words(["ab"])
-    assert "BA" in s.elements
-    assert s.elements[0] == ""
+@pytest.mark.parametrize("radius", [1, 2])
+def test_square_set_is_the_set_of_pairwise_products(radius):
+    # the reference: S^2 as every pairwise product, in shortlex order
+    s = GeneratingSet(radius)
+    prods = {mul(u, v) for u in s.elements for v in s.elements}
+    assert square_set(s).elements == tuple(sorted(prods, key=word_key))
 
 
-def test_expand_window_refuses_a_set_that_is_not_a_ball():
-    s = GeneratingSet.from_words(["ab"])
+def test_generating_set_needs_a_positive_radius():
     with pytest.raises(ValueError):
-        expand_window("f2", (), s, 3, 1)
-    with pytest.raises(ValueError):
-        expand_window("sphere", BASE_POINT, s, 3, 1)
+        GeneratingSet(0)
 
 
 def _window_cases():

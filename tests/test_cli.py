@@ -354,6 +354,24 @@ def test_verify_piece_index_out_of_range_exits_one(capsys, tmp_path, pieces_obj)
     assert "pieces_b[0]" in obj["message"]
 
 
+@pytest.mark.parametrize(
+    "gens", [["a", "", "A", "b", "B"], ["", "aA", "a", "A", "b", "B"]]
+)
+def test_verify_gens_other_than_a_ball_exit_one(capsys, tmp_path, gens):
+    # read as a set, either list is S, and the pieces would certify PASS
+    out = tmp_path / "pieces.json"
+    argv = ["paradox", "--kind", "f2", "--radius", "8", "--out", str(out)]
+    code, _ = run(capsys, argv)
+    assert code == 0
+    data = json.loads(out.read_text())
+    data["pieces"]["gens"] = gens
+    out.write_text(json.dumps(data))
+    code, obj = run(capsys, ["verify", "--pieces", str(out)])
+    assert code == 1
+    assert obj["error"] == "BAD_PIECES"
+    assert "gens" in obj["message"]
+
+
 @pytest.mark.parametrize("point", ["zz", "aA"])
 def test_verify_non_reduced_point_exits_one(capsys, tmp_path, pieces_obj, point):
     # such a point lies in no window, so skipping it would hide the bad entry

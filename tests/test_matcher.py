@@ -106,7 +106,7 @@ def test_audit_mode_checks_residual_every_stage():
     pairs = hall_family(6, rng, [Fraction(1, 2)], n_range=(4, 12))
     for g, p in pairs:
         res = layered_perfect_matching(
-            g, p, geometric_schedule(p.epsilon), cap=2, audit=True, audit_cap=12
+            g, p, geometric_schedule(p.epsilon), cap=2, audit=True
         )
         assert len(res.matching) == len(g.side_vertices(0))
 
@@ -226,7 +226,7 @@ def test_epsilon_clause_audit_failures_keep_their_witness(monkeypatch):
     sched = explicit_schedule([2] * 8, Fraction(40))
     p = ExpansionParams(Fraction(40), 8)
     err = _error_json(
-        lambda: layered_perfect_matching(g, p, sched, cap=8, audit=True, audit_cap=3)
+        lambda: layered_perfect_matching(g, p, sched, cap=8, audit=True)
     )
     assert err == (
         '{"details": {"epsilon_n": "36", "f_n": 2, "stage": 0, "witness": '
@@ -237,9 +237,12 @@ def test_epsilon_clause_audit_failures_keep_their_witness(monkeypatch):
     family = hall_family(12, random.Random(12), [Fraction(1, 2)], n_range=(4, 12))
     g, p = family[5]
     monkeypatch.setattr(_Engine, "remove_preserving", _drop_without_repair)
+    # a floor of 10**6 leaves the precheck no set in range; the audit's
+    # floor is f(n), so the cap puts its clause in range at every stage
+    wide = ExpansionParams(p.epsilon, 10**6)
     err = _error_json(
         lambda: layered_perfect_matching(
-            g, p, geometric_schedule(p.epsilon), cap=2, audit=True, audit_cap=10**6
+            g, wide, geometric_schedule(p.epsilon), cap=10**6, audit=True
         )
     )
     assert err == (
