@@ -99,7 +99,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _schedule_from_args(args):
-    if getattr(args, "schedule", None):
+    if args.schedule is not None:
         try:
             f_list = [int(t) for t in args.schedule.split(",")]
         except ValueError:

@@ -10,6 +10,10 @@ id order, which realizes the "least such edge" rule.
 Hall's condition throughout this module means perfect matchability: balanced
 sides and zero deficiency from both.
 
+The epsilon ledger epsilon_n = epsilon - sum_{i<=n} 8/f(i) is exact but kept
+as a pair of integers in lowest terms, one multiply, subtract and gcd per
+stage; a stage record gives it as a Fraction only when epsilon_n is read.
+
 The per-stage audit checks Hall_(eps_n, f(n)) on the residual, up to the
 same cap as the precheck.  While the cap is below f(n) only the plain clause
 is in range, and the engine's own matching is its certificate: every live
@@ -25,6 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from typing import NamedTuple
 
 from .errors import (
     BudgetExhaustedError,
@@ -37,18 +43,22 @@ from .hall import ExpansionParams, check_hall, check_hall_eps_n
 from .layers import LayerSchedule, Layering, greedy_layering
 
 
-@dataclass(frozen=True)
-class StageRecord:
+class StageRecord(NamedTuple):
+    """One stage: epsilon_n = num/den in lowest terms, den > 0."""
+
     n: int
-    epsilon_n: Fraction
+    num: int
+    den: int
     matched: tuple  # (layer_vertex, partner) in pick order
 
-    def as_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "epsilon_n": str(self.epsilon_n),
-            "matched": [[x, y] for x, y in self.matched],
-        }
+    @property
+    def epsilon_n(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+
+def _fraction_str(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for a pair already in lowest terms, den > 0."""
+    return f"{num}/{den}" if den != 1 else str(num)
 
 
 @dataclass(frozen=True)
@@ -60,7 +70,14 @@ class MatchResult:
     def as_obj(self) -> dict:
         return {
             "matching": sorted([min(e), max(e)] for e in self.matching),
-            "stages": [s.as_obj() for s in self.stages],
+            "stages": [
+                {
+                    "n": n,
+                    "epsilon_n": _fraction_str(num, den),
+                    "matched": [[x, y] for x, y in matched],
+                }
+                for n, num, den, matched in self.stages
+            ],
             "layering": self.layering.as_obj(),
         }
 
@@ -185,12 +202,19 @@ def layered_perfect_matching(
             "no perfect matching found despite Hall precheck", vertices=len(g.ids)
         )
     stages = []
-    eps_n = schedule.epsilon_budget
+    # epsilon_n = num/den in lowest terms: a Fraction per stage would cost
+    # more than the stage's matching work
+    budget = schedule.epsilon_budget
+    num, den = budget.numerator, budget.denominator
     for n, (layer, fn) in enumerate(zip(layering.layers, layering.f_values)):
-        eps_n -= Fraction(8, fn)
-        if eps_n <= 0:
+        num, den = num * fn - 8 * den, den * fn
+        d = gcd(num, den)
+        num //= d
+        den //= d
+        if num <= 0:
+            eps = _fraction_str(num, den)
             raise BudgetExhaustedError(
-                f"epsilon_{n} = {eps_n} not positive", stage=n, epsilon=str(eps_n)
+                f"epsilon_{n} = {eps} not positive", stage=n, epsilon=eps
             )
         picked = []
         for x in layer:
@@ -206,12 +230,14 @@ def layered_perfect_matching(
             if cap < fn:
                 rep = check_hall(residual)
             else:
-                rep = check_hall_eps_n(residual, ExpansionParams(eps_n, fn), cap)
+                rep = check_hall_eps_n(
+                    residual, ExpansionParams(Fraction(num, den), fn), cap
+                )
             if not rep.satisfied:
                 raise HallViolatedError(
                     "stage invariant Hall_(eps_n, f(n)) failed",
                     stage=n,
-                    epsilon_n=str(eps_n),
+                    epsilon_n=_fraction_str(num, den),
                     f_n=fn,
                     witness=rep.witness.as_obj() if rep.witness else None,
                 )
@@ -220,7 +246,7 @@ def layered_perfect_matching(
                     "engine lost its residual matching although Hall holds",
                     stage=n,
                 )
-        stages.append(StageRecord(n=n, epsilon_n=eps_n, matched=tuple(picked)))
+        stages.append(StageRecord(n, num, den, tuple(picked)))
 
     # the greedy layering covers every vertex, so the picks pair them all
     matching = frozenset(

@@ -72,6 +72,15 @@ def test_layers_runs(capsys, k33):
     assert obj["layering"]["layers"]
 
 
+@pytest.mark.parametrize("command", ["layers", "match"])
+def test_empty_schedule_list_exits_one(capsys, k33, command):
+    # a given --schedule is an explicit list, even when it is empty
+    code, obj = run(capsys, [command, k33, "--epsilon", "1", "--schedule", ""])
+    assert code == 1
+    assert obj["error"] == "BAD_INPUT"
+    assert obj["message"] == "bad schedule list: ''"
+
+
 def test_unknown_flag_exits_one(k33):
     with pytest.raises(SystemExit) as ei:
         cli.main(["hall-check", k33, "--no-such-flag"])

@@ -16,16 +16,23 @@ and the sphere at --base 0,1,0, forest reading a window-metadata file.
 f2action: --stages 0 and 1 over synthetic_forest(Random(k)), k = 0..4, each
 forest written as the benchmark writes it (forest-window/1 schema plus
 to_obj(), through canonical_json).
+
+match: --epsilon <eps> --cap 2 over hall_family(12, Random(20260816),
+[1/4, 1/2, 1], validate_cap=2), each graph written as the benchmark writes it
+(json.dumps of graph_to_obj), with --audit on odd indices.  These pin the
+exact epsilon_n strings of every stage record.
 """
 
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from paradecomp import cli
-from paradecomp.generators import synthetic_forest
+from paradecomp.generators import hall_family, synthetic_forest
+from paradecomp.graphs import graph_to_obj
 
 GOLDEN = {
     ("f2", "demo"): "372f1171afd987a572d5161e90753a7299421c417155a432d965f010f865f5d7",
@@ -55,6 +62,22 @@ F2ACTION_GOLDEN = {
     (4, 0): "355bb22a8836966a98904ed3545c9b20ac1a106ca8201bcf6242b87fa12ede8f",
     (4, 1): "fc5d02eca009a396055a4f601a87bb26beb4b9bf6599e260166cf666a8445aa2",
 }
+
+
+MATCH_GOLDEN = [
+    "5eb94af2eda9660f022b105a867a726eb7ca1530f9900cdc93005002ca752d7f",
+    "01e34776737e3a806617dbbcebf72760dcb9432abe0cb92a74b3297de758834c",
+    "87dc9e33d76e2ffa65a5ef37fd5495680279a63b51ef5b3e4c3e4aef98449ff4",
+    "541595baa609666d840372c482d8bc474edbba06b75820b871a82a9105047158",
+    "163521d59b873ca9bd62bc843035effe047c702e586fb10e8667bfd7c3dc054d",
+    "2880551a7facfe442dc00e0996bd9b8f0a8ed6f5881fd78c5099c6c7781a4ba6",
+    "bc7f7625cccfdefb39bc4e488784ea403f7ea4d91628e71026210b40365791c3",
+    "1c66218edf51dd7fff067fdfef1dfb198770b8bfc966e36105528231cf914435",
+    "07a30f05b56003519efa67a2f578e7ea158ef07c5a3c2188ec233511f60e9f7e",
+    "93ae696004a9f057e7c5c2d45554ab908c352291b85942e5fe68b86ac89d2fa2",
+    "7b6bd012383a3c8c4e843a09f6c81abe8c958efa4ec1f13a50b956d868b34df4",
+    "3dbfc03518ee713f86a901dc3859d9954e40b7082c240f29236bcd083e83c543",
+]
 
 
 def stdout_of(capsys, argv) -> str:
@@ -106,3 +129,20 @@ def test_f2action_stdout_is_pinned(capsys, tmp_path, k):
         out = stdout_of(capsys, ["f2action", "--from", str(src), "--stages", str(stages)])
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == F2ACTION_GOLDEN[k, stages], stages
+
+
+def test_match_stdout_is_pinned(capsys, tmp_path):
+    family = hall_family(
+        12,
+        random.Random(20260816),
+        [Fraction(1, 4), Fraction(1, 2), Fraction(1)],
+        validate_cap=2,
+    )
+    for i, (g, p) in enumerate(family):
+        src = tmp_path / f"graph-{i}.json"
+        src.write_text(json.dumps(graph_to_obj(g)))
+        argv = ["match", str(src), "--epsilon", str(p.epsilon), "--cap", "2"]
+        if i % 2:
+            argv.append("--audit")
+        digest = hashlib.sha256(stdout_of(capsys, argv).encode()).hexdigest()
+        assert digest == MATCH_GOLDEN[i], i

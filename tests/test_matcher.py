@@ -21,7 +21,7 @@ from paradecomp.generators import (
 )
 from paradecomp.graphs import bipartite_graph, induced_subgraph, validate_matching
 from paradecomp.hall import ExpansionParams, check_hall
-from paradecomp.layers import explicit_schedule, geometric_schedule
+from paradecomp.layers import LayerSchedule, explicit_schedule, geometric_schedule
 from paradecomp.matcher import _Engine, layered_perfect_matching
 
 from oracles import has_perfect_matching_on, kuhn_max_matching
@@ -249,4 +249,22 @@ def test_epsilon_clause_audit_failures_keep_their_witness(monkeypatch):
         '{"details": {"epsilon_n": "17/64", "f_n": 512, "stage": 3, "witness": '
         '{"actual": 1, "f_set": [6, 9], "required": "2", "side": 0}}, '
         '"error": "HALL_VIOLATED", "message": "stage invariant Hall_(eps_n, f(n)) failed"}'
+    )
+
+
+@pytest.mark.parametrize(
+    "f_n, stage, epsilon",
+    [(8, 0, "-1/2"), (32, 1, "0")],
+)
+def test_budget_guard_reports_the_exact_spent_epsilon(f_n, stage, epsilon):
+    # a hand-built schedule whose table overspends the budget: 8/8 at once,
+    # or 8/32 twice, reaching a negative and a whole-number epsilon_n
+    g = complete_bipartite(3, 3)
+    p = ExpansionParams(Fraction(1, 2), 1)
+    sched = LayerSchedule(Fraction(1, 2), Fraction(1, 4), f_list=(f_n,) * 6)
+    err = _error_json(lambda: layered_perfect_matching(g, p, sched, cap=2))
+    assert err == (
+        f'{{"details": {{"epsilon": "{epsilon}", "stage": {stage}}}, '
+        f'"error": "BUDGET_EXHAUSTED", '
+        f'"message": "epsilon_{stage} = {epsilon} not positive"}}'
     )
