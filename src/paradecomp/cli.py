@@ -294,7 +294,7 @@ def cmd_paradox(args):
         w = _window_from_args(args, s)
         pd = classical_f2_decomposition(w)
     else:
-        w = _window_from_args(args, s, s.max_word_length())
+        w = _window_from_args(args, s, s.radius)
         dg = DoublingGraph(w, s, 3)
         partner = interior_saturating_matching(dg)
         pd = matching_to_paradox(dg, partner)
@@ -360,7 +360,7 @@ def cmd_forest(args):
     # (expanding the window itself over S^2 would double the word radius)
     s = standard_generators()
     s2 = square_set(s)
-    w = expand_window(kind, base, s, radius, margin, s2.max_word_length())
+    w = expand_window(kind, base, s, radius, margin, s2.radius)
     dg = DoublingGraph(w, s2, 4)
     ts = triple_system_from_matching(dg, interior_saturating_matching(dg))
     del dg  # the forest reads only ts; its peak memory is lower without the graph
@@ -401,7 +401,7 @@ def cmd_f2action(args):
 
 def cmd_demo(args):
     s = standard_generators()
-    w = _window_from_args(args, s, s.max_word_length())
+    w = _window_from_args(args, s, s.radius)
     dg = DoublingGraph(w, s, 3)
     partner = interior_saturating_matching(dg)
     pd = matching_to_paradox(dg, partner)
@@ -416,7 +416,7 @@ def cmd_demo(args):
     covers_interior = interior0 <= covered0
 
     bstats = unmatched_boundary_stats(dg, partner)
-    reach = 2 * square_set(s).max_word_length()
+    reach = 2 * square_set(s).radius
     boundary_ok = bstats["unmatched_interior"] == 0 and (
         bstats["min_depth"] is None or bstats["min_depth"] >= w.radius - reach
     )

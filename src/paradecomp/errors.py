@@ -30,9 +30,10 @@ def _plain(obj):
     # keep detail payloads JSON-friendly without dragging json into here
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return [_plain(v) for v in sorted(obj) if not isinstance(obj, (list, tuple))] \
-            if isinstance(obj, (set, frozenset)) else [_plain(v) for v in obj]
+    if isinstance(obj, (set, frozenset)):
+        return [_plain(v) for v in sorted(obj)]
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
     return str(obj)

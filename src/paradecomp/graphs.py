@@ -100,28 +100,26 @@ def graph_from_obj(obj) -> BipartiteGraph:
         raise GraphFormatError("vertices: expected a list")
     side0, side1 = [], []
     for i, entry in enumerate(verts):
-        where = f"vertices[{i}]"
         if not isinstance(entry, dict):
-            raise GraphFormatError(f"{where}: expected an object")
+            raise GraphFormatError(f"vertices[{i}]: expected an object")
         if "id" not in entry or "side" not in entry:
-            raise GraphFormatError(f"{where}: needs id and side")
+            raise GraphFormatError(f"vertices[{i}]: needs id and side")
         vid, side = entry["id"], entry["side"]
         if type(vid) is not int:
-            raise GraphFormatError(f"{where}.id: expected an integer")
+            raise GraphFormatError(f"vertices[{i}].id: expected an integer")
         if type(side) is not int or side not in (0, 1):
-            raise GraphFormatError(f"{where}.side: expected 0 or 1")
+            raise GraphFormatError(f"vertices[{i}].side: expected 0 or 1")
         (side0 if side == 0 else side1).append(vid)
     edges = obj["edges"]
     if not isinstance(edges, list):
         raise GraphFormatError("edges: expected a list")
     pairs = []
     for i, e in enumerate(edges):
-        where = f"edges[{i}]"
         if not isinstance(e, list) or len(e) != 2:
-            raise GraphFormatError(f"{where}: expected a pair [u, v]")
+            raise GraphFormatError(f"edges[{i}]: expected a pair [u, v]")
         u, v = e
         if type(u) is not int or type(v) is not int:
-            raise GraphFormatError(f"{where}: endpoints must be integers")
+            raise GraphFormatError(f"edges[{i}]: endpoints must be integers")
         pairs.append((u, v))
     return bipartite_graph(side0, side1, pairs)
 
@@ -247,16 +245,3 @@ def induced_subgraph(g: BipartiteGraph, keep) -> BipartiteGraph:
     adj = {v: tuple(w for w in g.adj[v] if w in ks) for v in ids}
     return BipartiteGraph(ids, side_of, adj)
 
-
-def g2_neighbors(g: BipartiteGraph, v) -> set:
-    """Vertices at distance exactly 2 from v in g.
-
-    In a bipartite graph these are the same-side vertices reachable through
-    one common neighbor, so no explicit distance filter is needed.
-    """
-    g.require_vertex(v)
-    out = set()
-    for u in g.adj[v]:
-        out.update(g.adj[u])
-    out.discard(v)
-    return out

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from .errors import BadCapError, InvariantError
-from .graphs import BipartiteGraph, g2_neighbors
+from .graphs import BipartiteGraph
 from .matching import hopcroft_karp
 
 
@@ -75,7 +75,7 @@ def _members(bits: int, roots) -> tuple:
     return tuple(out)
 
 
-def _side_levels(roots, nbrs, g2, num: int, den: int, cap: int):
+def _side_levels(roots, nbrs, num: int, den: int, cap: int):
     """Yield the G^2-connected subsets F of roots that cap does not certify.
 
     The k-th item lists those of size k, for k up to cap, as tuples whose
@@ -85,21 +85,28 @@ def _side_levels(roots, nbrs, g2, num: int, den: int, cap: int):
     that has any.  A set with den*|N(F)| >= num*cap is dropped and not grown:
     N only grows under extension, so every set of size <= cap containing it
     meets num/den.  For the same reason an id whose singleton is dropped
-    never becomes a candidate, and neither does an id g2 names outside roots.
+    never becomes a candidate.
 
-    Each set is grown once, from its least id.  Its candidates are those left
-    after the id it was grown by, plus that id's G^2-neighbors not yet seen
-    by the set or its ancestors; "seen" starts as every position up to the
-    root's, so only larger ids are ever taken.
+    nbrs is read once per root, and G^2 comes from those reads: two ids are
+    G^2-neighbors when they share a neighbor, so the candidates an id brings
+    are the positions that reach lists under its neighbors.  Each set is
+    grown once, from its least id.  Its candidates are those left after the
+    id it was grown by, plus that id's G^2-neighbors not yet seen by the set
+    or its ancestors; "seen" starts as every position up to the root's, so
+    only larger ids are ever taken.
     """
     bound = num * cap
     npos: dict = {}
     nb = {}  # position -> N({id}) bits, for the ids cap does not certify
+    near = {}  # position -> neighbor ids, for the same ids
+    reach: dict = {}  # neighbor id -> the positions in nb that reach it
     for p, v in enumerate(roots):
         ns = set(nbrs(v))
         if den * len(ns) < bound:
             nb[p] = sum(1 << npos.setdefault(u, len(npos)) for u in ns)
-    pos = {v: p for p, v in enumerate(roots)}
+            near[p] = tuple(ns)
+            for u in ns:
+                reach.setdefault(u, []).append(p)
     g2_bits: dict = {}
     # item: (members, N(F), candidates, seen, position of the last id added)
     level = [(1 << p, bits, 0, (2 << p) - 1, p) for p, bits in nb.items()]
@@ -113,12 +120,8 @@ def _side_levels(roots, nbrs, g2, num: int, den: int, cap: int):
         for members, nbr, ext, seen, last in level:
             new = g2_bits.get(last)
             if new is None:
-                new = 0
-                for w in g2(roots[last]):
-                    p = pos.get(w)
-                    if p in nb:
-                        new |= 1 << p
-                g2_bits[last] = new
+                ps = {p for u in near[last] for p in reach[u]}
+                new = g2_bits[last] = sum(1 << p for p in ps)
             new &= ~seen
             ext |= new
             seen |= new
@@ -132,10 +135,10 @@ def _side_levels(roots, nbrs, g2, num: int, den: int, cap: int):
         level = grown
 
 
-def least_violator(nbrs, g2, sides, floor: int, cap: int):
+def least_violator(nbrs, sides, floor: int, cap: int):
     """Least (size, sorted tuple, side) G^2-connected F with den*|N(F)| < num*|F|.
 
-    nbrs and g2 map an id to its neighbor ids and to its G^2-neighbor ids.
+    nbrs maps an id to its neighbor ids; G^2 is derived from what it returns.
     sides holds one (side, roots, num, den) per side searched: F ranges over
     the subsets of the sorted id list roots with floor <= |F| <= cap, and
     must beat num/den.  Sizes are taken in ascending order, all
@@ -146,7 +149,7 @@ def least_violator(nbrs, g2, sides, floor: int, cap: int):
     required = (num/den)*|F|, or None.
     """
     levels = zip_longest(
-        *(_side_levels(roots, nbrs, g2, num, den, cap) for _, roots, num, den in sides),
+        *(_side_levels(roots, nbrs, num, den, cap) for _, roots, num, den in sides),
         fillvalue=(),
     )
     for k, by_side in enumerate(levels, 1):
@@ -171,13 +174,8 @@ def _graph_violator(g: BipartiteGraph, sides, floor: int, cap: int, num: int, de
     side lists, and a one-sided F of a bipartite graph never meets its
     neighborhood.
     """
-    return least_violator(
-        g.adj.__getitem__,
-        lambda v: g2_neighbors(g, v),
-        [(s, g.side_vertices(s), num, den) for s in sides],
-        floor,
-        cap,
-    )
+    sides = [(s, g.side_vertices(s), num, den) for s in sides]
+    return least_violator(g.adj.__getitem__, sides, floor, cap)
 
 
 def check_hall(g: BipartiteGraph) -> HallReport:

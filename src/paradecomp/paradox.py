@@ -164,7 +164,7 @@ def verify_paradox(pd: ParadoxicalDecomposition, w: ActionWindow) -> Certificate
     exactly one B-translate of interior assigned points.  Returns the first
     violation; an empty deep interior is a vacuous PASS with a warning.
     """
-    reach = pd.gens.max_word_length()
+    reach = pd.gens.radius
     deep = w.interior_indices(reach)
     warnings = ()
     if not deep:

@@ -14,6 +14,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
+from paradecomp import hall
 from paradecomp.graphs import BipartiteGraph, bipartite_graph
 from paradecomp.rotations import apply_to_point, word_rotation
 from paradecomp.errors import ForestFormatError, HypothesisFailedError
@@ -397,24 +398,42 @@ def brute_doubled_expansion(dg, cap: int):
 
 
 def record_oracle_calls(dg):
-    """Log the ids a doubling graph's neighbor and G^2 oracles are asked for.
+    """Log the ids a doubling graph's neighbor oracle is asked for.
 
-    Returns the two lists (neighbors, g2_point_neighbors), filled as the
-    instance's methods are called.
+    Returns the list, filled as the instance's method is called.
     """
-    reads, g2_reads = [], []
-    neighbors, g2_point_neighbors = dg.neighbors, dg.g2_point_neighbors
+    reads = []
+    neighbors = dg.neighbors
 
     def logged_neighbors(vid):
         reads.append(vid)
         return neighbors(vid)
 
-    def logged_g2(i):
-        g2_reads.append(i)
-        return g2_point_neighbors(i)
+    dg.neighbors = logged_neighbors
+    return reads
 
-    dg.neighbors, dg.g2_point_neighbors = logged_neighbors, logged_g2
-    return reads, g2_reads
+
+def record_side_levels(monkeypatch):
+    """Spy on hall._side_levels: what each search reads and builds.
+
+    Returns (reads, levels), filled as searches run: the ids handed to the
+    neighbor oracle, in call order, and (size, number of sets) for each
+    level yielded.
+    """
+    reads, levels = [], []
+    side_levels = hall._side_levels
+
+    def logged(roots, nbrs, num, den, cap):
+        def read(v):
+            reads.append(v)
+            return nbrs(v)
+
+        for k, level in enumerate(side_levels(roots, read, num, den, cap), 1):
+            levels.append((k, len(level)))
+            yield level
+
+    monkeypatch.setattr(hall, "_side_levels", logged)
+    return reads, levels
 
 
 def dfs_identity_word(letters, max_len: int):

@@ -39,7 +39,7 @@ from paradecomp.treedyn import (
 )
 from paradecomp.words import invert_letter
 
-from oracles import kuhn_max_matching, record_oracle_calls
+from oracles import kuhn_max_matching, record_oracle_calls, record_side_levels
 
 
 @contextmanager
@@ -123,13 +123,14 @@ def test_criterion_2_stage_invariant_holds(capsys):
         assert stage_checks > 0
 
 
-def test_criterion_3_interior_expansion_exhaustive(capsys):
+def test_criterion_3_interior_expansion_exhaustive(capsys, monkeypatch):
     with criterion(capsys, 3, "doubled expansion on interior connected sets"):
         t0 = time.monotonic()
         s2 = square_set(standard_generators())
         w = expand_window("f2", "", standard_generators(), 12, 4)
         dg = DoublingGraph(w, s2, 3)
-        reads, g2_reads = record_oracle_calls(dg)
+        reads = record_oracle_calls(dg)
+        _, levels = record_side_levels(monkeypatch)
         # at cap 6 every singleton already meets ratio * cap and no set grows
         rep = interior_expansion_audit(dg, size_cap=9)
         assert rep.satisfied
@@ -138,7 +139,7 @@ def test_criterion_3_interior_expansion_exhaustive(capsys):
         interior, n = w.interior_indices(), w.n_points()
         assert sorted(reads) == interior + [c * n + i for c in (1, 2) for i in interior]
         # and sets grew along G^2
-        assert g2_reads
+        assert max(k for k, _ in levels) >= 2
         assert time.monotonic() - t0 <= 120
 
 

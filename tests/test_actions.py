@@ -29,6 +29,7 @@ from oracles import (
     bfs_window,
     brute_doubled_expansion,
     record_oracle_calls,
+    record_side_levels,
     scan_unmatched_boundary,
 )
 
@@ -41,11 +42,11 @@ def ball_size(r: int) -> int:
 def test_standard_generators_shape():
     s = standard_generators()
     assert s.elements == ("", "a", "A", "b", "B")
-    assert s.max_word_length() == 1
+    assert s.radius == 1
     s2 = square_set(s)
     assert len(s2.elements) == ball_size(2)
     assert s2.elements[0] == ""
-    assert s2.max_word_length() == 2
+    assert s2.radius == 2
     assert list(s2.elements) == sorted(s2.elements, key=word_key)
 
 
@@ -196,18 +197,19 @@ def test_doubling_graph_shape():
         assert i in dg.neighbors(vid)
 
 
-def test_expansion_audit_passes_and_prunes():
+def test_expansion_audit_passes_and_prunes(monkeypatch):
     s = standard_generators()
     w = expand_window("f2", (), s, 6, 4)
     dg = DoublingGraph(w, square_set(s), 3)
-    reads, g2_reads = record_oracle_calls(dg)
+    reads = record_oracle_calls(dg)
+    _, levels = record_side_levels(monkeypatch)
     rep = interior_expansion_audit(dg, size_cap=6)
     assert rep.satisfied and rep.witness is None
     # every interior vid of both sides is read once; each singleton already
     # clears ratio * size_cap neighbors, so no set is grown
     interior, n = w.interior_indices(), w.n_points()
     assert sorted(reads) == interior + [c * n + i for c in (1, 2) for i in interior]
-    assert g2_reads == []
+    assert levels == []
 
 
 @pytest.mark.parametrize("cap", [5, 6])

@@ -5,6 +5,7 @@ import pytest
 from paradecomp import cli
 from paradecomp.generators import complete_bipartite, line_window, star_graph, synthetic_forest
 from paradecomp.graphs import graph_to_obj
+from paradecomp.words import iter_reduced
 
 import random
 
@@ -147,6 +148,80 @@ def test_boolean_side_exits_one(capsys, tmp_path):
     assert code == 1
     assert obj["error"] == "BAD_GRAPH"
     assert "vertices[0].side" in obj["message"]
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"vertices": [{"id": 0}], "edges": []}, "vertices[0]: needs id and side"),
+        (
+            {"vertices": [{"id": 0, "side": 0}, {"id": "1", "side": 1}], "edges": []},
+            "vertices[1].id: expected an integer",
+        ),
+        ({"vertices": [{"id": 0, "side": 0}], "edges": {}}, "edges: expected a list"),
+    ],
+    ids=["vertex_without_side", "string_id", "edges_object"],
+)
+def test_graph_reader_refusals_exit_one(capsys, tmp_path, data, message):
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps(data))
+    code, obj = run(capsys, ["hall-check", str(f)])
+    assert code == 1
+    assert obj["error"] == "BAD_GRAPH"
+    assert obj["message"] == message
+
+
+@pytest.mark.parametrize(
+    "base, code, error, message",
+    [
+        ("1,x,0", 1, "BAD_INPUT", "bad base point: '1,x,0'"),
+        ("1,1,0", 2, "PRECONDITION", "base (1, 1, 0, 0) is not a unit vector"),
+    ],
+    ids=["not_numbers", "not_a_unit_vector"],
+)
+def test_demo_bad_sphere_base(capsys, base, code, error, message):
+    argv = ["demo", "--kind", "sphere", "--radius", "5", "--base", base]
+    got, obj = run(capsys, argv)
+    assert got == code
+    assert (obj["error"], obj["message"]) == (error, message)
+
+
+def test_unwritable_outputs_exit_one(capsys, tmp_path, k33):
+    missing = tmp_path / "absent"
+    out = str(missing / "x.json")
+    argv = ["paradox", "--kind", "f2", "--radius", "5", "--margin", "2", "--out", out]
+    code, obj = run(capsys, argv)
+    assert code == 1
+    assert obj["error"] == "BAD_INPUT"
+    assert obj["message"].startswith(f"cannot write {out}")
+    dot = str(missing / "x.dot")
+    argv = ["match", k33, "--epsilon", "1/4", "--cap", "2", "--dot", dot]
+    code, obj = run(capsys, argv)
+    assert code == 1
+    assert obj["error"] == "BAD_INPUT"
+    assert obj["message"].startswith(f"cannot write {dot}")
+    assert not missing.exists()
+
+
+def test_epsilon_that_is_not_a_rational_exits_one(capsys, k33):
+    with pytest.raises(SystemExit) as ei:
+        cli.main(["hall-check", k33, "--epsilon", "abc"])
+    assert ei.value.code == 1
+    assert "not a rational: 'abc'" in capsys.readouterr().err
+
+
+def test_verify_with_no_deep_interior_passes_vacuously(capsys, tmp_path):
+    # margin 4 leaves an interior of radius 1 in a radius-5 window, and
+    # pieces over the S^2 ball are checked only 2 inside it: no point is
+    f = tmp_path / "pieces.json"
+    gens = list(iter_reduced(2))
+    f.write_text(json.dumps({"gens": gens, "pieces_a": [], "pieces_b": []}))
+    argv = ["verify", "--pieces", str(f), "--kind", "f2", "--radius", "5", "--margin", "4"]
+    code, obj = run(capsys, argv)
+    assert code == 0
+    cert = obj["certificate"]
+    assert (cert["status"], cert["deep_interior"]) == ("PASS", 0)
+    assert cert["warnings"] == ["empty deep interior; certificate is vacuous"]
 
 
 def test_window_square_writes_the_s2_sidecar(capsys, tmp_path):
@@ -464,6 +539,7 @@ def test_f2action_refuses_a_torus(capsys, tmp_path):
 
 
 SPHERE_WINDOW = {"kind": "sphere", "radius": 6, "margin": 2, "base": [0, 1, 0, 0]}
+F2_BASE_5 = {"kind": "f2", "radius": 5, "margin": 2, "base": 5}
 
 
 @pytest.mark.parametrize(
@@ -474,6 +550,7 @@ SPHERE_WINDOW = {"kind": "sphere", "radius": 6, "margin": 2, "base": [0, 1, 0, 0
         ("verify", {"window": {**SPHERE_WINDOW, "radius": "x"}}, "window.radius"),
         ("forest", {"window": {**SPHERE_WINDOW, "base": [0, 1]}}, "base"),
         ("verify", {"window": {**SPHERE_WINDOW, "base": [0, 1]}}, "base"),
+        ("verify", {"window": F2_BASE_5}, "base: expected a word, got 5"),
     ],
     ids=[
         "forest_top_level_list",
@@ -481,6 +558,7 @@ SPHERE_WINDOW = {"kind": "sphere", "radius": 6, "margin": 2, "base": [0, 1, 0, 0
         "verify_non_integer_radius",
         "forest_short_sphere_base",
         "verify_short_sphere_base",
+        "verify_f2_base_not_a_word",
     ],
 )
 def test_malformed_window_metadata_exits_one(capsys, tmp_path, command, data, named):

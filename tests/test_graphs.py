@@ -13,7 +13,6 @@ from paradecomp import graphs
 from paradecomp.generators import hall_family, synthetic_forest
 from paradecomp.graphs import (
     bipartite_graph,
-    g2_neighbors,
     graph_from_obj,
     graph_to_obj,
     induced_subgraph,
@@ -203,12 +202,6 @@ def test_induced_subgraph_drops_edges():
     h = induced_subgraph(g, [0, 2, 3])
     assert h.ids == (0, 2, 3)
     assert h.adj[3] == ()
-
-
-def test_neighborhood_excludes_f():
-    # 0 and 1 share the neighbor 2; the G^2-neighborhood of 0 leaves 0 out
-    g = bipartite_graph([0, 1], [2], [(0, 2), (1, 2)])
-    assert g2_neighbors(g, 0) == {1}
 
 
 @pytest.mark.parametrize("radius", [16, 64])

@@ -14,7 +14,6 @@ from paradecomp.generators import (
 )
 from paradecomp.graphs import (
     bipartite_graph,
-    g2_neighbors,
     graph_from_obj,
     validate_matching,
 )
@@ -27,6 +26,7 @@ from oracles import (
     cloned_graph,
     has_perfect_matching_on,
     kuhn_max_matching,
+    record_side_levels,
 )
 
 
@@ -146,37 +146,26 @@ def test_no_finite_graph_satisfies_uncapped_eps():
 
 def test_eps_check_stops_at_the_first_violating_size(monkeypatch):
     # the path's end vertex 0 has one neighbor, so the singleton (0,) is the
-    # least violator; scanning the 40 singletons must settle it, and growing
-    # any set of size 2 would ask for a G^2-neighborhood
-    calls = []
-
-    def counted(g, v):
-        calls.append(v)
-        return g2_neighbors(g, v)
-
-    monkeypatch.setattr(hall, "g2_neighbors", counted)
+    # least violator; scanning the 40 singletons must settle it, reading each
+    # vertex once, and no set of size 2 is grown
+    reads, levels = record_side_levels(monkeypatch)
     rep = check_hall_eps_n(line_window(40), ExpansionParams(Fraction(1, 2), 1), 30)
     assert (rep.witness.side, rep.witness.f_set) == (0, (0,))
-    assert calls == []
+    assert sorted(reads) == list(range(40))
+    assert [k for k, _ in levels] == [1, 1]
 
 
 def test_plain_witness_grows_each_set_once(monkeypatch):
     # an odd path's least plain violator is its whole larger side, reached
     # through every interval of that side; grown level by level, each vertex
-    # asks for its G^2-neighbors once, and only on the side that is larger
-    # than the matching
-    calls = []
-
-    def counted(g, v):
-        calls.append(v)
-        return g2_neighbors(g, v)
-
-    monkeypatch.setattr(hall, "g2_neighbors", counted)
+    # is read once, and only on the side that is larger than the matching,
+    # and each of the 102 - k intervals of size k is built once
+    reads, levels = record_side_levels(monkeypatch)
     rep = check_hall(line_window(201))
     assert (rep.witness.side, rep.witness.f_set) == (0, tuple(range(0, 201, 2)))
     assert rep.witness.actual == 100
-    assert len(calls) == len(set(calls)) <= 101
-    assert all(v % 2 == 0 for v in calls)
+    assert reads == list(range(0, 201, 2))
+    assert levels == [(k, 102 - k) for k in range(1, 102)]
 
 
 def test_cap_below_floor_rejected():
@@ -218,9 +207,7 @@ def connected_side_sets(g, side, floor, cap):
     dropped.
     """
     roots = g.side_vertices(side)
-    levels = hall._side_levels(
-        roots, g.adj.__getitem__, lambda v: g2_neighbors(g, v), len(g.ids) + 1, 1, cap
-    )
+    levels = hall._side_levels(roots, g.adj.__getitem__, len(g.ids) + 1, 1, cap)
     return [
         hall._members(item[0], roots)
         for k, level in enumerate(levels, 1)

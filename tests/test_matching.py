@@ -119,5 +119,5 @@ def test_hopcroft_karp_agrees_on_window_inputs(monkeypatch, kind, square):
 def radius_eight_doubling(kind, square):
     s = standard_generators()
     gens, copies = (square_set(s), 4) if square else (s, 3)
-    w = expand_window(kind, None, s, 8, 4, gens.max_word_length())
+    w = expand_window(kind, None, s, 8, 4, gens.radius)
     return DoublingGraph(w, gens, copies)

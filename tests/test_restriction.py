@@ -33,7 +33,7 @@ PIECES_KEPT = {("f2", "ab", 5, 6): 2, ("f2", "Ba", 5, 6): 2}
 
 def pieces_by_word(kind, base, radius, margin) -> dict:
     s = standard_generators()
-    w = expand_window(kind, base, s, radius, margin, s.max_word_length())
+    w = expand_window(kind, base, s, radius, margin, s.radius)
     dg = DoublingGraph(w, s, 3)
     pd = matching_to_paradox(dg, interior_saturating_matching(dg))
     out = {w.words[i]: ("a", t) for i, t in pd.pieces_a.items()}
@@ -45,7 +45,7 @@ def pieces_by_word(kind, base, radius, margin) -> dict:
 def triples_by_word(kind, base, radius, margin) -> dict:
     s = standard_generators()
     s2 = square_set(s)
-    w = expand_window(kind, base, s, radius, margin, s2.max_word_length())
+    w = expand_window(kind, base, s, radius, margin, s2.radius)
     dg = DoublingGraph(w, s2, 4)
     ts = triple_system_from_matching(dg, interior_saturating_matching(dg))
     labels = ts.labels

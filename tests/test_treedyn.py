@@ -284,7 +284,7 @@ def test_surgery_drops_components_with_outside_cycles():
 def _window_system(kind, base, radius):
     s = standard_generators()
     s2 = square_set(s)
-    w = expand_window(kind, base, s, radius, 4, s2.max_word_length())
+    w = expand_window(kind, base, s, radius, 4, s2.radius)
     dg = DoublingGraph(w, s2, 4)
     return triple_system_from_matching(dg, interior_saturating_matching(dg))
 
@@ -386,7 +386,7 @@ def test_forest_edges_from_matching_are_lipschitz(quad_setup):
     fw = forest_from_paradox(ts)
     assert forest_is_acyclic(fw)
     assert fw.labels == w.words
-    bound = 2 * square_set(s).max_word_length()
+    bound = 2 * square_set(s).radius
     for u in range(fw.n_points()):
         for v in fw.adjacency[u]:
             if u < v:
