@@ -22,6 +22,7 @@ from itertools import compress, islice
 from operator import gt
 
 from .errors import (
+    BadCapError,
     FixedBaseError,
     FreeActionViolationError,
     InvariantError,
@@ -314,15 +315,21 @@ def interior_expansion_audit(dg: DoublingGraph, size_cap: int) -> HallReport:
     hall.least_violator searches them, pruning the sets whose neighborhood
     already meets the requirement at the size cap, so the verdict is
     exhaustive and a failure reports the least (size, sorted tuple, side)
-    violator.  G^2 reaches two dg.s-steps past an interior point, so the
-    window needs margin 2 * maxlen(dg.s).
+    violator.  The search reads only the neighbors of interior vids, which
+    lie one dg.s-step past an interior point, and derives G^2 from those
+    reads, so the window needs margin maxlen(dg.s).  A size_cap below 1
+    would check no set, and is refused.
     """
     if dg.copies != 3:
         raise ValueError("expansion audit is defined on the 3-copy graph")
-    need = 2 * dg.s.radius
+    if size_cap < 1:
+        raise BadCapError(
+            f"size_cap {size_cap} below 1", size_cap=size_cap, size_floor=1
+        )
+    need = dg.s.radius
     if dg.window.margin < need:
         raise MarginTooSmallError(
-            f"window margin {dg.window.margin} below 2*maxlen(S) = {need}",
+            f"window margin {dg.window.margin} below maxlen(S) = {need}",
             margin=dg.window.margin,
             required=need,
         )

@@ -5,8 +5,9 @@ number (Koenig defect form), never by subset enumeration.  One least-violator
 search over G^2-connected sets then produces every witness: the plain one,
 after a failure is already certain, the (1+epsilon) one, up to the caller's
 size cap, and the doubled-expansion one of actions.interior_expansion_audit.
-It grows the sets level by level in size as int bitsets, compares integers,
-and stops at the first size that holds a violator.
+It grows the sets level by level in size, each as a tuple of member
+positions and a frozenset N(F) of neighbor ids, compares integers, and stops
+at the first size that holds a violator.
 
 Witness canonicality: the reported violator minimizes (size, sorted id
 tuple, side), so failures reproduce byte-for-byte across runs.
@@ -65,51 +66,37 @@ class HallReport:
         }
 
 
-def _members(bits: int, roots) -> tuple:
-    """The ids of roots at the set bits' positions, ascending."""
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(roots[low.bit_length() - 1])
-        bits ^= low
-    return tuple(out)
-
-
 def _side_levels(roots, nbrs, num: int, den: int, cap: int):
     """Yield the G^2-connected subsets F of roots that cap does not certify.
 
     The k-th item lists those of size k, for k up to cap, as tuples whose
-    first two entries are bitsets: F's members, by position in the sorted id
-    list roots (so bit order is id order), and N(F), by the position each
-    neighbor id got when first seen.  The generator ends after the last size
-    that has any.  A set with den*|N(F)| >= num*cap is dropped and not grown:
-    N only grows under extension, so every set of size <= cap containing it
-    meets num/den.  For the same reason an id whose singleton is dropped
-    never becomes a candidate.
+    first two entries are F's members, as a tuple of positions in the sorted
+    id list roots, and N(F), as a frozenset of neighbor ids.  The generator
+    ends after the last size that has any.  A set with den*|N(F)| >= num*cap
+    is dropped and not grown: N only grows under extension, so every set of
+    size <= cap containing it meets num/den.  For the same reason an id
+    whose singleton is dropped never becomes a candidate.
 
     nbrs is read once per root, and G^2 comes from those reads: two ids are
     G^2-neighbors when they share a neighbor, so the candidates an id brings
-    are the positions that reach lists under its neighbors.  Each set is
-    grown once, from its least id.  Its candidates are those left after the
-    id it was grown by, plus that id's G^2-neighbors not yet seen by the set
-    or its ancestors; "seen" starts as every position up to the root's, so
-    only larger ids are ever taken.
+    are the positions that reach its neighbors.  Each set is grown once,
+    from its least id, the root, and takes only larger ids.  Its candidates,
+    ascending, are those left after the id it was grown by, plus that id's
+    G^2-neighbors above the root with no neighbor in N(parent), parent being
+    the set it was grown from: an id with one is a member already, or was a
+    candidate of an ancestor.
     """
     bound = num * cap
-    npos: dict = {}
-    nb = {}  # position -> N({id}) bits, for the ids cap does not certify
-    near = {}  # position -> neighbor ids, for the same ids
+    nb = {}  # position -> N({id}), for the ids cap does not certify
     reach: dict = {}  # neighbor id -> the positions in nb that reach it
     for p, v in enumerate(roots):
-        ns = set(nbrs(v))
+        ns = frozenset(nbrs(v))
         if den * len(ns) < bound:
-            nb[p] = sum(1 << npos.setdefault(u, len(npos)) for u in ns)
-            near[p] = tuple(ns)
+            nb[p] = ns
             for u in ns:
                 reach.setdefault(u, []).append(p)
-    g2_bits: dict = {}
-    # item: (members, N(F), candidates, seen, position of the last id added)
-    level = [(1 << p, bits, 0, (2 << p) - 1, p) for p, bits in nb.items()]
+    # item: (members, N(F), candidates, N(parent), position of the last id added)
+    level = [((p,), ns, (), frozenset(), p) for p, ns in nb.items()]
     for size in range(1, cap + 1):
         if not level:
             return
@@ -117,21 +104,19 @@ def _side_levels(roots, nbrs, num: int, den: int, cap: int):
         if size == cap:
             return
         grown = []
-        for members, nbr, ext, seen, last in level:
-            new = g2_bits.get(last)
-            if new is None:
-                ps = {p for u in near[last] for p in reach[u]}
-                new = g2_bits[last] = sum(1 << p for p in ps)
-            new &= ~seen
-            ext |= new
-            seen |= new
-            while ext:
-                low = ext & -ext
-                ext ^= low
-                x = low.bit_length() - 1
+        for members, nbr, ext, pnbr, last in level:
+            root = members[0]
+            new = {
+                p
+                for u in nb[last] - pnbr
+                for p in reach[u]
+                if p > root and nb[p].isdisjoint(pnbr)
+            }
+            ext = tuple(sorted((*ext, *new)))
+            for i, x in enumerate(ext, 1):
                 child = nbr | nb[x]
-                if den * child.bit_count() < bound:
-                    grown.append((members | low, child, ext, seen, x))
+                if den * len(child) < bound:
+                    grown.append((members + (x,), child, ext[i:], nbr, x))
         level = grown
 
 
@@ -156,10 +141,10 @@ def least_violator(nbrs, sides, floor: int, cap: int):
         if k < floor:
             continue
         found = [
-            (_members(members, roots), side, nbr.bit_count(), num, den)
+            (tuple(roots[p] for p in sorted(members)), side, len(nbr), num, den)
             for (side, roots, num, den), level in zip(sides, by_side)
             for members, nbr, *_ in level
-            if den * nbr.bit_count() < num * k
+            if den * len(nbr) < num * k
         ]
         if found:
             f_set, side, actual, num, den = min(found)

@@ -16,6 +16,7 @@ from paradecomp.actions import (
     GeneratingSet,
 )
 from paradecomp.errors import (
+    BadCapError,
     FixedBaseError,
     FreeActionViolationError,
     InvariantError,
@@ -229,15 +230,50 @@ def test_expansion_audit_reports_the_least_violator(cap):
 
 
 def test_expansion_audit_needs_margin():
-    # G^2 reaches two dg.s-steps past an interior point: margin 2 * maxlen
+    # the search reads interior vids' neighbors, one dg.s-step out: margin maxlen
     s = standard_generators()
-    for gens, need in ((s, 2), (square_set(s), 4)):
+    for gens, need in ((s, 1), (square_set(s), 2)):
         dg = DoublingGraph(expand_window("f2", (), s, 6, need - 1), gens, 3)
         with pytest.raises(MarginTooSmallError) as ei:
             interior_expansion_audit(dg, size_cap=2)
         assert ei.value.details["required"] == need
         dg = DoublingGraph(expand_window("f2", (), s, 6, need), gens, 3)
         assert interior_expansion_audit(dg, size_cap=1).satisfied
+
+
+def audit_by_word(interior_radius, gens, margin, cap):
+    s = standard_generators()
+    w = expand_window("f2", (), s, interior_radius + margin, margin)
+    rep = interior_expansion_audit(DoublingGraph(w, gens, 3), size_cap=cap)
+    if rep.witness is None:
+        return rep.satisfied, None
+    n, wit = w.n_points(), rep.witness
+    f_set = [(v // n, w.words[v % n]) for v in wit.f_set]
+    return rep.satisfied, (wit.side, f_set, wit.required, wit.actual)
+
+
+@pytest.mark.parametrize("interior_radius", [3, 4])
+@pytest.mark.parametrize("square", [False, True])
+def test_expansion_audit_margin_one_step_equals_two(interior_radius, square):
+    # past maxlen(dg.s) more margin adds points the search never reads
+    s = standard_generators()
+    gens = square_set(s) if square else s
+    step = gens.radius
+    for cap in (2, 4, 5, 6):
+        assert audit_by_word(interior_radius, gens, step, cap) == audit_by_word(
+            interior_radius, gens, 2 * step, cap
+        )
+
+
+def test_expansion_audit_refuses_caps_below_one():
+    # the radius-5 window over S fails at cap 6; a cap below 1 checks nothing
+    s = standard_generators()
+    dg = DoublingGraph(expand_window("f2", (), s, 5, 4), s, 3)
+    assert not interior_expansion_audit(dg, size_cap=6).satisfied
+    for cap in (0, -1):
+        with pytest.raises(BadCapError) as ei:
+            interior_expansion_audit(dg, size_cap=cap)
+        assert ei.value.details["size_cap"] == cap
 
 
 def test_expansion_audit_rejects_four_copies():

@@ -209,7 +209,7 @@ def connected_side_sets(g, side, floor, cap):
     roots = g.side_vertices(side)
     levels = hall._side_levels(roots, g.adj.__getitem__, len(g.ids) + 1, 1, cap)
     return [
-        hall._members(item[0], roots)
+        tuple(roots[p] for p in sorted(item[0]))
         for k, level in enumerate(levels, 1)
         if k >= floor
         for item in level
@@ -230,6 +230,11 @@ def test_connected_side_sets_agree_with_subset_oracle(g, side, floor, extra):
     got = connected_side_sets(g, side, floor, cap)
     assert len(got) == len(set(got))
     assert sorted(got) == sorted(brute_connected_side_sets(g, side, floor, cap))
+    # each set carries N(F), the union of its members' neighbor lists
+    roots = g.side_vertices(side)
+    for level in hall._side_levels(roots, g.adj.__getitem__, len(g.ids) + 1, 1, cap):
+        for members, nbr, *_ in level:
+            assert nbr == {u for p in members for u in g.adj[roots[p]]}
 
 
 def test_plain_witness_reaches_past_the_recursion_limit():
