@@ -12,6 +12,10 @@ marking which points are interior (their generator images are complete
 within the window).  Doubling graphs are kept lazy: vertex (copy, point) is
 the integer copy * n_points + point_index, adjacency computed on demand,
 because interesting windows are far too large to materialize edge lists.
+A point's image list is walked from the letter tables, one table path per
+element of the generating set, and holds the window's shared index ints; a
+copy-0 vertex's neighbours are a view of that list lifted into copies 1..,
+so no vertex gets a list of its own.
 """
 
 from __future__ import annotations
@@ -226,12 +230,43 @@ def expand_window(
     )
 
 
+class _Lifted:
+    """The vids c * n + j for c in 1..copies-1 and j in ims, on demand.
+
+    Copy-0 adjacency as a view over the shared image list: it can be
+    iterated any number of times, and it makes its ints only as they are
+    read (Hopcroft-Karp's greedy phase reads one or two).
+    """
+
+    __slots__ = ("ims", "n", "copies")
+
+    def __init__(self, ims: list, n: int, copies: int):
+        self.ims = ims
+        self.n = n
+        self.copies = copies
+
+    def __iter__(self):
+        ims = self.ims
+        for base in range(self.n, self.copies * self.n, self.n):
+            for j in ims:
+                yield base + j
+
+    def __len__(self):
+        return (self.copies - 1) * len(self.ims)
+
+
 class DoublingGraph:
     """Lazy doubling graph on {0..copies-1} x window points.
 
     Vertex id = copy * n_points + point-index.  (0, x) is adjacent to (c, y)
     for c >= 1 exactly when some element of s carries x to y; the identity in
     s gives every (0, x) all its vertical edges (c, x).
+
+    Image lists are built on first use, from one table path per nonidentity
+    element of s (the letter tables it walks, last letter first), and
+    cached.  They hold the window's shared index ints, so they make no int
+    of their own.  neighbors of a side-1 vid is its image list; of a copy-0
+    vid, a _Lifted view of that list into copies 1 to copies - 1.
     """
 
     def __init__(self, window: ActionWindow, s: GeneratingSet, copies: int):
@@ -243,6 +278,10 @@ class DoublingGraph:
         self.n_points = window.n_points()
         self._ids = tuple(range(self.n_points))  # shared by image lists, not copied
         self._im: dict = {}
+        tables = window.tables
+        self._paths = tuple(
+            tuple(tables[c] for c in reversed(gamma)) for gamma in s.nonidentity()
+        )
 
     def n_vertices(self) -> int:
         return self.copies * self.n_points
@@ -276,24 +315,35 @@ class DoublingGraph:
         return partner
 
     def images(self, i: int):
-        """Point indices hit from i by elements of s (identity included)."""
+        """Point indices hit from i by elements of s (identity included).
+
+        Each element's table path is walked as ActionWindow.apply walks the
+        word: a step to -1 leaves the window, and the element is dropped.
+        The window is a ball of the Cayley tree, so distinct elements reach
+        distinct points and the list needs no deduplication.
+        """
         got = self._im.get(i)
         if got is None:
-            out = set()
-            for gamma in self.s.elements:
-                j = self.window.apply(gamma, i)
-                if j is not None:
-                    out.add(self._ids[j])
-            got = self._im[i] = sorted(out)
+            ids = self._ids
+            got = [ids[i]]
+            for path in self._paths:
+                j = i
+                for t in path:
+                    j = t[j]
+                    if j < 0:
+                        break
+                else:
+                    got.append(ids[j])
+            got.sort()
+            self._im[i] = got
         return got
 
     def neighbors(self, vid: int):
+        """Neighbour vids of vid in ascending order, as a re-iterable."""
         n = self.n_points
-        i = vid % n
-        ims = self.images(i)
         if vid < n:
-            return [c * n + j for c in range(1, self.copies) for j in ims]
-        return ims
+            return _Lifted(self.images(vid), n, self.copies)
+        return self.images(vid % n)
 
     def to_bipartite(self) -> BipartiteGraph:
         n = self.n_points

@@ -2,8 +2,8 @@
 
 Hopcroft-Karp over a callable neighbor oracle, so the same engine serves
 materialized graphs and lazily expanded doubling graphs.  Deterministic:
-left vertices are processed in the order given and neighbor sequences are
-used in the order returned, so callers fix the tie-breaks by sorting.
+left vertices are processed in the order given and neighbors are iterated in
+the order returned, so callers fix the tie-breaks by sorting.
 """
 
 from __future__ import annotations
@@ -15,8 +15,10 @@ def hopcroft_karp(left_ids, neighbors) -> dict:
     """Maximum matching; returns {left_id: right_id}.
 
     left_ids: iterable of left-side vertices (order fixes determinism).
-    neighbors: callable left_id -> sequence of right-side vertices; each is
-    kept as given, read several times and never changed.
+    neighbors: callable left_id -> re-iterable of right-side vertices (a
+    list, or a view such as a doubling graph's copy-0 adjacency); each is
+    kept as given, iterated several times, each time in the same order, and
+    never changed.
     Left vertices are held by position p in left_ids (adj, dist and mate
     are lists); pair_r maps a right vertex to its partner's position.  The
     dict lists left vertices in the order they were first matched.

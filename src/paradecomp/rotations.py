@@ -56,9 +56,6 @@ class Rotation:
     # rotations are orthogonal, so transpose is inverse
     inverse = transpose
 
-    def is_identity(self) -> bool:
-        return self.scale == 0 and self.num == _ID9
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Rotation)
@@ -72,21 +69,6 @@ class Rotation:
     def entries(self):
         d = 5 ** self.scale
         return [[Fraction(self.num[3 * i + j], d) for j in range(3)] for i in range(3)]
-
-    def is_orthogonal(self) -> bool:
-        n, s = self.num, self.scale
-        target = 25 ** s
-        for i in (0, 3, 6):
-            for j in (0, 3, 6):
-                dot = n[i] * n[j] + n[i + 1] * n[j + 1] + n[i + 2] * n[j + 2]
-                if dot != (target if i == j else 0):
-                    return False
-        det = (
-            n[0] * (n[4] * n[8] - n[5] * n[7])
-            - n[1] * (n[3] * n[8] - n[5] * n[6])
-            + n[2] * (n[3] * n[7] - n[4] * n[6])
-        )
-        return det == 5 ** (3 * s)
 
     def __repr__(self):
         return f"Rotation({self.num}, scale={self.scale})"

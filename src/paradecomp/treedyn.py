@@ -764,8 +764,11 @@ def free_word_violation(maps: dict, max_len: int):
 
     Words run over the four indices with immediate inverses banned; an
     evaluation that leaves the domain abandons that branch, matching the
-    window-mode reading of freeness.
+    window-mode reading of freeness.  A max_len below 1 would check no
+    word, and is refused.
     """
+    if max_len < 1:
+        raise ValueError(f"max_len {max_len} must be >= 1")
     domain = sorted(maps[1])
     for start in domain:
         stack = [(start, 0, ())]

@@ -20,12 +20,6 @@ _SHORTLEX = str.maketrans("aAbB", "0123")
 _LETTER_INVERSE = tuple(zip(ALPHABET, ALPHABET.translate(_INVERT)))
 
 
-def invert_letter(c: str) -> str:
-    if c not in ALPHABET or len(c) != 1:
-        raise BadLetterError(f"not a generator letter: {c!r}", letter=c)
-    return c.translate(_INVERT)
-
-
 def reduce_word(w: str) -> str:
     """Cancel adjacent inverse pairs until none remain."""
     stack: list[str] = []

@@ -2,8 +2,10 @@
 
 Everything here is deliberately naive: exponential subset scans, Kuhn's
 augmenting paths, recursive Hopcroft-Karp, repeated-scan word reduction,
-breadth-first window expansion, one full ball per layered vertex, full
-copy x point scans of a doubling graph, cycle surgery on a set of edges,
+breadth-first window expansion, doubling-graph images by one
+ActionWindow.apply per element, exact rotation identity and orthogonality
+tests, one full ball per layered vertex, full copy x point scans of a
+doubling graph, cycle surgery on a set of edges,
 a forest reader on neighbour sets, a stage audit that searches every
 ball afresh.
 Slow is fine; these run on small instances only and must share no code
@@ -322,6 +324,32 @@ def word_matrix_fraction(word: str):
     return m
 
 
+def rotation_is_identity(rot) -> bool:
+    """A normalized Rotation is the identity when it is num = I at scale 0."""
+    return rot.scale == 0 and rot.num == (1, 0, 0, 0, 1, 0, 0, 0, 1)
+
+
+def rotation_is_orthogonal(rot) -> bool:
+    """Exact check that num / 5**scale has orthonormal rows and det 1."""
+    n, s = rot.num, rot.scale
+    target = 25**s
+    for i in (0, 3, 6):
+        for j in (0, 3, 6):
+            dot = n[i] * n[j] + n[i + 1] * n[j + 1] + n[i + 2] * n[j + 2]
+            if dot != (target if i == j else 0):
+                return False
+    det = (
+        n[0] * (n[4] * n[8] - n[5] * n[7])
+        - n[1] * (n[3] * n[8] - n[5] * n[6])
+        + n[2] * (n[3] * n[7] - n[4] * n[6])
+    )
+    return det == 5 ** (3 * s)
+
+
+def invert_letter(c: str) -> str:
+    return {"a": "A", "A": "a", "b": "B", "B": "b"}[c]
+
+
 def bfs_distances(adj, source):
     """Plain dict BFS used to double-check distance helpers."""
     dist = {source: 0}
@@ -359,6 +387,16 @@ def scan_greedy_layering(g: BipartiteGraph, schedule) -> dict:
         layers.append(kept)
         f_values.append(fn)
     return {"layers": layers, "f": f_values}
+
+
+def apply_images(w, s, i) -> list:
+    """Points hit from point i by elements of s, one ActionWindow.apply each."""
+    return sorted({w.apply(g, i) for g in s.elements} - {None})
+
+
+def lifted_neighbors(n: int, copies: int, images) -> list:
+    """Copy-0 neighbours of a point: its images in every copy 1..copies-1."""
+    return [c * n + j for c in range(1, copies) for j in images]
 
 
 def scan_unmatched_boundary(dg, matching) -> tuple:

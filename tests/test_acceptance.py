@@ -37,9 +37,14 @@ from paradecomp.treedyn import (
     odd_path_graph,
     transfer_matching,
 )
-from paradecomp.words import invert_letter
 
-from oracles import kuhn_max_matching, record_oracle_calls, record_side_levels
+from oracles import (
+    invert_letter,
+    kuhn_max_matching,
+    record_oracle_calls,
+    record_side_levels,
+    rotation_is_identity,
+)
 
 
 @contextmanager
@@ -166,7 +171,7 @@ def test_criterion_5_rotations_act_freely(capsys):
                     continue
                 chars.append(c)
             rot = word_rotation("".join(chars))
-            assert (rot.transpose() * rot).is_identity()
+            assert rotation_is_identity(rot.transpose() * rot)
         assert time.monotonic() - t0 <= 120
 
 

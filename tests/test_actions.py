@@ -15,6 +15,7 @@ from paradecomp.actions import (
     unmatched_boundary_stats,
     GeneratingSet,
 )
+from paradecomp.matching import hopcroft_karp
 from paradecomp.errors import (
     BadCapError,
     FixedBaseError,
@@ -27,8 +28,11 @@ from paradecomp.words import iter_reduced, mul, word_key
 from paradecomp.rotations import BASE_POINT, apply_to_point, word_rotation
 
 from oracles import (
+    apply_images,
     bfs_window,
     brute_doubled_expansion,
+    lifted_neighbors,
+    recursive_hopcroft_karp,
     record_oracle_calls,
     record_side_levels,
     scan_unmatched_boundary,
@@ -196,6 +200,55 @@ def test_doubling_graph_shape():
     assert n + i in dg.neighbors(i)
     for vid in dg.neighbors(i):
         assert i in dg.neighbors(vid)
+
+
+# f2 windows away from the identity have renumbered tables; (0, 0, 1) is
+# fixed by a, so the second sphere base is (0, 3/5, 4/5)
+ADJACENCY_WINDOWS = [
+    ("f2", ""),
+    ("f2", "ab"),
+    ("f2", "Ba"),
+    ("sphere", (0, 1, 0, 0)),
+    ("sphere", (0, 3, 4, 1)),
+]
+
+
+@pytest.mark.parametrize("kind, base", ADJACENCY_WINDOWS)
+@pytest.mark.parametrize("squared, copies", [(False, 3), (True, 4)], ids=["S", "S2"])
+def test_doubling_adjacency_matches_the_apply_oracle(kind, base, squared, copies):
+    s = standard_generators()
+    t = square_set(s) if squared else s
+    w = expand_window(kind, base, s, 5, 2, t.radius)
+    dg = DoublingGraph(w, t, copies)
+    n, interior = w.n_points(), w.interior_indices()
+    lists = {}
+    for i in interior:
+        images = apply_images(w, t, i)
+        assert dg.images(i) == images
+        want = lists[i] = lifted_neighbors(n, copies, images)
+        view = dg.neighbors(i)
+        assert list(view) == want and list(view) == want
+        assert len(view) == len(want)
+        for c in range(1, copies):
+            assert dg.neighbors(c * n + i) == images
+    got = hopcroft_karp(interior, dg.neighbors)
+    assert list(got.items()) == list(hopcroft_karp(interior, lists.get).items())
+
+
+def test_hopcroft_karp_reiterates_lifted_views():
+    # the greedy phase leaves point 4 free (n and 2n are taken), so a later
+    # phase's BFS and augmenting search iterate the views again
+    s = standard_generators()
+    w = expand_window("f2", "", s, 3, 1)
+    dg = DoublingGraph(w, s, 3)
+    n = w.n_points()
+    dg._im = {0: [0, 1], 1: [1, 2], 2: [1], 3: [0], 4: [0]}
+    lists = {i: lifted_neighbors(n, 3, dg._im[i]) for i in dg._im}
+    left = list(dg._im)
+    got = hopcroft_karp(left, dg.neighbors)
+    assert list(got.items()) == list(hopcroft_karp(left, lists.get).items())
+    assert got == recursive_hopcroft_karp(left, lists.get)
+    assert len(got) == 5
 
 
 def test_expansion_audit_passes_and_prunes(monkeypatch):

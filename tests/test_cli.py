@@ -375,6 +375,21 @@ def test_f2action_on_synthetic_forest(capsys, tmp_path):
     assert len(obj["result"]["stages"]) == 2
 
 
+@pytest.mark.parametrize("free_len", ["0", "-3"])
+def test_f2action_free_len_below_one_is_a_precondition(capsys, tmp_path, free_len):
+    # a length that checks no word gets no freeness certificate
+    src = tmp_path / "forest.json"
+    src.write_text(json.dumps(synthetic_forest(random.Random(5)).to_obj()))
+    argv = ["f2action", "--from", str(src), "--stages", "1", "--free-len", free_len]
+    code, obj = run(capsys, argv)
+    assert code == 2
+    assert obj == {
+        "schema": "paradecomp/error/1",
+        "error": "PRECONDITION",
+        "message": f"max_len {free_len} must be >= 1",
+    }
+
+
 def test_demo_f2_radius_ten_passes(capsys):
     code, obj = run(capsys, ["demo", "--kind", "f2", "--radius", "10"])
     assert code == 0

@@ -27,7 +27,13 @@ from paradecomp.words import (
     word_key,
 )
 
-from oracles import dfs_identity_word, scan_reduce, word_matrix_fraction
+from oracles import (
+    dfs_identity_word,
+    rotation_is_identity,
+    rotation_is_orthogonal,
+    scan_reduce,
+    word_matrix_fraction,
+)
 
 words_st = st.text(alphabet="aAbB", max_size=24)
 # mul/inv take reduced words; the raw strategy exists to exercise reduce_word
@@ -82,8 +88,8 @@ def test_generator_matrices_are_exact():
     assert ROT_A.num == (3, -4, 0, 4, 3, 0, 0, 0, 5) and ROT_A.scale == 1
     assert ROT_B.num == (5, 0, 0, 0, 3, -4, 0, 4, 3) and ROT_B.scale == 1
     for rot in (ROT_A, ROT_B):
-        assert rot.is_orthogonal()
-    assert (ROT_A * ROT_A.inverse()).is_identity()
+        assert rotation_is_orthogonal(rot)
+    assert rotation_is_identity(ROT_A * ROT_A.inverse())
     with pytest.raises(BadLetterError):
         letter_rotation("x")
 
@@ -133,7 +139,7 @@ def test_certificate_agrees_with_dfs_oracle(monkeypatch, order):
         assert (w is None) == (dfs_identity_word(letters, max_len) is None)
         if w is not None:
             assert w and is_reduced(w) and len(w) <= max_len
-            assert word_rotation(w).is_identity()
+            assert rotation_is_identity(word_rotation(w))
     if order is not None:
         assert shortest_identity_word(order) is not None
 
@@ -149,8 +155,8 @@ def test_orthogonality_of_random_words_exact():
                 c = rng.choice("aAbB")
             out.append(c)
         rot = word_rotation("".join(out))
-        assert rot.is_orthogonal()
-        assert not rot.is_identity()
+        assert rotation_is_orthogonal(rot)
+        assert not rotation_is_identity(rot)
 
 
 def test_point_normalization_and_unit_check():
