@@ -58,7 +58,14 @@ def _schema(name: str, version: int = 1) -> str:
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    # counts are exact, so integers print in full: the interpreter's
+    # int-to-str digit limit is lifted while encoding, then put back
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _emit(obj) -> None:

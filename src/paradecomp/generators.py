@@ -86,54 +86,29 @@ def random_path_window(rng, min_len: int = 31, max_len: int = 59, id_span: int =
 
 
 def random_perfect_matching(g: BipartiteGraph, rng):
-    """Perfect matching sampled by randomized backtracking; None if none.
+    """A perfect matching of g as (side 0, side 1) pairs; None if g has none.
 
-    Before an edge is committed the residual graph is checked for
-    completability with an augmenting-path run, so dead branches die at
-    once; plain backtracking goes exponential already on thin path-power
-    graphs.
+    One Hopcroft-Karp run over the side-0 vertices and their neighbours,
+    each shuffled with rng, so the seed picks which matching comes out.
     """
-    left = sorted(g.side_vertices(0))
-    if len(left) != len(g.side_vertices(1)):
+    left = list(g.side_vertices(0))
+    rng.shuffle(left)
+    adj = {u: rng.sample(g.adj[u], len(g.adj[u])) for u in left}
+    pairs = hopcroft_karp(left, adj.__getitem__)
+    if 2 * len(pairs) != len(g.ids):
         return None
-    used: set = set()
-    choice: dict = {}
-
-    def completable(k: int) -> bool:
-        rest = left[k:]
-        got = hopcroft_karp(rest, lambda u: [v for v in g.adj[u] if v not in used])
-        return len(got) == len(rest)
-
-    def bt(k: int) -> bool:
-        if k == len(left):
-            return True
-        u = left[k]
-        opts = list(g.adj[u])
-        rng.shuffle(opts)
-        for v in opts:
-            if v not in used:
-                used.add(v)
-                choice[u] = v
-                if completable(k + 1) and bt(k + 1):
-                    return True
-                used.discard(v)
-                del choice[u]
-        return False
-
-    if not bt(0):
-        return None
-    return {(u, v) for u, v in choice.items()}
+    return set(pairs.items())
 
 
-def synthetic_forest(rng, spine: int | None = None, branch_prob: float = 0.3) -> ForestWindow:
+def synthetic_forest(rng) -> ForestWindow:
     """Sparse 4-regular tree window: a long spine with decorations.
 
     Every non-leaf vertex has degree exactly 4; leaves are the boundary.
     The spine keeps the radius large without the exponential blowup of a
-    full 4-regular ball.
+    full 4-regular ball; each spine child starts a short branch with
+    probability 0.3.
     """
-    if spine is None:
-        spine = rng.randint(132, 170)
+    spine = rng.randint(132, 170)
     nbrs: list = [set()]
 
     def new_node(parent: int) -> int:
@@ -150,7 +125,7 @@ def synthetic_forest(rng, spine: int | None = None, branch_prob: float = 0.3) ->
     for v in spine_nodes:
         while len(nbrs[v]) < 4:
             c = new_node(v)
-            if rng.random() < branch_prob:
+            if rng.random() < 0.3:
                 chain = [c]
                 cur = c
                 for _ in range(rng.randint(2, 6)):
@@ -162,38 +137,28 @@ def synthetic_forest(rng, spine: int | None = None, branch_prob: float = 0.3) ->
 
     n = len(nbrs)
     adjacency = tuple(tuple(sorted(s)) for s in nbrs)
-    depth = [-1] * n
-    for v, d in bfs_distances(adjacency.__getitem__, (0,)).items():
-        depth[v] = d
+    dist = bfs_distances(adjacency.__getitem__, (0,))  # the tree is connected
+    depth = tuple(dist[v] for v in range(n))
     return ForestWindow(
         adjacency=adjacency,
         interior=tuple(len(adjacency[v]) == 4 for v in range(n)),
         present=tuple([True] * n),
-        depth=tuple(depth),
+        depth=depth,
         radius=max(depth),
         labels=None,
         stats={"kind": "synthetic", "spine": spine},
     )
 
 
-def planted_cycle_system(cycle_len: int, depth: int, rng=None) -> TripleFunctionSystem:
-    """Triple system whose graph has one planted cycle plus forward trees.
+def _grown_system(maps: tuple, roots: int, depth: int) -> TripleFunctionSystem:
+    """Grow forward trees from points 0..roots-1 for depth generations.
 
     Points are created on demand generation by generation; every point of
-    generation < depth carries all three values, the last generation carries
-    none and is the boundary.  The rng only shuffles which map realizes each
-    cycle edge.
+    generation < depth gets all three values (keeping any it already has),
+    the last generation gets none and is the boundary.
     """
-    if cycle_len < 1:
-        raise ValueError("cycle length must be >= 1")
-    maps: tuple = ({}, {}, {})
-    cyc = list(range(cycle_len))
-    for t in range(cycle_len):
-        i = rng.randrange(3) if rng is not None else t % 3
-        maps[i][cyc[t]] = cyc[(t + 1) % cycle_len]
-
-    nodes = cycle_len
-    frontier = list(cyc)
+    nodes = roots
+    frontier = list(range(roots))
     interior: set = set()
     for _ in range(depth):
         nxt = []
@@ -213,28 +178,24 @@ def planted_cycle_system(cycle_len: int, depth: int, rng=None) -> TripleFunction
     )
 
 
+def planted_cycle_system(cycle_len: int, depth: int, rng) -> TripleFunctionSystem:
+    """Triple system whose graph has one planted cycle plus forward trees.
+
+    The cycle is 0 -> 1 -> ... -> cycle_len-1 -> 0; the rng only picks which
+    map realizes each cycle edge.
+    """
+    if cycle_len < 1:
+        raise ValueError("cycle length must be >= 1")
+    maps: tuple = ({}, {}, {})
+    for t in range(cycle_len):
+        maps[rng.randrange(3)][t] = (t + 1) % cycle_len
+    return _grown_system(maps, cycle_len, depth)
+
+
 def source_tree_system(depth: int) -> TripleFunctionSystem:
     """Cycle-free component: a single source with full forward trees.
 
     Nothing maps onto the source although it is flagged interior; that is
     the relaxed shape the surgery certifies cycle-free and keeps unchanged.
     """
-    maps: tuple = ({}, {}, {})
-    nodes = 1
-    frontier = [0]
-    interior: set = set()
-    for _ in range(depth):
-        nxt = []
-        for x in frontier:
-            interior.add(x)
-            for i in range(3):
-                maps[i][x] = nodes
-                nxt.append(nodes)
-                nodes += 1
-        frontier = nxt
-    return TripleFunctionSystem(
-        maps=maps,
-        n_points=nodes,
-        interior=tuple(p in interior for p in range(nodes)),
-        labels=None,
-    )
+    return _grown_system(({}, {}, {}), 1, depth)

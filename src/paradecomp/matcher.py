@@ -86,14 +86,13 @@ class _Engine:
     """Perfect matching of the residual, updated incrementally."""
 
     def __init__(self, g: BipartiteGraph, pair_l: dict):
-        """Start from pair_l, a maximum matching of g as side 0 -> side 1."""
+        """Start from pair_l, a perfect matching of g as side 0 -> side 1."""
         self.g = g
         self.alive = set(g.ids)
         self.pair = {}
         for u, v in pair_l.items():
             self.pair[u] = v
             self.pair[v] = u
-        self.perfect = len(self.pair) == len(g.ids)
 
     def certifies_residual(self) -> bool:
         """Whether pair is a perfect matching of the residual, checked edge by edge."""
@@ -196,11 +195,9 @@ def layered_perfect_matching(
         )
 
     layering = greedy_layering(g, schedule)
+    # check_hall passes only when neither side outnumbers its maximum
+    # matching, so the precheck's matching is perfect
     engine = _Engine(g, report.matching)
-    if not engine.perfect:
-        raise HallViolatedError(
-            "no perfect matching found despite Hall precheck", vertices=len(g.ids)
-        )
     stages = []
     # epsilon_n = num/den in lowest terms: a Fraction per stage would cost
     # more than the stage's matching work

@@ -8,8 +8,6 @@ the order returned, so callers fix the tie-breaks by sorting.
 
 from __future__ import annotations
 
-from .errors import InvariantError
-
 
 def hopcroft_karp(left_ids, neighbors) -> dict:
     """Maximum matching; returns {left_id: right_id}.
@@ -116,8 +114,8 @@ def combine_saturating(pair1: dict, pair2: dict) -> list:
     pair2 misses, otherwise pair2's; shared edges are kept as-is.  Such a key
     ends an alternating path, so only those paths are walked, each one
     moving pair2's keys along it to their pair1 partners.  pair2's keys are
-    never dropped; the checks at the end are that no first-side vertex is
-    used twice and that every pair1 key is covered.
+    never dropped.  The caller checks the result (DoublingGraph.partners
+    refuses a vertex in two edges and any required vertex left unmatched).
 
     Returns the edges as (first side, second side) pairs, listed in the
     order of pair2's keys, then the walked paths' last vertices that pair2
@@ -137,17 +135,4 @@ def combine_saturating(pair1: dict, pair2: dict) -> list:
             if y is None:
                 break
             out[y], x = x, pair2.get(y)
-
-    covered = set(out.values())
-    if len(covered) != len(out):
-        seen = set()
-        for y, x in out.items():
-            if x in seen:
-                raise InvariantError("combination not a matching", edge=[x, y])
-            seen.add(x)
-    missing = pair1.keys() - covered
-    if missing:
-        raise InvariantError(
-            "combination dropped required vertices", missing=sorted(missing)[:5]
-        )
     return list(zip(out.values(), out))

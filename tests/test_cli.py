@@ -1,10 +1,11 @@
 import json
+import sys
 
 import pytest
 
 from paradecomp import cli
 from paradecomp.generators import complete_bipartite, line_window, star_graph, synthetic_forest
-from paradecomp.graphs import graph_to_obj
+from paradecomp.graphs import bipartite_graph, graph_to_obj
 from paradecomp.words import iter_reduced
 
 import random
@@ -602,3 +603,72 @@ def test_main_runs_again_in_one_process(capsys, tmp_path, k33):
     assert "error: unrecognized arguments: --no-such-flag" in err
     code, obj = run(capsys, ["hall-check", k33])
     assert code == 0 and obj["satisfied"] is True
+
+
+@pytest.fixture()
+def three_edges(tmp_path):
+    g = bipartite_graph([0, 1, 2], [3, 4, 5], [(0, 3), (1, 4), (2, 5)])
+    return write_graph(tmp_path / "three.json", g)
+
+
+def test_hall_check_floor_skips_smaller_sets(capsys, three_edges):
+    argv = ["hall-check", three_edges, "--epsilon", "1/2", "--cap", "3"]
+    code, obj = run(capsys, argv)
+    assert code == 2 and obj["floor"] == 1 and obj["satisfied"] is False
+    assert obj["report"]["witness"] == {
+        "side": 0, "f_set": [0], "required": "3/2", "actual": 1
+    }
+    # disjoint edges have no G^2-connected set of two or more vertices
+    code, obj = run(capsys, argv + ["--floor", "2"])
+    assert code == 0 and obj["floor"] == 2 and obj["satisfied"] is True
+    assert obj["report"]["witness"] is None
+
+
+def test_match_floor_decides_the_precheck(capsys, three_edges):
+    argv = ["match", three_edges, "--epsilon", "1/2", "--cap", "3"]
+    code, obj = run(capsys, argv)
+    assert code == 2 and obj["error"] == "HYPOTHESIS_FAILED"
+    assert obj["details"]["witness"]["f_set"] == [0]
+    code, obj = run(capsys, argv + ["--floor", "2"])
+    assert code == 0 and obj["floor"] == 2
+    assert obj["result"]["matching"] == [[0, 3], [1, 4], [2, 5]]
+
+
+def run_unlimited(capsys, argv):
+    """run(), for payloads holding integers past the int-to-str digit limit.
+
+    The one output line is parsed with the limit lifted; main must leave the
+    caller's limit as it found it.
+    """
+    limit = sys.get_int_max_str_digits()
+    code = cli.main(argv)
+    assert sys.get_int_max_str_digits() == limit
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1
+    sys.set_int_max_str_digits(0)
+    try:
+        return code, json.loads(out)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_f2action_required_radius_prints_in_full(capsys, tmp_path):
+    src = tmp_path / "forest.json"
+    src.write_text(json.dumps(synthetic_forest(random.Random(5)).to_obj()))
+    code, obj = run_unlimited(capsys, ["f2action", "--from", str(src), "--stages", "7200"])
+    assert code == 2 and obj["error"] == "WINDOW_TOO_SMALL"
+    assert obj["details"]["required"] == 2 * 16 * 4**7200
+    assert obj["details"]["stages"] == 7200
+
+
+@pytest.mark.parametrize("command, code", [("paradox", 0), ("demo", 3)])
+def test_unmatched_count_prints_in_full(capsys, command, code):
+    # demo's boundary check wants min_depth >= radius - 4, so a margin this
+    # wide fails it (exit 3) although both certificates pass
+    argv = [command, "--kind", "f2", "--radius", "9100", "--margin", "9099"]
+    got, obj = run_unlimited(capsys, argv)
+    assert got == code
+    assert obj["certificate"]["status"] == "PASS"
+    # three copies of the ball's 2 * 3^9100 - 1 points, less 10 matched pairs
+    assert obj["boundary"]["unmatched"] == 3 * (2 * 3**9100 - 1) - 20
+    assert obj["boundary"]["unmatched_interior"] == 0

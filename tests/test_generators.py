@@ -4,6 +4,7 @@ from fractions import Fraction
 from paradecomp.generators import (
     complete_bipartite,
     hall_family,
+    line_window,
     random_path_window,
     random_perfect_matching,
     star_graph,
@@ -75,6 +76,14 @@ def test_random_perfect_matching_agrees_with_oracle():
     m = random_perfect_matching(g, rng)
     assert m is not None and len(m) == 4
     assert random_perfect_matching(star_graph(3), rng) is None
+
+
+def test_random_perfect_matching_on_a_long_path():
+    # the path's only perfect matching; 1,200 left vertices are more than a
+    # search recursing once per vertex could hold under the recursion limit
+    m = random_perfect_matching(line_window(2400), random.Random(1))
+    assert len(m) == 1200
+    assert m == {(k, k + 1) for k in range(0, 2400, 2)}
 
 
 def test_synthetic_forest_shape():

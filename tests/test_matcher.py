@@ -72,7 +72,7 @@ def test_select_preserves_matchability():
     for _ in range(25):
         g = union_of_permutations(rng.randint(3, 8), rng.randint(2, 3), rng)
         engine = engine_on(g)
-        assert engine.perfect
+        assert len(engine.pair) == len(g.ids)
         for x in g.side_vertices(0):
             if x not in engine.alive:
                 continue
@@ -81,10 +81,6 @@ def test_select_preserves_matchability():
             assert x not in engine.alive and y not in engine.alive
             assert has_perfect_matching_on(induced_subgraph(g, engine.alive), 0)
         assert not engine.alive
-
-
-def test_select_raises_on_unmatchable_residual():
-    assert not engine_on(star_graph(3)).perfect
 
 
 def test_stage_records_exact_epsilons():

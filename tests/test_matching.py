@@ -9,7 +9,6 @@ from paradecomp.actions import (
     square_set,
     standard_generators,
 )
-from paradecomp.errors import InvariantError
 from paradecomp.matching import combine_saturating, hopcroft_karp
 
 from oracles import component_combine_saturating, recursive_hopcroft_karp
@@ -41,21 +40,6 @@ def test_hopcroft_karp_long_augmenting_path():
     adj[n - 1] = [2 * n - 1]
     pairs = hopcroft_karp(range(n), adj.__getitem__)
     assert pairs == {i: n + i for i in range(n)}
-
-
-def test_combine_saturating_refuses_to_drop_a_required_vertex():
-    # pair1 is no matching: both keys claim vertex 10, so key 0 loses it
-    with pytest.raises(InvariantError) as ei:
-        combine_saturating({0: 10, 1: 10}, {})
-    assert ei.value.code == "INVARIANT"
-    assert ei.value.details["missing"] == [0]
-
-
-def test_combine_saturating_refuses_a_vertex_used_twice():
-    # pair2 is no matching: both keys map back to vertex 0
-    with pytest.raises(InvariantError) as ei:
-        combine_saturating({}, {10: 0, 11: 0})
-    assert ei.value.details["edge"] == [0, 11]
 
 
 @st.composite

@@ -1,17 +1,24 @@
-"""The README's CLI tour on the sample graphs, end to end.
+"""The README's CLI tour, every command, end to end.
 
 Which hall_family draws pass check_hall_eps_n decides the hall_* files, so
 their digests also pin the Hall check's verdicts on those draws.
 """
 
 import hashlib
+import json
+import random
 import runpy
 import sys
 from pathlib import Path
 
 from paradecomp import cli
+from paradecomp.generators import random_perfect_matching
+from paradecomp.graphs import graph_from_obj
+from paradecomp.treedyn import OrientedTwoRegular, odd_path_graph
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "make_sample_graphs.py"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "make_sample_graphs.py"
+README = ROOT / "README.md"
 
 SAMPLE_DIGESTS = {
     "hall_0_eps_1_2.json": "f5f71f9c6352ccf9f64376d091d1807b9f2ddda292de103c5a8f33f7a579b99f",
@@ -24,23 +31,54 @@ SAMPLE_DIGESTS = {
 }
 
 
+# the README's "CLI tour" block, command by command, with its exit codes
+TOUR = [
+    ("hall-check sample_graphs/k33.json", 0),
+    ("hall-check sample_graphs/hall_0_eps_1_2.json --epsilon 1/2 --cap 2", 0),
+    ("match sample_graphs/hall_0_eps_1_2.json --epsilon 1/2 --cap 2 --audit", 0),
+    ("layers sample_graphs/path16.json --epsilon 16 --schedule 1,2,4,8,16", 0),
+    ("window --kind f2 --radius 6 --out w.json", 0),
+    ("paradox --kind f2 --radius 8 --out pieces.json", 0),
+    ("verify --pieces pieces.json", 0),
+    ("demo --kind f2 --radius 10", 0),
+    ("demo --kind sphere --radius 8 --base 0,1,0", 0),
+    ("transfer --graph sample_graphs/path16.json --gn-matching m.json --n 2", 0),
+    ("forest --from pieces.json --out forest.json", 0),
+    # stage 0 needs forest radius 32; a radius-8 paradox window is too small
+    ("f2action --from forest.json --stages 0", 2),
+]
+
+
+def test_tour_is_the_readme_block():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI tour", 1)[1].split("```")[1]
+    lines = [ln.strip() for ln in block.splitlines()]
+    assert [ln.split(" ", 1)[1] for ln in lines if ln.startswith("paradecomp ")] == [
+        cmd for cmd, _ in TOUR
+    ]
+
+
 def test_readme_tour_on_sample_graphs(monkeypatch, capsys, tmp_path):
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(
-        sys, "argv", [str(SCRIPT), "--seed", "0", "--out-dir", str(tmp_path)]
+        sys, "argv", [str(SCRIPT), "--seed", "0", "--out-dir", "sample_graphs"]
     )
     runpy.run_path(str(SCRIPT), run_name="__main__")
+    capsys.readouterr()
     got = {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in (tmp_path / "sample_graphs").iterdir()
     }
     assert got == SAMPLE_DIGESTS
 
-    hall0 = str(tmp_path / "hall_0_eps_1_2.json")
-    for argv in (
-        ["hall-check", str(tmp_path / "k33.json")],
-        ["hall-check", hall0, "--epsilon", "1/2", "--cap", "2"],
-        ["match", hall0, "--epsilon", "1/2", "--cap", "2", "--audit"],
-        ["layers", str(tmp_path / "path16.json"), "--epsilon", "16",
-         "--schedule", "1,2,4,8,16"],
-    ):
-        assert cli.main(argv) == 0, argv
-        capsys.readouterr()
+    # the G_n matching the transfer line reads: a JSON list of [u, v] pairs
+    path16 = graph_from_obj(json.loads(Path("sample_graphs/path16.json").read_text()))
+    g2 = odd_path_graph(OrientedTwoRegular.from_graph(path16), 2)
+    m = random_perfect_matching(g2, random.Random(0))
+    Path("m.json").write_text(json.dumps(sorted([u, v] for u, v in m)))
+
+    for cmd, code in TOUR:
+        assert cli.main(cmd.split()) == code, cmd
+        obj = json.loads(capsys.readouterr().out)
+        if code == 2:
+            assert obj["error"] == "WINDOW_TOO_SMALL"
