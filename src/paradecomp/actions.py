@@ -399,25 +399,17 @@ def interior_saturating_matching(dg: DoublingGraph) -> dict:
     the contract is saturation of the interior of both sides.  Two runs of
     Hopcroft-Karp, one per side's interior, are merged by the alternating
     component rule; boundary vertices may stay unmatched and that is the
-    expected outcome, reported by the caller, never an error here.  The
-    matching comes as its partner map, checked once by dg.partners: every
-    reader of it takes that map.
+    expected outcome, reported by the caller.  dg.partners alone decides
+    saturation: each run is a maximum matching, so a side no run covers is
+    covered by no matching, the merge included, and partners refuses it.
+    Every reader of the matching takes the partner map partners returns.
     """
     n = dg.n_points
     left_a = dg.window.interior_indices()  # interior copy-0 vids
     left_b = [c * n + i for c in range(1, dg.copies) for i in left_a]  # ascending
-    pairs = []
-    for side, left in (("copy-0", left_a), ("side-1", left_b)):
-        pair = hopcroft_karp(left, dg.neighbors)
-        if len(pair) < len(left):
-            missing = [v for v in left if v not in pair]
-            raise NotPerfectOnInteriorError(
-                f"interior {side} vertices left unmatched",
-                count=len(missing),
-                sample=missing[:5],
-            )
-        pairs.append(pair)
-    return dg.partners(combine_saturating(*pairs))
+    pair_a = hopcroft_karp(left_a, dg.neighbors)
+    pair_b = hopcroft_karp(left_b, dg.neighbors)
+    return dg.partners(combine_saturating(pair_a, pair_b))
 
 
 def unmatched_boundary_stats(dg: DoublingGraph, partner: dict) -> dict:

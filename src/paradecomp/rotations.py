@@ -16,8 +16,6 @@ x, y, z are divisible by 5 when k > 0.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import BadLetterError, FreeActionViolationError
 from .words import ALPHABET, IDENTITY, inv, mul, reduce_word
 
@@ -53,9 +51,6 @@ class Rotation:
             _normalized=True,
         )
 
-    # rotations are orthogonal, so transpose is inverse
-    inverse = transpose
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Rotation)
@@ -65,10 +60,6 @@ class Rotation:
 
     def __hash__(self):
         return hash((self.num, self.scale))
-
-    def entries(self):
-        d = 5 ** self.scale
-        return [[Fraction(self.num[3 * i + j], d) for j in range(3)] for i in range(3)]
 
     def __repr__(self):
         return f"Rotation({self.num}, scale={self.scale})"

@@ -329,6 +329,12 @@ def rotation_is_identity(rot) -> bool:
     return rot.scale == 0 and rot.num == (1, 0, 0, 0, 1, 0, 0, 0, 1)
 
 
+def rotation_entries(rot):
+    """The 3x3 matrix num / 5**scale of a Rotation, as rows of Fractions."""
+    d = 5**rot.scale
+    return [[Fraction(rot.num[3 * i + j], d) for j in range(3)] for i in range(3)]
+
+
 def rotation_is_orthogonal(rot) -> bool:
     """Exact check that num / 5**scale has orthonormal rows and det 1."""
     n, s = rot.num, rot.scale

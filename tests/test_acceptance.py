@@ -76,7 +76,11 @@ def _assert_demo_payload(obj):
     assert obj["classical_certificate"]["status"] == "PASS"
     assert obj["roundtrip"]["subset_of_matching"] is True
     assert obj["roundtrip"]["covers_interior"] is True
-    assert obj["boundary_ok"] is True
+    # partners refuses any interior miss; the first unmatched point lies
+    # past the interior
+    w = obj["window"]
+    assert obj["boundary"]["unmatched_interior"] == 0
+    assert obj["boundary"]["min_depth"] > w["radius"] - w["margin"]
     assert obj["pass"] is True
 
 

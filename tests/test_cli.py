@@ -399,7 +399,8 @@ def test_demo_f2_radius_ten_passes(capsys):
     assert obj["classical_certificate"]["status"] == "PASS"
     assert obj["roundtrip"]["subset_of_matching"] is True
     assert obj["roundtrip"]["covers_interior"] is True
-    assert obj["boundary_ok"] is True
+    assert obj["boundary"]["unmatched_interior"] == 0
+    assert obj["boundary"]["min_depth"] > obj["window"]["radius"] - obj["window"]["margin"]
 
 
 def test_demo_on_a_sphere_base_with_a_stabilizer_exits_three(capsys):
@@ -661,14 +662,74 @@ def test_f2action_required_radius_prints_in_full(capsys, tmp_path):
     assert obj["details"]["stages"] == 7200
 
 
-@pytest.mark.parametrize("command, code", [("paradox", 0), ("demo", 3)])
-def test_unmatched_count_prints_in_full(capsys, command, code):
-    # demo's boundary check wants min_depth >= radius - 4, so a margin this
-    # wide fails it (exit 3) although both certificates pass
+@pytest.mark.parametrize("command", ["paradox", "demo"])
+def test_unmatched_count_prints_in_full(capsys, command):
     argv = [command, "--kind", "f2", "--radius", "9100", "--margin", "9099"]
     got, obj = run_unlimited(capsys, argv)
-    assert got == code
+    assert got == 0
     assert obj["certificate"]["status"] == "PASS"
     # three copies of the ball's 2 * 3^9100 - 1 points, less 10 matched pairs
     assert obj["boundary"]["unmatched"] == 3 * (2 * 3**9100 - 1) - 20
     assert obj["boundary"]["unmatched_interior"] == 0
+
+
+@pytest.mark.parametrize("kind", ["f2", "sphere"])
+@pytest.mark.parametrize("margin", range(1, 8))
+def test_demo_passes_at_every_margin(capsys, kind, margin):
+    # the first unmatched point lies just past the interior, at any margin
+    code, obj = run(capsys, ["demo", "--kind", kind, "--radius", "8", "--margin", str(margin)])
+    assert code == 0
+    assert obj["pass"] is True
+    assert obj["boundary"]["min_depth"] == 8 - margin + 1
+
+
+@pytest.mark.parametrize("command", ["demo", "paradox"])
+def test_interior_miss_is_refused_by_partners(capsys, command):
+    # at margin 0 the interior is the whole ball, which side 1 cannot cover
+    code = cli.main([command, "--kind", "f2", "--radius", "4", "--margin", "0"])
+    assert code == 2
+    assert capsys.readouterr().out == (
+        '{"details":{"copy":2,"point":"","vid":322},'
+        '"error":"NOT_PERFECT_ON_INTERIOR",'
+        '"message":"matching misses an interior vertex",'
+        '"schema":"paradecomp/error/1"}\n'
+    )
+
+
+def _past_digit_limit(src) -> dict:
+    """The error a file holding a 5,000-digit integer gets, in the
+    interpreter's own words: read with the limit in force, it is no JSON."""
+    with pytest.raises(ValueError) as exc:
+        json.loads("9" * 5000)
+    return {
+        "schema": "paradecomp/error/1",
+        "error": "BAD_INPUT",
+        "message": f"not valid JSON: {src}",
+        "details": {"path": str(src), "detail": str(exc.value)},
+    }
+
+
+def test_huge_integer_in_a_graph_file_is_bad_input(capsys, tmp_path):
+    src = tmp_path / "big.json"
+    src.write_text('{"vertices": [{"id": ' + "9" * 5000 + ', "side": 0}], "edges": []}')
+    code, obj = run(capsys, ["hall-check", str(src)])
+    assert code == 1
+    assert obj == _past_digit_limit(src)
+
+
+def test_huge_window_radius_in_a_pieces_file_is_bad_input(capsys, tmp_path, pieces_obj):
+    src = tmp_path / "pieces.json"
+    pieces_obj["window"]["radius"] = 10**5000 - 1
+    src.write_text(cli.canonical_json(pieces_obj))
+    code, obj = run(capsys, ["verify", "--pieces", str(src)])
+    assert code == 1
+    assert obj == _past_digit_limit(src)
+
+
+def test_file_not_in_utf8_is_bad_input(capsys, tmp_path):
+    src = tmp_path / "latin1.json"
+    src.write_bytes(b'{"vertices": [\xff]}')
+    code, obj = run(capsys, ["hall-check", str(src)])
+    assert code == 1
+    assert obj["error"] == "BAD_INPUT"
+    assert obj["message"] == f"not valid JSON: {src}"

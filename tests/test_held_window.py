@@ -90,7 +90,7 @@ def test_held_window_matches_the_full_ball(capsys, tmp_path, kind, base):
 @pytest.mark.parametrize("kind", ["f2", "sphere"])
 def test_demo_passes_at_radius_thirteen(capsys, kind):
     obj = run(capsys, ["demo", "--kind", kind, "--radius", "13"])
-    assert obj["schema"] == "paradecomp/demo/2"
+    assert obj["schema"] == "paradecomp/demo/3"
     assert obj["pass"] is True
     for cert in ("certificate", "classical_certificate"):
         assert obj[cert]["status"] == "PASS"
