@@ -137,7 +137,7 @@ def synthetic_forest(rng) -> ForestWindow:
 
     n = len(nbrs)
     adjacency = tuple(tuple(sorted(s)) for s in nbrs)
-    dist = bfs_distances(adjacency.__getitem__, (0,))  # the tree is connected
+    dist = bfs_distances(adjacency, (0,))  # the tree is connected
     depth = tuple(dist[v] for v in range(n))
     return ForestWindow(
         adjacency=adjacency,

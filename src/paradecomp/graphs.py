@@ -1,8 +1,11 @@
 """Finite bipartite graphs and the search machinery everything else shares.
 
 One breadth-first search serves distances and connected components; greedy
-nets run their own ball search, which keeps the radius left per vertex.
-Every other module reaches those through the helpers here.
+nets run their own ball search, which keeps the radius left per vertex in a
+list indexed by vertex, so its vertices are 0..n-1.  Every other module
+reaches those through the helpers here.  The three searches read a vertex's
+neighbours as adjacency[u], from a dict, list or tuple the caller already
+holds; a caller that searches a subset passes an adjacency over that subset.
 
 Vertex ids are opaque integers; every algorithm in the package breaks ties by
 ascending id, so the structures here keep adjacency lists sorted.  Graphs are
@@ -147,12 +150,12 @@ def to_dot(g: BipartiteGraph, matching=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def bfs_distances(neighbors, sources, bound=None) -> dict:
+def bfs_distances(adjacency, sources, bound=None) -> dict:
     """Breadth-first distances from sources, in the order vertices are reached.
 
-    neighbors maps a vertex to an iterable read in its given order; vertices
-    farther than bound (when given) are left out.  Levels are expanded whole
-    and in order, which is the visiting order of a FIFO queue.
+    adjacency[u] is an iterable of u's neighbours, read in its given order;
+    vertices farther than bound (when given) are left out.  Levels are
+    expanded whole and in order, which is the visiting order of a FIFO queue.
     """
     dist = dict.fromkeys(sources, 0)
     frontier = list(dist)
@@ -161,7 +164,7 @@ def bfs_distances(neighbors, sources, bound=None) -> dict:
         d += 1
         nxt = []
         for u in frontier:
-            for w in neighbors(u):
+            for w in adjacency[u]:
                 if w not in dist:
                     dist[w] = d
                     nxt.append(w)
@@ -169,45 +172,46 @@ def bfs_distances(neighbors, sources, bound=None) -> dict:
     return dist
 
 
-def components(neighbors, vertices):
+def components(adjacency, vertices):
     """Yield connected components, in order of each component's least vertex.
 
     Each member list starts at that least vertex and follows breadth-first
-    order.  neighbors must stay inside vertices; a caller restricts the graph
-    to a subset by filtering what neighbors yields.  Lists are made one at a
-    time, so a caller that reads each once never holds them all.
+    order.  adjacency must stay inside vertices; a caller restricts the graph
+    to a subset by passing an adjacency over that subset.  Lists are made one
+    at a time, so a caller that reads each once never holds them all.
     """
     seen: set = set()
     for v in sorted(vertices):
         if v not in seen:
-            members = list(bfs_distances(neighbors, (v,)))
+            members = list(bfs_distances(adjacency, (v,)))
             seen.update(members)
             yield members
 
 
-def greedy_net(neighbors, points, radius) -> list:
+def greedy_net(adjacency, points, radius) -> list:
     """Points kept by a scan in the given order, pairwise farther than radius.
 
-    A point is kept unless an already-kept point lies within radius; each kept
-    point blocks its ball in the graph neighbors describes.  spare records,
-    per blocked vertex, the most radius a kept ball had left on reaching it,
-    and the balls block every vertex within spare of it.  A ball's search
-    therefore goes on from a vertex only when it reaches it with more to
-    spare, and the blocked set is still the union of the balls.
+    The vertices are 0..len(adjacency) - 1.  A point is kept unless an
+    already-kept point lies within radius; each kept point blocks its ball.
+    spare records, per vertex, one more than the most radius a kept ball had
+    left on reaching it (0: no ball reached it), and the balls block every
+    vertex within spare - 1 of it.  A ball's search therefore goes on from a
+    vertex only when it reaches it with more to spare, and the blocked set is
+    still the union of the balls.
     """
-    spare: dict = {}
+    spare = [0] * len(adjacency)
     kept = []
     for p in points:
-        if p in spare:
+        if spare[p]:
             continue
         kept.append(p)
-        spare[p] = radius
+        spare[p] = radius + 1
         frontier = [p]
-        for r in range(radius - 1, -1, -1):
+        for r in range(radius, 0, -1):
             nxt = []
             for u in frontier:
-                for w in neighbors(u):
-                    if spare.get(w, -1) < r:
+                for w in adjacency[u]:
+                    if spare[w] < r:
                         spare[w] = r
                         nxt.append(w)
             if not nxt:

@@ -110,30 +110,37 @@ def greedy_layering(g: BipartiteGraph, schedule: LayerSchedule) -> Layering:
     the first ball, so its net is its least uncovered vertex, taken with no
     search.
     """
-    nbrs = g.adj.__getitem__
-    # per component: [diameter bound, uncovered members ascending, index of
-    # the least one]; only the no-search branch moves the index
+    adj = g.adj
+    # per component: [diameter bound, members ascending, uncovered ranks
+    # ascending, index of the least one, adjacency by rank or None until the
+    # first search]; only the no-search branch moves the index
     comps = []
-    for members in components(nbrs, g.ids):
-        ecc = max(bfs_distances(nbrs, members[:1]).values())
-        comps.append([min(len(members) - 1, 2 * ecc), sorted(members), 0])
+    for members in components(adj, g.ids):
+        ecc = max(bfs_distances(adj, members[:1]).values())
+        diam = min(len(members) - 1, 2 * ecc)
+        members.sort()
+        comps.append([diam, members, range(len(members)), 0, None])
     layers = []
     f_values = []
     while comps:
         fn = schedule.f(len(layers))
         layer = []
         for comp in comps:
-            diam, rest, i = comp
+            diam, members, rest, i, local = comp
             if diam <= fn:
-                layer.append(rest[i])
-                comp[2] = i + 1
+                layer.append(members[rest[i]])
+                comp[3] = i + 1
             else:
-                net = greedy_net(nbrs, rest[i:], fn)
-                layer += net
+                if local is None:
+                    # greedy_net takes vertices 0..m-1: a member's rank
+                    rank = {v: k for k, v in enumerate(members)}
+                    local = comp[4] = [[rank[w] for w in adj[v]] for v in members]
+                net = greedy_net(local, rest[i:], fn)
+                layer += [members[k] for k in net]
                 taken = set(net)
-                comp[1] = [v for v in rest[i:] if v not in taken]
-                comp[2] = 0
-        comps = [c for c in comps if c[2] < len(c[1])]
+                comp[2] = [k for k in rest[i:] if k not in taken]
+                comp[3] = 0
+        comps = [c for c in comps if c[3] < len(c[2])]
         layer.sort()
         layers.append(tuple(layer))
         f_values.append(fn)

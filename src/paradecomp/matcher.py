@@ -18,11 +18,13 @@ The per-stage audit checks Hall_(eps_n, f(n)) on the residual, up to the
 same cap as the precheck.  While the cap is below f(n) only the plain clause
 is in range, and the engine's own matching is its certificate: every live
 vertex must have a live partner across an edge of the graph, which pairs it
-back.  That costs one pass over the residual.  If the certificate fails,
-the full check runs: a real violation is reported with its canonical
-witness, and a residual that still satisfies Hall means the engine itself is
-broken (INVARIANT).  Once the cap reaches f(n) the expansion clause is
-enumerated on the residual as before.
+back.  That costs one pass over the residual.  A stage that picked nothing
+skips it: plain Hall does not depend on epsilon_n, and the stage left the
+residual as the stage before audited it (or the precheck, at stage 0).  If
+the certificate fails, the full check runs: a real violation is reported
+with its canonical witness, and a residual that still satisfies Hall means
+the engine itself is broken (INVARIANT).  Once the cap reaches f(n) the
+expansion clause is enumerated on the residual, at every stage.
 """
 
 from __future__ import annotations
@@ -221,7 +223,7 @@ def layered_perfect_matching(
             picked.append((x, y))
         # below f(n) only plain Hall is audited, and a perfect matching of the
         # residual proves it; the full check runs when that certificate fails
-        if audit and (cap >= fn or not engine.certifies_residual()):
+        if audit and (cap >= fn or picked and not engine.certifies_residual()):
             residual = induced_subgraph(g, engine.alive)
             # an empty enumeration range [f(n), cap] leaves only plain Hall
             if cap < fn:

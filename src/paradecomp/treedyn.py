@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
+from operator import and_
 
 from .errors import (
     BallTruncatedError,
@@ -61,7 +63,7 @@ class OrientedTwoRegular:
         paths: dict = {}
         pos: dict = {}
         comp: dict = {}
-        for members in components(g.adj.__getitem__, g.ids):
+        for members in components(g.adj, g.ids):
             ends = [v for v in members if g.degree(v) <= 1]
             if not ends:
                 raise HypothesisFailedError(
@@ -70,7 +72,7 @@ class OrientedTwoRegular:
                 )
             root = min(ends)
             # a breadth-first search from an endpoint walks the path in order
-            path = paths[root] = list(bfs_distances(g.adj.__getitem__, (root,)))
+            path = paths[root] = list(bfs_distances(g.adj, (root,)))
             for k, v in enumerate(path):
                 pos[v] = k
                 comp[v] = root
@@ -290,7 +292,9 @@ def forest_from_obj(obj) -> ForestWindow:
     and links their trees in a union-find.  An edge inside one tree is a
     repeat when it is already listed (skipped) and closes a cycle otherwise;
     the cycle is reported after the whole list is read, so a malformed later
-    edge is named first.
+    edge is named first.  Then the depths must be integers >= -1 and radius
+    the largest of them, or 0 when none is >= 0.  The depths themselves are
+    not checked against the edges.
     """
     if not isinstance(obj, dict):
         raise ForestFormatError("top level must be an object")
@@ -353,12 +357,20 @@ def forest_from_obj(obj) -> ForestWindow:
         k = bisect_left(ns, v)
         if k == len(ns) or ns[k] != v:
             raise ForestFormatError("edges: the edge list closes a cycle")
+    depth = obj["depth"]
+    if set(map(type, depth)) - {int} or min(depth, default=0) < -1:
+        raise ForestFormatError("depth: expected integers >= -1")
+    radius = max(max(depth, default=0), 0)
+    if obj["radius"] != radius:
+        raise ForestFormatError(
+            f"radius: expected {radius}, the largest depth", radius=obj["radius"]
+        )
     return ForestWindow(
         adjacency=tuple(map(tuple, nbrs)),
         interior=tuple(map(bool, obj["interior"])),
         present=tuple(map(bool, obj["present"])),
-        depth=tuple(obj["depth"]),
-        radius=obj["radius"],
+        depth=tuple(depth),
+        radius=radius,
         labels=tuple(labels) if labels is not None else None,
         stats=dict(stats),
     )
@@ -429,7 +441,7 @@ def forest_from_paradox(ts: TripleFunctionSystem) -> ForestWindow:
     n_comps = truncated = free_components = 0
     # surgery edits only the sets of the component at hand, so the labeller
     # still meets every later component as the maps built it
-    for members in components(nbrs.__getitem__, nbrs):
+    for members in components(nbrs, nbrs):
         n_comps += 1
         start = members[0]
         chain = [start]
@@ -485,7 +497,7 @@ def forest_from_paradox(ts: TripleFunctionSystem) -> ForestWindow:
     # surgery keeps every edge inside its component, so one search from all
     # kept roots gives each point its depth below its own root
     depth = [-1] * n
-    below = bfs_distances(adjacency.__getitem__, roots)
+    below = bfs_distances(adjacency, roots)
     for p, d in below.items():
         depth[p] = d
 
@@ -511,7 +523,7 @@ def forest_is_acyclic(fw: ForestWindow) -> bool:
     """A graph is a forest exactly when it has n - #components edges."""
     adj = fw.adjacency
     n_edges = sum(1 for u, ns in enumerate(adj) for v in ns if u < v)
-    n_comps = sum(1 for _ in components(adj.__getitem__, range(len(adj))))
+    n_comps = sum(1 for _ in components(adj, range(len(adj))))
     return n_edges == len(adj) - n_comps
 
 
@@ -573,12 +585,13 @@ def _stage_audit(forest: ForestWindow, domain: set, stage: int, near: dict) -> d
         near[x] = []
     for x in fresh:
         met = near[x]
-        for y, d in bfs_distances(adjacency.__getitem__, (x,), 8).items():
+        for y, d in bfs_distances(adjacency, (x,), 8).items():
             if y != x and y in domain:
                 met.append((y, d))
                 if y not in fresh:
                     near[y].append((x, d))
-    pieces = components(lambda u: [y for y in adjacency[u] if y in domain], domain)
+    inside = {u: [y for y in adjacency[u] if y in domain] for u in domain}
+    pieces = components(inside, domain)
     comp = {y: members[0] for members in pieces for y in members}
     split = min(
         (
@@ -592,7 +605,7 @@ def _stage_audit(forest: ForestWindow, domain: set, stage: int, near: dict) -> d
         # the least such point, paired with the first one its search reaches
         y = next(
             y
-            for y in bfs_distances(adjacency.__getitem__, (split,), 4)
+            for y in bfs_distances(adjacency, (split,), 4)
             if y in domain and comp[y] != comp[split]
         )
         raise HypothesisFailedError(
@@ -604,7 +617,7 @@ def _stage_audit(forest: ForestWindow, domain: set, stage: int, near: dict) -> d
     # a search never leaves its start's component, so the largest
     # eccentricity over the domain is the largest component diameter
     max_diam = max(
-        (max(bfs_distances(g8.__getitem__, (a,)).values()) for a in domain),
+        (max(bfs_distances(g8, (a,)).values()) for a in domain),
         default=0,
     )
     bound = 4**stage
@@ -645,12 +658,9 @@ def f2_action_from_forest(forest: ForestWindow, stages: int) -> F2ActionResult:
             stages=stages,
         )
     adjacency = forest.adjacency
+    inner = map(and_, forest.present, forest.interior)
     eligible = [
-        p
-        for p, (on, inner, nbrs) in enumerate(
-            zip(forest.present, forest.interior, adjacency)
-        )
-        if on and inner and len(nbrs) == 4
+        p for p in compress(range(len(adjacency)), inner) if len(adjacency[p]) == 4
     ]
     elig_set = set(eligible)
 
@@ -663,9 +673,9 @@ def f2_action_from_forest(forest: ForestWindow, stages: int) -> F2ActionResult:
 
     for s_n in range(stages + 1):
         separation = SEPARATION_BASE * 4**s_n
-        layer = greedy_net(adjacency.__getitem__, eligible, separation)
+        layer = greedy_net(adjacency, eligible, separation)
         newcomers = [p for p in layer if p not in domain]
-        dist_prev = bfs_distances(adjacency.__getitem__, domain, 3)
+        dist_prev = bfs_distances(adjacency, domain, 3)
 
         shells = [sorted(newcomers)]
         claimed = set(newcomers)

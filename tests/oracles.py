@@ -97,7 +97,7 @@ def recursive_hopcroft_karp(left_ids, neighbors) -> dict:
     return pair_l
 
 
-def ball_union_greedy_net(neighbors, points, radius) -> list:
+def ball_union_greedy_net(adjacency, points, radius) -> list:
     """graphs.greedy_net blocking each kept point's whole ball afresh."""
     blocked: set = set()
     kept = []
@@ -107,7 +107,7 @@ def ball_union_greedy_net(neighbors, points, radius) -> list:
             dist = {p: 0}
             frontier = [p]
             for d in range(1, radius + 1):
-                frontier = [w for u in frontier for w in neighbors(u) if w not in dist]
+                frontier = [w for u in frontier for w in adjacency[u] if w not in dist]
                 dist.update(dict.fromkeys(frontier, d))
             blocked.update(dist)
     return kept
@@ -701,7 +701,8 @@ def set_forest_from_obj(obj) -> ForestWindow:
 
     Same checks, messages and order as the package: the top-level fields,
     then each edge in list order, and only after the whole list a cycle,
-    found by a search that meets a visited point other than its parent.
+    found by a search that meets a visited point other than its parent;
+    last the depths and the radius, their largest (0 when none is >= 0).
     """
     if not isinstance(obj, dict):
         raise ForestFormatError("top level must be an object")
@@ -755,12 +756,21 @@ def set_forest_from_obj(obj) -> ForestWindow:
                     raise ForestFormatError("edges: the edge list closes a cycle")
                 parent[w] = u
                 queue.append(w)
+    largest = 0
+    for d in obj["depth"]:
+        if type(d) is not int or d < -1:
+            raise ForestFormatError("depth: expected integers >= -1")
+        largest = max(largest, d)
+    if obj["radius"] != largest:
+        raise ForestFormatError(
+            f"radius: expected {largest}, the largest depth", radius=obj["radius"]
+        )
     return ForestWindow(
         adjacency=tuple(tuple(sorted(s)) for s in nbrs),
         interior=tuple(bool(b) for b in obj["interior"]),
         present=tuple(bool(b) for b in obj["present"]),
         depth=tuple(obj["depth"]),
-        radius=obj["radius"],
+        radius=largest,
         labels=tuple(labels) if labels is not None else None,
         stats=dict(stats),
     )

@@ -376,6 +376,23 @@ def test_f2action_on_synthetic_forest(capsys, tmp_path):
     assert len(obj["result"]["stages"]) == 2
 
 
+def test_f2action_refuses_a_radius_that_is_not_the_largest_depth(capsys, tmp_path):
+    # the forest's depths reach 154, short of the 8,192 four stages need; the
+    # same file claiming radius 1,000,000 used to run them and cover 14 points
+    fobj = synthetic_forest(random.Random(5)).to_obj()
+    fobj["radius"] = 1_000_000
+    src = tmp_path / "forest.json"
+    src.write_text(json.dumps(fobj))
+    code, obj = run(capsys, ["f2action", "--from", str(src), "--stages", "4"])
+    assert code == 1
+    assert obj == {
+        "schema": "paradecomp/error/1",
+        "error": "BAD_FOREST",
+        "message": "radius: expected 154, the largest depth",
+        "details": {"radius": 1_000_000},
+    }
+
+
 @pytest.mark.parametrize("free_len", ["0", "-3"])
 def test_f2action_free_len_below_one_is_a_precondition(capsys, tmp_path, free_len):
     # a length that checks no word gets no freeness certificate
@@ -505,6 +522,7 @@ def test_f2action_edge_outside_points_exits_one(capsys, tmp_path):
         (lambda fobj: fobj.pop("radius"), "radius"),
         (lambda fobj: fobj.update(n_points=1.5), "n_points"),
         (lambda fobj: fobj["depth"].pop(), "depth"),
+        (lambda fobj: fobj["depth"].__setitem__(0, -2), "depth: expected integers"),
         (lambda fobj: fobj["edges"].append([3, 3]), "self-loop"),
         # the spine runs 0 - 1 - 2, so [0, 2] closes a triangle
         (lambda fobj: fobj["edges"].append([0, 2]), "cycle"),
@@ -515,6 +533,7 @@ def test_f2action_edge_outside_points_exits_one(capsys, tmp_path):
         "missing_radius",
         "non_integer_n_points",
         "short_depth",
+        "depth_below_minus_one",
         "self_loop",
         "cycle",
     ],

@@ -108,7 +108,7 @@ def test_distances_match_plain_bfs(obj, pick):
     g = graph_from_obj(obj)
     src = g.ids[pick % len(g.ids)]
     want = bfs_distances(g.adj, src)
-    assert graphs.bfs_distances(g.adj.__getitem__, (src,)) == want
+    assert graphs.bfs_distances(g.adj, (src,)) == want
 
 
 @given(small_graph_objs(), st.sets(st.integers(0, 7), min_size=1), st.integers(0, 3))
@@ -120,7 +120,7 @@ def test_multi_source_bounded_bfs_matches_plain_bfs(obj, picks, bound):
         for v, d in bfs_distances(g.adj, s).items():
             if d <= bound and d < want.get(v, bound + 1):
                 want[v] = d
-    assert graphs.bfs_distances(g.adj.__getitem__, sources, bound) == want
+    assert graphs.bfs_distances(g.adj, sources, bound) == want
 
 
 @given(small_graph_objs(), st.sets(st.integers(0, 7)))
@@ -132,7 +132,7 @@ def test_components_are_the_reachability_classes(obj, drop):
         # vertices come in descending order; the result must not follow it
         comps = list(
             graphs.components(
-                lambda u: [w for w in g.adj[u] if w in keep],
+                {u: [w for w in g.adj[u] if w in keep] for u in keep},
                 sorted(keep, reverse=True),
             )
         )
@@ -159,7 +159,11 @@ def test_components_are_the_reachability_classes(obj, drop):
 def test_greedy_net_is_separated_and_covers_what_it_skips(obj, picks, radius):
     g = graph_from_obj(obj)
     points = [g.ids[i] for i in picks if i < len(g.ids)]
-    kept = graphs.greedy_net(g.adj.__getitem__, points, radius)
+    # greedy_net takes vertices 0..n-1: run it on the ranks of the ids
+    rank = {v: k for k, v in enumerate(g.ids)}
+    local = [[rank[w] for w in g.adj[v]] for v in g.ids]
+    net = graphs.greedy_net(local, [rank[p] for p in points], radius)
+    kept = [g.ids[k] for k in net]
     dist = {v: bfs_distances(g.adj, v) for v in g.ids}
     assert kept == [p for p in points if p in kept]
     for i, p in enumerate(kept):
@@ -175,7 +179,7 @@ def test_greedy_net_is_separated_and_covers_what_it_skips(obj, picks, radius):
 
 def test_distances_bound_cuts_off():
     g = bipartite_graph([0, 2], [1, 3], [(0, 1), (2, 1), (2, 3)])
-    assert graphs.bfs_distances(g.adj.__getitem__, (0,), 1) == {0: 0, 1: 1}
+    assert graphs.bfs_distances(g.adj, (0,), 1) == {0: 0, 1: 1}
 
 
 def test_to_dot_marks_matching():
@@ -211,7 +215,7 @@ def test_greedy_net_keeps_what_blocking_whole_balls_keeps_on_forests(radius):
     for k in range(5):
         rng = random.Random(k)
         fw = synthetic_forest(rng)
-        nbrs = fw.adjacency.__getitem__
+        nbrs = fw.adjacency
         points = [i for i, on in enumerate(fw.present) if on]
         for order in (points, rng.sample(points, len(points))):
             want = ball_union_greedy_net(nbrs, order, radius)
@@ -225,7 +229,7 @@ def test_greedy_net_keeps_what_blocking_whole_balls_keeps_on_hall_family():
     epsilons = [Fraction(1, 4), Fraction(1, 2), Fraction(1)]
     for g, p in hall_family(20, rng, epsilons, n_range=(4, 60)):
         sched = geometric_schedule(p.epsilon)
-        nbrs = g.adj.__getitem__
+        nbrs = g.adj
         points = rng.sample(g.ids, len(g.ids))
         for radius in [0, 1, 2, 3] + [sched.f(n) for n in range(3)]:
             want = ball_union_greedy_net(nbrs, points, radius)

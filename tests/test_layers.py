@@ -76,7 +76,7 @@ def test_greedy_layering_covers_and_separates(seed, n):
         fn = sched.f(m)
         members = sorted(layer)
         for i, v in enumerate(members):
-            near = bfs_distances(g.adj.__getitem__, (v,), fn)
+            near = bfs_distances(g.adj, (v,), fn)
             for w in members[i + 1 :]:
                 assert w not in near
 
@@ -179,6 +179,28 @@ def test_greedy_layering_matches_scan_oracle_near_the_diameter():
             assert greedy_layering(g, sched).as_obj() == scan_greedy_layering(g, sched)
 
 
+def _relabel(g, label):
+    return bipartite_graph(
+        map(label, g.side_vertices(0)),
+        map(label, g.side_vertices(1)),
+        [(label(u), label(v)) for u, v in g.edges()],
+    )
+
+
+def test_greedy_layering_matches_scan_oracle_on_sparse_ids():
+    # v -> 7v - 500 spreads the ids and sends some below zero, so each
+    # search runs on the component renumbered by rank; every f(0) is below
+    # the diameters (99, 172, 60 and 100), so stage 0 searches
+    graphs = [line_window(100), line_window(173), _even_cycle(120), _even_cycle(200)]
+    for g in graphs:
+        h = _relabel(g, lambda v: 7 * v - 500)
+        for f0 in (1, 3, 8, 32):
+            # one stage per vertex is the most a layering can take
+            fs = [f0 * 2**k for k in range(len(h.ids))]
+            sched = explicit_schedule(fs, Fraction(17))
+            assert greedy_layering(h, sched).as_obj() == scan_greedy_layering(h, sched)
+
+
 def _count_searches(monkeypatch):
     calls = []
 
@@ -204,7 +226,7 @@ def test_saturated_layering_makes_two_searches_per_component(monkeypatch):
     graphs = [g for g, _ in hall_family(40, rng, [Fraction(1, 4), Fraction(1, 2)])]
     graphs.append(line_window(41))
     for g in graphs:
-        n_comps = sum(1 for _ in components(g.adj.__getitem__, g.ids))
+        n_comps = sum(1 for _ in components(g.adj, g.ids))
         sched = geometric_schedule(Fraction(1, 4))  # f(0) = 128 saturates them all
         calls = _count_searches(monkeypatch)
         layering = greedy_layering(g, sched)

@@ -151,6 +151,30 @@ def test_plain_audit_rests_on_the_engine_matching(monkeypatch):
         assert audited.as_obj() == layered_perfect_matching(g, p, sched, cap=2).as_obj()
 
 
+def test_audit_certifies_only_stages_that_picked(monkeypatch):
+    # a stage whose layer vertices were all matched earlier picks nothing and
+    # leaves the residual as the stage before audited it
+    calls = []
+    real = _Engine.certifies_residual
+
+    def counted(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(_Engine, "certifies_residual", counted)
+    rng = random.Random(12)
+    epsilons = [Fraction(1, 4), Fraction(1, 2), Fraction(1)]
+    idle = 0
+    for g, p in hall_family(20, rng, epsilons, n_range=(4, 30)):
+        calls.clear()
+        sched = geometric_schedule(p.epsilon)
+        res = layered_perfect_matching(g, p, sched, cap=2, audit=True)
+        picked = sum(1 for rec in res.stages if rec.matched)
+        idle += len(res.stages) - picked
+        assert len(calls) == picked
+    assert idle > 0
+
+
 def test_residual_certificate_checks_each_pair():
     g = union_of_permutations(6, 2, random.Random(4))
     engine = engine_on(g)

@@ -503,7 +503,7 @@ def trees_with_growing_domains(draw):
         # a scattered set, or a ball, which is connected and may be wide
         if draw(st.booleans()):
             return draw(st.sets(st.integers(0, n - 1), max_size=n))
-        ball = bfs_distances(nbrs.__getitem__, (draw(st.integers(0, n - 1)),))
+        ball = bfs_distances(nbrs, (draw(st.integers(0, n - 1)),))
         r = draw(st.integers(0, 12))
         return {y for y, d in ball.items() if d <= r}
 
