@@ -244,7 +244,7 @@ def cmd_match(args):
         except OSError as e:
             raise _InputError(f"cannot write {args.dot}: {e.strerror}")
     payload = {
-        "schema": _schema("match"),
+        "schema": _schema("match", 2),
         "epsilon": str(args.epsilon),
         "floor": args.floor,
         "cap": args.cap,

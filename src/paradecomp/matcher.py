@@ -68,19 +68,33 @@ class MatchResult:
     matching: frozenset
     stages: tuple
     layering: Layering
+    schedule: LayerSchedule
 
     def as_obj(self) -> dict:
+        """The match/2 result: matching, layers, stage count, last epsilon_n, schedule.
+
+        The stage records follow from these.  Stage n spends 8/f(n), f(n) read
+        off the schedule, and picks every vertex of layer n still unmatched
+        when its turn comes, with its partner in the matching.  With no
+        stages, epsilon_n is the budget itself.
+        """
+        schedule = self.schedule
+        if self.stages:
+            last = self.stages[-1]
+            epsilon_n = _fraction_str(last.num, last.den)
+        else:
+            epsilon_n = str(schedule.epsilon_budget)
         return {
-            "matching": sorted([min(e), max(e)] for e in self.matching),
-            "stages": [
-                {
-                    "n": n,
-                    "epsilon_n": _fraction_str(num, den),
-                    "matched": [[x, y] for x, y in matched],
-                }
-                for n, num, den, matched in self.stages
-            ],
-            "layering": self.layering.as_obj(),
+            # the pairs are stored as (min, max)
+            "matching": sorted(map(list, self.matching)),
+            "layers": [list(layer) for layer in self.layering.layers],
+            "stages": len(self.stages),
+            "epsilon_n": epsilon_n,
+            "schedule": (
+                {"base": schedule.base}
+                if schedule.f_list is None
+                else {"f": list(schedule.f_list)}
+            ),
         }
 
 
@@ -257,4 +271,6 @@ def layered_perfect_matching(
             pairs=len(matching),
             vertices=len(g.ids),
         )
-    return MatchResult(matching=matching, stages=tuple(stages), layering=layering)
+    return MatchResult(
+        matching=matching, stages=tuple(stages), layering=layering, schedule=schedule
+    )

@@ -7,7 +7,7 @@ ActionWindow.apply per element, exact rotation identity and orthogonality
 tests, one full ball per layered vertex, full copy x point scans of a
 doubling graph, cycle surgery on a set of edges,
 a forest reader on neighbour sets, a stage audit that searches every
-ball afresh.
+ball afresh, match/1 stage records replayed from a match/2 payload.
 Slow is fine; these run on small instances only and must share no code
 with the package internals they check.
 """
@@ -393,6 +393,49 @@ def scan_greedy_layering(g: BipartiteGraph, schedule) -> dict:
         layers.append(kept)
         f_values.append(fn)
     return {"layers": layers, "f": f_values}
+
+
+def match_v1_from_v2(payload: dict, schedule) -> dict:
+    """The match/1 payload a match/2 payload stands for, stage by stage.
+
+    Walks the layers in order: each layer vertex still present is picked with
+    its partner in the matching, and the pair is removed.  epsilon_n takes one
+    step of 8/f(n) per stage, with f(n) from the schedule, never a fresh sum.
+    Raises ValueError when the payload's stage count, last epsilon_n or
+    schedule disagree with the replay, or the picks leave a pair behind.
+    """
+    res = payload["result"]
+    if schedule.f_list is None:
+        printed = {"base": schedule.base}
+    else:
+        printed = {"f": list(schedule.f_list)}
+    if res["schedule"] != printed:
+        raise ValueError(f"schedule {res['schedule']} is not {printed}")
+    partner = {}
+    for x, y in res["matching"]:
+        partner[x] = y
+        partner[y] = x
+    eps = schedule.epsilon_budget
+    stages, f_values = [], []
+    for n, layer in enumerate(res["layers"]):
+        fn = schedule.f(n)
+        eps -= Fraction(8, fn)
+        matched = []
+        for x in layer:
+            if x in partner:
+                y = partner.pop(x)
+                del partner[y]
+                matched.append([x, y])
+        stages.append({"n": n, "epsilon_n": str(eps), "matched": matched})
+        f_values.append(fn)
+    if res["stages"] != len(stages) or res["epsilon_n"] != str(eps) or partner:
+        raise ValueError(
+            f"replay gives {len(stages)} stages ending at {eps}, "
+            f"{len(partner)} vertices unpicked"
+        )
+    layering = {"layers": res["layers"], "f": f_values}
+    result = {"matching": res["matching"], "stages": stages, "layering": layering}
+    return {**payload, "schema": "paradecomp/match/1", "result": result}
 
 
 def apply_images(w, s, i) -> list:

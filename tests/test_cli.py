@@ -1,12 +1,18 @@
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
 from paradecomp import cli
 from paradecomp.generators import complete_bipartite, line_window, star_graph, synthetic_forest
 from paradecomp.graphs import bipartite_graph, graph_to_obj
+from paradecomp.hall import ExpansionParams
+from paradecomp.layers import explicit_schedule, geometric_schedule
+from paradecomp.matcher import layered_perfect_matching
 from paradecomp.words import iter_reduced
+
+from oracles import match_v1_from_v2
 
 import random
 
@@ -81,6 +87,55 @@ def test_empty_schedule_list_exits_one(capsys, k33, command):
     assert code == 1
     assert obj["error"] == "BAD_INPUT"
     assert obj["message"] == "bad schedule list: ''"
+
+
+@pytest.mark.parametrize(
+    "flags, schedule, printed, epsilon_n",
+    [
+        # an explicit list prints as given, one entry past the six stages run
+        (
+            ["--schedule", "128,128,128,128,128,128,128", "--epsilon", "1/2"],
+            explicit_schedule([128] * 7, Fraction(1, 2)),
+            {"f": [128] * 7},
+            "1/8",
+        ),
+        (["--epsilon", "1/4"], geometric_schedule(Fraction(1, 4)), {"base": 128}, "65/512"),
+    ],
+)
+def test_match_prints_its_schedule_once(capsys, k33, flags, schedule, printed, epsilon_n):
+    code, obj = run(capsys, ["match", k33, "--cap", "2", *flags])
+    assert code == 0 and obj["schema"] == "paradecomp/match/2"
+    assert obj["result"] == {
+        "matching": [[0, 3], [1, 4], [2, 5]],
+        "layers": [[0], [1], [2], [3], [4], [5]],
+        "stages": 6,
+        "epsilon_n": epsilon_n,
+        "schedule": printed,
+    }
+    # the stage records replayed from the payload are the matcher's own
+    p = ExpansionParams(schedule.epsilon_budget, 1)
+    res = layered_perfect_matching(complete_bipartite(3, 3), p, schedule, cap=2)
+    v1 = match_v1_from_v2(obj, schedule)["result"]
+    assert v1["stages"] == [
+        {"n": rec.n, "epsilon_n": str(rec.epsilon_n), "matched": [list(e) for e in rec.matched]}
+        for rec in res.stages
+    ]
+    assert v1["layering"] == res.layering.as_obj()
+
+
+def test_match_with_no_stages_keeps_its_budget(capsys, tmp_path):
+    src = write_graph(tmp_path / "empty.json", bipartite_graph([], [], []))
+    code, obj = run(capsys, ["match", src, "--epsilon", "1/2"])
+    assert code == 0
+    assert obj["result"] == {
+        "matching": [], "layers": [], "stages": 0, "epsilon_n": "1/2", "schedule": {"base": 64}
+    }
+    # the match/1 bytes of the same run
+    assert cli.canonical_json(match_v1_from_v2(obj, geometric_schedule(Fraction(1, 2)))) == (
+        '{"audit":false,"cap":8,"dot":null,"epsilon":"1/2","floor":1,"result":'
+        '{"layering":{"f":[],"layers":[]},"matching":[],"stages":[]},'
+        '"schema":"paradecomp/match/1"}\n'
+    )
 
 
 def test_unknown_flag_exits_one(k33):

@@ -25,20 +25,35 @@ to_obj(), through canonical_json).
 
 match: --epsilon <eps> --cap 2 over hall_family(12, Random(20260816),
 [1/4, 1/2, 1], validate_cap=2), each graph written as the benchmark writes it
-(json.dumps of graph_to_obj), with --audit on odd indices.  These pin the
-exact epsilon_n strings of every stage record.
+(json.dumps of graph_to_obj), with --audit on odd indices.
+
+match/2 prints the matching, the layers, the stage count, the last epsilon_n
+and the schedule once; the per-stage records of match/1 follow from those.
+oracles.match_v1_from_v2 replays them, and the rebuilt match/1 bytes must
+equal the digests pinned under match/1: the twelve graphs above, the 500
+graphs of the benchmark's matcher_mix pass (its `all`, `match` and
+`match-audit` digests) and every README sample graph that match accepts.
+These pin the exact epsilon_n strings of every stage record.
 """
 
 import hashlib
 import json
 import random
+import runpy
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from paradecomp import cli
 from paradecomp.generators import hall_family, synthetic_forest
 from paradecomp.graphs import graph_to_obj
+from paradecomp.layers import explicit_schedule, geometric_schedule
+
+from oracles import match_v1_from_v2
+
+ROOT = Path(__file__).resolve().parents[1]
 
 GOLDEN = {
     ("f2", "demo"): "4fa4b482d4d39f324af57061ce357dbb4c0cef3f9e08134367c506a838eeb143",
@@ -70,7 +85,24 @@ F2ACTION_GOLDEN = {
 }
 
 
+# match/2
 MATCH_GOLDEN = [
+    "e44fe793c6a4f200e2db486e388a9c1680478f6e2aae4e7e240a736a787a40db",
+    "8de42dc3db7d0c788a6799b09729ecbe9c842cd9b620b6104d51f17ea1bfb396",
+    "260598fe33a0111ad8fa959c0b0e4f8957922c01c70c787aa90f0c10341345ed",
+    "f3e8c19d2afbd0cbbfec26158e4edead78cfb94757bb22530e2c033989ac270e",
+    "5745cdea8d5e26f44f6e8b01fa6ce4b0a2bf5159aee2041f5d6bd71e0975eafc",
+    "a8c2c419b428bed5636f2c70ee3f4d83fa8b9182674e2e4ab9cbf6702a332411",
+    "eaf6af2163ee3921a0cd14fd4bdf8fbad3f49217a30598932ea7f2bb37787ab7",
+    "ce1303f815a5d8e05403248c3af84f437753c9146c834b11e472956e87c77163",
+    "b864fdcbdeae0a00b0298c365b866bd156d56ac308e6445af284c6f9544e2ed6",
+    "54e95dab90063604ff06532f84490168b760766257aa580eb7b8ee245b72b94c",
+    "1f2d2a10c860539e46d8bca64772b7d8017f656fe01e6d702c27e56d8ff46067",
+    "83b465dbf092957da08b5956de2ac1b90d0e03740d5896eb2338d25a8a6e3407",
+]
+
+# match/1, before the stage records were dropped from the payload
+MATCH_V1_GOLDEN = [
     "5eb94af2eda9660f022b105a867a726eb7ca1530f9900cdc93005002ca752d7f",
     "01e34776737e3a806617dbbcebf72760dcb9432abe0cb92a74b3297de758834c",
     "87dc9e33d76e2ffa65a5ef37fd5495680279a63b51ef5b3e4c3e4aef98449ff4",
@@ -137,18 +169,110 @@ def test_f2action_stdout_is_pinned(capsys, tmp_path, k):
         assert digest == F2ACTION_GOLDEN[k, stages], stages
 
 
-def test_match_stdout_is_pinned(capsys, tmp_path):
-    family = hall_family(
-        12,
-        random.Random(20260816),
-        [Fraction(1, 4), Fraction(1, 2), Fraction(1)],
-        validate_cap=2,
-    )
+MATCH_EPSILONS = [Fraction(1, 4), Fraction(1, 2), Fraction(1)]
+
+# the `# digests` of `perfbench/run.py --workload matcher_mix` under match/1
+MATCHER_MIX_V1 = {"all": "370dce76769bab2f", "match": "a5d93b6251cedefe",
+                  "match-audit": "6cd35758c6547367"}
+
+# README sample graphs (make_sample_graphs.py --seed 0) under match/1, with
+# and without --audit: every one that match accepts, on the flags given
+SAMPLE_RUNS = {
+    ("k33", "--epsilon 1/2 --cap 2"): (
+        "c7b531688c0fd5c03b22308a2b93a6522f358de826887c72ca238b2fe91ac181",
+        "0c45ae76592330264457de0207b00cfa9dc958678719bea0bf90754f0c43ee43",
+    ),
+    ("perms", "--epsilon 1/2 --cap 2"): (
+        "be4080aff760ff1ba8b315ce0722e898d353b548c32fc481eec7315554ecdb51",
+        "a20e55b67d9376e5bad0a87ded2bc35003b2771cc095a03310b188de7623a567",
+    ),
+    ("hall_0_eps_1_2", "--epsilon 1/2 --cap 2"): (
+        "1e69f9c301536107e207cd5300f1dd15aa1a57cf20f5971b4b47d1254de1c191",
+        "e77b79e26ef1a3f67d386e6116515062d26e18d49ac5c706861311e3e8d1170e",
+    ),
+    ("hall_1_eps_1_2", "--epsilon 1/2 --cap 2"): (
+        "d7ab57c35b13eb741ae6e27ec9dbae900fe9076604aee1861ce2853b0e9fb1b0",
+        "20b73a80a17cc9e7bacf0ac76145d203eabc5d470ae197455961211f3da5c5e7",
+    ),
+    ("hall_2_eps_1_2", "--epsilon 1/2 --cap 2"): (
+        "d04c36265d1d10ed1639dc21c808a84e522bb21f2eb449e7036569d6f0cf58d9",
+        "520d4655cef3e96ad871b3ae044ee601d976820dfe5c56130635e14edba88455",
+    ),
+    ("k33", "--epsilon 1/2 --cap 2 --schedule 128,128,128,128,128,128,128"): (
+        "eb85b1b400bb32def67bb3e2c5be26fe9a50f1a92214549ef39ccbb83a1255b6",
+        "af2b55adf9e0690228c68f7848f477aff6a7ab143957cd0a35738eac43a3966b",
+    ),
+    # floor 9 exceeds a side, so only plain Hall is asked of the path
+    ("path16", "--epsilon 16 --floor 9 --cap 9 --schedule 1,2,4,8,16"): (
+        "063c2d6e70595d6589f9fe65f2a3f07fa45ce0eaa34cd33333fb0705339b8abf",
+        "70657a5a082138725f1d5830fb6719ec4c2fd0edefa27c58f402123ac18ef80d",
+    ),
+}
+
+SAMPLE_SCHEDULES = {
+    "--epsilon 1/2 --cap 2": geometric_schedule(Fraction(1, 2)),
+    "--epsilon 1/2 --cap 2 --schedule 128,128,128,128,128,128,128": explicit_schedule(
+        [128] * 7, Fraction(1, 2)
+    ),
+    "--epsilon 16 --floor 9 --cap 9 --schedule 1,2,4,8,16": explicit_schedule(
+        [1, 2, 4, 8, 16], 16
+    ),
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def match_runs(tmp_path, family):
+    """argv and schedule of each graph's match run, as the benchmark makes them."""
     for i, (g, p) in enumerate(family):
         src = tmp_path / f"graph-{i}.json"
         src.write_text(json.dumps(graph_to_obj(g)))
         argv = ["match", str(src), "--epsilon", str(p.epsilon), "--cap", "2"]
         if i % 2:
             argv.append("--audit")
-        digest = hashlib.sha256(stdout_of(capsys, argv).encode()).hexdigest()
-        assert digest == MATCH_GOLDEN[i], i
+        yield argv, geometric_schedule(p.epsilon)
+
+
+def rebuilt_v1(capsys, argv, schedule) -> str:
+    """The match/1 stdout the match/2 stdout of argv stands for."""
+    obj = json.loads(stdout_of(capsys, argv))
+    return cli.canonical_json(match_v1_from_v2(obj, schedule))
+
+
+def test_match_stdout_is_pinned(capsys, tmp_path):
+    family = hall_family(12, random.Random(20260816), MATCH_EPSILONS, validate_cap=2)
+    for i, (argv, _) in enumerate(match_runs(tmp_path, family)):
+        assert sha256(stdout_of(capsys, argv)) == MATCH_GOLDEN[i], i
+
+
+def test_match_v2_rebuilds_the_pinned_match_v1(capsys, tmp_path):
+    family = hall_family(12, random.Random(20260816), MATCH_EPSILONS, validate_cap=2)
+    for i, (argv, schedule) in enumerate(match_runs(tmp_path, family)):
+        assert sha256(rebuilt_v1(capsys, argv, schedule)) == MATCH_V1_GOLDEN[i], i
+
+
+def test_match_v2_rebuilds_the_matcher_mix_v1_digests(capsys, tmp_path):
+    # perfbench's matcher_mix: its default seed and sizes, one digest per
+    # op, hashed in op order over the pass and per op kind
+    family = hall_family(500, random.Random(20260816), MATCH_EPSILONS, validate_cap=2)
+    totals = {"all": hashlib.sha256()}
+    for argv, schedule in match_runs(tmp_path, family):
+        digest = sha256(rebuilt_v1(capsys, argv, schedule)).encode()
+        kind = "match-audit" if "--audit" in argv else "match"
+        totals.setdefault(kind, hashlib.sha256()).update(digest)
+        totals["all"].update(digest)
+    assert {k: h.hexdigest()[:16] for k, h in totals.items()} == MATCHER_MIX_V1
+
+
+def test_match_v2_rebuilds_the_sample_graphs_match_v1(capsys, tmp_path, monkeypatch):
+    script = ROOT / "scripts" / "make_sample_graphs.py"
+    out = tmp_path / "sample_graphs"
+    monkeypatch.setattr(sys, "argv", [str(script), "--seed", "0", "--out-dir", str(out)])
+    runpy.run_path(str(script), run_name="__main__")
+    capsys.readouterr()
+    for (name, flags), digests in SAMPLE_RUNS.items():
+        for audit, want in zip(([], ["--audit"]), digests):
+            argv = ["match", str(out / f"{name}.json"), *flags.split(), *audit]
+            assert sha256(rebuilt_v1(capsys, argv, SAMPLE_SCHEDULES[flags])) == want, argv

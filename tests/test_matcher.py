@@ -89,12 +89,10 @@ def test_stage_records_exact_epsilons():
     ((g, p),) = hall_family(1, rng, [eps], n_range=(8, 8))
     sched = geometric_schedule(eps)
     res = layered_perfect_matching(g, p, sched, cap=2)
-    obj = res.as_obj()
-    for rec in obj["stages"]:
-        n = rec["n"]
-        assert Fraction(rec["epsilon_n"]) == sched.epsilon_after(n)
-    matched = [tuple(e) for rec in obj["stages"] for e in rec["matched"]]
-    assert sorted(matched) == [tuple(e) for e in obj["matching"]]
+    for rec in res.stages:
+        assert rec.epsilon_n == sched.epsilon_after(rec.n)
+    matched = [e for rec in res.stages for e in rec.matched]
+    assert sorted(matched) == sorted(res.matching)
 
 
 def test_audit_mode_checks_residual_every_stage():
