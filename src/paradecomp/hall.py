@@ -153,24 +153,30 @@ def least_violator(nbrs, sides, floor: int, cap: int):
 
 
 def _graph_violator(g: BipartiteGraph, sides, floor: int, cap: int, num: int, den: int):
-    """least_violator over the given sides of g, one num/den for both.
+    """least_violator over the given (side, ids) pairs of g, one num/den for both.
 
     N(F) is read off g.adj with no vertex checks: the ids come from g's own
     side lists, and a one-sided F of a bipartite graph never meets its
     neighborhood.
     """
-    sides = [(s, g.side_vertices(s), num, den) for s in sides]
+    sides = [(s, ids, num, den) for s, ids in sides]
     return least_violator(g.adj.__getitem__, sides, floor, cap)
 
 
-def check_hall(g: BipartiteGraph) -> HallReport:
-    """Plain Hall on both sides; the report keeps the maximum matching found."""
-    pairs = hopcroft_karp(g.side_vertices(0), g.adj.__getitem__)
+def check_hall(g: BipartiteGraph, sides=None) -> HallReport:
+    """Plain Hall on both sides; the report keeps the maximum matching found.
+
+    sides, when given, is (g.side_vertices(0), g.side_vertices(1)), made once
+    by a caller that reads them again: each call walks every id.
+    """
+    if sides is None:
+        sides = g.side_vertices(0), g.side_vertices(1)
+    pairs = hopcroft_karp(sides[0], g.adj.__getitem__)
     # Koenig: a side holds a violator iff it is larger than the matching
-    short = [s for s in (0, 1) if len(g.side_vertices(s)) > len(pairs)]
+    short = [(s, ids) for s, ids in enumerate(sides) if len(ids) > len(pairs)]
     if not short:
         return HallReport(satisfied=True, matching=pairs)
-    larger = max(len(g.side_vertices(s)) for s in short)
+    larger = max(len(ids) for _, ids in short)
     witness = _graph_violator(g, short, 1, larger, 1, 1)
     if witness is None:
         raise InvariantError("deficiency positive but no violator found")
@@ -193,14 +199,14 @@ def check_hall_eps_n(
             size_cap=size_cap,
             size_floor=p.size_floor,
         )
-    base = check_hall(g)
+    sides = g.side_vertices(0), g.side_vertices(1)
+    base = check_hall(g, sides)
     if not base.satisfied or p.epsilon == 0:
         # (1+0)|F| <= |N(F)| already follows from Hall everywhere
         return base
     factor = 1 + p.epsilon
-    witness = _graph_violator(
-        g, (0, 1), p.size_floor, size_cap, factor.numerator, factor.denominator
-    )
+    num, den = factor.numerator, factor.denominator
+    witness = _graph_violator(g, enumerate(sides), p.size_floor, size_cap, num, den)
     return HallReport(
         satisfied=witness is None, witness=witness, matching=base.matching
     )

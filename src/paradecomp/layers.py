@@ -24,7 +24,9 @@ class LayerSchedule:
 
     Geometric (f_list None): f(n) = base * 2**n, infinite tail certified by
     the closed-form series total.  Explicit: finite table, total certified by
-    direct summation; asking past the table raises BUDGET_EXHAUSTED.
+    direct summation; asking past the table raises BUDGET_EXHAUSTED.  f must
+    never fall, which greedy_layering relies on: the constructors below
+    ensure it, and a schedule built by hand is trusted to.
     """
 
     epsilon_budget: Fraction
@@ -45,7 +47,16 @@ class LayerSchedule:
         return self.f_list[n]
 
     def epsilon_after(self, n: int) -> Fraction:
-        """epsilon_n = epsilon - sum_{i<=n} 8/f(i), exact."""
+        """epsilon_n = epsilon - sum_{i<=n} 8/f(i), exact; n = -1 gives epsilon.
+
+        Geometric: the sum is (16/c)(1 - 2^-(n+1)), so this costs O(1) at any
+        n.  Explicit: the sum over the table, raising past its end as f does.
+        """
+        if n < -1:
+            raise ValueError("stage index must be >= -1")
+        if self.f_list is None:
+            k = 2 ** (n + 1)
+            return self.epsilon_budget - Fraction(16 * (k - 1), self.base * k)
         return self.epsilon_budget - sum(
             (Fraction(8, self.f(i)) for i in range(n + 1)), Fraction(0)
         )
@@ -104,45 +115,38 @@ def greedy_layering(g: BipartiteGraph, schedule: LayerSchedule) -> Layering:
     """Layer n is a greedy net of the still-uncovered vertices, radius f(n).
 
     The balls are taken in the full graph, so they pass through covered
-    vertices too.  A ball never leaves its component, so each component gets
-    its own net and a layer is their sorted union.  A component whose
-    diameter bound min(size - 1, 2 * ecc(root)) is at most f(n) lies inside
-    the first ball, so its net is its least uncovered vertex, taken with no
-    search.
+    vertices too.  A ball never leaves its component, so each component is
+    layered on its own and layer n is the sorted union of their n-th nets.
+    A component whose diameter bound min(size - 1, 2 * ecc(root)) is at most
+    f(n) lies inside the first ball, and f never falls, so from stage n on
+    its net is its least uncovered vertex: it hands over what is left as
+    one-vertex nets in one step, with no search.  f is asked for stages in
+    order, so a short explicit table fails at its first missing stage.
     """
     adj = g.adj
-    # per component: [diameter bound, members ascending, uncovered ranks
-    # ascending, index of the least one, adjacency by rank or None until the
-    # first search]; only the no-search branch moves the index
-    comps = []
+    layers = []  # layers[n]: the n-th nets of the components seen so far
     for members in components(adj, g.ids):
         ecc = max(bfs_distances(adj, members[:1]).values())
         diam = min(len(members) - 1, 2 * ecc)
         members.sort()
-        comps.append([diam, members, range(len(members)), 0, None])
-    layers = []
-    f_values = []
-    while comps:
-        fn = schedule.f(len(layers))
-        layer = []
-        for comp in comps:
-            diam, members, rest, i, local = comp
-            if diam <= fn:
-                layer.append(members[rest[i]])
-                comp[3] = i + 1
+        # the uncovered members, as ranks ascending: greedy_net takes
+        # vertices 0..m-1
+        rest = range(len(members))
+        nets = []
+        local = None
+        while rest and diam > (fn := schedule.f(len(nets))):
+            if local is None:
+                rank = {v: k for k, v in enumerate(members)}
+                local = [[rank[w] for w in adj[v]] for v in members]
+            net = greedy_net(local, rest, fn)
+            nets.append([members[k] for k in net])
+            taken = set(net)
+            rest = [k for k in rest if k not in taken]
+        nets += [[members[k]] for k in rest]
+        for n, net in enumerate(nets):
+            if n < len(layers):
+                layers[n] += net
             else:
-                if local is None:
-                    # greedy_net takes vertices 0..m-1: a member's rank
-                    rank = {v: k for k, v in enumerate(members)}
-                    local = comp[4] = [[rank[w] for w in adj[v]] for v in members]
-                net = greedy_net(local, rest[i:], fn)
-                layer += [members[k] for k in net]
-                taken = set(net)
-                comp[2] = [k for k in rest[i:] if k not in taken]
-                comp[3] = 0
-        comps = [c for c in comps if c[3] < len(c[2])]
-        layer.sort()
-        layers.append(tuple(layer))
-        f_values.append(fn)
-    return Layering(tuple(layers), tuple(f_values))
-
+                layers.append(net)
+    f_values = tuple(map(schedule.f, range(len(layers))))
+    return Layering(tuple(tuple(sorted(layer)) for layer in layers), f_values)

@@ -10,9 +10,11 @@ id order, which realizes the "least such edge" rule.
 Hall's condition throughout this module means perfect matchability: balanced
 sides and zero deficiency from both.
 
-The epsilon ledger epsilon_n = epsilon - sum_{i<=n} 8/f(i) is exact but kept
-as a pair of integers in lowest terms, one multiply, subtract and gcd per
-stage; a stage record gives it as a Fraction only when epsilon_n is read.
+The epsilon ledger epsilon_n = epsilon - sum_{i<=n} 8/f(i) is the
+schedule's (LayerSchedule.epsilon_after), and the driver reads it once, not
+per stage: epsilon_n only falls, so a positive last one clears every stage.
+The result keeps the matching, the layering and the schedule; its stage
+records are replayed from them when asked for.
 
 The per-stage audit checks Hall_(eps_n, f(n)) on the residual, up to the
 same cap as the precheck.  While the cap is below f(n) only the plain clause
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import NamedTuple
 
 from .errors import (
@@ -46,54 +47,64 @@ from .layers import LayerSchedule, Layering, greedy_layering
 
 
 class StageRecord(NamedTuple):
-    """One stage: epsilon_n = num/den in lowest terms, den > 0."""
+    """One stage: its picks (layer_vertex, partner) in pick order, and epsilon_n."""
 
     n: int
-    num: int
-    den: int
-    matched: tuple  # (layer_vertex, partner) in pick order
-
-    @property
-    def epsilon_n(self) -> Fraction:
-        return Fraction(self.num, self.den)
-
-
-def _fraction_str(num: int, den: int) -> str:
-    """str(Fraction(num, den)) for a pair already in lowest terms, den > 0."""
-    return f"{num}/{den}" if den != 1 else str(num)
+    matched: tuple
+    epsilon_n: Fraction
 
 
 @dataclass(frozen=True)
 class MatchResult:
     matching: frozenset
-    stages: tuple
     layering: Layering
     schedule: LayerSchedule
+
+    @property
+    def stages(self) -> tuple:
+        """The stage records, replayed from the layers and the matching.
+
+        Stage n spends 8/f(n) and picks, in layer order, every vertex of layer
+        n still unmatched when its turn comes, with its partner in the
+        matching.  epsilon_n is stepped once per stage, apart from the
+        schedule's closed form, so the two can be compared.
+        """
+        partner = {}
+        for x, y in self.matching:
+            partner[x] = y
+            partner[y] = x
+        lay = self.layering
+        eps = self.schedule.epsilon_budget
+        records = []
+        for n, (layer, fn) in enumerate(zip(lay.layers, lay.f_values)):
+            eps -= Fraction(8, fn)
+            picked = []
+            for x in layer:
+                if x in partner:
+                    y = partner.pop(x)
+                    del partner[y]
+                    picked.append((x, y))
+            records.append(StageRecord(n, tuple(picked), eps))
+        return tuple(records)
 
     def as_obj(self) -> dict:
         """The match/2 result: matching, layers, stage count, last epsilon_n, schedule.
 
-        The stage records follow from these.  Stage n spends 8/f(n), f(n) read
-        off the schedule, and picks every vertex of layer n still unmatched
-        when its turn comes, with its partner in the matching.  With no
-        stages, epsilon_n is the budget itself.
+        The stage records follow from these (see stages).  With no stages,
+        epsilon_n is the budget itself.  The encoder prints tuples as lists.
         """
+        layers = self.layering.layers
         schedule = self.schedule
-        if self.stages:
-            last = self.stages[-1]
-            epsilon_n = _fraction_str(last.num, last.den)
-        else:
-            epsilon_n = str(schedule.epsilon_budget)
         return {
             # the pairs are stored as (min, max)
-            "matching": sorted(map(list, self.matching)),
-            "layers": [list(layer) for layer in self.layering.layers],
-            "stages": len(self.stages),
-            "epsilon_n": epsilon_n,
+            "matching": sorted(self.matching),
+            "layers": layers,
+            "stages": len(layers),
+            "epsilon_n": str(schedule.epsilon_after(len(layers) - 1)),
             "schedule": (
                 {"base": schedule.base}
                 if schedule.f_list is None
-                else {"f": list(schedule.f_list)}
+                else {"f": schedule.f_list}
             ),
         }
 
@@ -211,46 +222,40 @@ def layered_perfect_matching(
         )
 
     layering = greedy_layering(g, schedule)
+    layers, f_values = layering.layers, layering.f_values
+    # epsilon_n only falls, so a positive last one clears every stage;
+    # otherwise the stages before the first non-positive one run
+    stop = len(layers)
+    if stop and schedule.epsilon_after(stop - 1) <= 0:
+        stop = next(n for n in range(stop) if schedule.epsilon_after(n) <= 0)
     # check_hall passes only when neither side outnumbers its maximum
     # matching, so the precheck's matching is perfect
     engine = _Engine(g, report.matching)
-    stages = []
-    # epsilon_n = num/den in lowest terms: a Fraction per stage would cost
-    # more than the stage's matching work
-    budget = schedule.epsilon_budget
-    num, den = budget.numerator, budget.denominator
-    for n, (layer, fn) in enumerate(zip(layering.layers, layering.f_values)):
-        num, den = num * fn - 8 * den, den * fn
-        d = gcd(num, den)
-        num //= d
-        den //= d
-        if num <= 0:
-            eps = _fraction_str(num, den)
-            raise BudgetExhaustedError(
-                f"epsilon_{n} = {eps} not positive", stage=n, epsilon=eps
-            )
-        picked = []
-        for x in layer:
-            if x not in engine.alive:
-                continue
-            y = engine.select(x)
-            picked.append((x, y))
+    alive, select = engine.alive, engine.select
+    picks = []  # (layer_vertex, partner), stage after stage
+    for n in range(stop):
+        fn = f_values[n]
+        before = len(picks)
+        for x in layers[n]:
+            if x in alive:
+                picks.append((x, select(x)))
         # below f(n) only plain Hall is audited, and a perfect matching of the
         # residual proves it; the full check runs when that certificate fails
-        if audit and (cap >= fn or picked and not engine.certifies_residual()):
-            residual = induced_subgraph(g, engine.alive)
+        if audit and (
+            cap >= fn or len(picks) > before and not engine.certifies_residual()
+        ):
+            eps = schedule.epsilon_after(n)
+            residual = induced_subgraph(g, alive)
             # an empty enumeration range [f(n), cap] leaves only plain Hall
             if cap < fn:
                 rep = check_hall(residual)
             else:
-                rep = check_hall_eps_n(
-                    residual, ExpansionParams(Fraction(num, den), fn), cap
-                )
+                rep = check_hall_eps_n(residual, ExpansionParams(eps, fn), cap)
             if not rep.satisfied:
                 raise HallViolatedError(
                     "stage invariant Hall_(eps_n, f(n)) failed",
                     stage=n,
-                    epsilon_n=_fraction_str(num, den),
+                    epsilon_n=str(eps),
                     f_n=fn,
                     witness=rep.witness.as_obj() if rep.witness else None,
                 )
@@ -259,18 +264,18 @@ def layered_perfect_matching(
                     "engine lost its residual matching although Hall holds",
                     stage=n,
                 )
-        stages.append(StageRecord(n, num, den, tuple(picked)))
+    if stop < len(layers):
+        eps = str(schedule.epsilon_after(stop))
+        raise BudgetExhaustedError(
+            f"epsilon_{stop} = {eps} not positive", stage=stop, epsilon=eps
+        )
 
     # the greedy layering covers every vertex, so the picks pair them all
-    matching = frozenset(
-        (min(x, y), max(x, y)) for rec in stages for x, y in rec.matched
-    )
+    matching = frozenset((min(x, y), max(x, y)) for x, y in picks)
     if 2 * len(matching) != len(g.ids):
         raise InvariantError(
             "stage picks did not pair everything",
             pairs=len(matching),
             vertices=len(g.ids),
         )
-    return MatchResult(
-        matching=matching, stages=tuple(stages), layering=layering, schedule=schedule
-    )
+    return MatchResult(matching=matching, layering=layering, schedule=schedule)

@@ -13,6 +13,7 @@ from paradecomp.generators import (
     union_of_permutations,
 )
 from paradecomp.graphs import (
+    BipartiteGraph,
     bipartite_graph,
     graph_from_obj,
     validate_matching,
@@ -243,3 +244,22 @@ def test_plain_witness_reaches_past_the_recursion_limit():
     rep = check_hall(line_window(2401))
     assert (rep.witness.side, rep.witness.f_set) == (0, tuple(range(0, 2401, 2)))
     assert rep.witness.actual == 1200
+
+
+def test_each_side_list_is_built_once_per_call(monkeypatch):
+    # a passing precheck reads both side lists for the matching, the Koenig
+    # comparison and the expansion clause, but walks the ids only once each
+    calls = []
+    real = BipartiteGraph.side_vertices
+
+    def counted(self, side):
+        calls.append(side)
+        return real(self, side)
+
+    monkeypatch.setattr(BipartiteGraph, "side_vertices", counted)
+    g = complete_bipartite(3, 3)
+    assert check_hall_eps_n(g, ExpansionParams(Fraction(1, 2), 1), 2).satisfied
+    assert sorted(calls) == [0, 1]
+    calls.clear()
+    assert not check_hall(star_graph(3)).satisfied
+    assert sorted(calls) == [0, 1]

@@ -14,6 +14,7 @@ from paradecomp.generators import (
 )
 from paradecomp.graphs import bfs_distances, bipartite_graph, components
 from paradecomp.layers import (
+    LayerSchedule,
     explicit_schedule,
     geometric_schedule,
     greedy_layering,
@@ -45,12 +46,32 @@ def test_explicit_schedule_validation():
     assert sched.epsilon_after(1) == 1 - Fraction(8, 32) - Fraction(8, 64)
     with pytest.raises(BudgetExhaustedError):
         sched.f(3)
+    assert sched.epsilon_after(-1) == 1
+    with pytest.raises(ValueError):
+        sched.epsilon_after(-2)
     with pytest.raises(ValueError):
         explicit_schedule([], Fraction(1))
     with pytest.raises(ValueError):
         explicit_schedule([64, 32], Fraction(1))
     with pytest.raises(ValueError):
         explicit_schedule([8, 8], Fraction(1))  # sums to 2, over budget
+
+
+@pytest.mark.parametrize(
+    "sched",
+    [geometric_schedule(Fraction(e)) for e in ("1/4", "1/2", "1", "16")]
+    # hand-built: its series 16/8 = 2 overspends the budget 1/2
+    + [LayerSchedule(Fraction(1, 2), Fraction(2), base=8)],
+    ids=["1/4", "1/2", "1", "16", "overspent"],
+)
+def test_epsilon_after_closed_form_equals_the_running_sum(sched):
+    eps = sched.epsilon_budget
+    assert sched.epsilon_after(-1) == eps
+    for n in range(301):
+        eps -= Fraction(8, sched.f(n))
+        assert sched.epsilon_after(n) == eps, n
+    with pytest.raises(ValueError):
+        sched.epsilon_after(-2)
 
 
 def test_partial_sum_matches_epsilon_n():

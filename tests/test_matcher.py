@@ -3,11 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+import paradecomp.cli
 import paradecomp.hall
 import paradecomp.matcher
 import paradecomp.matching
 from paradecomp.errors import (
+    BudgetExhaustedError,
     HallViolatedError,
     HypothesisFailedError,
     InvariantError,
@@ -16,6 +19,7 @@ from paradecomp.errors import (
 from paradecomp.generators import (
     complete_bipartite,
     hall_family,
+    line_window,
     star_graph,
     union_of_permutations,
 )
@@ -24,7 +28,12 @@ from paradecomp.hall import ExpansionParams, check_hall
 from paradecomp.layers import LayerSchedule, explicit_schedule, geometric_schedule
 from paradecomp.matcher import _Engine, layered_perfect_matching
 
-from oracles import has_perfect_matching_on, kuhn_max_matching
+from oracles import (
+    has_perfect_matching_on,
+    kuhn_max_matching,
+    match_v1_from_v2,
+    scan_greedy_layering,
+)
 
 
 def test_k33_matches_perfectly():
@@ -93,6 +102,32 @@ def test_stage_records_exact_epsilons():
         assert rec.epsilon_n == sched.epsilon_after(rec.n)
     matched = [e for rec in res.stages for e in rec.matched]
     assert sorted(matched) == sorted(res.matching)
+
+
+def test_stage_records_replay_as_the_oracle_does():
+    # the path's first layers hold several vertices each, so the order of
+    # a stage's picks is checked too; a floor above either side's size
+    # leaves the precheck nothing to enumerate
+    runs = [
+        (line_window(14), ExpansionParams(Fraction(16), 9),
+         explicit_schedule([1, 2, 4, 8], Fraction(16)), 9)
+    ]
+    family = hall_family(4, random.Random(5), [Fraction(1, 2)], n_range=(8, 20))
+    runs += [(g, p, geometric_schedule(p.epsilon), 2) for g, p in family]
+    widest = 0
+    for g, p, sched, cap in runs:
+        res = layered_perfect_matching(g, p, sched, cap=cap)
+        payload = json.loads(paradecomp.cli.canonical_json({"result": res.as_obj()}))
+        assert match_v1_from_v2(payload, sched)["result"]["stages"] == [
+            {
+                "n": rec.n,
+                "epsilon_n": str(rec.epsilon_n),
+                "matched": [list(e) for e in rec.matched],
+            }
+            for rec in res.stages
+        ]
+        widest = max(widest, *(len(rec.matched) for rec in res.stages))
+    assert widest > 1
 
 
 def test_audit_mode_checks_residual_every_stage():
@@ -286,3 +321,50 @@ def test_budget_guard_reports_the_exact_spent_epsilon(f_n, stage, epsilon):
         f'"error": "BUDGET_EXHAUSTED", '
         f'"message": "epsilon_{stage} = {epsilon} not positive"}}'
     )
+
+
+def _stage_walk(g, sched):
+    """The budget guard stage by stage: the layering, then one 8/f(n) step each."""
+    layering = scan_greedy_layering(g, sched)
+    eps = sched.epsilon_budget
+    for n, fn in enumerate(layering["f"]):
+        eps -= Fraction(8, fn)
+        if eps <= 0:
+            raise BudgetExhaustedError(
+                f"epsilon_{n} = {eps} not positive", stage=n, epsilon=str(eps)
+            )
+    return len(layering["f"]), str(eps)
+
+
+def _guard_outcome(call):
+    try:
+        return call()
+    except BudgetExhaustedError as e:
+        return e.as_json()
+
+
+@given(
+    st.lists(st.integers(1, 64), min_size=1, max_size=12),
+    st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(Fraction(1, 8), Fraction(4), max_denominator=64),
+    ),
+    st.booleans(),
+)
+# the empty graph has no stages, so even a zero budget is never spent
+@example(fs=[1], budget=Fraction(0), empty=True)
+# K_{3,3} takes six stages at f = 64: only the last, at exactly 0, is refused
+@example(fs=[64] * 6, budget=Fraction(3, 4), empty=False)
+def test_one_shot_budget_guard_equals_a_per_stage_walk(fs, budget, empty):
+    # hand-built tables, unchecked against the budget; a floor of 4 leaves
+    # the precheck no set in range on K_{3,3}, whatever the budget
+    g = bipartite_graph([], [], []) if empty else complete_bipartite(3, 3)
+    sched = LayerSchedule(budget, Fraction(0), f_list=tuple(sorted(fs)))
+    p = ExpansionParams(budget, 4)
+
+    def run():
+        res = layered_perfect_matching(g, p, sched, cap=4).as_obj()
+        return res["stages"], res["epsilon_n"]
+
+    assert _guard_outcome(run) == _guard_outcome(lambda: _stage_walk(g, sched))
+
