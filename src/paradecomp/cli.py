@@ -27,7 +27,7 @@ from .actions import (
 )
 from .errors import ParadecompError
 from .graphs import graph_from_obj, graph_to_obj, to_dot
-from .hall import ExpansionParams, check_hall, check_hall_eps_n
+from .hall import ExpansionParams, check_hall_eps_n
 from .layers import explicit_schedule, geometric_schedule, greedy_layering
 from .matcher import layered_perfect_matching
 from .paradox import (
@@ -202,11 +202,9 @@ def _sidecar_path(out: str) -> str:
 
 def cmd_hall_check(args):
     g = graph_from_obj(_read_json(args.graph))
-    if args.epsilon is not None:
-        p = ExpansionParams(args.epsilon, args.floor)
-        report = check_hall_eps_n(g, p, args.cap)
-    else:
-        report = check_hall(g)
+    # at epsilon 0 this is plain Hall, but the echoed floor and cap are checked
+    p = ExpansionParams(args.epsilon or 0, args.floor)
+    report = check_hall_eps_n(g, p, args.cap)
     payload = {
         "schema": _schema("hall-check"),
         "epsilon": str(args.epsilon) if args.epsilon is not None else None,
@@ -372,15 +370,14 @@ def cmd_forest(args):
     ts = triple_system_from_matching(dg, interior_saturating_matching(dg))
     del dg  # the forest reads only ts; its peak memory is lower without the graph
     fw = forest_from_paradox(ts)
-    forest_obj = {"schema": _schema("forest-window"), **fw.to_obj()}
+    forest_obj = {"schema": _schema("forest-window", 2), **fw.to_obj()}
     if args.out:
         _write_json(args.out, forest_obj)
     payload = {
-        "schema": _schema("forest", 2),
+        "schema": _schema("forest", 3),
         "window": _window_meta(w),
         "n_points": fw.n_points(),
         "kept_points": sum(1 for b in fw.present if b),
-        "radius": fw.radius,
         "stats": fw.stats,
         "out": args.out,
         "forest": None if args.out else forest_obj,

@@ -104,11 +104,6 @@ class BudgetExhaustedError(ParadecompError):
     exit_status = 2
 
 
-class WindowTooSmallError(ParadecompError):
-    code = "WINDOW_TOO_SMALL"
-    exit_status = 2
-
-
 class HallViolatedError(ParadecompError):
     code = "HALL_VIOLATED"
     exit_status = 3

@@ -6,7 +6,7 @@ seed; exact constructions never consult the rng.
 
 from __future__ import annotations
 
-from .graphs import BipartiteGraph, bfs_distances, bipartite_graph
+from .graphs import BipartiteGraph, bipartite_graph
 from .hall import ExpansionParams, check_hall_eps_n
 from .matching import hopcroft_karp
 from .treedyn import ForestWindow, TripleFunctionSystem
@@ -104,7 +104,7 @@ def synthetic_forest(rng) -> ForestWindow:
     """Sparse 4-regular tree window: a long spine with decorations.
 
     Every non-leaf vertex has degree exactly 4; leaves are the boundary.
-    The spine keeps the radius large without the exponential blowup of a
+    The spine keeps the tree deep without the exponential blowup of a
     full 4-regular ball; each spine child starts a short branch with
     probability 0.3.
     """
@@ -137,14 +137,10 @@ def synthetic_forest(rng) -> ForestWindow:
 
     n = len(nbrs)
     adjacency = tuple(tuple(sorted(s)) for s in nbrs)
-    dist = bfs_distances(adjacency, (0,))  # the tree is connected
-    depth = tuple(dist[v] for v in range(n))
     return ForestWindow(
         adjacency=adjacency,
         interior=tuple(len(adjacency[v]) == 4 for v in range(n)),
         present=tuple([True] * n),
-        depth=depth,
-        radius=max(depth),
         labels=None,
         stats={"kind": "synthetic", "spine": spine},
     )

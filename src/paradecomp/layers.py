@@ -11,7 +11,7 @@ many layers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import BudgetExhaustedError
@@ -25,14 +25,26 @@ class LayerSchedule:
     Geometric (f_list None): f(n) = base * 2**n, infinite tail certified by
     the closed-form series total.  Explicit: finite table, total certified by
     direct summation; asking past the table raises BUDGET_EXHAUSTED.  f must
-    never fall, which greedy_layering relies on: the constructors below
-    ensure it, and a schedule built by hand is trusted to.
+    never fall, which greedy_layering relies on: a table must be non-empty,
+    with f >= 1 and no value below the one before, or construction raises
+    ValueError.
     """
 
     epsilon_budget: Fraction
     series_total: Fraction
     base: int | None = None
     f_list: tuple | None = None
+
+    def __post_init__(self):
+        if self.f_list is None:
+            return
+        if not self.f_list:
+            raise ValueError("need at least one stage")
+        for i, f in enumerate(self.f_list):
+            if f < 1:
+                raise ValueError("f values must be >= 1")
+            if i and f < self.f_list[i - 1]:
+                raise ValueError("f must be non-decreasing")
 
     def f(self, n: int) -> int:
         if n < 0:
@@ -80,23 +92,16 @@ def geometric_schedule(epsilon) -> LayerSchedule:
 def explicit_schedule(f_list, epsilon_budget) -> LayerSchedule:
     """Schedule from a finite table; test plumbing mostly.
 
-    The table must be non-decreasing with f >= 1.  Values below 8 are allowed
-    here (the stage arithmetic still works as long as the budget covers the
-    sum); the stock geometric constructor is the one that honors f >= 8.
+    LayerSchedule checks the table; this adds the budget certificate.
+    Values below 8 are allowed here (the stage arithmetic still works as
+    long as the budget covers the sum); the stock geometric constructor is
+    the one that honors f >= 8.
     """
-    f_list = tuple(f_list)
-    if not f_list:
-        raise ValueError("need at least one stage")
-    for i, f in enumerate(f_list):
-        if f < 1:
-            raise ValueError("f values must be >= 1")
-        if i and f < f_list[i - 1]:
-            raise ValueError("f must be non-decreasing")
-    epsilon_budget = Fraction(epsilon_budget)
-    total = sum((Fraction(8, f) for f in f_list), Fraction(0))
-    if total >= epsilon_budget:
-        raise ValueError(f"sum 8/f = {total} not below budget {epsilon_budget}")
-    return LayerSchedule(epsilon_budget, total, f_list=f_list)
+    sched = LayerSchedule(Fraction(epsilon_budget), Fraction(0), f_list=tuple(f_list))
+    total = sum((Fraction(8, f) for f in sched.f_list), Fraction(0))
+    if total >= sched.epsilon_budget:
+        raise ValueError(f"sum 8/f = {total} not below budget {sched.epsilon_budget}")
+    return replace(sched, series_total=total)
 
 
 @dataclass(frozen=True)

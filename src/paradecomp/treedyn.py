@@ -24,7 +24,6 @@ from .errors import (
     HypothesisFailedError,
     InvalidMatchingError,
     InvariantError,
-    WindowTooSmallError,
 )
 from .graphs import (
     BipartiteGraph,
@@ -245,17 +244,13 @@ def triple_system_from_matching(dg, partner: dict) -> TripleFunctionSystem:
 class ForestWindow:
     """Finite window of a 4-regular forest.
 
-    present marks points that survived component resolution; depth is the
-    BFS depth from each kept component's least point (-1 where dropped) and
-    radius the maximum depth.  Interior flags are inherited from the source
-    and cleared on dropped points.
+    present marks points that survived component resolution.  Interior flags
+    are inherited from the source and cleared on dropped points.
     """
 
     adjacency: tuple  # tuple of sorted tuples per point
     interior: tuple
     present: tuple
-    depth: tuple
-    radius: int
     labels: tuple | None
     stats: dict
 
@@ -276,8 +271,6 @@ class ForestWindow:
             ],
             "interior": [int(b) for b in self.interior],
             "present": [int(b) for b in self.present],
-            "depth": list(self.depth),
-            "radius": self.radius,
             "labels": list(self.labels) if self.labels is not None else None,
             "stats": self.stats,
         }
@@ -292,21 +285,18 @@ def forest_from_obj(obj) -> ForestWindow:
     and links their trees in a union-find.  An edge inside one tree is a
     repeat when it is already listed (skipped) and closes a cycle otherwise;
     the cycle is reported after the whole list is read, so a malformed later
-    edge is named first.  Then the depths must be integers >= -1 and radius
-    the largest of them, or 0 when none is >= 0.  The depths themselves are
-    not checked against the edges.
+    edge is named first.  Keys it does not read, the schema among them, are
+    ignored.
     """
     if not isinstance(obj, dict):
         raise ForestFormatError("top level must be an object")
-    for key in ("n_points", "edges", "interior", "present", "depth", "radius"):
+    for key in ("n_points", "edges", "interior", "present"):
         if key not in obj:
             raise ForestFormatError(f"missing field: {key}")
     n = obj["n_points"]
     if type(n) is not int or n < 0:
         raise ForestFormatError("n_points: expected a non-negative integer")
-    if type(obj["radius"]) is not int:
-        raise ForestFormatError("radius: expected an integer")
-    for key in ("interior", "present", "depth"):
+    for key in ("interior", "present"):
         if not isinstance(obj[key], list) or len(obj[key]) != n:
             raise ForestFormatError(f"{key}: expected a list of n_points = {n} entries")
     labels = obj.get("labels")
@@ -357,20 +347,10 @@ def forest_from_obj(obj) -> ForestWindow:
         k = bisect_left(ns, v)
         if k == len(ns) or ns[k] != v:
             raise ForestFormatError("edges: the edge list closes a cycle")
-    depth = obj["depth"]
-    if set(map(type, depth)) - {int} or min(depth, default=0) < -1:
-        raise ForestFormatError("depth: expected integers >= -1")
-    radius = max(max(depth, default=0), 0)
-    if obj["radius"] != radius:
-        raise ForestFormatError(
-            f"radius: expected {radius}, the largest depth", radius=obj["radius"]
-        )
     return ForestWindow(
         adjacency=tuple(map(tuple, nbrs)),
         interior=tuple(map(bool, obj["interior"])),
         present=tuple(map(bool, obj["present"])),
-        depth=tuple(depth),
-        radius=radius,
         labels=tuple(labels) if labels is not None else None,
         stats=dict(stats),
     )
@@ -436,9 +416,8 @@ def forest_from_paradox(ts: TripleFunctionSystem) -> ForestWindow:
     adjacency = [()] * n
     interior = [False] * n
     present = [False] * n
-    roots = []
     cycle_hist: dict = {}
-    n_comps = truncated = free_components = 0
+    n_comps = kept = truncated = free_components = 0
     # surgery edits only the sets of the component at hand, so the labeller
     # still meets every later component as the maps built it
     for members in components(nbrs, nbrs):
@@ -488,29 +467,20 @@ def forest_from_paradox(ts: TripleFunctionSystem) -> ForestWindow:
                 nbrs[x0].discard(xn)
                 _steal(nbrs, xn, g_at(xn, 1), ts.maps[1], ts.maps[0])
                 _steal(nbrs, x0, g_at(x0, 1), ts.maps[1], ts.maps[0])
-        roots.append(start)
+        kept += 1
         for p in members:
             present[p] = True
             interior[p] = bool(ts.interior[p])
             adjacency[p] = tuple(sorted(nbrs[p]))
 
-    # surgery keeps every edge inside its component, so one search from all
-    # kept roots gives each point its depth below its own root
-    depth = [-1] * n
-    below = bfs_distances(adjacency, roots)
-    for p, d in below.items():
-        depth[p] = d
-
     return ForestWindow(
         adjacency=tuple(adjacency),
         interior=tuple(interior),
         present=tuple(present),
-        depth=tuple(depth),
-        radius=max(below.values(), default=0),
         labels=ts.labels,
         stats={
             "components": n_comps + n - len(nbrs),
-            "kept": len(roots),
+            "kept": kept,
             "truncated": truncated,
             "isolated": n - len(nbrs),
             "cycle_free": free_components,
@@ -646,17 +616,14 @@ def f2_action_from_forest(forest: ForestWindow, stages: int) -> F2ActionResult:
     already committed, then rule two fills the remaining indices with fresh
     distinct neighbors, scanning indices in the fixed order -2, -1, 1, 2
     and taking the least feasible neighbor.
+
+    Every distance in an n-point forest is below n, so once the separation
+    reaches n_points a net is the least eligible point of each component and
+    every later net repeats it.  The loop ends after the first such stage,
+    which bounds the work of any stages value.
     """
     if stages < 0:
         raise ValueError("stages must be >= 0")
-    need = 2 * SEPARATION_BASE * 4**stages
-    if forest.radius < need:
-        raise WindowTooSmallError(
-            "forest too shallow for the requested stages",
-            radius=forest.radius,
-            required=need,
-            stages=stages,
-        )
     adjacency = forest.adjacency
     inner = map(and_, forest.present, forest.interior)
     eligible = [
@@ -759,6 +726,8 @@ def f2_action_from_forest(forest: ForestWindow, stages: int) -> F2ActionResult:
             )
         )
         audits.append(_stage_audit(forest, domain, s_n, near))
+        if separation >= len(adjacency):
+            break
 
     return F2ActionResult(
         maps=maps,

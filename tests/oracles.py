@@ -717,16 +717,10 @@ def edge_set_forest_from_paradox(ts) -> ForestWindow:
         if present[u] and present[v]:
             adj[u].add(v)
             adj[v].add(u)
-    depth = [-1] * n
-    for members in kept:
-        for p, d in bfs_distances(adj, members[0]).items():
-            depth[p] = d
     return ForestWindow(
         adjacency=tuple(tuple(sorted(adj[p])) for p in range(n)),
         interior=tuple(present[p] and bool(ts.interior[p]) for p in range(n)),
         present=tuple(present),
-        depth=tuple(depth),
-        radius=max([0] + depth),
         labels=ts.labels,
         stats={
             "components": len(comps) + n - len(touched),
@@ -744,20 +738,17 @@ def set_forest_from_obj(obj) -> ForestWindow:
 
     Same checks, messages and order as the package: the top-level fields,
     then each edge in list order, and only after the whole list a cycle,
-    found by a search that meets a visited point other than its parent;
-    last the depths and the radius, their largest (0 when none is >= 0).
+    found by a search that meets a visited point other than its parent.
     """
     if not isinstance(obj, dict):
         raise ForestFormatError("top level must be an object")
-    for key in ("n_points", "edges", "interior", "present", "depth", "radius"):
+    for key in ("n_points", "edges", "interior", "present"):
         if key not in obj:
             raise ForestFormatError(f"missing field: {key}")
     n = obj["n_points"]
     if type(n) is not int or n < 0:
         raise ForestFormatError("n_points: expected a non-negative integer")
-    if type(obj["radius"]) is not int:
-        raise ForestFormatError("radius: expected an integer")
-    for key in ("interior", "present", "depth"):
+    for key in ("interior", "present"):
         if not isinstance(obj[key], list) or len(obj[key]) != n:
             raise ForestFormatError(f"{key}: expected a list of n_points = {n} entries")
     labels = obj.get("labels")
@@ -799,21 +790,10 @@ def set_forest_from_obj(obj) -> ForestWindow:
                     raise ForestFormatError("edges: the edge list closes a cycle")
                 parent[w] = u
                 queue.append(w)
-    largest = 0
-    for d in obj["depth"]:
-        if type(d) is not int or d < -1:
-            raise ForestFormatError("depth: expected integers >= -1")
-        largest = max(largest, d)
-    if obj["radius"] != largest:
-        raise ForestFormatError(
-            f"radius: expected {largest}, the largest depth", radius=obj["radius"]
-        )
     return ForestWindow(
         adjacency=tuple(tuple(sorted(s)) for s in nbrs),
         interior=tuple(bool(b) for b in obj["interior"]),
         present=tuple(bool(b) for b in obj["present"]),
-        depth=tuple(obj["depth"]),
-        radius=largest,
         labels=tuple(labels) if labels is not None else None,
         stats=dict(stats),
     )

@@ -39,6 +39,7 @@ from paradecomp.treedyn import (
 )
 
 from oracles import (
+    bfs_distances,
     invert_letter,
     kuhn_max_matching,
     record_oracle_calls,
@@ -228,7 +229,8 @@ def test_criterion_8_forest_action_is_free(capsys):
     with criterion(capsys, 8, "f2 action from 100 synthetic forests"):
         for seed in range(100):
             fw = synthetic_forest(random.Random(seed))
-            assert fw.radius >= 128
+            # the tree reaches 128 steps from its least point
+            assert max(bfs_distances(fw.adjacency, 0).values()) >= 128
             res = f2_action_from_forest(fw, 1)
             assert [st.n for st in res.stages] == [0, 1]
             assert res.stages[-1].domain == res.covered

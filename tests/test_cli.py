@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,20 @@ def test_hall_check_passes_on_k33(capsys, k33):
     assert code == 0
     assert obj["schema"] == "paradecomp/hall-check/1"
     assert obj["satisfied"] is True
+
+
+def test_hall_check_refuses_a_cap_below_the_floor_without_epsilon(capsys, k33):
+    # the payload echoes floor and cap, so they pass the check --epsilon gets
+    for flags, cap, floor in ((["--cap", "0"], 0, 1), (["--floor", "5", "--cap", "3"], 3, 5)):
+        for eps in ([], ["--epsilon", "1/2"]):
+            code, obj = run(capsys, ["hall-check", k33, *flags, *eps])
+            assert code == 1
+            assert obj == {
+                "schema": "paradecomp/error/1",
+                "error": "BAD_CAP",
+                "message": f"size_cap {cap} below size_floor {floor}",
+                "details": {"size_cap": cap, "size_floor": floor},
+            }
 
 
 def test_hall_check_witness_on_star(capsys, star):
@@ -412,12 +427,33 @@ def test_forest_chain_from_paradox(capsys, tmp_path):
     assert code == 0
     assert obj["stats"]["kept"] >= 1
     fobj = json.loads(forest.read_text())
-    assert fobj["schema"] == "paradecomp/forest-window/1"
+    assert fobj["schema"] == "paradecomp/forest-window/2"
+    assert "depth" not in fobj and "radius" not in fobj
 
-    # tiny forest: stage 0 needs radius >= 32 already
     code, obj = run(capsys, ["f2action", "--from", str(forest), "--stages", "0"])
-    assert code == 2
-    assert obj["error"] == "WINDOW_TOO_SMALL"
+    assert code == 0
+    assert obj["free_check"]["violation"] is None
+
+
+@pytest.mark.parametrize("radius, covered, eligible", [(8, 15, 21), (10, 125, 233)])
+@pytest.mark.parametrize("kind, base", [("f2", ""), ("sphere", [0, 1, 0, 0])])
+def test_f2action_on_paradox_forests(capsys, tmp_path, kind, base, radius, covered, eligible):
+    # the stage-0 net already holds one eligible point of each component
+    # that has any (15 at radius 8, 125 at radius 10), so later stages add none
+    meta = tmp_path / "window.json"
+    window = {"kind": kind, "radius": radius, "margin": 4, "base": base}
+    meta.write_text(json.dumps({"window": window}))
+    forest = tmp_path / "forest.json"
+    code, obj = run(capsys, ["forest", "--from", str(meta), "--out", str(forest)])
+    assert code == 0 and obj["schema"] == "paradecomp/forest/3"
+    for stages in (0, 1, 2):
+        argv = ["f2action", "--from", str(forest), "--stages", str(stages), "--free-len", "8"]
+        code, obj = run(capsys, argv)
+        assert code == 0
+        assert obj["free_check"] == {"max_len": 8, "violation": None}
+        res = obj["result"]
+        assert (res["covered"], res["eligible"]) == (covered, eligible)
+        assert [st["n"] for st in res["stages"]] == list(range(stages + 1))
 
 
 def test_f2action_on_synthetic_forest(capsys, tmp_path):
@@ -431,21 +467,20 @@ def test_f2action_on_synthetic_forest(capsys, tmp_path):
     assert len(obj["result"]["stages"]) == 2
 
 
-def test_f2action_refuses_a_radius_that_is_not_the_largest_depth(capsys, tmp_path):
-    # the forest's depths reach 154, short of the 8,192 four stages need; the
-    # same file claiming radius 1,000,000 used to run them and cover 14 points
+def test_f2action_ignores_forged_depth_and_radius(capsys, tmp_path):
+    # the keys forest-window/1 files carried are read by nothing: a forged
+    # radius of 1,000,000 changes no byte of the answer
     fobj = synthetic_forest(random.Random(5)).to_obj()
-    fobj["radius"] = 1_000_000
     src = tmp_path / "forest.json"
     src.write_text(json.dumps(fobj))
-    code, obj = run(capsys, ["f2action", "--from", str(src), "--stages", "4"])
-    assert code == 1
-    assert obj == {
-        "schema": "paradecomp/error/1",
-        "error": "BAD_FOREST",
-        "message": "radius: expected 154, the largest depth",
-        "details": {"radius": 1_000_000},
-    }
+    argv = ["f2action", "--from", str(src), "--stages", "4"]
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr().out
+    depth = [1_000_000] + [0] * (fobj["n_points"] - 1)
+    src.write_text(json.dumps({**fobj, "depth": depth, "radius": 1_000_000}))
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == plain
+    assert json.loads(plain)["result"]["covered"] == 14
 
 
 @pytest.mark.parametrize("free_len", ["0", "-3"])
@@ -574,10 +609,9 @@ def test_f2action_edge_outside_points_exits_one(capsys, tmp_path):
     [
         (lambda fobj: fobj.clear(), "n_points"),
         (lambda fobj: fobj["edges"].append(["x", 1]), "edges["),
-        (lambda fobj: fobj.pop("radius"), "radius"),
+        (lambda fobj: fobj.pop("present"), "missing field: present"),
         (lambda fobj: fobj.update(n_points=1.5), "n_points"),
-        (lambda fobj: fobj["depth"].pop(), "depth"),
-        (lambda fobj: fobj["depth"].__setitem__(0, -2), "depth: expected integers"),
+        (lambda fobj: fobj["interior"].pop(), "interior: expected a list"),
         (lambda fobj: fobj["edges"].append([3, 3]), "self-loop"),
         # the spine runs 0 - 1 - 2, so [0, 2] closes a triangle
         (lambda fobj: fobj["edges"].append([0, 2]), "cycle"),
@@ -585,10 +619,9 @@ def test_f2action_edge_outside_points_exits_one(capsys, tmp_path):
     ids=[
         "empty_object",
         "non_integer_endpoint",
-        "missing_radius",
+        "missing_present",
         "non_integer_n_points",
-        "short_depth",
-        "depth_below_minus_one",
+        "short_interior",
         "self_loop",
         "cycle",
     ],
@@ -618,8 +651,6 @@ def test_f2action_refuses_a_torus(capsys, tmp_path):
         "edges": edges,
         "interior": [1] * n,
         "present": [1] * n,
-        "depth": [0] * n,
-        "radius": 150,
     }
     src = tmp_path / "torus.json"
     src.write_text(json.dumps(fobj))
@@ -727,13 +758,23 @@ def run_unlimited(capsys, argv):
         sys.set_int_max_str_digits(limit)
 
 
-def test_f2action_required_radius_prints_in_full(capsys, tmp_path):
+def test_f2action_huge_stages_end_at_the_point_count(capsys, tmp_path):
+    # 1,502 points: stage 4, with separation 16 * 4^4 = 4,096, is the first
+    # whose separation reaches n_points; it adds nothing, and the run stops
+    fobj = synthetic_forest(random.Random(5)).to_obj()
+    assert fobj["n_points"] == 1502
     src = tmp_path / "forest.json"
-    src.write_text(json.dumps(synthetic_forest(random.Random(5)).to_obj()))
-    code, obj = run_unlimited(capsys, ["f2action", "--from", str(src), "--stages", "7200"])
-    assert code == 2 and obj["error"] == "WINDOW_TOO_SMALL"
-    assert obj["details"]["required"] == 2 * 16 * 4**7200
-    assert obj["details"]["stages"] == 7200
+    src.write_text(json.dumps(fobj))
+    code, last = run(capsys, ["f2action", "--from", str(src), "--stages", "4"])
+    assert code == 0
+    stages = last["result"]["stages"]
+    assert [st["n"] for st in stages] == [0, 1, 2, 3, 4]
+    assert stages[-1]["domain"] == stages[-2]["domain"]
+    for n in (5, 7200, 1_000_000_000):
+        t0 = time.perf_counter()
+        code, obj = run(capsys, ["f2action", "--from", str(src), "--stages", str(n)])
+        assert time.perf_counter() - t0 < 1
+        assert code == 0 and obj == {**last, "stages": n}
 
 
 @pytest.mark.parametrize("command", ["paradox", "demo"])

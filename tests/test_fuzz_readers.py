@@ -23,10 +23,7 @@ from oracles import set_forest_from_obj
 FIELDS = {
     "graph": ["vertices", "edges", "id", "side"],
     "pieces": ["gens", "pieces_a", "pieces_b", "pieces", "window", "kind", "radius"],
-    "forest": [
-        "n_points", "edges", "interior", "present", "depth", "radius", "labels",
-        "stats",
-    ],
+    "forest": ["n_points", "edges", "interior", "present", "labels", "stats"],
     "matching": ["matching"],
 }
 
@@ -133,10 +130,6 @@ def _forest_doc(n):
     def lists_of(values):
         return st.lists(values, min_size=n, max_size=n)
 
-    def with_radius(doc):
-        # the radius the reader wants: the largest depth, or 0
-        return {**doc, "radius": max(0, *doc["depth"])}
-
     return st.fixed_dictionaries(
         {
             "n_points": st.just(n),
@@ -145,13 +138,11 @@ def _forest_doc(n):
             ),
             "interior": lists_of(st.booleans()),
             "present": lists_of(st.booleans()),
-            "depth": lists_of(st.integers(-1, 200)),
         }
-    ).map(with_radius)
+    )
 
 
-# well-shaped forests whose edges may hold self-loops and cycles, with depths
-# and radius up to 200 so that both stages of the action can run
+# well-shaped forests whose edges may hold self-loops and cycles
 forest_shaped = st.integers(1, 6).flatmap(_forest_doc)
 
 
@@ -185,15 +176,12 @@ def test_forest_reader_refuses_exactly_loops_and_cycles(doc, stages):
 
 # malformed edges, each refused on its own before any cycle is reported
 BAD_EDGES = [[0], "e", [0, "1"], [0, True], [-1, 0], [0, 99], [0, 0]]
-# depths the reader refuses, after every edge and cycle error
-BAD_DEPTHS = [-2, True, 1.5, "1", None]
 
 
 @st.composite
 def forests_with_repeats(draw):
     """A shaped forest, or a tree on its points, with repeated and reversed
-    edges; then maybe a triangle and maybe a bad edge after it, and maybe a
-    bad depth or a radius that is not the largest depth."""
+    edges; then maybe a triangle and maybe a bad edge after it."""
     doc = draw(forest_shaped)
     n = doc["n_points"]
     kind = draw(st.sampled_from(["drawn", "loopless", "tree", "tree"]))
@@ -213,15 +201,7 @@ def forests_with_repeats(draw):
         edges += [[0, 1], [1, 2], [2, 0]]
     if "bad" in extra:
         edges.append(draw(st.sampled_from(BAD_EDGES)))
-    doc = {**doc, "edges": edges}
-    spoil = draw(st.sampled_from(["none", "none", "none", "depth", "radius"]))
-    if spoil == "depth":
-        depth = list(doc["depth"])
-        depth[draw(st.integers(0, n - 1))] = draw(st.sampled_from(BAD_DEPTHS))
-        doc["depth"] = depth
-    elif spoil == "radius":
-        doc["radius"] += draw(st.sampled_from([-1, 1]))
-    return doc
+    return {**doc, "edges": edges}
 
 
 def read_or_error(reader, doc):

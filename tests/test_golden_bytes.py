@@ -16,6 +16,11 @@ certificates and the roundtrip alone; boundary still reports the measured
 unmatched count and min_depth.  Apart from the schema and that key, the
 demo payloads are those of demo/2.
 
+forest/3: forest no longer prints radius, and the forest file it embeds
+(forest-window/2) no longer carries depth or radius, which nothing read.
+Apart from those keys and the two schemas, the payloads are those of
+forest/2.
+
 Radius 10: demo and forest as the benchmark runs them, f2 at the identity
 and the sphere at --base 0,1,0, forest reading a window-metadata file.
 
@@ -58,17 +63,17 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = {
     ("f2", "demo"): "4fa4b482d4d39f324af57061ce357dbb4c0cef3f9e08134367c506a838eeb143",
     ("f2", "paradox"): "da1f35682d4d7b2094c97c594678147e56f2ccb5e5a2b3290a582fdea1bef969",
-    ("f2", "forest"): "776bdf0d3f37c9c4968a4ad6c55737c5cab5c4be8e977281ca7db17c749c3376",
+    ("f2", "forest"): "2af15e5addd1e86daabbcab71996a7a24b43f27ec795537be2227fb522ba3afb",
     ("sphere", "demo"): "e40891472c4470019847b4a2feb6a8a350c03a4576d690238c3cb062b892cb49",
     ("sphere", "paradox"): "aeeff2762f2cfa433c2548434c64b33bbca658fa3ba11623504ccff3fc93cd96",
-    ("sphere", "forest"): "0873bbfedde457a1b1ba1f7c476d9c693e0f646eca63ba3e5fde7833f87136da",
+    ("sphere", "forest"): "52d9f6e003cbf848822c13637b580e2d82601b98158566a0af5a9ffaaa6ebbd1",
 }
 
 RADIUS_TEN_GOLDEN = {
     ("f2", "demo"): "a31e46b07e379a53e477292e300120c0809f7733e4091691736ca6ad888924dd",
-    ("f2", "forest"): "2a632f1db840796d579f2d14a9a94cc01133092f6fd15d5a200d0d4f25297b75",
+    ("f2", "forest"): "ab503e02fd2457bd5cf16a96e47e764cb2852689133850e42d2f7412f636f3ee",
     ("sphere", "demo"): "3018a8ba6fe5a376394568c3887f5df0552ec2fc49a06421b97ed3a6aef9d369",
-    ("sphere", "forest"): "b484ed0a175ba864c44011b564867a1c2741aa37d2361bb58fbc00c5339d3abd",
+    ("sphere", "forest"): "619ef4fd171490e12e0a93d5a77c75b4a862fe935d8e5632c10dc8a180fd5ffa",
 }
 
 F2ACTION_GOLDEN = {

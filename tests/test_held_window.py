@@ -79,7 +79,7 @@ def test_held_window_matches_the_full_ball(capsys, tmp_path, kind, base):
         meta = tmp_path / "window.json"
         meta.write_text(json.dumps({"window": got["window"]}))
         forest = run(capsys, ["forest", "--from", str(meta)])
-        assert forest["schema"] == "paradecomp/forest/2"
+        assert forest["schema"] == "paradecomp/forest/3"
         assert forest["n_points"] == held.n_points()
         # every edge and kept point of the full ball lies among the held ones
         ref = forest_by_label(forest_on(full))

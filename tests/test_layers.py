@@ -58,6 +58,23 @@ def test_explicit_schedule_validation():
 
 
 @pytest.mark.parametrize(
+    "f_list, message",
+    [
+        ((8, 1, 1, 1, 1, 1), "non-decreasing"),
+        ((), "at least one stage"),
+        ((0, 8), ">= 1"),
+    ],
+)
+def test_hand_built_schedule_checks_its_table(f_list, message):
+    # the table is checked where it is set, whoever builds the schedule;
+    # a falling table would let greedy_layering hand over members too early
+    with pytest.raises(ValueError, match=message):
+        LayerSchedule(Fraction(100), Fraction(0), f_list=f_list)
+    with pytest.raises(ValueError, match=message):
+        explicit_schedule(f_list, Fraction(100))
+
+
+@pytest.mark.parametrize(
     "sched",
     [geometric_schedule(Fraction(e)) for e in ("1/4", "1/2", "1", "16")]
     # hand-built: its series 16/8 = 2 overspends the budget 1/2

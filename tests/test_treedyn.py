@@ -17,7 +17,6 @@ from paradecomp.errors import (
     ForestFormatError,
     HypothesisFailedError,
     InvalidMatchingError,
-    WindowTooSmallError,
 )
 from paradecomp.generators import (
     line_window,
@@ -330,7 +329,6 @@ def test_surgery_accounts_for_every_point(kind, radius):
     assert len(untouched) == st["isolated"] > 0
     for p in untouched:
         assert not fw.present[p] and not fw.interior[p]
-        assert fw.depth[p] == -1
         assert fw.adjacency[p] == ()
 
 
@@ -351,8 +349,6 @@ def test_forest_reader_takes_a_doubled_star_in_linear_time():
         "edges": [[v, 0] for v in leaves] + [[0, v] for v in leaves],
         "interior": [0] * n,
         "present": [1] * n,
-        "depth": [0] + [1] * (n - 1),
-        "radius": 1,
     }
     t0 = time.perf_counter()
     fw = forest_from_obj(doc)
@@ -373,8 +369,6 @@ def test_forest_is_acyclic_detects_cycles():
         adjacency=((1, 2), (0, 2), (0, 1)),
         interior=(False,) * 3,
         present=(True,) * 3,
-        depth=(0, 1, 1),
-        radius=1,
         labels=None,
         stats={},
     )
@@ -401,10 +395,8 @@ def action_setup():
     return forest, res
 
 
-def test_action_rejects_shallow_windows():
+def test_action_rejects_negative_stages():
     forest = synthetic_forest(random.Random(5))
-    with pytest.raises(WindowTooSmallError):
-        f2_action_from_forest(forest, 2)
     with pytest.raises(ValueError):
         f2_action_from_forest(forest, -1)
 
@@ -482,8 +474,6 @@ def bare_forest(adjacency) -> ForestWindow:
         adjacency=adjacency,
         interior=(True,) * n,
         present=(True,) * n,
-        depth=(0,) * n,
-        radius=0,
         labels=None,
         stats={},
     )
