@@ -230,10 +230,9 @@ def cmd_layers(args):
 
 def cmd_match(args):
     g = graph_from_obj(_read_json(args.graph))
-    p = ExpansionParams(args.epsilon, args.floor)
     schedule = _schedule_from_args(args)
     res = layered_perfect_matching(
-        g, p, schedule, cap=args.cap, audit=args.audit
+        g, schedule, floor=args.floor, cap=args.cap, audit=args.audit
     )
     if args.dot:
         try:
@@ -390,7 +389,7 @@ def cmd_f2action(args):
     res = f2_action_from_forest(fw, args.stages)
     vio = free_word_violation(res.maps, args.free_len)
     payload = {
-        "schema": _schema("f2action"),
+        "schema": _schema("f2action", 2),
         "stages": args.stages,
         "result": res.as_obj(),
         "free_check": {

@@ -152,17 +152,6 @@ def least_violator(nbrs, sides, floor: int, cap: int):
     return None
 
 
-def _graph_violator(g: BipartiteGraph, sides, floor: int, cap: int, num: int, den: int):
-    """least_violator over the given (side, ids) pairs of g, one num/den for both.
-
-    N(F) is read off g.adj with no vertex checks: the ids come from g's own
-    side lists, and a one-sided F of a bipartite graph never meets its
-    neighborhood.
-    """
-    sides = [(s, ids, num, den) for s, ids in sides]
-    return least_violator(g.adj.__getitem__, sides, floor, cap)
-
-
 def check_hall(g: BipartiteGraph, sides=None) -> HallReport:
     """Plain Hall on both sides; the report keeps the maximum matching found.
 
@@ -173,11 +162,12 @@ def check_hall(g: BipartiteGraph, sides=None) -> HallReport:
         sides = g.side_vertices(0), g.side_vertices(1)
     pairs = hopcroft_karp(sides[0], g.adj.__getitem__)
     # Koenig: a side holds a violator iff it is larger than the matching
-    short = [(s, ids) for s, ids in enumerate(sides) if len(ids) > len(pairs)]
+    short = [(s, ids, 1, 1) for s, ids in enumerate(sides) if len(ids) > len(pairs)]
     if not short:
         return HallReport(satisfied=True, matching=pairs)
-    larger = max(len(ids) for _, ids in short)
-    witness = _graph_violator(g, short, 1, larger, 1, 1)
+    larger = max(len(ids) for _, ids, _, _ in short)
+    # the ids come from g's own side lists, so N(F) needs no vertex checks
+    witness = least_violator(g.adj.__getitem__, short, 1, larger)
     if witness is None:
         raise InvariantError("deficiency positive but no violator found")
     return HallReport(satisfied=False, witness=witness, matching=pairs)
@@ -206,7 +196,9 @@ def check_hall_eps_n(
         return base
     factor = 1 + p.epsilon
     num, den = factor.numerator, factor.denominator
-    witness = _graph_violator(g, enumerate(sides), p.size_floor, size_cap, num, den)
+    # the ids come from g's own side lists, so N(F) needs no vertex checks
+    sides = [(s, ids, num, den) for s, ids in enumerate(sides)]
+    witness = least_violator(g.adj.__getitem__, sides, p.size_floor, size_cap)
     return HallReport(
         satisfied=witness is None, witness=witness, matching=base.matching
     )

@@ -11,7 +11,7 @@ many layers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExhaustedError
@@ -20,31 +20,36 @@ from .graphs import BipartiteGraph, bfs_distances, components, greedy_net
 
 @dataclass(frozen=True)
 class LayerSchedule:
-    """Separation function f plus a certified epsilon budget.
+    """Separation function f plus an epsilon budget it is certified against.
 
-    Geometric (f_list None): f(n) = base * 2**n, infinite tail certified by
-    the closed-form series total.  Explicit: finite table, total certified by
-    direct summation; asking past the table raises BUDGET_EXHAUSTED.  f must
-    never fall, which greedy_layering relies on: a table must be non-empty,
-    with f >= 1 and no value below the one before, or construction raises
-    ValueError.
+    Geometric (f_list None): f(n) = base * 2**n, whose series sum 8/f(n) is
+    16/base.  Explicit: a finite table, summed directly; asking past it
+    raises BUDGET_EXHAUSTED.  Construction raises ValueError unless that sum
+    is below the budget, so every epsilon_after(n) that f answers for is
+    positive.  f must never fall, which greedy_layering relies on: f(0) must
+    be >= 1 and a table non-empty and non-decreasing.
     """
 
     epsilon_budget: Fraction
-    series_total: Fraction
     base: int | None = None
     f_list: tuple | None = None
 
     def __post_init__(self):
-        if self.f_list is None:
-            return
-        if not self.f_list:
+        table = (self.base,) if self.f_list is None else self.f_list
+        if not table:
             raise ValueError("need at least one stage")
-        for i, f in enumerate(self.f_list):
+        for i, f in enumerate(table):
             if f < 1:
                 raise ValueError("f values must be >= 1")
-            if i and f < self.f_list[i - 1]:
+            if i and f < table[i - 1]:
                 raise ValueError("f must be non-decreasing")
+        if self.f_list is None:
+            total = Fraction(16, self.base)
+        else:
+            total = sum((Fraction(8, f) for f in table), Fraction(0))
+        budget = self.epsilon_budget
+        if total >= budget:
+            raise ValueError(f"sum 8/f = {total} not below budget {budget}")
 
     def f(self, n: int) -> int:
         if n < 0:
@@ -75,33 +80,24 @@ class LayerSchedule:
 
 
 def geometric_schedule(epsilon) -> LayerSchedule:
-    """f(n) = c * 2^n with c the least 8 * 2^k summing under epsilon.
-
-    sum_n 8/(c * 2^n) = 16/c, kept exact; the budget certificate is this
-    closed form.
-    """
+    """f(n) = c * 2^n with c the least 8 * 2^k whose series 16/c is below epsilon."""
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     c = 8
-    while (total := Fraction(16, c)) >= epsilon:
+    while Fraction(16, c) >= epsilon:
         c *= 2
-    return LayerSchedule(epsilon, total, base=c)
+    return LayerSchedule(epsilon, base=c)
 
 
 def explicit_schedule(f_list, epsilon_budget) -> LayerSchedule:
-    """Schedule from a finite table; test plumbing mostly.
+    """Schedule from a finite table, as match and layers --schedule give it.
 
-    LayerSchedule checks the table; this adds the budget certificate.
-    Values below 8 are allowed here (the stage arithmetic still works as
-    long as the budget covers the sum); the stock geometric constructor is
-    the one that honors f >= 8.
+    Values below 8 are allowed (the stage arithmetic works as long as the
+    budget covers the sum); the stock geometric constructor is the one that
+    honors f >= 8.
     """
-    sched = LayerSchedule(Fraction(epsilon_budget), Fraction(0), f_list=tuple(f_list))
-    total = sum((Fraction(8, f) for f in sched.f_list), Fraction(0))
-    if total >= sched.epsilon_budget:
-        raise ValueError(f"sum 8/f = {total} not below budget {sched.epsilon_budget}")
-    return replace(sched, series_total=total)
+    return LayerSchedule(Fraction(epsilon_budget), f_list=tuple(f_list))
 
 
 @dataclass(frozen=True)

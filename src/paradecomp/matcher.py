@@ -11,10 +11,11 @@ Hall's condition throughout this module means perfect matchability: balanced
 sides and zero deficiency from both.
 
 The epsilon ledger epsilon_n = epsilon - sum_{i<=n} 8/f(i) is the
-schedule's (LayerSchedule.epsilon_after), and the driver reads it once, not
-per stage: epsilon_n only falls, so a positive last one clears every stage.
-The result keeps the matching, the layering and the schedule; its stage
-records are replayed from them when asked for.
+schedule's (LayerSchedule.epsilon_after), and the schedule certifies on
+construction that its whole series stays below epsilon, so every epsilon_n
+a stage reaches is positive and no stage checks its sign.  The result keeps
+the matching, the layering and the schedule; its stage records are replayed
+from them when asked for.
 
 The per-stage audit checks Hall_(eps_n, f(n)) on the residual, up to the
 same cap as the precheck.  While the cap is below f(n) only the plain clause
@@ -36,7 +37,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import (
-    BudgetExhaustedError,
     HallViolatedError,
     HypothesisFailedError,
     InvariantError,
@@ -195,25 +195,23 @@ class _Engine:
 
 def layered_perfect_matching(
     g: BipartiteGraph,
-    p: ExpansionParams,
     schedule: LayerSchedule,
+    floor: int = 1,
     cap: int = 8,
     audit: bool = False,
 ) -> MatchResult:
     """Perfect matching via the staged Hall-preserving construction.
 
-    Precondition Hall_{epsilon, size_floor} is verified up to `cap` before
-    starting (HYPOTHESIS_FAILED with the witness otherwise).  audit=True
-    re-verifies the stage invariant on the residual after every stage, with
-    the enumeration clause active only when cap reaches f(n).
+    Precondition Hall_{epsilon, floor}, epsilon being the schedule's budget,
+    is verified up to `cap` before starting (HYPOTHESIS_FAILED with the
+    witness otherwise).  A table too short for the layering raises
+    BUDGET_EXHAUSTED from the layering.  audit=True re-verifies the stage
+    invariant on the residual after every stage, with the enumeration clause
+    active only when cap reaches f(n).
     """
-    if p.epsilon != schedule.epsilon_budget:
-        raise ValueError(
-            f"params epsilon {p.epsilon} != schedule budget {schedule.epsilon_budget}"
-        )
     # plain Hall on both sides forces |side 0| = max matching = |side 1|, so
     # this also rejects unbalanced graphs, with a deficient-set witness
-    report = check_hall_eps_n(g, p, cap)
+    report = check_hall_eps_n(g, ExpansionParams(schedule.epsilon_budget, floor), cap)
     if not report.satisfied:
         raise HypothesisFailedError(
             "graph fails the Hall_(eps,n) hypothesis up to the cap",
@@ -223,18 +221,12 @@ def layered_perfect_matching(
 
     layering = greedy_layering(g, schedule)
     layers, f_values = layering.layers, layering.f_values
-    # epsilon_n only falls, so a positive last one clears every stage;
-    # otherwise the stages before the first non-positive one run
-    stop = len(layers)
-    if stop and schedule.epsilon_after(stop - 1) <= 0:
-        stop = next(n for n in range(stop) if schedule.epsilon_after(n) <= 0)
     # check_hall passes only when neither side outnumbers its maximum
     # matching, so the precheck's matching is perfect
     engine = _Engine(g, report.matching)
     alive, select = engine.alive, engine.select
     picks = []  # (layer_vertex, partner), stage after stage
-    for n in range(stop):
-        fn = f_values[n]
+    for n, fn in enumerate(f_values):
         before = len(picks)
         for x in layers[n]:
             if x in alive:
@@ -264,11 +256,6 @@ def layered_perfect_matching(
                     "engine lost its residual matching although Hall holds",
                     stage=n,
                 )
-    if stop < len(layers):
-        eps = str(schedule.epsilon_after(stop))
-        raise BudgetExhaustedError(
-            f"epsilon_{stop} = {eps} not positive", stage=stop, epsilon=eps
-        )
 
     # the greedy layering covers every vertex, so the picks pair them all
     matching = frozenset((min(x, y), max(x, y)) for x, y in picks)

@@ -516,16 +516,12 @@ class F2ActionResult:
     eligible: int
     audits: list
 
-    def coverage(self) -> float:
-        return len(self.covered) / self.eligible if self.eligible else 0.0
-
     def as_obj(self) -> dict:
         return {
             "f1": sorted([x, y] for x, y in self.maps[1].items()),
             "f2": sorted([x, y] for x, y in self.maps[2].items()),
             "covered": len(self.covered),
             "eligible": self.eligible,
-            "coverage": self.coverage(),
             "stages": [
                 {
                     "n": st.n,

@@ -93,7 +93,7 @@ def test_criterion_1_matcher_agrees_with_oracle(capsys):
         count = 0
         for g, p in hall_family(500, rng, epsilons, validate_cap=2):
             assert len(g.ids) <= 200
-            res = layered_perfect_matching(g, p, geometric_schedule(p.epsilon), cap=2)
+            res = layered_perfect_matching(g, geometric_schedule(p.epsilon), cap=2)
             assert 2 * len(res.matching) == len(g.ids)
             assert len(res.matching) == len(kuhn_max_matching(g))
             count += 1
@@ -111,7 +111,7 @@ def test_criterion_2_stage_invariant_holds(capsys):
             sched = geometric_schedule(p.epsilon)
             # audit=True re-runs the same invariant inside the matcher and
             # raises on any violation; the loop below recomputes it here.
-            res = layered_perfect_matching(g, p, sched, cap=2, audit=True)
+            res = layered_perfect_matching(g, sched, cap=2, audit=True)
             alive = set(g.ids)
             spent = Fraction(0)
             for rec in res.stages:

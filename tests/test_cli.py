@@ -8,7 +8,6 @@ import pytest
 from paradecomp import cli
 from paradecomp.generators import complete_bipartite, line_window, star_graph, synthetic_forest
 from paradecomp.graphs import bipartite_graph, graph_to_obj
-from paradecomp.hall import ExpansionParams
 from paradecomp.layers import explicit_schedule, geometric_schedule
 from paradecomp.matcher import layered_perfect_matching
 from paradecomp.words import iter_reduced
@@ -128,8 +127,7 @@ def test_match_prints_its_schedule_once(capsys, k33, flags, schedule, printed, e
         "schedule": printed,
     }
     # the stage records replayed from the payload are the matcher's own
-    p = ExpansionParams(schedule.epsilon_budget, 1)
-    res = layered_perfect_matching(complete_bipartite(3, 3), p, schedule, cap=2)
+    res = layered_perfect_matching(complete_bipartite(3, 3), schedule, cap=2)
     v1 = match_v1_from_v2(obj, schedule)["result"]
     assert v1["stages"] == [
         {"n": rec.n, "epsilon_n": str(rec.epsilon_n), "matched": [list(e) for e in rec.matched]}
@@ -738,6 +736,35 @@ def test_match_floor_decides_the_precheck(capsys, three_edges):
     code, obj = run(capsys, argv + ["--floor", "2"])
     assert code == 0 and obj["floor"] == 2
     assert obj["result"]["matching"] == [[0, 3], [1, 4], [2, 5]]
+
+
+def test_match_table_shorter_than_the_layering_exhausts_the_budget(capsys, k33):
+    # a floor of 4 leaves the precheck no set in range; K_{3,3} takes six
+    # stages, and the one-entry table answers for stage 0 only
+    argv = ["match", k33, "--epsilon", "1", "--floor", "4", "--cap", "4", "--schedule", "32"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().out == (
+        '{"details":{"stage":1},"error":"BUDGET_EXHAUSTED",'
+        '"message":"explicit schedule has 1 stages, asked for 1",'
+        '"schema":"paradecomp/error/1"}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        # the schedule checks epsilon before the precheck checks the floor
+        (["--epsilon=-1"], "epsilon must be positive"),
+        (["--epsilon", "0", "--floor", "0"], "epsilon must be positive"),
+        (["--epsilon", "1/2", "--schedule", "8"], "sum 8/f = 1 not below budget 1/2"),
+    ],
+    ids=["negative", "zero-floor-zero", "table-over-budget"],
+)
+def test_match_refuses_a_schedule_over_its_budget(capsys, k33, flags, message):
+    assert cli.main(["match", k33, *flags]) == 2
+    assert capsys.readouterr().out == (
+        f'{{"error":"PRECONDITION","message":"{message}","schema":"paradecomp/error/1"}}\n'
+    )
 
 
 def run_unlimited(capsys, argv):

@@ -28,6 +28,10 @@ f2action: --stages 0 and 1 over synthetic_forest(Random(k)), k = 0..4, each
 forest written as the benchmark writes it (forest-window/1 schema plus
 to_obj(), through canonical_json).
 
+f2action/2: f2action no longer prints coverage, the one float of any
+payload, which is covered/eligible and follows from those two keys.  Apart
+from that key and the schema, the payloads are those of f2action/1.
+
 match: --epsilon <eps> --cap 2 over hall_family(12, Random(20260816),
 [1/4, 1/2, 1], validate_cap=2), each graph written as the benchmark writes it
 (json.dumps of graph_to_obj), with --audit on odd indices.
@@ -77,16 +81,16 @@ RADIUS_TEN_GOLDEN = {
 }
 
 F2ACTION_GOLDEN = {
-    (0, 0): "6a7e4d51ab3accb4e68a03e5d029daac8b925fcb872178ffb569991c8306abe6",
-    (0, 1): "30057818a768e3e2fd9f304a31b6eaf1cbb99022b2f3ce3902765760851d7846",
-    (1, 0): "b5be302188ecaea08ef1dd3491511bda26e7a9afcc92bb62f100c7e03f1108fe",
-    (1, 1): "0675ad1d3785887e0b0389f02f1a0c96b64aad7a7091f8c269b0d644c3f235a4",
-    (2, 0): "e561a0f50aa89bbba8a4c8fd29b28274c318351d8d67c5ae99e9164d5dca5174",
-    (2, 1): "eee8f627ecb3e4e880128ea86e682f74065394449c1cbe6c1a10ba2e361ee2ea",
-    (3, 0): "2efa1db4744dac2a590b08c20c88213a0125fac7d643235dd8e1be299c2ed01d",
-    (3, 1): "dc90e8a84122bdd1a349b4d904155117e5bfdd02a34a273592b8652a56b03214",
-    (4, 0): "355bb22a8836966a98904ed3545c9b20ac1a106ca8201bcf6242b87fa12ede8f",
-    (4, 1): "fc5d02eca009a396055a4f601a87bb26beb4b9bf6599e260166cf666a8445aa2",
+    (0, 0): "3e779a67af41f0585766641e0bcb501ca52873d95bec73f7f0f430d1606596f1",
+    (0, 1): "001aef57a7045e43deae702ebe3171d6c688c79f7313fda78176bad1e233ca7d",
+    (1, 0): "2d636292ae0c2588497ca7bf169f2d4b5f98e16b69b4fd28bbdffec5484b92e1",
+    (1, 1): "9b1871e637ca695e792a512261f96091b8e9beda089a62c5164d6722bc19625b",
+    (2, 0): "3cbaaaa0f5ecff8ee7cc7d672cbb12d0b0ebc36c4e64d6f1b2ce4d1a644c4f36",
+    (2, 1): "1f0a4c2b794f3743b1ccdba66794aa4a08dba6c0067e05fd766dbc671aa55744",
+    (3, 0): "8ba5b1409fa688af6db190ab80c8c9382fa0c242d4b27bb993a737725bef4414",
+    (3, 1): "fbb2b4a7e8de7e370bc860d9c96ddda1b7a9a8fc4d2e6fc17a647b2b0a782952",
+    (4, 0): "4817310b6f52c8d73846c4a07841181a1e8e0db128077be7fcc9561b094eb2c0",
+    (4, 1): "b4356ff353065f5db3addff17ea160bb810f0fee25177fcb779bb1b61af39201",
 }
 
 

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import paradecomp.graphs
 import paradecomp.layers
@@ -28,10 +28,10 @@ from oracles import scan_greedy_layering
 def test_geometric_schedule_budget_is_exact():
     sched = geometric_schedule(Fraction(1))
     assert sched.base == 32
-    assert sched.series_total == Fraction(1, 2)
+    assert Fraction(16, sched.base) == Fraction(1, 2)
     assert sched.f(0) == 32 and sched.f(3) == 256
     # epsilon_n stays positive forever: the full series sits under budget
-    assert sched.epsilon_after(10) > sched.epsilon_budget - sched.series_total
+    assert sched.epsilon_after(10) > sched.epsilon_budget - Fraction(16, sched.base)
 
 
 def test_geometric_schedule_scales_with_epsilon():
@@ -69,17 +69,15 @@ def test_hand_built_schedule_checks_its_table(f_list, message):
     # the table is checked where it is set, whoever builds the schedule;
     # a falling table would let greedy_layering hand over members too early
     with pytest.raises(ValueError, match=message):
-        LayerSchedule(Fraction(100), Fraction(0), f_list=f_list)
+        LayerSchedule(Fraction(100), f_list=f_list)
     with pytest.raises(ValueError, match=message):
         explicit_schedule(f_list, Fraction(100))
 
 
 @pytest.mark.parametrize(
     "sched",
-    [geometric_schedule(Fraction(e)) for e in ("1/4", "1/2", "1", "16")]
-    # hand-built: its series 16/8 = 2 overspends the budget 1/2
-    + [LayerSchedule(Fraction(1, 2), Fraction(2), base=8)],
-    ids=["1/4", "1/2", "1", "16", "overspent"],
+    [geometric_schedule(Fraction(e)) for e in ("1/4", "1/2", "1", "16")],
+    ids=["1/4", "1/2", "1", "16"],
 )
 def test_epsilon_after_closed_form_equals_the_running_sum(sched):
     eps = sched.epsilon_budget
@@ -89,6 +87,52 @@ def test_epsilon_after_closed_form_equals_the_running_sum(sched):
         assert sched.epsilon_after(n) == eps, n
     with pytest.raises(ValueError):
         sched.epsilon_after(-2)
+
+
+@pytest.mark.parametrize(
+    "kind, total",
+    [
+        ({"base": 8}, "2"),  # the series 16/8
+        ({"f_list": (8,) * 6}, "6"),
+        ({"f_list": (32,) * 6}, "3/2"),
+        ({"base": 32}, "1/2"),  # a series equal to the budget is refused too
+        ({"f_list": (16,)}, "1/2"),
+    ],
+    ids=["overspent", "table-8", "table-32", "base-at-budget", "table-at-budget"],
+)
+def test_hand_built_schedule_checks_its_budget(kind, total):
+    with pytest.raises(ValueError, match=f"sum 8/f = {total} not below budget 1/2$"):
+        LayerSchedule(Fraction(1, 2), **kind)
+
+
+@given(
+    st.one_of(
+        st.integers(1, 64).map(lambda c: {"base": c}),
+        st.lists(st.integers(1, 64), min_size=1, max_size=12).map(
+            lambda fs: {"f_list": tuple(sorted(fs))}
+        ),
+    ),
+    st.fractions(-1, 8, max_denominator=64),
+)
+@example(kind={"base": 32}, budget=Fraction(1, 2))
+@example(kind={"f_list": (16, 16)}, budget=Fraction(1))
+def test_schedule_is_built_exactly_when_its_series_is_under_budget(kind, budget):
+    if "base" in kind:
+        # sum_n 8/(c * 2^n) = 16/c; the stages checked stop at 300
+        stages = range(301)
+        series = Fraction(16, kind["base"])
+    else:
+        stages = range(len(kind["f_list"]))
+        series = sum(Fraction(8, f) for f in kind["f_list"])
+    try:
+        sched = LayerSchedule(budget, **kind)
+    except ValueError:
+        assert series >= budget
+        return
+    assert series < budget
+    # so every epsilon_n that f answers for stays positive
+    for n in stages:
+        assert sched.epsilon_after(n) > 0, n
 
 
 def test_partial_sum_matches_epsilon_n():

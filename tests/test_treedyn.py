@@ -410,7 +410,7 @@ def test_action_covers_with_four_distinct_neighbors(action_setup):
     }
     assert res.eligible == len(eligible)
     assert res.covered <= eligible
-    assert 0 < res.coverage() <= 1
+    assert 0 < len(res.covered) <= res.eligible
     for x in res.covered:
         values = [res.maps[i][x] for i in (-2, -1, 1, 2)]
         assert len(set(values)) == 4
