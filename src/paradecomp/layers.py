@@ -93,9 +93,9 @@ def geometric_schedule(epsilon) -> LayerSchedule:
 def explicit_schedule(f_list, epsilon_budget) -> LayerSchedule:
     """Schedule from a finite table, as match and layers --schedule give it.
 
-    Values below 8 are allowed (the stage arithmetic works as long as the
-    budget covers the sum); the stock geometric constructor is the one that
-    honors f >= 8.
+    Values below 8 are allowed, but construction refuses any table whose
+    sum 8/f is not below the budget; the stock geometric constructor is the
+    one that honors f >= 8.
     """
     return LayerSchedule(Fraction(epsilon_budget), f_list=tuple(f_list))
 
@@ -118,17 +118,21 @@ def greedy_layering(g: BipartiteGraph, schedule: LayerSchedule) -> Layering:
     The balls are taken in the full graph, so they pass through covered
     vertices too.  A ball never leaves its component, so each component is
     layered on its own and layer n is the sorted union of their n-th nets.
-    A component whose diameter bound min(size - 1, 2 * ecc(root)) is at most
-    f(n) lies inside the first ball, and f never falls, so from stage n on
-    its net is its least uncovered vertex: it hands over what is left as
-    one-vertex nets in one step, with no search.  f is asked for stages in
-    order, so a short explicit table fails at its first missing stage.
+    A component's diameter is at most size - 1; when that exceeds f(0), it
+    is also at most 2 * ecc(root), found by one search.  A component whose
+    bound is at most f(n) lies inside the first ball, and f never falls, so
+    from stage n on its net is its least uncovered vertex: it hands over
+    what is left as one-vertex nets in one step, with no search.  f is asked
+    for stages in order, so a short explicit table fails at its first
+    missing stage.
     """
     adj = g.adj
+    f0 = schedule.f(0)
     layers = []  # layers[n]: the n-th nets of the components seen so far
     for members in components(adj, g.ids):
-        ecc = max(bfs_distances(adj, members[:1]).values())
-        diam = min(len(members) - 1, 2 * ecc)
+        diam = len(members) - 1
+        if diam > f0:
+            diam = min(diam, 2 * max(bfs_distances(adj, members[:1]).values()))
         members.sort()
         # the uncovered members, as ranks ascending: greedy_net takes
         # vertices 0..m-1

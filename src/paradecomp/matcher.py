@@ -19,15 +19,24 @@ from them when asked for.
 
 The per-stage audit checks Hall_(eps_n, f(n)) on the residual, up to the
 same cap as the precheck.  While the cap is below f(n) only the plain clause
-is in range, and the engine's own matching is its certificate: every live
-vertex must have a live partner across an edge of the graph, which pairs it
-back.  That costs one pass over the residual.  A stage that picked nothing
-skips it: plain Hall does not depend on epsilon_n, and the stage left the
-residual as the stage before audited it (or the precheck, at stage 0).  If
-the certificate fails, the full check runs: a real violation is reported
-with its canonical witness, and a residual that still satisfies Hall means
-the engine itself is broken (INVARIANT).  Once the cap reaches f(n) the
-expansion clause is enumerated on the residual, at every stage.
+is in range, and a perfect matching of the residual proves it.  The audit
+keeps its own copy of the residual matching, a ledger verified once against
+the graph when the run starts.  After each pick it removes the pair from
+the ledger and repairs the ledger along the engine's new partners, edge by
+edge, from the old partner of one removed vertex to the other's; a stage
+then passes when the ledger equals the engine's whole matching and
+residual.  So the audit costs each pick's repair path plus one comparison
+per stage, and trusts nothing the engine says it touched: a write off the
+walked path shows up in the comparison.  When the two disagree, one pass
+over the residual decides (a live partner across an edge of the graph,
+which pairs each live vertex back), and on a pass the ledger starts again
+from the engine.  A stage that picked nothing runs no check: plain Hall
+does not depend on epsilon_n, and the stage left the residual as the stage
+before audited it (or the precheck, at stage 0).  If the certificate fails,
+the full check runs: a real violation is reported with its canonical
+witness, and a residual that still satisfies Hall means the engine itself
+is broken (INVARIANT).  Once the cap reaches f(n) the expansion clause is
+enumerated on the residual, at every stage.
 """
 
 from __future__ import annotations
@@ -193,6 +202,70 @@ class _Engine:
         )
 
 
+class _Ledger:
+    """The audit's own copy of the engine's residual matching.
+
+    It starts from the engine's state, verified by one scan, and follows
+    each pick along the engine's new partners, accepting only live edges of
+    the graph, so while in step it is a perfect matching of its residual.
+    """
+
+    def __init__(self, engine: _Engine):
+        self.engine = engine
+        self.in_step = engine.certifies_residual()
+        self._restart()
+
+    def _restart(self):
+        self.pair = dict(self.engine.pair)
+        self.alive = set(self.engine.alive)
+
+    def follow(self, x, y):
+        """Remove the pick (x, y) and repair the ledger as the engine did."""
+        if not self.in_step:
+            return
+        pair, alive, adj = self.pair, self.alive, self.engine.g.adj
+        new = self.engine.pair
+        if x == y or x not in alive or y not in alive:
+            self.in_step = False
+            return
+        alive.remove(x)
+        alive.remove(y)
+        z = pair.pop(x)
+        w = pair.pop(y)
+        if z == y:
+            return
+        # w and z lost their partners; the alternating path from w to z
+        # rematches them.  Entries for w, z and each vertex the path frees
+        # are stale until the path rewrites them.  A step needs u and v to
+        # name each other, so the path never reaches a vertex twice.
+        u = w
+        while True:
+            v = new.get(u)
+            if v not in alive or v not in adj[u] or new.get(v) != u:
+                self.in_step = False
+                return
+            t = pair[v]
+            pair[u] = v
+            pair[v] = u
+            if v == z:
+                return
+            u = t
+
+    def certifies(self) -> bool:
+        """Whether the engine's matching is a perfect matching of its residual.
+
+        Agreement with the ledger proves it; otherwise the scan decides.
+        """
+        engine = self.engine
+        if self.in_step and self.pair == engine.pair and self.alive == engine.alive:
+            return True
+        if not engine.certifies_residual():
+            return False
+        self.in_step = True
+        self._restart()
+        return True
+
+
 def layered_perfect_matching(
     g: BipartiteGraph,
     schedule: LayerSchedule,
@@ -207,7 +280,9 @@ def layered_perfect_matching(
     witness otherwise).  A table too short for the layering raises
     BUDGET_EXHAUSTED from the layering.  audit=True re-verifies the stage
     invariant on the residual after every stage, with the enumeration clause
-    active only when cap reaches f(n).
+    active only when cap reaches f(n).  Below that, a stage that picked is
+    certified by comparing the engine's matching with the audit's ledger,
+    and a stage that picked nothing by the stage before it.
     """
     # plain Hall on both sides forces |side 0| = max matching = |side 1|, so
     # this also rejects unbalanced graphs, with a deficient-set witness
@@ -225,17 +300,19 @@ def layered_perfect_matching(
     # matching, so the precheck's matching is perfect
     engine = _Engine(g, report.matching)
     alive, select = engine.alive, engine.select
+    ledger = _Ledger(engine) if audit else None
     picks = []  # (layer_vertex, partner), stage after stage
     for n, fn in enumerate(f_values):
         before = len(picks)
         for x in layers[n]:
             if x in alive:
-                picks.append((x, select(x)))
+                y = select(x)
+                picks.append((x, y))
+                if ledger is not None:
+                    ledger.follow(x, y)
         # below f(n) only plain Hall is audited, and a perfect matching of the
         # residual proves it; the full check runs when that certificate fails
-        if audit and (
-            cap >= fn or len(picks) > before and not engine.certifies_residual()
-        ):
+        if audit and (cap >= fn or len(picks) > before and not ledger.certifies()):
             eps = schedule.epsilon_after(n)
             residual = induced_subgraph(g, alive)
             # an empty enumeration range [f(n), cap] leaves only plain Hall

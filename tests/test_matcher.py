@@ -24,7 +24,7 @@ from paradecomp.generators import (
 from paradecomp.graphs import bipartite_graph, induced_subgraph, validate_matching
 from paradecomp.hall import check_hall
 from paradecomp.layers import explicit_schedule, geometric_schedule
-from paradecomp.matcher import _Engine, layered_perfect_matching
+from paradecomp.matcher import _Engine, _Ledger, layered_perfect_matching
 
 from oracles import (
     has_perfect_matching_on,
@@ -163,27 +163,36 @@ def test_plain_audit_rests_on_the_engine_matching(monkeypatch):
         assert audited.as_obj() == layered_perfect_matching(g, sched, cap=2).as_obj()
 
 
-def test_audit_certifies_only_stages_that_picked(monkeypatch):
-    # a stage whose layer vertices were all matched earlier picks nothing and
-    # leaves the residual as the stage before audited it
+def _count_calls(monkeypatch, cls, name):
     calls = []
-    real = _Engine.certifies_residual
+    real = getattr(cls, name)
 
     def counted(self):
         calls.append(1)
         return real(self)
 
-    monkeypatch.setattr(_Engine, "certifies_residual", counted)
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_audit_certifies_only_stages_that_picked(monkeypatch):
+    # a stage whose layer vertices were all matched earlier picks nothing and
+    # leaves the residual as the stage before audited it; the scan runs once,
+    # to verify the ledger each stage's check compares against
+    checks = _count_calls(monkeypatch, _Ledger, "certifies")
+    scans = _count_calls(monkeypatch, _Engine, "certifies_residual")
     rng = random.Random(12)
     epsilons = [Fraction(1, 4), Fraction(1, 2), Fraction(1)]
     idle = 0
     for g, p in hall_family(20, rng, epsilons, n_range=(4, 30)):
-        calls.clear()
+        checks.clear()
+        scans.clear()
         sched = geometric_schedule(p.epsilon)
         res = layered_perfect_matching(g, sched, cap=2, audit=True)
         picked = sum(1 for rec in res.stages if rec.matched)
         idle += len(res.stages) - picked
-        assert len(calls) == picked
+        assert len(checks) == picked
+        assert len(scans) == 1
     assert idle > 0
 
 
@@ -278,3 +287,100 @@ def test_epsilon_clause_audit_failures_keep_their_witness(monkeypatch):
         '{"actual": 1, "f_set": [6, 9], "required": "2", "side": 0}}, '
         '"error": "HALL_VIOLATED", "message": "stage invariant Hall_(eps_n, f(n)) failed"}'
     )
+
+
+def _swap_after_repair(fits, on_path=False):
+    """An engine that repairs correctly, then swaps two live pairs.
+
+    Pairs (a, b) and (c, d) with a on side 0 become a-d and c-b, once per
+    run, for the first two (in id order) that fits(adj, a, b, c, d) accepts:
+    a-b one the repair wrote (on_path), or else both left as they were.
+    """
+    real = _Engine.remove_preserving
+
+    def remove(self, x, y):
+        before = dict(self.pair)
+        if not real(self, x, y):
+            return False
+        if getattr(self, "swapped", False):
+            return True
+        pair, adj = self.pair, self.g.adj
+        pairs = sorted((a, b) for a, b in pair.items() if self.g.side_of[a] == 0)
+        off = [(a, b) for a, b in pairs if before.get(a) == b]
+        first = [p for p in pairs if p not in off] if on_path else off
+        for a, b in first:
+            for c, d in pairs if on_path else off:
+                if c != a and fits(adj, a, b, c, d):
+                    pair.update({a: d, d: a, c: b, b: c})
+                    self.swapped = True
+                    return True
+        return True
+
+    return remove
+
+
+def _outcome(g, sched):
+    try:
+        return layered_perfect_matching(g, sched, cap=2, audit=True).as_obj()
+    except (HallViolatedError, InvariantError) as e:
+        return e.as_json()
+
+
+def test_ledger_verdict_equals_the_residual_scan(monkeypatch):
+    family = hall_family(
+        20,
+        random.Random(12),
+        [Fraction(1, 4), Fraction(1, 2), Fraction(1)],
+        n_range=(4, 30),
+    )
+    runs = [(g, geometric_schedule(p.epsilon)) for g, p in family]
+    good = [layered_perfect_matching(g, s, cap=2).as_obj() for g, s in runs]
+    real_certifies = _Ledger.certifies
+    verdicts = []
+
+    def checked(self):
+        want = self.engine.certifies_residual()
+        got = real_certifies(self)
+        verdicts.append((got, want))
+        return got
+
+    def scan_only(self):
+        # the certificate as it stood before the ledger: the scan alone
+        return self.engine.certifies_residual()
+
+    engines = {
+        "real": _Engine.remove_preserving,
+        "no repair": _drop_without_repair,
+        # a-d is no edge, so the residual loses its matching off the path
+        "non-edge": _swap_after_repair(lambda adj, a, b, c, d: d not in adj[a]),
+        # the same, on the path the ledger walks
+        "non-edge on the path": _swap_after_repair(
+            lambda adj, a, b, c, d: d not in adj[a], on_path=True
+        ),
+        # a-b-c-d is an alternating 4-cycle: still a perfect matching
+        "4-cycle": _swap_after_repair(
+            lambda adj, a, b, c, d: d in adj[a] and b in adj[c]
+        ),
+    }
+    outcomes, restarts = {}, {}
+    for name, remove in engines.items():
+        monkeypatch.setattr(_Engine, "remove_preserving", remove)
+        monkeypatch.setattr(_Ledger, "certifies", scan_only)
+        want = [_outcome(g, s) for g, s in runs]
+        monkeypatch.setattr(_Ledger, "certifies", checked)
+        calls = _count_calls(monkeypatch, _Ledger, "_restart")
+        verdicts.clear()
+        outcomes[name] = [_outcome(g, s) for g, s in runs]
+        assert outcomes[name] == want, name
+        assert verdicts and all(v == w for v, w in verdicts), name
+        restarts[name] = len(calls)
+        monkeypatch.undo()
+    assert outcomes["real"] == good
+    assert restarts["real"] == len(runs)  # the ledger never needed the scan
+    # the swapped cycle leaves the ledger behind, and the scan arbitrates
+    assert outcomes["4-cycle"] == good
+    assert restarts["4-cycle"] > len(runs)
+    assert any("error" in o for o in outcomes["no repair"])
+    for name in ("non-edge", "non-edge on the path"):
+        raised = [o for o in outcomes[name] if "error" in o]
+        assert raised and all(o["error"] == "INVARIANT" for o in raised), name
