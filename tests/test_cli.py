@@ -1,7 +1,11 @@
+import gc
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -875,3 +879,65 @@ def test_file_not_in_utf8_is_bad_input(capsys, tmp_path):
     assert code == 1
     assert obj["error"] == "BAD_INPUT"
     assert obj["message"] == f"not valid JSON: {src}"
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc_enabled", "gc_disabled"])
+@pytest.mark.parametrize(
+    "outcome",
+    ["success", "bad_input", "precondition", "usage_error"],
+)
+def test_main_leaves_the_collector_as_the_caller_had_it(capsys, tmp_path, k33, enabled, outcome):
+    argv, code = {
+        "success": (["hall-check", k33], 0),
+        "bad_input": (["match", str(tmp_path / "absent.json"), "--epsilon", "1"], 1),
+        "precondition": (["demo", "--kind", "f2", "--radius", "4", "--margin", "0"], 2),
+        "usage_error": (["hall-check", k33, "--no-such-flag"], None),
+    }[outcome]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if code is None:
+            with pytest.raises(SystemExit) as ei:
+                cli.main(argv)
+            assert ei.value.code == 1
+        else:
+            assert cli.main(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["hall-check", "{src}"],
+        ["layers", "{src}", "--epsilon", "1"],
+        ["match", "{src}", "--epsilon", "1"],
+        ["verify", "--pieces", "{src}"],
+        ["transfer", "--graph", "{src}", "--gn-matching", "{src}", "--n", "2"],
+        ["forest", "--from", "{src}"],
+        ["f2action", "--from", "{src}", "--stages", "0"],
+    ],
+    ids=lambda flags: flags[0],
+)
+def test_json_nested_past_the_recursion_limit_is_bad_input(capsys, tmp_path, flags):
+    src = tmp_path / "deep.json"
+    src.write_text("[" * 100_000 + "]" * 100_000)
+    code, obj = run(capsys, [f.format(src=src) for f in flags])
+    assert code == 1
+    assert obj["error"] == "BAD_INPUT"
+    assert obj["message"] == f"not valid JSON: {src}"
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["demo", "--kind", "f2", "--radius", "5", "--margin", "4"]
+    code = cli.main(argv)
+    out = capsys.readouterr().out
+    src = Path(cli.__file__).resolve().parents[1]
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "paradecomp", *argv], capture_output=True, env=env, check=False
+    )
+    assert (proc.returncode, proc.stdout) == (code, out.encode())

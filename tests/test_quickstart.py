@@ -4,6 +4,7 @@ Which hall_family draws pass check_hall_eps_n decides the hall_* files, so
 their digests also pin the Hall check's verdicts on those draws.
 """
 
+import gc
 import hashlib
 import json
 import random
@@ -76,7 +77,16 @@ def test_readme_tour_on_sample_graphs(monkeypatch, capsys, tmp_path):
     m = random_perfect_matching(g2, random.Random(0))
     Path("m.json").write_text(json.dumps(sorted([u, v] for u, v in m)))
 
+    # cli.main pauses the cyclic collector, which is safe only while a
+    # command leaves no cycles behind: argparse's are made here, once
+    cli.build_parser()
     for cmd, code in TOUR:
-        assert cli.main(cmd.split()) == code, cmd
+        gc.collect()
+        gc.disable()
+        try:
+            assert cli.main(cmd.split()) == code, cmd
+            assert gc.collect() == 0, cmd
+        finally:
+            gc.enable()
         obj = json.loads(capsys.readouterr().out)
         assert "error" not in obj, cmd
