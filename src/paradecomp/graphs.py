@@ -175,17 +175,19 @@ def bfs_distances(adjacency, sources, bound=None) -> dict:
 def components(adjacency, vertices):
     """Yield connected components, in order of each component's least vertex.
 
-    Each member list starts at that least vertex and follows breadth-first
-    order.  adjacency must stay inside vertices; a caller restricts the graph
-    to a subset by passing an adjacency over that subset.  Lists are made one
-    at a time, so a caller that reads each once never holds them all.
+    Each component is its search's distance map from that least vertex: its
+    keys are the members, starting at the least vertex and in breadth-first
+    order, and its largest value is that vertex's eccentricity.  adjacency
+    must stay inside vertices; a caller restricts the graph to a subset by
+    passing an adjacency over that subset.  Maps are made one at a time, so
+    a caller that reads each once never holds them all.
     """
     seen: set = set()
     for v in sorted(vertices):
         if v not in seen:
-            members = list(bfs_distances(adjacency, (v,)))
-            seen.update(members)
-            yield members
+            dist = bfs_distances(adjacency, (v,))
+            seen.update(dist)
+            yield dist
 
 
 def greedy_net(adjacency, points, radius) -> list:

@@ -77,9 +77,12 @@ def _side_levels(roots, nbrs, num: int, den: int, cap: int):
     size <= cap containing it meets num/den.  For the same reason an id
     whose singleton is dropped never becomes a candidate.
 
-    nbrs is read once per root, and G^2 comes from those reads: two ids are
-    G^2-neighbors when they share a neighbor, so the candidates an id brings
-    are the positions that reach its neighbors.  Each set is grown once,
+    nbrs is read once per root and returns a sized collection of distinct
+    ids (BipartiteGraph.adj and DoublingGraph.neighbors do), so its length
+    is the root's degree, and N({id}) is built only for the ids the degree
+    does not certify.  G^2 comes from those sets: two ids are G^2-neighbors
+    when they share a neighbor, so the candidates an id brings are the
+    positions that reach its neighbors.  Each set is grown once,
     from its least id, the root, and takes only larger ids.  Its candidates,
     ascending, are those left after the id it was grown by, plus that id's
     G^2-neighbors above the root with no neighbor in N(parent), parent being
@@ -90,9 +93,9 @@ def _side_levels(roots, nbrs, num: int, den: int, cap: int):
     nb = {}  # position -> N({id}), for the ids cap does not certify
     reach: dict = {}  # neighbor id -> the positions in nb that reach it
     for p, v in enumerate(roots):
-        ns = frozenset(nbrs(v))
+        ns = nbrs(v)
         if den * len(ns) < bound:
-            nb[p] = ns
+            nb[p] = ns = frozenset(ns)
             for u in ns:
                 reach.setdefault(u, []).append(p)
     # item: (members, N(F), candidates, N(parent), position of the last id added)

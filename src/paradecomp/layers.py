@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExhaustedError
-from .graphs import BipartiteGraph, bfs_distances, components, greedy_net
+from .graphs import BipartiteGraph, components, greedy_net
 
 
 @dataclass(frozen=True)
@@ -51,17 +51,31 @@ class LayerSchedule:
         if total >= budget:
             raise ValueError(f"sum 8/f = {total} not below budget {budget}")
 
+    def _exhausted(self, n: int) -> BudgetExhaustedError:
+        return BudgetExhaustedError(
+            f"explicit schedule has {len(self.f_list)} stages, asked for {n}",
+            stage=n,
+        )
+
     def f(self, n: int) -> int:
         if n < 0:
             raise ValueError("stage index must be >= 0")
         if self.f_list is None:
             return self.base * 2**n
         if n >= len(self.f_list):
-            raise BudgetExhaustedError(
-                f"explicit schedule has {len(self.f_list)} stages, asked for {n}",
-                stage=n,
-            )
+            raise self._exhausted(n)
         return self.f_list[n]
+
+    def f_values(self, k: int) -> tuple:
+        """(f(0), ..., f(k - 1)) in one call: the base shifted, or the table's head.
+
+        A table shorter than k raises as f does at its first missing stage.
+        """
+        if self.f_list is None:
+            return tuple(self.base << n for n in range(k))
+        if k > len(self.f_list):
+            raise self._exhausted(len(self.f_list))
+        return self.f_list[:k]
 
     def epsilon_after(self, n: int) -> Fraction:
         """epsilon_n = epsilon - sum_{i<=n} 8/f(i), exact; n = -1 gives epsilon.
@@ -119,21 +133,22 @@ def greedy_layering(g: BipartiteGraph, schedule: LayerSchedule) -> Layering:
     vertices too.  A ball never leaves its component, so each component is
     layered on its own and layer n is the sorted union of their n-th nets.
     A component's diameter is at most size - 1; when that exceeds f(0), it
-    is also at most 2 * ecc(root), found by one search.  A component whose
-    bound is at most f(n) lies inside the first ball, and f never falls, so
-    from stage n on its net is its least uncovered vertex: it hands over
-    what is left as one-vertex nets in one step, with no search.  f is asked
-    for stages in order, so a short explicit table fails at its first
-    missing stage.
+    is also at most 2 * ecc(root), read off the component's own search.  A
+    component whose bound is at most f(n) lies inside the first ball, and f
+    never falls, so from stage n on its net is its least uncovered vertex:
+    it hands over what is left as one-vertex nets in one step, with no
+    search.  f is asked for stages in order, and for the layering's f
+    values in one call at the end, so a short explicit table fails at its
+    first missing stage.
     """
     adj = g.adj
     f0 = schedule.f(0)
     layers = []  # layers[n]: the n-th nets of the components seen so far
-    for members in components(adj, g.ids):
-        diam = len(members) - 1
+    for dist in components(adj, g.ids):
+        diam = len(dist) - 1
         if diam > f0:
-            diam = min(diam, 2 * max(bfs_distances(adj, members[:1]).values()))
-        members.sort()
+            diam = min(diam, 2 * max(dist.values()))
+        members = sorted(dist)
         # the uncovered members, as ranks ascending: greedy_net takes
         # vertices 0..m-1
         rest = range(len(members))
@@ -153,5 +168,5 @@ def greedy_layering(g: BipartiteGraph, schedule: LayerSchedule) -> Layering:
                 layers[n] += net
             else:
                 layers.append(net)
-    f_values = tuple(map(schedule.f, range(len(layers))))
+    f_values = schedule.f_values(len(layers))
     return Layering(tuple(tuple(sorted(layer)) for layer in layers), f_values)

@@ -3,9 +3,13 @@
 The driver keeps a perfect matching of the current residual at all times.
 Removing a vertex pair (x, y) preserves Hall's condition on the residual
 exactly when the rest still has a perfect matching, so each candidate edge is
-tested with one alternating-path search against the maintained matching
-instead of a fresh matching computation.  Candidates are scanned in ascending
-id order, which realizes the "least such edge" rule.
+tested against the maintained matching instead of a fresh matching
+computation: the old partners of x and y are rematched by a shortest
+alternating path between them, searched from both ends at once, or the
+search proves there is none.  That verdict depends only on the residual, not
+on which perfect matching the engine holds, so the picks do not depend on
+which shortest path a repair takes.  Candidates are scanned in ascending id
+order, which realizes the "least such edge" rule.
 
 Hall's condition throughout this module means perfect matchability: balanced
 sides and zero deficiency from both.
@@ -119,7 +123,13 @@ class MatchResult:
 
 
 class _Engine:
-    """Perfect matching of the residual, updated incrementally."""
+    """Perfect matching of the residual, updated incrementally.
+
+    pair maps every live vertex to its partner, both ways; alive is the
+    residual's vertex set.  A removal either keeps the matching perfect on
+    the smaller residual, rewriting partners along one repair path, or
+    leaves both untouched.
+    """
 
     def __init__(self, g: BipartiteGraph, pair_l: dict):
         """Start from pair_l, a perfect matching of g as side 0 -> side 1."""
@@ -139,54 +149,76 @@ class _Engine:
                 return False
         return True
 
-    def _alt_path(self, w, z, x, y):
-        """Alternating path from w to the free-to-be vertex z, avoiding x, y.
+    def _alt_path(self, w, z):
+        """Shortest alternating path from w to z in the residual without x, y.
 
-        w and x share a side; steps are edge-to-partner hops against the
-        current matching.  Returns the parent map or None.
+        x and y are the pair being removed, z being x's partner and w y's.
+        A forward tree grows from w and a backward tree from its roots, here
+        z alone (a search with several admissible ends would root it at all
+        of them), each by an edge to a live vertex, then that vertex's
+        partner.  So x and y, whose partners are the roots, never join a
+        tree, and the path avoids them.  Each step grows the smaller
+        frontier by one whole level, and the path closes across the first
+        edge found between the trees; either frontier running empty proves
+        there is none.  That first meeting closes a shortest path: with the
+        frontiers d and e unmatched edges from their roots, every path has
+        at least d + e + 1, since a level scan that meets nothing raises the
+        bound by one, and a meeting found while scanning has at most
+        d + e + 1.  Returns the path's unmatched edges, each as (w-side
+        vertex, z-side vertex), from w to z, or None.
         """
-        g, pair, alive = self.g, self.pair, self.alive
-        parent = {}
-        frontier = [w]
-        seen = {w, x}
-        while frontier:
+        adj, pair, alive = self.g.adj, self.pair, self.alive
+        # tree vertex -> the vertex whose edge reached its partner (roots: None)
+        fwd, bwd = {w: None}, {z: None}
+        fl, bl = [w], [z]
+        while fl and bl:
+            back = len(bl) < len(fl)
+            level, tree, other = (bl, bwd, fwd) if back else (fl, fwd, bwd)
             nxt = []
-            for u in frontier:
-                for v in g.adj[u]:
-                    if v == y or v not in alive or v in parent:
-                        continue
-                    parent[v] = u
-                    if v == z:
-                        return parent
-                    m = pair[v]
-                    if m not in seen:
-                        seen.add(m)
-                        nxt.append(m)
-            frontier = nxt
+            for u in level:
+                for v in adj[u]:
+                    if v in other:
+                        a, b = (v, u) if back else (u, v)
+                        edges = [(a, b)]
+                        while fwd[a] is not None:
+                            a, v = fwd[a], pair[a]
+                            edges.append((a, v))
+                        edges.reverse()
+                        while bwd[b] is not None:
+                            u, b = pair[b], bwd[b]
+                            edges.append((u, b))
+                        return edges
+                    if v in alive:
+                        m = pair[v]
+                        if m not in tree:
+                            tree[m] = u
+                            nxt.append(m)
+            if back:
+                bl = nxt
+            else:
+                fl = nxt
         return None
 
     def remove_preserving(self, x, y) -> bool:
-        """Commit removal of x and y if the rest stays perfectly matchable."""
+        """Commit removal of x and y if the rest stays perfectly matchable.
+
+        Unless x and y are partners, their old partners w and z lose them,
+        and a shortest alternating path from w to z rematches both: each of
+        its unmatched edges becomes a matched pair.
+        """
         pair = self.pair
         if pair[x] == y:
             del pair[x]
             del pair[y]
         else:
-            w, z = pair[y], pair[x]
-            parent = self._alt_path(w, z, x, y)
-            if parent is None:
+            edges = self._alt_path(pair[y], pair[x])
+            if edges is None:
                 return False
             del pair[x]
             del pair[y]
-            v = z
-            while True:
-                u = parent[v]
-                old = pair.get(u)
+            for u, v in edges:
                 pair[u] = v
                 pair[v] = u
-                if old == y:
-                    break
-                v = old
         self.alive.discard(x)
         self.alive.discard(y)
         return True

@@ -422,7 +422,7 @@ def forest_from_paradox(ts: TripleFunctionSystem) -> ForestWindow:
     # still meets every later component as the maps built it
     for members in components(nbrs, nbrs):
         n_comps += 1
-        start = members[0]
+        start = next(iter(members))  # the least member
         chain = [start]
         index = {start: 0}
         cyc = None
@@ -557,8 +557,10 @@ def _stage_audit(forest: ForestWindow, domain: set, stage: int, near: dict) -> d
                 if y not in fresh:
                     near[y].append((x, d))
     inside = {u: [y for y in adjacency[u] if y in domain] for u in domain}
-    pieces = components(inside, domain)
-    comp = {y: members[0] for members in pieces for y in members}
+    comp = {}
+    for piece in components(inside, domain):
+        # labelled by the least member, where its search starts
+        comp.update(dict.fromkeys(piece, next(iter(piece))))
     split = min(
         (
             x

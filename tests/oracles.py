@@ -1,7 +1,8 @@
 """Independent reference implementations for cross-checking.
 
 Everything here is deliberately naive: exponential subset scans, Kuhn's
-augmenting paths, recursive Hopcroft-Karp, repeated-scan word reduction,
+augmenting paths, recursive Hopcroft-Karp, an alternating-path search grown
+from one end only, repeated-scan word reduction,
 breadth-first window expansion, doubling-graph images by one
 ActionWindow.apply per element, exact rotation identity and orthogonality
 tests, one full ball per layered vertex, full copy x point scans of a
@@ -95,6 +96,40 @@ def recursive_hopcroft_karp(left_ids, neighbors) -> dict:
             if u not in pair_l:
                 dfs(u)
     return pair_l
+
+
+def one_sided_alt_path(adj, pair, alive, w, z, x, y):
+    """Shortest alternating path from w to z among alive, avoiding x and y.
+
+    One breadth-first search grown from w alone: an edge to a live vertex
+    other than y, then that vertex's partner in pair, until z is reached.
+    Returns the path's unmatched edges as (w-side vertex, z-side vertex),
+    from w to z, or None.
+    """
+    parent = {}
+    frontier = [w]
+    seen = {w, x}
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if v == y or v not in alive or v in parent:
+                    continue
+                parent[v] = u
+                if v == z:
+                    edges = []
+                    while True:
+                        u = parent[v]
+                        edges.append((u, v))
+                        if u == w:
+                            return edges[::-1]
+                        v = pair[u]
+                m = pair[v]
+                if m not in seen:
+                    seen.add(m)
+                    nxt.append(m)
+        frontier = nxt
+    return None
 
 
 def ball_union_greedy_net(adjacency, points, radius) -> list:

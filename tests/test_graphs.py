@@ -130,12 +130,13 @@ def test_components_are_the_reachability_classes(obj, drop):
     for keep in (set(g.ids), subset):
         h = induced_subgraph(g, keep)
         # vertices come in descending order; the result must not follow it
-        comps = list(
+        maps = list(
             graphs.components(
                 {u: [w for w in g.adj[u] if w in keep] for u in keep},
                 sorted(keep, reverse=True),
             )
         )
+        comps = [list(c) for c in maps]
         want = []
         left = set(h.ids)
         for v in h.ids:
@@ -145,10 +146,12 @@ def test_components_are_the_reachability_classes(obj, drop):
                 want.append(reach)
         assert [set(c) for c in comps] == want
         assert sum(len(c) for c in comps) == len(keep)
-        for c in comps:
+        for c, m in zip(comps, maps):
             assert c[0] == min(c)
             dist = bfs_distances(h.adj, c[0])
             assert [dist[v] for v in c] == sorted(dist[v] for v in c)
+            # each component comes as its distance map from the least member
+            assert m == dist
 
 
 @given(

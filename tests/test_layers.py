@@ -57,6 +57,22 @@ def test_explicit_schedule_validation():
         explicit_schedule([8, 8], Fraction(1))  # sums to 2, over budget
 
 
+def test_f_values_are_f_in_one_call():
+    scheds = [
+        geometric_schedule(Fraction(1)),
+        explicit_schedule([32, 64, 64, 128], Fraction(1)),
+    ]
+    for sched in scheds:
+        for k in range(5):
+            assert sched.f_values(k) == tuple(map(sched.f, range(k)))
+    short = scheds[1]
+    with pytest.raises(BudgetExhaustedError) as want:
+        short.f(4)
+    with pytest.raises(BudgetExhaustedError) as got:
+        short.f_values(7)
+    assert got.value.as_json() == want.value.as_json()
+
+
 @pytest.mark.parametrize(
     "f_list, message",
     [
@@ -293,14 +309,28 @@ def _count_searches(monkeypatch):
 
         return counted
 
-    # layers calls bfs_distances directly and through components;
-    # greedy_net runs its own ball search, so it is counted by name
+    # layers calls bfs_distances through components only; greedy_net runs
+    # its own ball search, so it is counted by name
     bfs = counting("bfs_distances", paradecomp.graphs.bfs_distances)
     monkeypatch.setattr(paradecomp.graphs, "bfs_distances", bfs)
-    monkeypatch.setattr(paradecomp.layers, "bfs_distances", bfs)
     net = counting("greedy_net", paradecomp.graphs.greedy_net)
     monkeypatch.setattr(paradecomp.layers, "greedy_net", net)
     return calls
+
+
+def test_layering_reads_each_eccentricity_off_the_component_search(monkeypatch):
+    # every component here is longer than f(0) = 16, so its diameter bound
+    # needs its root's eccentricity, which the component's own search gave
+    graphs = [line_window(100), _even_cycle(120), _even_cycle(200)]
+    sched = geometric_schedule(Fraction(2))
+    for g in graphs:
+        n_comps = sum(1 for _ in components(g.adj, g.ids))
+        calls = _count_searches(monkeypatch)
+        layering = greedy_layering(g, sched)
+        monkeypatch.undo()
+        assert calls.count("bfs_distances") == n_comps
+        assert "greedy_net" in calls
+        assert layering.as_obj() == scan_greedy_layering(g, sched)
 
 
 def test_saturated_layering_makes_two_searches_per_component(monkeypatch):

@@ -21,15 +21,21 @@ from paradecomp.generators import (
     star_graph,
     union_of_permutations,
 )
-from paradecomp.graphs import bipartite_graph, induced_subgraph, validate_matching
+from paradecomp.graphs import (
+    BipartiteGraph,
+    bipartite_graph,
+    induced_subgraph,
+    validate_matching,
+)
 from paradecomp.hall import check_hall
-from paradecomp.layers import explicit_schedule, geometric_schedule
+from paradecomp.layers import explicit_schedule, geometric_schedule, greedy_layering
 from paradecomp.matcher import _Engine, _Ledger, layered_perfect_matching
 
 from oracles import (
     has_perfect_matching_on,
     kuhn_max_matching,
     match_v1_from_v2,
+    one_sided_alt_path,
 )
 
 
@@ -75,6 +81,141 @@ def test_select_preserves_matchability():
             assert x not in engine.alive and y not in engine.alive
             assert has_perfect_matching_on(induced_subgraph(g, engine.alive), 0)
         assert not engine.alive
+
+
+class _LoggedAdj(dict):
+    """An adjacency that logs the vertices read, one per search expansion."""
+
+    def __init__(self, adj):
+        super().__init__(adj)
+        self.log = []
+
+    def __getitem__(self, v):
+        self.log.append(v)
+        return super().__getitem__(v)
+
+
+def _engine_logged(g, pair_l):
+    adj = _LoggedAdj(g.adj)
+    return _Engine(BipartiteGraph(g.ids, g.side_of, adj), pair_l), adj
+
+
+def _assert_repair_path(g, engine, edges, w, z, x, y):
+    # unmatched edges of the residual without x and y, chained by matched
+    # ones from w to z, through distinct vertices
+    pair, alive = engine.pair, engine.alive
+    assert edges[0][0] == w and edges[-1][1] == z
+    for i, (u, v) in enumerate(edges):
+        assert v in g.adj[u] and pair[u] != v
+        assert u in alive and v in alive and not {u, v} & {x, y}
+        if i:
+            assert pair[edges[i - 1][1]] == u
+    assert len({v for e in edges for v in e}) == 2 * len(edges)
+
+
+def _repairs_against_the_oracle(monkeypatch, g):
+    """Match g through its layering, checking every repair search select makes.
+
+    Each candidate is searched by the engine and then by the one-sided
+    oracle on the same state, and the certificate is checked after every
+    pick.  Returns the verdicts in order and the vertices each search
+    expanded, in total.
+    """
+    engine, adj = _engine_logged(g, check_hall(g).matching)
+    log = adj.log
+    real = _Engine._alt_path
+    verdicts, expanded = [], [0, 0]
+
+    def checked(self, w, z):
+        x, y = self.pair[z], self.pair[w]
+        log.clear()
+        got = real(self, w, z)
+        expanded[0] += len(log)
+        log.clear()
+        want = one_sided_alt_path(adj, self.pair, self.alive, w, z, x, y)
+        expanded[1] += len(log)
+        assert (got is None) == (want is None)
+        if got is not None:
+            _assert_repair_path(g, self, got, w, z, x, y)
+            assert len(got) == len(want)
+        verdicts.append(got is not None)
+        return got
+
+    monkeypatch.setattr(_Engine, "_alt_path", checked)
+    for layer in greedy_layering(g, geometric_schedule(1)).layers:
+        for v in layer:
+            if v in engine.alive:
+                engine.select(v)
+                assert engine.certifies_residual()
+    monkeypatch.undo()
+    assert not engine.alive
+    return verdicts, expanded
+
+
+def test_two_sided_repair_agrees_with_the_one_sided_oracle(monkeypatch):
+    graphs = [
+        union_of_permutations(n, 3, random.Random(seed))
+        for n in (10, 40, 160, 1000)
+        for seed in (1, 2, 3)
+    ]
+    family = hall_family(
+        20,
+        random.Random(12),
+        [Fraction(1, 4), Fraction(1, 2), Fraction(1)],
+        n_range=(4, 30),
+    )
+    graphs += [g for g, _ in family]
+    verdicts = []
+    for g in graphs:
+        verdicts += _repairs_against_the_oracle(monkeypatch, g)[0]
+    # both verdicts occur, so neither side of the comparison is vacuous
+    assert True in verdicts and False in verdicts
+
+
+def test_two_sided_search_expands_under_half_the_oracle(monkeypatch):
+    g = union_of_permutations(1000, 3, random.Random(1000))
+    _, (got, want) = _repairs_against_the_oracle(monkeypatch, g)
+    assert 2 * got < want
+    assert got == 8584
+
+
+def _handmade_engine(edges):
+    # the removal of x=0 and y=10 frees w=1 (y's partner) and z=11 (x's);
+    # a_i = i + 1 is matched to v_i = i + 11 for i = 1..4, and u=6 to b=16
+    pairs = [(0, 11), (1, 10), (2, 12), (3, 13), (4, 14), (5, 15), (6, 16)]
+    g = bipartite_graph(range(7), range(10, 17), [(0, 10), *pairs, *edges])
+    return g, *_engine_logged(g, dict(pairs))
+
+
+def test_backward_tree_can_stay_the_smaller_one():
+    # w reaches v_1..v_4 at once, so four forward vertices wait while the
+    # backward tree grows from z to u's partner b, whose edge to a_1 meets
+    g, engine, adj = _handmade_engine(
+        [(1, 12), (1, 13), (1, 14), (1, 15), (6, 11), (2, 16)]
+    )
+    pair, alive = dict(engine.pair), set(engine.alive)
+    path = engine._alt_path(1, 11)
+    assert path == [(1, 12), (2, 16), (6, 11)]
+    assert adj.log == [1, 11, 16]  # w, then z and b
+    adj.log.clear()
+    assert one_sided_alt_path(adj, pair, alive, 1, 11, 0, 10) == path
+    assert adj.log == [1, 2, 3, 4, 5, 6]  # w, a_1..a_4, u
+    assert engine.remove_preserving(0, 10)
+    assert engine.certifies_residual()
+
+
+def test_a_repair_fails_once_the_backward_frontier_empties():
+    # z has no edge but its matched one to x: after the forward step
+    # reaches a_1 and a_2, the smaller backward frontier is scanned and
+    # empties
+    g, engine, adj = _handmade_engine([(1, 12), (1, 13)])
+    pair, alive = dict(engine.pair), set(engine.alive)
+    assert not engine.remove_preserving(0, 10)
+    assert adj.log == [1, 11]  # w, then z; a_1 and a_2 wait unexpanded
+    assert engine.pair == pair and engine.alive == alive
+    adj.log.clear()
+    assert one_sided_alt_path(adj, pair, alive, 1, 11, 0, 10) is None
+    assert adj.log == [1, 2, 3]
 
 
 def test_stage_records_exact_epsilons():
