@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from itertools import compress, islice
+from itertools import compress, count, islice
 from operator import gt
 
 from .errors import (
@@ -42,6 +42,13 @@ from .words import ALPHABET, IDENTITY, inv, iter_reduced, mul, reduce_word, word
 
 F2 = "f2"
 SPHERE = "sphere"
+
+# A window's letter tables are array("i"), and the ball of words of length k
+# has 2*3^k - 1 points, so a window holds words of at most the largest k
+# whose index 2*3^k - 2 that type can store.
+_MAX_WORD_LENGTH = next(
+    k for k in count() if 2 * 3 ** (k + 1) - 2 >= 2 ** (8 * array("i").itemsize - 1)
+)
 
 
 @dataclass(frozen=True)
@@ -153,7 +160,10 @@ def expand_window(
     point from its parent and refuses any point reached twice: two distinct
     reduced words with the same image of the base would contradict freeness
     of the orbit.  An f2 window based at a nonidentity word is the same
-    ball, relabelled by g.base and re-sorted.
+    ball, relabelled by g.base and re-sorted.  A hold whose words are too
+    long for the tables to index (hold*L above 18 with a 4-byte int) is
+    refused with ValueError before anything is allocated; a smaller window
+    may still not fit in memory.
     """
     if radius <= margin:
         raise ValueError(f"radius {radius} must exceed margin {margin}")
@@ -176,6 +186,11 @@ def expand_window(
     else:
         raise ValueError(f"unknown window kind {kind!r}")
     hold = radius if reach is None else min(radius, radius - margin + reach)
+    if hold * step > _MAX_WORD_LENGTH:
+        raise ValueError(
+            f"window would hold words of {hold * step} letters; its tables "
+            f"index words of at most {_MAX_WORD_LENGTH}"
+        )
     # reduced words of length <= radius*L; the orbit is free on the sphere too
     ball_size = 2 * 3 ** (radius * step) - 1
     n = 2 * 3 ** (hold * step) - 1
@@ -399,7 +414,10 @@ def interior_saturating_matching(dg: DoublingGraph) -> dict:
     the contract is saturation of the interior of both sides.  Two runs of
     Hopcroft-Karp, one per side's interior, are merged by the alternating
     component rule; boundary vertices may stay unmatched and that is the
-    expected outcome, reported by the caller.  dg.partners alone decides
+    expected outcome, reported by the caller.  Each run is given its right
+    side as a list over vids: the copy-0 run's neighbours are side-1 vids,
+    below dg.n_vertices(), and the side-1 run's are copy-0 vids, below
+    n_points, all of them nonnegative.  dg.partners alone decides
     saturation: each run is a maximum matching, so a side no run covers is
     covered by no matching, the merge included, and partners refuses it.
     Every reader of the matching takes the partner map partners returns.
@@ -407,8 +425,8 @@ def interior_saturating_matching(dg: DoublingGraph) -> dict:
     n = dg.n_points
     left_a = dg.window.interior_indices()  # interior copy-0 vids
     left_b = [c * n + i for c in range(1, dg.copies) for i in left_a]  # ascending
-    pair_a = hopcroft_karp(left_a, dg.neighbors)
-    pair_b = hopcroft_karp(left_b, dg.neighbors)
+    pair_a = hopcroft_karp(left_a, dg.neighbors, [None] * dg.n_vertices())
+    pair_b = hopcroft_karp(left_b, dg.neighbors, [None] * n)
     return dg.partners(combine_saturating(pair_a, pair_b))
 
 

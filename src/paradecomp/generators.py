@@ -94,7 +94,7 @@ def random_perfect_matching(g: BipartiteGraph, rng):
     left = list(g.side_vertices(0))
     rng.shuffle(left)
     adj = {u: rng.sample(g.adj[u], len(g.adj[u])) for u in left}
-    pairs = hopcroft_karp(left, adj.__getitem__)
+    pairs = hopcroft_karp(left, adj.__getitem__, dict.fromkeys(g.side_vertices(1)))
     if 2 * len(pairs) != len(g.ids):
         return None
     return set(pairs.items())

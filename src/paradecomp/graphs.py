@@ -31,9 +31,6 @@ class BipartiteGraph:
         self.side_of = side_of
         self.adj = adj
 
-    def n_vertices(self) -> int:
-        return len(self.ids)
-
     def side_vertices(self, side: int) -> tuple:
         return tuple(v for v in self.ids if self.side_of[v] == side)
 

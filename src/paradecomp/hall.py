@@ -163,7 +163,7 @@ def check_hall(g: BipartiteGraph, sides=None) -> HallReport:
     """
     if sides is None:
         sides = g.side_vertices(0), g.side_vertices(1)
-    pairs = hopcroft_karp(sides[0], g.adj.__getitem__)
+    pairs = hopcroft_karp(sides[0], g.adj.__getitem__, dict.fromkeys(sides[1]))
     # Koenig: a side holds a violator iff it is larger than the matching
     short = [(s, ids, 1, 1) for s, ids in enumerate(sides) if len(ids) > len(pairs)]
     if not short:

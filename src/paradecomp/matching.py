@@ -1,15 +1,18 @@
 """Maximum bipartite matching and matching-combination utilities.
 
 Hopcroft-Karp over a callable neighbor oracle, so the same engine serves
-materialized graphs and lazily expanded doubling graphs.  Deterministic:
-left vertices are processed in the order given and neighbors are iterated in
-the order returned, so callers fix the tie-breaks by sorting.
+materialized graphs and lazily expanded doubling graphs.  The caller sizes
+the right side: it passes a fresh container holding None at every right id
+(a list over a dense id range, a dict over sparse ids), and the engine
+reads and writes it only by subscription.  Deterministic: left vertices are
+processed in the order given and neighbors are iterated in the order
+returned, so callers fix the tie-breaks by sorting.
 """
 
 from __future__ import annotations
 
 
-def hopcroft_karp(left_ids, neighbors) -> dict:
+def hopcroft_karp(left_ids, neighbors, pair_r) -> dict:
     """Maximum matching; returns {left_id: right_id}.
 
     left_ids: iterable of left-side vertices (order fixes determinism).
@@ -17,12 +20,26 @@ def hopcroft_karp(left_ids, neighbors) -> dict:
     list, or a view such as a doubling graph's copy-0 adjacency); each is
     kept as given, iterated several times, each time in the same order, and
     never changed.
+    pair_r: a fresh container holding None at every right vertex the
+    neighbors return, such as [None] * n over the ids 0..n-1 or
+    dict.fromkeys(right_ids).  It is read and written only as pair_r[v],
+    never with .get or in, so a list works as well as a dict; it ends
+    mapping each matched right vertex to its partner's position in left_ids.
+    A right id the container lacks raises, but a negative one would read a
+    list from its end, so a list suits only ids from 0 up.
     Left vertices are held by position p in left_ids (adj, dist and mate
-    are lists); pair_r maps a right vertex to its partner's position.  The
-    dict lists left vertices in the order they were first matched.
+    are lists).  The dict lists left vertices in the order they were first
+    matched.
 
-    Two shortcuts leave the dict, and its order, as the textbook phases
-    (tests/oracles.py) make it:
+    Outside its searches a later phase pays per free root, not per left
+    vertex: its roots are the last phase's roots still free, and dist is
+    reset as [INF] * n with only the roots set to 0.  The BFS still labels
+    every left vertex the roots reach, not only the layers up to the first
+    free right vertex: augment descends to any right vertex that is free or
+    whose partner sits one layer deeper, so it finds longer paths too, and
+    the textbook cut at the first free layer would change which paths it
+    takes, and so the dict.  Two shortcuts leave the dict, and its order,
+    as the textbook phases (tests/oracles.py) make it:
     - In the first phase every left vertex is free, so each sits at layer 0,
       and no right vertex is matched.  The layered search from a left vertex
       can then only take a free neighbor, the first one in its sequence, so
@@ -35,28 +52,28 @@ def hopcroft_karp(left_ids, neighbors) -> dict:
     adj = [neighbors(u) for u in left]
     n = len(left)
     mate: list = [None] * n
-    pair_r: dict = {}
     INF = n + 1  # above every layer; only compared for equality
-    dist = [0] * n
+    dist = [INF] * n
     first_matched = []
 
     for p, vs in enumerate(adj):  # the first phase
         for v in vs:
-            if v not in pair_r:
+            if pair_r[v] is None:
                 mate[p] = v
                 pair_r[v] = p
                 first_matched.append(p)
                 break
 
     def bfs(free) -> bool:
-        dist[:] = [INF if m is not None else 0 for m in mate]
+        dist[:] = [INF] * n
+        for p in free:
+            dist[p] = 0
         q = list(free)
         found = False
-        partner = pair_r.get
         for p in q:  # q grows while it is walked, which makes it a FIFO
             d = dist[p] + 1
             for v in adj[p]:
-                w = partner(v)
+                w = pair_r[v]
                 if w is None:
                     found = True
                 elif dist[w] == INF:
@@ -74,9 +91,10 @@ def hopcroft_karp(left_ids, neighbors) -> dict:
         while stack:
             frame = stack[-1]
             p = frame[0]
+            d = dist[p] + 1  # dist[p] holds while p's frame is on the stack
             for v in frame[1]:
-                w = pair_r.get(v)
-                if w is None or dist[w] == dist[p] + 1:
+                w = pair_r[v]
+                if w is None or dist[w] == d:
                     frame[2] = v
                     break
             else:
@@ -91,15 +109,14 @@ def hopcroft_karp(left_ids, neighbors) -> dict:
             stack.append([w, iter(adj[w]), None])
         return False
 
-    while True:
-        # an augmenting path frees no left vertex and passes through no free
-        # one but its root, so the phase's roots are the free ones at its start
-        free = [p for p in range(n) if mate[p] is None]
-        if not free or not bfs(free):
-            break
+    # an augmenting path frees no left vertex and passes through no free one
+    # but its root, so each phase's roots are the last phase's still free
+    free = [p for p in range(n) if mate[p] is None]
+    while free and bfs(free):
         for p in free:
             if augment(p):
                 first_matched.append(p)
+        free = [p for p in free if mate[p] is None]
     return {left[p]: mate[p] for p in first_matched}
 
 

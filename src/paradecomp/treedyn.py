@@ -257,9 +257,6 @@ class ForestWindow:
     def n_points(self) -> int:
         return len(self.adjacency)
 
-    def degree(self, i: int) -> int:
-        return len(self.adjacency[i])
-
     def to_obj(self) -> dict:
         return {
             "n_points": self.n_points(),

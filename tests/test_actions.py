@@ -231,8 +231,9 @@ def test_doubling_adjacency_matches_the_apply_oracle(kind, base, squared, copies
         assert len(view) == len(want)
         for c in range(1, copies):
             assert dg.neighbors(c * n + i) == images
-    got = hopcroft_karp(interior, dg.neighbors)
-    assert list(got.items()) == list(hopcroft_karp(interior, lists.get).items())
+    got = hopcroft_karp(interior, dg.neighbors, [None] * dg.n_vertices())
+    want = hopcroft_karp(interior, lists.get, [None] * dg.n_vertices())
+    assert list(got.items()) == list(want.items())
 
 
 def test_hopcroft_karp_reiterates_lifted_views():
@@ -245,8 +246,9 @@ def test_hopcroft_karp_reiterates_lifted_views():
     dg._im = {0: [0, 1], 1: [1, 2], 2: [1], 3: [0], 4: [0]}
     lists = {i: lifted_neighbors(n, 3, dg._im[i]) for i in dg._im}
     left = list(dg._im)
-    got = hopcroft_karp(left, dg.neighbors)
-    assert list(got.items()) == list(hopcroft_karp(left, lists.get).items())
+    got = hopcroft_karp(left, dg.neighbors, [None] * dg.n_vertices())
+    want = hopcroft_karp(left, lists.get, [None] * dg.n_vertices())
+    assert list(got.items()) == list(want.items())
     assert got == recursive_hopcroft_karp(left, lists.get)
     assert len(got) == 5
 

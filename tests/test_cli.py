@@ -259,6 +259,20 @@ def test_demo_bad_sphere_base(capsys, base, code, error, message):
     assert (obj["error"], obj["message"]) == (error, message)
 
 
+@pytest.mark.parametrize("radius, letters", [("40", 37), ("22", 19)])
+def test_demo_refuses_a_window_its_tables_cannot_index(capsys, radius, letters):
+    # demo holds radius - margin + 1 letters; 19 is the least its int32 tables
+    # cannot index, and the refusal comes before any table is allocated
+    assert cli.main(["demo", "--kind", "f2", "--radius", radius]) == 2
+    message = (
+        f"window would hold words of {letters} letters; "
+        "its tables index words of at most 18"
+    )
+    assert capsys.readouterr().out == (
+        f'{{"error":"PRECONDITION","message":"{message}","schema":"paradecomp/error/1"}}\n'
+    )
+
+
 def test_unwritable_outputs_exit_one(capsys, tmp_path, k33):
     missing = tmp_path / "absent"
     out = str(missing / "x.json")

@@ -92,8 +92,8 @@ def test_synthetic_forest_shape():
     assert all(fw.present)
     assert forest_is_acyclic(fw)
     for v in range(fw.n_points()):
-        assert fw.degree(v) in (1, 4)
-        assert fw.interior[v] == (fw.degree(v) == 4)
+        assert len(fw.adjacency[v]) in (1, 4)
+        assert fw.interior[v] == (len(fw.adjacency[v]) == 4)
 
 
 def test_synthetic_forest_is_seed_deterministic():

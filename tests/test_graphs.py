@@ -48,7 +48,7 @@ def small_graph_objs():
 
 def test_construct_and_basics():
     g = bipartite_graph([0, 1], [2, 3], [(0, 2), (0, 3), (1, 2)])
-    assert g.n_vertices() == 4
+    assert len(g.ids) == 4
     assert g.side_vertices(0) == (0, 1)
     assert g.side_vertices(1) == (2, 3)
     assert g.edges() == [(0, 2), (0, 3), (1, 2)]

@@ -26,10 +26,12 @@ def left_orders_and_adjacency(draw):
 
 @given(left_orders_and_adjacency())
 def test_hopcroft_karp_agrees_with_recursive_reference(case):
+    # the right side as a list over 0..107 and as a dict over 100..107
     left, adj = case
-    got = hopcroft_karp(left, adj.__getitem__)
+    listed = hopcroft_karp(left, adj.__getitem__, [None] * 108)
+    keyed = hopcroft_karp(left, adj.__getitem__, dict.fromkeys(range(100, 108)))
     want = recursive_hopcroft_karp(left, adj.__getitem__)
-    assert list(got.items()) == list(want.items())
+    assert list(listed.items()) == list(keyed.items()) == list(want.items())
 
 
 def test_hopcroft_karp_long_augmenting_path():
@@ -38,7 +40,7 @@ def test_hopcroft_karp_long_augmenting_path():
     n = 5000
     adj = {i: [n + i + 1, n + i] for i in range(n - 1)}
     adj[n - 1] = [2 * n - 1]
-    pairs = hopcroft_karp(range(n), adj.__getitem__)
+    pairs = hopcroft_karp(range(n), adj.__getitem__, [None] * (2 * n))
     assert pairs == {i: n + i for i in range(n)}
 
 
@@ -87,17 +89,33 @@ def test_hopcroft_karp_agrees_on_window_inputs(monkeypatch, kind, square):
     # both runs of interior_saturating_matching: the greedy first phase
     # matches all of copy 0, and the side-1 run needs 2 to 4 more phases, in
     # at least one of which the BFS stops before the end of its scan
+    # each with the list it is given and with a dict over the same ids
     calls = []
 
-    def both(left, neighbors):
-        got = hopcroft_karp(left, neighbors)
+    def both(left, neighbors, pair_r):
+        keyed = hopcroft_karp(left, neighbors, dict.fromkeys(range(len(pair_r))))
+        got = hopcroft_karp(left, neighbors, pair_r)
         want = recursive_hopcroft_karp(left, neighbors)
-        calls.append(list(got.items()) == list(want.items()))
+        calls.append(list(got.items()) == list(keyed.items()) == list(want.items()))
         return got
 
     monkeypatch.setattr(actions, "hopcroft_karp", both)
     interior_saturating_matching(radius_eight_doubling(kind, square))
     assert calls == [True, True]
+
+
+@pytest.mark.parametrize("kind", ["f2", "sphere"])
+@pytest.mark.parametrize("square", [False, True], ids=["S-3copy", "S2-4copy"])
+def test_interior_neighbours_index_the_right_side_lists(kind, square):
+    # interior_saturating_matching indexes [None] * dg.n_vertices() by the
+    # copy-0 run's neighbours and [None] * n by the side-1 run's; a negative
+    # vid would silently read such a list from its end
+    dg = radius_eight_doubling(kind, square)
+    n = dg.n_points
+    for i in dg.window.interior_indices():
+        assert all(n <= v < dg.n_vertices() for v in dg.neighbors(i))
+        for c in range(1, dg.copies):
+            assert all(0 <= v < n for v in dg.neighbors(c * n + i))
 
 
 def radius_eight_doubling(kind, square):

@@ -244,8 +244,8 @@ def test_surgery_on_planted_cycles():
         assert all(fw.present)
         # the cut degree deficit is pushed off the cycle, not left on it
         for v in range(cycle_len):
-            assert fw.degree(v) == 4
-        assert max(fw.degree(v) for v in range(fw.n_points())) <= 4
+            assert len(fw.adjacency[v]) == 4
+        assert max(len(fw.adjacency[v]) for v in range(fw.n_points())) <= 4
 
 
 def test_surgery_keeps_cycle_free_components_unchanged():
@@ -277,7 +277,7 @@ def test_surgery_drops_components_with_outside_cycles():
     assert fw.stats["isolated"] == 1
     assert fw.stats["kept"] == 0
     assert not any(fw.present)
-    assert all(fw.degree(v) == 0 for v in range(4))
+    assert all(len(fw.adjacency[v]) == 0 for v in range(4))
 
 
 def _window_system(kind, base, radius):
@@ -406,7 +406,7 @@ def test_action_covers_with_four_distinct_neighbors(action_setup):
     eligible = {
         p
         for p in range(forest.n_points())
-        if forest.present[p] and forest.interior[p] and forest.degree(p) == 4
+        if forest.present[p] and forest.interior[p] and len(forest.adjacency[p]) == 4
     }
     assert res.eligible == len(eligible)
     assert res.covered <= eligible
