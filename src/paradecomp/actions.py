@@ -12,17 +12,18 @@ marking which points are interior (their generator images are complete
 within the window).  Doubling graphs are kept lazy: vertex (copy, point) is
 the integer copy * n_points + point_index, adjacency computed on demand,
 because interesting windows are far too large to materialize edge lists.
-A point's image list is walked from the letter tables, one table path per
-element of the generating set, and holds the window's shared index ints; a
-copy-0 vertex's neighbours are a view of that list lifted into copies 1..,
-so no vertex gets a list of its own.
+A point's image list is walked from the letter tables down a tree of the
+generating set's words, read last letter first, so each image costs one
+table lookup; it holds the window's shared index ints, and a copy-0
+vertex's neighbours are a view of that list lifted into copies 1.., so no
+vertex gets a list of its own.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from itertools import compress, count, islice
+from itertools import compress, count, islice, repeat
 from operator import gt
 
 from .errors import (
@@ -37,7 +38,7 @@ from .graphs import BipartiteGraph, bipartite_graph
 from .hall import HallReport, least_violator
 from .matching import combine_saturating, hopcroft_karp
 from .rotations import BASE_POINT, apply_to_point, is_unit_point, letter_rotation
-from .rotations import normalize_point, word_rotation
+from .rotations import normalize_point, point_mover, word_rotation
 from .words import ALPHABET, IDENTITY, inv, iter_reduced, mul, reduce_word, word_key
 
 F2 = "f2"
@@ -125,10 +126,20 @@ class ActionWindow:
     def is_interior(self, i: int) -> bool:
         return self.dist[i] <= self._interior_bound
 
-    def interior_indices(self, extra: int = 0) -> list:
-        """Ascending indices within radius - margin - extra, extra >= 0."""
+    def interior_indices(self, extra: int = 0) -> tuple:
+        """Ascending indices within radius - margin - extra, extra >= 0.
+
+        With extra 0 this is the interior tuple the window keeps.
+        """
+        if not extra:
+            return self._interior
         bound = self._interior_bound - extra
-        return [i for i in self._interior if self.dist[i] <= bound]
+        return tuple(i for i in self._interior if self.dist[i] <= bound)
+
+    def table_paths(self, elements) -> list:
+        """For each reduced word, the letter tables apply walks, in order."""
+        tables = self.tables
+        return [tuple(tables[c] for c in reversed(gamma)) for gamma in elements]
 
     def apply(self, gamma: str, i: int):
         """Index of gamma . point_i, or None when it leaves the window.
@@ -155,15 +166,20 @@ def expand_window(
     by words of at most reach letters passes reach, and the expansion stops
     at distance hold = min(radius, radius - margin + reach); the interior and
     the stated radius stay as they are.  Without reach the whole ball is held.
-    One level loop serves both kinds, as in words.iter_reduced, recording
-    both table entries of each new edge.  The sphere then computes each
-    point from its parent and refuses any point reached twice: two distinct
-    reduced words with the same image of the base would contradict freeness
-    of the orbit.  An f2 window based at a nonidentity word is the same
-    ball, relabelled by g.base and re-sorted.  A hold whose words are too
-    long for the tables to index (hold*L above 18 with a 4-byte int) is
-    refused with ValueError before anything is allocated; a smaller window
-    may still not fit in memory.
+    One level loop serves both kinds, as in words.iter_reduced.  A level
+    is four contiguous blocks, one per first letter in ALPHABET order, and
+    letter c extends each block of the last level but inv(c)'s into one run
+    of consecutive new indices, so a run takes one slice assignment per
+    table entry (both entries of each new edge) and one map for its words.
+    On the sphere the same map moves the run's parents' coordinates by c's
+    rotation.  A point reached twice is refused: two distinct reduced words
+    with the same image of the base would contradict freeness of the orbit.
+    A set of the coordinates decides that, and only a collision is sought
+    point by point, to name the first.  An f2 window based at a nonidentity
+    word is the same ball, relabelled by g.base and re-sorted.  A hold whose
+    words are too long for the tables to index (hold*L above 18 with a
+    4-byte int) is refused with ValueError before anything is allocated; a
+    smaller window may still not fit in memory.
     """
     if radius <= margin:
         raise ValueError(f"radius {radius} must exceed margin {margin}")
@@ -196,38 +212,45 @@ def expand_window(
     n = 2 * 3 ** (hold * step) - 1
     tables = {c: array("i", [-1]) * n for c in ALPHABET}
     words = [IDENTITY]
-    level = range(1)
-    for _ in range(hold * step):
-        start = len(words)
+    dist = [0]
+    coords = movers = None
+    if kind == SPHERE:
+        coords = [base]
+        movers = {c: point_mover(letter_rotation(c)) for c in ALPHABET}
+    # (first letter, lo, hi) of each block of the last level
+    blocks = [(IDENTITY, 0, 1)]
+    for m in range(1, hold * step + 1):
+        level = []
         for c in ALPHABET:
             ci = inv(c)
             out, back = tables[c], tables[ci]
-            for i in level:
-                w = words[i]
-                if w[:1] != ci:
-                    out[i] = len(words)
-                    back[len(words)] = i
-                    words.append(c + w)
-        level = range(start, len(words))
-    ceil = [-(-m // step) for m in range(hold * step + 1)]  # |g| -> distance
-    dist = tuple(map(ceil.__getitem__, map(len, words)))
+            start = len(words)
+            for first, lo, hi in blocks:
+                if first != ci:
+                    new = len(words)
+                    top = new + hi - lo
+                    out[lo:hi] = array("i", range(new, top))
+                    back[new:top] = array("i", range(lo, hi))
+                    words += map(c.__add__, words[lo:hi])
+                    if coords is not None:
+                        coords += map(movers[c], coords[lo:hi])
+            level.append((c, start, len(words)))
+        dist += repeat(-(-m // step), len(words) - level[0][1])
+        blocks = level
+    dist = tuple(dist)
 
-    coords, base_index = None, 0
+    base_index = 0
     if kind == SPHERE:
-        coords = [base]
-        index = {base: 0}
-        moves = {c: (tables[inv(c)], letter_rotation(c)) for c in ALPHABET}
-        for j in range(1, n):
-            back, rot = moves[words[j][0]]
-            p = apply_to_point(rot, coords[back[j]])
-            if index.setdefault(p, j) != j:
-                raise FreeActionViolationError(
-                    "two reduced words reach one point",
-                    point=list(p),
-                    word_a=words[index[p]],
-                    word_b=words[j],
-                )
-            coords.append(p)
+        if len(set(coords)) != n:
+            index = {}
+            for j, p in enumerate(coords):
+                if index.setdefault(p, j) != j:
+                    raise FreeActionViolationError(
+                        "two reduced words reach one point",
+                        point=list(p),
+                        word_a=words[index[p]],
+                        word_b=words[j],
+                    )
         coords = tuple(coords)
     elif base_word:
         # point g is g.base: sort by that label and renumber the tables
@@ -277,11 +300,13 @@ class DoublingGraph:
     for c >= 1 exactly when some element of s carries x to y; the identity in
     s gives every (0, x) all its vertical edges (c, x).
 
-    Image lists are built on first use, from one table path per nonidentity
-    element of s (the letter tables it walks, last letter first), and
-    cached.  They hold the window's shared index ints, so they make no int
-    of their own.  neighbors of a side-1 vid is its image list; of a copy-0
-    vid, a _Lifted view of that list into copies 1 to copies - 1.
+    Image lists are built on first use and cached.  They are walked down a
+    tree of the nonidentity elements of s read last letter first, as
+    ActionWindow.apply reads them: one letter-table lookup per element, the
+    lookups of a shared suffix made once (16 for S^2 instead of 28).  They
+    hold the window's shared index ints, so they make no int of their own.
+    neighbors of a side-1 vid is its image list; of a copy-0 vid, a _Lifted
+    view of that list into copies 1 to copies - 1.
     """
 
     def __init__(self, window: ActionWindow, s: GeneratingSet, copies: int):
@@ -293,10 +318,17 @@ class DoublingGraph:
         self.n_points = window.n_points()
         self._ids = tuple(range(self.n_points))  # shared by image lists, not copied
         self._im: dict = {}
+        # the nonidentity words of s, read last letter first, as a tree of
+        # (letter table, subtrees) pairs, grown from the leaves up: the
+        # letters that may be read after c are those other than inv(c)
         tables = window.tables
-        self._paths = tuple(
-            tuple(tables[c] for c in reversed(gamma)) for gamma in s.nonidentity()
-        )
+        kids = dict.fromkeys(ALPHABET, ())
+        for _ in range(s.radius - 1):
+            kids = {
+                c: tuple((tables[d], kids[d]) for d in ALPHABET if d != inv(c))
+                for c in ALPHABET
+            }
+        self._tree = tuple((tables[c], kids[c]) for c in ALPHABET)
 
     def n_vertices(self) -> int:
         return self.copies * self.n_points
@@ -332,23 +364,24 @@ class DoublingGraph:
     def images(self, i: int):
         """Point indices hit from i by elements of s (identity included).
 
-        Each element's table path is walked as ActionWindow.apply walks the
-        word: a step to -1 leaves the window, and the element is dropped.
-        The window is a ball of the Cayley tree, so distinct elements reach
+        The word tree is walked as ActionWindow.apply walks each word: a step
+        to -1 leaves the window, which drops that element and, as every
+        longer word through the step leaves it too, the step's subtree.  The
+        window is a ball of the Cayley tree, so distinct elements reach
         distinct points and the list needs no deduplication.
         """
         got = self._im.get(i)
         if got is None:
             ids = self._ids
             got = [ids[i]]
-            for path in self._paths:
-                j = i
-                for t in path:
-                    j = t[j]
-                    if j < 0:
-                        break
-                else:
-                    got.append(ids[j])
+            todo = [(i, self._tree)]
+            for j, tree in todo:  # grows as it is read
+                for t, sub in tree:
+                    k = t[j]
+                    if k >= 0:
+                        got.append(ids[k])
+                        if sub:
+                            todo.append((k, sub))
             got.sort()
             self._im[i] = got
         return got

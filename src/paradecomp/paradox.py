@@ -116,16 +116,20 @@ def matching_to_paradox(dg: DoublingGraph, partner: dict) -> ParadoxicalDecompos
     if dg.copies != 3:
         raise ValueError("piece extraction needs the 3-copy doubling graph")
     w = dg.window
+    paths = w.table_paths(dg.s.elements)
     pieces_a: dict = {}
     pieces_b: dict = {}
     for i in w.interior_indices():
         c, j = divmod(partner[i], dg.n_points)
-        t = None
-        for idx, gamma in enumerate(dg.s.elements):
-            if w.apply(gamma, i) == j:
-                t = idx
+        for t, path in enumerate(paths):
+            k = i
+            for table in path:
+                k = table[k]
+                if k < 0:
+                    break
+            if k == j:
                 break
-        if t is None:
+        else:
             raise InvariantError(
                 "matched pair not realized by any generator", edge=[i, partner[i]]
             )
@@ -138,14 +142,18 @@ def matching_to_paradox(dg: DoublingGraph, partner: dict) -> ParadoxicalDecompos
 
 def paradox_to_matching(pd: ParadoxicalDecomposition, dg: DoublingGraph) -> set:
     """Reverse identification: pieces back to doubling-graph edges."""
-    w = dg.window
+    paths = dg.window.table_paths(pd.gens.elements)
     n = dg.n_points
     out = set()
     used = set()
     for pieces, copy in ((pd.pieces_a, 1), (pd.pieces_b, 2)):
         for i, t in sorted(pieces.items()):
-            j = w.apply(pd.gens.elements[t], i)
-            if j is None:
+            j = i
+            for table in paths[t]:
+                j = table[j]
+                if j < 0:
+                    break
+            if j < 0:
                 continue
             u, v = i, copy * n + j
             if u in used or v in used:
@@ -185,14 +193,20 @@ def _first_violation(pd: ParadoxicalDecomposition, w: ActionWindow, deep):
     if both:
         return {"kind": "point_in_both_tables", "point": w.words[both[0]]}
 
+    paths = w.table_paths(pd.gens.elements)
+    dist, bound = w.dist, w.radius - w.margin
     a_hits: dict = {}
     b_hits: dict = {}
     for pieces, hits in ((pd.pieces_a, a_hits), (pd.pieces_b, b_hits)):
         for i, t in pieces.items():
-            if not w.is_interior(i):
+            if dist[i] > bound:
                 continue
-            j = w.apply(pd.gens.elements[t], i)
-            if j is not None:
+            j = i
+            for table in paths[t]:
+                j = table[j]
+                if j < 0:
+                    break
+            else:
                 hits.setdefault(j, []).append(i)
 
     for z in deep:

@@ -160,4 +160,26 @@ def apply_to_point(rot: Rotation, p: tuple[int, int, int, int]):
     )
 
 
+def point_mover(rot: Rotation):
+    """apply_to_point(rot, .) unrolled, with rot's entries bound once.
+
+    expand_window maps one mover over a whole run of points.  The tests
+    check its points with apply_to_point, so the two stay separate.
+    """
+    n0, n1, n2, n3, n4, n5, n6, n7, n8 = rot.num
+    scale = rot.scale
+
+    def move(p):
+        x, y, z, k = p
+        u = n0 * x + n1 * y + n2 * z
+        v = n3 * x + n4 * y + n5 * z
+        w = n6 * x + n7 * y + n8 * z
+        k += scale
+        while k > 0 and u % 5 == 0 and v % 5 == 0 and w % 5 == 0:
+            u, v, w, k = u // 5, v // 5, w // 5, k - 1
+        return (u, v, w, k)
+
+    return move
+
+
 BASE_POINT = (0, 1, 0, 0)

@@ -261,13 +261,10 @@ class ForestWindow:
         return {
             "n_points": self.n_points(),
             "edges": [
-                [u, v]
-                for u in range(self.n_points())
-                for v in self.adjacency[u]
-                if u < v
+                [u, v] for u, vs in enumerate(self.adjacency) if vs for v in vs if u < v
             ],
-            "interior": [int(b) for b in self.interior],
-            "present": [int(b) for b in self.present],
+            "interior": list(bytes(self.interior)),
+            "present": list(bytes(self.present)),
             "labels": list(self.labels) if self.labels is not None else None,
             "stats": self.stats,
         }

@@ -3,8 +3,9 @@
 Everything here is deliberately naive: exponential subset scans, Kuhn's
 augmenting paths, recursive Hopcroft-Karp, an alternating-path search grown
 from one end only, repeated-scan word reduction,
-breadth-first window expansion, doubling-graph images by one
-ActionWindow.apply per element, exact rotation identity and orthogonality
+breadth-first window expansion, letter tables grown one point at a time,
+doubling-graph images by one ActionWindow.apply per element, exact
+rotation identity and orthogonality
 tests, one full ball per layered vertex, full copy x point scans of a
 doubling graph, cycle surgery on a set of edges,
 a forest reader on neighbour sets, a stage audit that searches every
@@ -13,16 +14,17 @@ Slow is fine; these run on small instances only and must share no code
 with the package internals they check.
 """
 
+from array import array
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
 from paradecomp import hall
 from paradecomp.graphs import BipartiteGraph, bipartite_graph
-from paradecomp.rotations import apply_to_point, word_rotation
+from paradecomp.rotations import apply_to_point, letter_rotation, word_rotation
 from paradecomp.errors import ForestFormatError, HypothesisFailedError
 from paradecomp.treedyn import ForestWindow
-from paradecomp.words import mul, reduce_word, word_key
+from paradecomp.words import inv, mul, reduce_word, word_key
 
 
 def kuhn_max_matching(g: BipartiteGraph) -> dict:
@@ -631,6 +633,56 @@ def bfs_window(kind, base, moves, radius: int):
     dist = tuple(dist_of[p] for p in pts)
     coords = None if kind == "f2" else tuple(pts)
     return words, dist, coords, pts.index(start)
+
+
+def pointwise_window(kind, base, hold_letters: int):
+    """(words, tables, coords, base_index) of a window, one point at a time.
+
+    The ball of reduced words of at most hold_letters letters around base,
+    in shortlex order: each level prepends each letter c, in a < A < b < B
+    order, to every word of the level before that does not start with
+    c^-1, and records both table entries of the new edge.  tables[c][i] is
+    the index of c . point_i, or -1.  A sphere point is computed from its
+    parent, and a point reached twice raises ValueError naming both words;
+    base is the normalized unit point.  An f2 window at a nonidentity base
+    is relabelled by g.base and re-sorted, its tables renumbered.
+    """
+    n = 2 * 3**hold_letters - 1
+    tables = {c: array("i", [-1]) * n for c in "aAbB"}
+    words = [""]
+    level = range(1)
+    for _ in range(hold_letters):
+        start = len(words)
+        for c in "aAbB":
+            ci = inv(c)
+            out, back = tables[c], tables[ci]
+            for i in level:
+                w = words[i]
+                if w[:1] != ci:
+                    out[i] = len(words)
+                    back[len(words)] = i
+                    words.append(c + w)
+        level = range(start, len(words))
+    coords, base_index = None, 0
+    if kind == "sphere":
+        coords = [tuple(base)]
+        index = {coords[0]: 0}
+        for j in range(1, n):
+            c = words[j][0]
+            p = apply_to_point(letter_rotation(c), coords[tables[inv(c)][j]])
+            if index.setdefault(p, j) != j:
+                raise ValueError(f"{words[index[p]]!r} and {words[j]!r} reach one point")
+            coords.append(p)
+        coords = tuple(coords)
+    elif base:
+        labels = [mul(g, base) for g in words]
+        order = sorted(range(n), key=lambda i: word_key(labels[i]))
+        rank = {old: new for new, old in enumerate(order)}
+        rank[-1] = -1
+        words = [labels[i] for i in order]
+        tables = {c: array("i", [rank[t[i]] for i in order]) for c, t in tables.items()}
+        base_index = rank[0]
+    return tuple(words), tables, coords, base_index
 
 
 def bfs_majority_ball(g: BipartiteGraph, x, n: int) -> list:

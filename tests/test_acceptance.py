@@ -146,7 +146,7 @@ def test_criterion_3_interior_expansion_exhaustive(capsys, monkeypatch):
         assert rep.satisfied
         assert rep.witness is None
         # every interior vid of both sides was looked at: no vacuous pass
-        interior, n = w.interior_indices(), w.n_points()
+        interior, n = list(w.interior_indices()), w.n_points()
         assert sorted(reads) == interior + [c * n + i for c in (1, 2) for i in interior]
         # and sets grew along G^2
         assert max(k for k, _ in levels) >= 2

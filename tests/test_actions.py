@@ -32,6 +32,7 @@ from oracles import (
     bfs_window,
     brute_doubled_expansion,
     lifted_neighbors,
+    pointwise_window,
     recursive_hopcroft_karp,
     record_oracle_calls,
     record_side_levels,
@@ -113,7 +114,7 @@ def test_f2_window_sizes_and_order():
         assert w.words == tuple(sorted(w.words, key=word_key))
         assert w.base_index == 0
         assert len(w.interior_indices()) == ball_size(r - 1)
-        assert w.interior_indices(1) == list(range(ball_size(r - 2)))
+        assert list(w.interior_indices(1)) == list(range(ball_size(r - 2)))
 
 
 def test_f2_window_distances_are_word_lengths():
@@ -236,6 +237,35 @@ def test_doubling_adjacency_matches_the_apply_oracle(kind, base, squared, copies
     assert list(got.items()) == list(want.items())
 
 
+@pytest.mark.parametrize("kind, base", ADJACENCY_WINDOWS)
+@pytest.mark.parametrize("squared", [False, True], ids=["S", "S2"])
+def test_images_match_the_apply_oracle_at_every_point(kind, base, squared):
+    # boundary points too: window --out reads them through to_bipartite
+    s = standard_generators()
+    t = square_set(s) if squared else s
+    w = expand_window(kind, base, s, 5, 2, t.radius)
+    dg = DoublingGraph(w, t, 3)
+    for i in range(w.n_points()):
+        assert dg.images(i) == apply_images(w, t, i)
+
+
+@pytest.mark.parametrize("kind, base", ADJACENCY_WINDOWS)
+@pytest.mark.parametrize("reach", [None, 1, 2])
+@pytest.mark.parametrize("squared", [False, True], ids=["S", "S2"])
+def test_letter_tables_match_the_pointwise_oracle(kind, base, reach, squared):
+    # the tables are filled a run of indices at a time: every entry counts
+    s = standard_generators()
+    gens = square_set(s) if squared else s
+    radius, margin = (4, 3) if squared else (5, 3)
+    w = expand_window(kind, base, gens, radius, margin, reach)
+    held = radius if reach is None else min(radius, radius - margin + reach)
+    words, tables, coords, base_index = pointwise_window(kind, base, held * gens.radius)
+    assert w.words == words
+    assert w.tables == tables
+    assert w.coords == coords
+    assert w.base_index == base_index
+
+
 def test_hopcroft_karp_reiterates_lifted_views():
     # the greedy phase leaves point 4 free (n and 2n are taken), so a later
     # phase's BFS and augmenting search iterate the views again
@@ -263,7 +293,7 @@ def test_expansion_audit_passes_and_prunes(monkeypatch):
     assert rep.satisfied and rep.witness is None
     # every interior vid of both sides is read once; each singleton already
     # clears ratio * size_cap neighbors, so no set is grown
-    interior, n = w.interior_indices(), w.n_points()
+    interior, n = list(w.interior_indices()), w.n_points()
     assert sorted(reads) == interior + [c * n + i for c in (1, 2) for i in interior]
     assert levels == []
 

@@ -527,13 +527,15 @@ def test_demo_f2_radius_ten_passes(capsys):
 
 
 def test_demo_on_a_sphere_base_with_a_stabilizer_exits_three(capsys):
-    # (3,4,0,1) is a.x for x on the b-axis, so aBA fixes it
-    code, obj = run(
-        capsys, ["demo", "--kind", "sphere", "--radius", "8", "--base", "3,4,0,1"]
+    # (3,4,0,1) is a.x for x on the b-axis, so aBA fixes it; the error names
+    # the first collision in point order: bA reaches A's point
+    argv = ["demo", "--kind", "sphere", "--radius", "8", "--base", "3,4,0,1"]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().out == (
+        '{"details":{"point":[1,0,0,0],"word_a":"A","word_b":"bA"},'
+        '"error":"FREENESS_VIOLATED","message":"two reduced words reach one point",'
+        '"schema":"paradecomp/error/1"}\n'
     )
-    assert code == 3
-    assert obj["schema"] == "paradecomp/error/1"
-    assert obj["error"] == "FREENESS_VIOLATED"
 
 
 def test_repeat_runs_are_byte_identical(capsys, k33):
