@@ -29,7 +29,7 @@ from .actions import (
 from .errors import ParadecompError
 from .graphs import graph_from_obj, graph_to_obj, to_dot
 from .hall import ExpansionParams, check_hall_eps_n
-from .layers import explicit_schedule, geometric_schedule, greedy_layering
+from .layers import LayerSchedule, geometric_schedule, greedy_layering
 from .matcher import layered_perfect_matching
 from .paradox import (
     classical_f2_decomposition,
@@ -114,7 +114,7 @@ def _schedule_from_args(args):
             f_list = [int(t) for t in args.schedule.split(",")]
         except ValueError:
             raise _InputError(f"bad schedule list: {args.schedule!r}")
-        return explicit_schedule(f_list, args.epsilon)
+        return LayerSchedule(args.epsilon, f_list=tuple(f_list))
     return geometric_schedule(args.epsilon)
 
 

@@ -104,16 +104,6 @@ def geometric_schedule(epsilon) -> LayerSchedule:
     return LayerSchedule(epsilon, base=c)
 
 
-def explicit_schedule(f_list, epsilon_budget) -> LayerSchedule:
-    """Schedule from a finite table, as match and layers --schedule give it.
-
-    Values below 8 are allowed, but construction refuses any table whose
-    sum 8/f is not below the budget; the stock geometric constructor is the
-    one that honors f >= 8.
-    """
-    return LayerSchedule(Fraction(epsilon_budget), f_list=tuple(f_list))
-
-
 @dataclass(frozen=True)
 class Layering:
     layers: tuple

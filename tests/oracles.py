@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: exponential subset scans, Kuhn's
 augmenting paths, recursive Hopcroft-Karp, an alternating-path search grown
-from one end only, repeated-scan word reduction,
+from one end only, a residual matching checked pair by pair,
+repeated-scan word reduction,
 breadth-first window expansion, letter tables grown one point at a time,
 doubling-graph images by one ActionWindow.apply per element, exact
 rotation identity and orthogonality
@@ -14,6 +15,7 @@ Slow is fine; these run on small instances only and must share no code
 with the package internals they check.
 """
 
+import json
 from array import array
 from collections import deque
 from fractions import Fraction
@@ -132,6 +134,20 @@ def one_sided_alt_path(adj, pair, alive, w, z, x, y):
                     nxt.append(m)
         frontier = nxt
     return None
+
+
+def certifies_residual(engine) -> bool:
+    """Whether a matcher engine's pair map is a perfect matching of its residual.
+
+    Checked edge by edge: each live vertex has a live partner, across an
+    edge of the graph, that pairs it back.
+    """
+    pair, alive, adj = engine.pair, engine.alive, engine.g.adj
+    for v in alive:
+        w = pair.get(v)
+        if w not in alive or pair.get(w) != v or w not in adj[v]:
+            return False
+    return True
 
 
 def ball_union_greedy_net(adjacency, points, radius) -> list:
@@ -473,6 +489,12 @@ def match_v1_from_v2(payload: dict, schedule) -> dict:
     layering = {"layers": res["layers"], "f": f_values}
     result = {"matching": res["matching"], "stages": stages, "layering": layering}
     return {**payload, "schema": "paradecomp/match/1", "result": result}
+
+
+def match_stages(res) -> list:
+    """The match/1 stage records of a MatchResult, replayed from its match/2 payload."""
+    payload = json.loads(json.dumps({"result": res.as_obj()}))
+    return match_v1_from_v2(payload, res.schedule)["result"]["stages"]
 
 
 def apply_images(w, s, i) -> list:

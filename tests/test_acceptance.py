@@ -42,6 +42,7 @@ from oracles import (
     bfs_distances,
     invert_letter,
     kuhn_max_matching,
+    match_stages,
     record_oracle_calls,
     record_side_levels,
     rotation_is_identity,
@@ -114,19 +115,20 @@ def test_criterion_2_stage_invariant_holds(capsys):
             res = layered_perfect_matching(g, sched, cap=2, audit=True)
             alive = set(g.ids)
             spent = Fraction(0)
-            for rec in res.stages:
-                for x, y in rec.matched:
+            for rec in match_stages(res):
+                for x, y in rec["matched"]:
                     alive.discard(x)
                     alive.discard(y)
-                spent += Fraction(8, sched.f(rec.n))
-                assert rec.epsilon_n == p.epsilon - spent
+                spent += Fraction(8, sched.f(rec["n"]))
+                epsilon_n = Fraction(rec["epsilon_n"])
+                assert epsilon_n == p.epsilon - spent
                 residual = induced_subgraph(g, alive)
-                floor = sched.f(rec.n)
+                floor = sched.f(rec["n"])
                 if 12 < floor:
                     rep = check_hall(residual)
                 else:
                     rep = check_hall_eps_n(
-                        residual, ExpansionParams(rec.epsilon_n, floor), 12
+                        residual, ExpansionParams(epsilon_n, floor), 12
                     )
                 assert rep.satisfied
                 stage_checks += 1

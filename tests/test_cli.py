@@ -12,7 +12,7 @@ import pytest
 from paradecomp import cli
 from paradecomp.generators import complete_bipartite, line_window, star_graph, synthetic_forest
 from paradecomp.graphs import bipartite_graph, graph_to_obj
-from paradecomp.layers import explicit_schedule, geometric_schedule
+from paradecomp.layers import LayerSchedule, geometric_schedule
 from paradecomp.matcher import layered_perfect_matching
 from paradecomp.words import iter_reduced
 
@@ -113,7 +113,7 @@ def test_empty_schedule_list_exits_one(capsys, k33, command):
         # an explicit list prints as given, one entry past the six stages run
         (
             ["--schedule", "128,128,128,128,128,128,128", "--epsilon", "1/2"],
-            explicit_schedule([128] * 7, Fraction(1, 2)),
+            LayerSchedule(Fraction(1, 2), f_list=(128,) * 7),
             {"f": [128] * 7},
             "1/8",
         ),
@@ -130,12 +130,13 @@ def test_match_prints_its_schedule_once(capsys, k33, flags, schedule, printed, e
         "epsilon_n": epsilon_n,
         "schedule": printed,
     }
-    # the stage records replayed from the payload are the matcher's own
+    # stage n picks layer n's vertex while it is still unmatched
     res = layered_perfect_matching(complete_bipartite(3, 3), schedule, cap=2)
     v1 = match_v1_from_v2(obj, schedule)["result"]
+    matched = [[[0, 3]], [[1, 4]], [[2, 5]], [], [], []]
     assert v1["stages"] == [
-        {"n": rec.n, "epsilon_n": str(rec.epsilon_n), "matched": [list(e) for e in rec.matched]}
-        for rec in res.stages
+        {"n": n, "epsilon_n": str(schedule.epsilon_after(n)), "matched": m}
+        for n, m in enumerate(matched)
     ]
     assert v1["layering"] == res.layering.as_obj()
 

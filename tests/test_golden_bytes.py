@@ -58,7 +58,7 @@ import pytest
 from paradecomp import cli
 from paradecomp.generators import hall_family, synthetic_forest
 from paradecomp.graphs import graph_to_obj
-from paradecomp.layers import explicit_schedule, geometric_schedule
+from paradecomp.layers import LayerSchedule, geometric_schedule
 
 from oracles import match_v1_from_v2
 
@@ -220,11 +220,11 @@ SAMPLE_RUNS = {
 
 SAMPLE_SCHEDULES = {
     "--epsilon 1/2 --cap 2": geometric_schedule(Fraction(1, 2)),
-    "--epsilon 1/2 --cap 2 --schedule 128,128,128,128,128,128,128": explicit_schedule(
-        [128] * 7, Fraction(1, 2)
+    "--epsilon 1/2 --cap 2 --schedule 128,128,128,128,128,128,128": LayerSchedule(
+        Fraction(1, 2), f_list=(128,) * 7
     ),
-    "--epsilon 16 --floor 9 --cap 9 --schedule 1,2,4,8,16": explicit_schedule(
-        [1, 2, 4, 8, 16], 16
+    "--epsilon 16 --floor 9 --cap 9 --schedule 1,2,4,8,16": LayerSchedule(
+        Fraction(16), f_list=(1, 2, 4, 8, 16)
     ),
 }
 

@@ -15,7 +15,6 @@ from paradecomp.generators import (
 from paradecomp.graphs import bfs_distances, bipartite_graph, components
 from paradecomp.layers import (
     LayerSchedule,
-    explicit_schedule,
     geometric_schedule,
     greedy_layering,
 )
@@ -42,7 +41,7 @@ def test_geometric_schedule_scales_with_epsilon():
 
 
 def test_explicit_schedule_validation():
-    sched = explicit_schedule([32, 64, 128], Fraction(1))
+    sched = LayerSchedule(Fraction(1), f_list=(32, 64, 128))
     assert sched.epsilon_after(1) == 1 - Fraction(8, 32) - Fraction(8, 64)
     with pytest.raises(BudgetExhaustedError):
         sched.f(3)
@@ -50,17 +49,17 @@ def test_explicit_schedule_validation():
     with pytest.raises(ValueError):
         sched.epsilon_after(-2)
     with pytest.raises(ValueError):
-        explicit_schedule([], Fraction(1))
+        LayerSchedule(Fraction(1), f_list=())
     with pytest.raises(ValueError):
-        explicit_schedule([64, 32], Fraction(1))
+        LayerSchedule(Fraction(1), f_list=(64, 32))
     with pytest.raises(ValueError):
-        explicit_schedule([8, 8], Fraction(1))  # sums to 2, over budget
+        LayerSchedule(Fraction(1), f_list=(8, 8))  # sums to 2, over budget
 
 
 def test_f_values_are_f_in_one_call():
     scheds = [
         geometric_schedule(Fraction(1)),
-        explicit_schedule([32, 64, 64, 128], Fraction(1)),
+        LayerSchedule(Fraction(1), f_list=(32, 64, 64, 128)),
     ]
     for sched in scheds:
         for k in range(5):
@@ -86,8 +85,6 @@ def test_hand_built_schedule_checks_its_table(f_list, message):
     # a falling table would let greedy_layering hand over members too early
     with pytest.raises(ValueError, match=message):
         LayerSchedule(Fraction(100), f_list=f_list)
-    with pytest.raises(ValueError, match=message):
-        explicit_schedule(f_list, Fraction(100))
 
 
 @pytest.mark.parametrize(
@@ -191,7 +188,7 @@ def test_layering_is_deterministic():
 
 def test_line_layering_is_fully_predictable():
     g = line_window(14)
-    sched = explicit_schedule([1, 2, 4, 8], Fraction(16))
+    sched = LayerSchedule(Fraction(16), f_list=(1, 2, 4, 8))
     layering = greedy_layering(g, sched)
     # scan order is ascending id; on a path the whole run is hand-checkable
     assert layering.layers == (
@@ -237,7 +234,7 @@ def multi_component_graphs(draw):
 schedules = st.one_of(
     # short tables run out mid-layering, and both must fail at the same stage
     st.lists(st.integers(1, 12), min_size=1, max_size=12).map(
-        lambda fs: explicit_schedule(sorted(fs), Fraction(100))
+        lambda fs: LayerSchedule(Fraction(100), f_list=tuple(sorted(fs)))
     ),
     st.builds(
         geometric_schedule,
@@ -273,7 +270,7 @@ def test_greedy_layering_matches_scan_oracle_near_the_diameter():
     graphs.append(complete_bipartite(3, 4))
     for g in graphs:
         for f in range(1, 14):
-            sched = explicit_schedule([f] * len(g.ids), Fraction(8 * len(g.ids) + 1))
+            sched = LayerSchedule(Fraction(8 * len(g.ids) + 1), f_list=(f,) * len(g.ids))
             assert greedy_layering(g, sched).as_obj() == scan_greedy_layering(g, sched)
 
 
@@ -295,7 +292,7 @@ def test_greedy_layering_matches_scan_oracle_on_sparse_ids():
         for f0 in (1, 3, 8, 32):
             # one stage per vertex is the most a layering can take
             fs = [f0 * 2**k for k in range(len(h.ids))]
-            sched = explicit_schedule(fs, Fraction(17))
+            sched = LayerSchedule(Fraction(17), f_list=tuple(fs))
             assert greedy_layering(h, sched).as_obj() == scan_greedy_layering(h, sched)
 
 

@@ -28,15 +28,28 @@ from paradecomp.graphs import (
     validate_matching,
 )
 from paradecomp.hall import check_hall
-from paradecomp.layers import explicit_schedule, geometric_schedule, greedy_layering
-from paradecomp.matcher import _Engine, _Ledger, layered_perfect_matching
+from paradecomp.layers import LayerSchedule, geometric_schedule, greedy_layering
+from paradecomp.matcher import _Engine, layered_perfect_matching
 
 from oracles import (
+    certifies_residual,
     has_perfect_matching_on,
     kuhn_max_matching,
+    match_stages,
     match_v1_from_v2,
     one_sided_alt_path,
 )
+
+
+def _mixed_family():
+    """20 graphs of 4 to 30 vertices a side, each with the schedule of its epsilon."""
+    family = hall_family(
+        20,
+        random.Random(12),
+        [Fraction(1, 4), Fraction(1, 2), Fraction(1)],
+        n_range=(4, 30),
+    )
+    return [(g, geometric_schedule(p.epsilon)) for g, p in family]
 
 
 def test_k33_matches_perfectly():
@@ -146,7 +159,7 @@ def _repairs_against_the_oracle(monkeypatch, g):
         for v in layer:
             if v in engine.alive:
                 engine.select(v)
-                assert engine.certifies_residual()
+                assert certifies_residual(engine)
     monkeypatch.undo()
     assert not engine.alive
     return verdicts, expanded
@@ -158,13 +171,7 @@ def test_two_sided_repair_agrees_with_the_one_sided_oracle(monkeypatch):
         for n in (10, 40, 160, 1000)
         for seed in (1, 2, 3)
     ]
-    family = hall_family(
-        20,
-        random.Random(12),
-        [Fraction(1, 4), Fraction(1, 2), Fraction(1)],
-        n_range=(4, 30),
-    )
-    graphs += [g for g, _ in family]
+    graphs += [g for g, _ in _mixed_family()]
     verdicts = []
     for g in graphs:
         verdicts += _repairs_against_the_oracle(monkeypatch, g)[0]
@@ -201,7 +208,7 @@ def test_backward_tree_can_stay_the_smaller_one():
     assert one_sided_alt_path(adj, pair, alive, 1, 11, 0, 10) == path
     assert adj.log == [1, 2, 3, 4, 5, 6]  # w, a_1..a_4, u
     assert engine.remove_preserving(0, 10)
-    assert engine.certifies_residual()
+    assert certifies_residual(engine)
 
 
 def test_a_repair_fails_once_the_backward_frontier_empties():
@@ -224,32 +231,29 @@ def test_stage_records_exact_epsilons():
     ((g, _),) = hall_family(1, rng, [eps], n_range=(8, 8))
     sched = geometric_schedule(eps)
     res = layered_perfect_matching(g, sched, cap=2)
-    for rec in res.stages:
-        assert rec.epsilon_n == sched.epsilon_after(rec.n)
-    matched = [e for rec in res.stages for e in rec.matched]
+    stages = match_stages(res)
+    for rec in stages:
+        assert rec["epsilon_n"] == str(sched.epsilon_after(rec["n"]))
+    matched = [tuple(e) for rec in stages for e in rec["matched"]]
     assert sorted(matched) == sorted(res.matching)
 
 
 def test_stage_records_replay_as_the_oracle_does():
-    # the path's first layers hold several vertices each, so the order of
-    # a stage's picks is checked too; a floor above either side's size
-    # leaves the precheck nothing to enumerate
-    runs = [(line_window(14), explicit_schedule([1, 2, 4, 8], Fraction(16)), 9, 9)]
+    # the path's first layers hold several vertices each, so some stage
+    # picks several pairs; a floor above either side's size leaves the
+    # precheck nothing to enumerate
+    runs = [(line_window(14), LayerSchedule(Fraction(16), f_list=(1, 2, 4, 8)), 9, 9)]
     family = hall_family(4, random.Random(5), [Fraction(1, 2)], n_range=(8, 20))
     runs += [(g, geometric_schedule(p.epsilon), 1, 2) for g, p in family]
     widest = 0
     for g, sched, floor, cap in runs:
         res = layered_perfect_matching(g, sched, floor=floor, cap=cap)
         payload = json.loads(paradecomp.cli.canonical_json({"result": res.as_obj()}))
-        assert match_v1_from_v2(payload, sched)["result"]["stages"] == [
-            {
-                "n": rec.n,
-                "epsilon_n": str(rec.epsilon_n),
-                "matched": [list(e) for e in rec.matched],
-            }
-            for rec in res.stages
-        ]
-        widest = max(widest, *(len(rec.matched) for rec in res.stages))
+        # the oracle raises unless the payload's stage count, last epsilon_n
+        # and schedule agree with its replay, and the replay picks every pair
+        v1 = match_v1_from_v2(payload, sched)["result"]
+        assert v1["layering"] == res.layering.as_obj()
+        widest = max(widest, *(len(rec["matched"]) for rec in v1["stages"]))
     assert widest > 1
 
 
@@ -291,12 +295,9 @@ def _count_hopcroft_karp(monkeypatch):
 
 
 def test_plain_audit_rests_on_the_engine_matching(monkeypatch):
-    # audit cap 2 is below every f(n), so each stage audits plain Hall only,
-    # and the engine's residual matching certifies it without a new matching
-    rng = random.Random(12)
-    epsilons = [Fraction(1, 4), Fraction(1, 2), Fraction(1)]
-    for g, p in hall_family(20, rng, epsilons, n_range=(4, 30)):
-        sched = geometric_schedule(p.epsilon)
+    # audit cap 2 is below every f(n), so each stage has plain Hall only in
+    # range, which the check of the output proves without a new matching
+    for g, sched in _mixed_family():
         calls = _count_hopcroft_karp(monkeypatch)
         audited = layered_perfect_matching(g, sched, cap=2, audit=True)
         monkeypatch.undo()
@@ -304,43 +305,44 @@ def test_plain_audit_rests_on_the_engine_matching(monkeypatch):
         assert audited.as_obj() == layered_perfect_matching(g, sched, cap=2).as_obj()
 
 
-def _count_calls(monkeypatch, cls, name):
+def _count_calls(monkeypatch, owner, name):
     calls = []
-    real = getattr(cls, name)
+    real = getattr(owner, name)
 
-    def counted(self):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return real(self)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(cls, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
-def test_audit_certifies_only_stages_that_picked(monkeypatch):
-    # a stage whose layer vertices were all matched earlier picks nothing and
-    # leaves the residual as the stage before audited it; the scan runs once,
-    # to verify the ledger each stage's check compares against
-    checks = _count_calls(monkeypatch, _Ledger, "certifies")
-    scans = _count_calls(monkeypatch, _Engine, "certifies_residual")
-    rng = random.Random(12)
-    epsilons = [Fraction(1, 4), Fraction(1, 2), Fraction(1)]
-    idle = 0
-    for g, p in hall_family(20, rng, epsilons, n_range=(4, 30)):
-        checks.clear()
-        scans.clear()
-        sched = geometric_schedule(p.epsilon)
-        res = layered_perfect_matching(g, sched, cap=2, audit=True)
-        picked = sum(1 for rec in res.stages if rec.matched)
-        idle += len(res.stages) - picked
-        assert len(checks) == picked
-        assert len(scans) == 1
-    assert idle > 0
+def test_audit_below_every_f_runs_no_stage_check(monkeypatch):
+    # cap 2 is below every f(n), so only plain Hall is in range at each
+    # stage, and the check of the output proves it: the audited run calls
+    # what the unaudited one does, the precheck alone
+    calls = {
+        "check_hall": _count_calls(monkeypatch, paradecomp.hall, "check_hall"),
+        "check_hall_eps_n": _count_calls(
+            monkeypatch, paradecomp.matcher, "check_hall_eps_n"
+        ),
+        "induced_subgraph": _count_calls(
+            monkeypatch, paradecomp.matcher, "induced_subgraph"
+        ),
+    }
+    precheck = {"check_hall": 1, "check_hall_eps_n": 1, "induced_subgraph": 0}
+    for g, sched in _mixed_family():
+        for audit in (False, True):
+            for c in calls.values():
+                c.clear()
+            layered_perfect_matching(g, sched, cap=2, audit=audit)
+            assert {name: len(c) for name, c in calls.items()} == precheck
 
 
 def test_residual_certificate_checks_each_pair():
     g = union_of_permutations(6, 2, random.Random(4))
     engine = engine_on(g)
-    assert engine.certifies_residual()
+    assert certifies_residual(engine)
     pair = dict(engine.pair)
     u = 0
     v = pair[u]
@@ -354,10 +356,10 @@ def test_residual_certificate_checks_each_pair():
     ]
     for bad in broken:
         engine.pair = bad
-        assert not engine.certifies_residual(), bad
+        assert not certifies_residual(engine), bad
     engine.pair = pair
     engine.alive.discard(v)  # v left the residual, but u still points at it
-    assert not engine.certifies_residual()
+    assert not certifies_residual(engine)
 
 
 def _drop_without_repair(self, x, y):
@@ -390,20 +392,20 @@ def test_audit_catches_an_engine_that_skips_repair(monkeypatch):
         # a run returns only if every pick was already a matched pair, so the
         # skipped repair never happened and the result is the correct one
         assert res.as_obj() == want
-    assert len(codes) == 9
-    assert "INVARIANT" in codes
+    # the engine's stale partners make select reject every live neighbour
+    assert codes == ["HALL_VIOLATED"] * 9
     g, _ = family[0]
     err = _error_json(lambda: layered_perfect_matching(g, sched, cap=2, audit=True))
     assert err == (
-        '{"details": {"stage": 1}, "error": "INVARIANT", '
-        '"message": "engine lost its residual matching although Hall holds"}'
+        '{"details": {"vertex": 10}, "error": "HALL_VIOLATED", '
+        '"message": "no Hall-preserving edge at vertex 10"}'
     )
 
 
 def test_epsilon_clause_audit_failures_keep_their_witness(monkeypatch):
     # a genuine expansion failure: eps_0 = 36 asks for 37|F| neighbors
     g = complete_bipartite(3, 3)
-    sched = explicit_schedule([2] * 8, Fraction(40))
+    sched = LayerSchedule(Fraction(40), f_list=(2,) * 8)
     err = _error_json(
         lambda: layered_perfect_matching(g, sched, floor=8, cap=8, audit=True)
     )
@@ -460,41 +462,21 @@ def _swap_after_repair(fits, on_path=False):
     return remove
 
 
-def _outcome(g, sched):
+def _outcome(g, sched, audit):
     try:
-        return layered_perfect_matching(g, sched, cap=2, audit=True).as_obj()
+        return layered_perfect_matching(g, sched, cap=2, audit=audit).as_obj()
     except (HallViolatedError, InvariantError) as e:
         return e.as_json()
 
 
-def test_ledger_verdict_equals_the_residual_scan(monkeypatch):
-    family = hall_family(
-        20,
-        random.Random(12),
-        [Fraction(1, 4), Fraction(1, 2), Fraction(1)],
-        n_range=(4, 30),
-    )
-    runs = [(g, geometric_schedule(p.epsilon)) for g, p in family]
+def test_broken_engines_never_print_a_wrong_matching(monkeypatch):
+    runs = _mixed_family()
     good = [layered_perfect_matching(g, s, cap=2).as_obj() for g, s in runs]
-    real_certifies = _Ledger.certifies
-    verdicts = []
-
-    def checked(self):
-        want = self.engine.certifies_residual()
-        got = real_certifies(self)
-        verdicts.append((got, want))
-        return got
-
-    def scan_only(self):
-        # the certificate as it stood before the ledger: the scan alone
-        return self.engine.certifies_residual()
-
     engines = {
-        "real": _Engine.remove_preserving,
         "no repair": _drop_without_repair,
         # a-d is no edge, so the residual loses its matching off the path
         "non-edge": _swap_after_repair(lambda adj, a, b, c, d: d not in adj[a]),
-        # the same, on the path the ledger walks
+        # the same, on the path the repair wrote
         "non-edge on the path": _swap_after_repair(
             lambda adj, a, b, c, d: d not in adj[a], on_path=True
         ),
@@ -503,25 +485,84 @@ def test_ledger_verdict_equals_the_residual_scan(monkeypatch):
             lambda adj, a, b, c, d: d in adj[a] and b in adj[c]
         ),
     }
-    outcomes, restarts = {}, {}
+    raised = {}
     for name, remove in engines.items():
         monkeypatch.setattr(_Engine, "remove_preserving", remove)
-        monkeypatch.setattr(_Ledger, "certifies", scan_only)
-        want = [_outcome(g, s) for g, s in runs]
-        monkeypatch.setattr(_Ledger, "certifies", checked)
-        calls = _count_calls(monkeypatch, _Ledger, "_restart")
-        verdicts.clear()
-        outcomes[name] = [_outcome(g, s) for g, s in runs]
-        assert outcomes[name] == want, name
-        assert verdicts and all(v == w for v, w in verdicts), name
-        restarts[name] = len(calls)
+        raised[name] = []
+        for audit in (False, True):
+            for (g, s), want in zip(runs, good):
+                got = _outcome(g, s, audit)
+                if "error" in got:
+                    raised[name].append(got)
+                else:
+                    # a run that returns prints the correct matching
+                    assert got == want, name
         monkeypatch.undo()
-    assert outcomes["real"] == good
-    assert restarts["real"] == len(runs)  # the ledger never needed the scan
-    # the swapped cycle leaves the ledger behind, and the scan arbitrates
-    assert outcomes["4-cycle"] == good
-    assert restarts["4-cycle"] > len(runs)
-    assert any("error" in o for o in outcomes["no repair"])
-    for name in ("non-edge", "non-edge on the path"):
-        raised = [o for o in outcomes[name] if "error" in o]
-        assert raised and all(o["error"] == "INVARIANT" for o in raised), name
+    # select finds no partner once the stale pairs block every repair
+    assert len(raised["no repair"]) == 36
+    for err in raised["no repair"]:
+        assert err["error"] == "HALL_VIOLATED"
+        assert err["message"].startswith("no Hall-preserving edge at vertex")
+    # on these graphs the swapped pairs change no pick
+    for name in ("non-edge", "non-edge on the path", "4-cycle"):
+        assert raised[name] == [], name
+
+
+def _select_a_non_neighbour(self, x):
+    # a broken engine: pairs x with the least live vertex across that is no
+    # neighbour of it, while there is one, and repairs nothing
+    side, adj = self.g.side_of, self.g.adj[x]
+    live = sorted(v for v in self.alive if side[v] != side[x])
+    y = next((v for v in live if v not in adj), live[0])
+    _drop_without_repair(self, x, y)
+    return y
+
+
+_real_remove = _Engine.remove_preserving
+
+
+def _repair_but_keep_the_pair(self, x, y):
+    # a broken engine: repairs, then leaves x and y live and paired
+    if not _real_remove(self, x, y):
+        return False
+    self.alive.update((x, y))
+    self.pair.update({x: y, y: x})
+    return True
+
+
+@pytest.mark.parametrize(
+    "method, broken, is_edge, line",
+    [
+        (
+            "select",
+            _select_a_non_neighbour,
+            False,
+            '{"details": {"edge": [0, 19]}, "error": "INVARIANT", '
+            '"message": "stage picks are not a matching: 0-19 is not an edge"}',
+        ),
+        (
+            "remove_preserving",
+            _repair_but_keep_the_pair,
+            True,
+            '{"details": {"edge": [3, 25]}, "error": "INVARIANT", '
+            '"message": "stage picks are not a matching: '
+            'matching not vertex-disjoint at 3-25"}',
+        ),
+    ],
+    ids=["non-edge select", "pair kept alive"],
+)
+def test_the_output_check_names_the_first_bad_pick(
+    monkeypatch, method, broken, is_edge, line
+):
+    # the error names the first pick off the graph or onto a vertex already
+    # picked; a pick off the graph leaves the pair count right
+    runs = _mixed_family()
+    monkeypatch.setattr(_Engine, method, broken)
+    for g, s in runs:
+        for audit in (False, True):
+            with pytest.raises(InvariantError) as ei:
+                layered_perfect_matching(g, s, cap=2, audit=audit)
+            u, v = ei.value.details["edge"]
+            assert (v in g.adj[u]) == is_edge
+    g, s = runs[0]
+    assert _error_json(lambda: layered_perfect_matching(g, s, cap=2)) == line
