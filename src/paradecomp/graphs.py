@@ -220,14 +220,20 @@ def greedy_net(adjacency, points, radius) -> list:
 
 
 def validate_matching(g: BipartiteGraph, matching):
-    """Normalize a matching to a set of (min, max) pairs, or raise."""
+    """Normalize a matching to a set of (min, max) pairs, or raise.
+
+    Pairs are checked in order, and the first bad one is named: an unknown
+    end (u before v), then a non-edge, then an end already matched.
+    """
+    side_of, adj = g.side_of, g.adj
     seen = set()
     norm = set()
     for e in matching:
         u, v = e
-        g.require_vertex(u)
-        g.require_vertex(v)
-        if v not in g.adj[u]:
+        if u not in side_of or v not in side_of:
+            g.require_vertex(u)
+            g.require_vertex(v)
+        if v not in adj[u]:
             raise InvalidMatchingError(f"{u}-{v} is not an edge", edge=[u, v])
         if u in seen or v in seen:
             raise InvalidMatchingError(
@@ -235,7 +241,7 @@ def validate_matching(g: BipartiteGraph, matching):
             )
         seen.add(u)
         seen.add(v)
-        norm.add((min(u, v), max(u, v)))
+        norm.add((u, v) if u < v else (v, u))
     return norm
 
 

@@ -35,13 +35,30 @@ class Rotation:
         self.scale = scale
 
     def __mul__(self, other: "Rotation") -> "Rotation":
-        a, b = self.num, other.num
-        out = []
-        for i in (0, 3, 6):
-            r0, r1, r2 = a[i], a[i + 1], a[i + 2]
-            for j in (0, 1, 2):
-                out.append(r0 * b[j] + r1 * b[3 + j] + r2 * b[6 + j])
-        return Rotation(out, self.scale + other.scale)
+        """The product, its nine entries written out.
+
+        Common fives can be stripped only when all nine entries are divisible
+        by 5, so the first entry that is not settles the product as
+        normalized; otherwise the constructor strips them.
+        """
+        a0, a1, a2, a3, a4, a5, a6, a7, a8 = self.num
+        b0, b1, b2, b3, b4, b5, b6, b7, b8 = other.num
+        c0 = a0 * b0 + a1 * b3 + a2 * b6
+        c1 = a0 * b1 + a1 * b4 + a2 * b7
+        c2 = a0 * b2 + a1 * b5 + a2 * b8
+        c3 = a3 * b0 + a4 * b3 + a5 * b6
+        c4 = a3 * b1 + a4 * b4 + a5 * b7
+        c5 = a3 * b2 + a4 * b5 + a5 * b8
+        c6 = a6 * b0 + a7 * b3 + a8 * b6
+        c7 = a6 * b1 + a7 * b4 + a8 * b7
+        c8 = a6 * b2 + a7 * b5 + a8 * b8
+        num = (c0, c1, c2, c3, c4, c5, c6, c7, c8)
+        scale = self.scale + other.scale
+        normalized = (
+            c0 % 5 or c1 % 5 or c2 % 5 or c3 % 5 or c4 % 5
+            or c5 % 5 or c6 % 5 or c7 % 5 or c8 % 5
+        )
+        return Rotation(num, scale, _normalized=normalized)
 
     def transpose(self) -> "Rotation":
         n = self.num
@@ -161,24 +178,40 @@ def apply_to_point(rot: Rotation, p: tuple[int, int, int, int]):
 
 
 def point_mover(rot: Rotation):
-    """apply_to_point(rot, .) unrolled, with rot's entries bound once.
+    """apply_to_point(rot, .) for a rotation that fixes the z or the x axis.
 
-    expand_window maps one mover over a whole run of points.  The tests
-    check its points with apply_to_point, so the two stay separate.
+    Each generator letter fixes one coordinate axis (a and A the z axis, b
+    and B the x axis), so a move takes four products for the two mixed
+    coordinates and one for the fixed one.  A moved point can need
+    normalizing only when both mixed values are divisible by 5; any other
+    is returned at once.  expand_window maps one mover over a whole run of
+    points.  The tests check its points with apply_to_point, so the two stay
+    separate.  A rotation that fixes neither axis raises ValueError.
     """
     n0, n1, n2, n3, n4, n5, n6, n7, n8 = rot.num
     scale = rot.scale
+    if n2 == n5 == n6 == n7 == 0:
 
-    def move(p):
-        x, y, z, k = p
-        u = n0 * x + n1 * y + n2 * z
-        v = n3 * x + n4 * y + n5 * z
-        w = n6 * x + n7 * y + n8 * z
-        k += scale
-        while k > 0 and u % 5 == 0 and v % 5 == 0 and w % 5 == 0:
-            u, v, w, k = u // 5, v // 5, w // 5, k - 1
-        return (u, v, w, k)
+        def move(p):
+            x, y, z, k = p
+            u = n0 * x + n1 * y
+            v = n3 * x + n4 * y
+            if u % 5 or v % 5:
+                return (u, v, n8 * z, k + scale)
+            return normalize_point(u, v, n8 * z, k + scale)
 
+    elif n1 == n2 == n3 == n6 == 0:
+
+        def move(p):
+            x, y, z, k = p
+            v = n4 * y + n5 * z
+            w = n7 * y + n8 * z
+            if v % 5 or w % 5:
+                return (n0 * x, v, w, k + scale)
+            return normalize_point(n0 * x, v, w, k + scale)
+
+    else:
+        raise ValueError(f"{rot!r} fixes neither the z nor the x axis")
     return move
 
 

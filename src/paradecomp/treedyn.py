@@ -373,13 +373,14 @@ def _steal(nbrs: dict, start, first, ray, g0):
 def forest_from_paradox(ts: TripleFunctionSystem) -> ForestWindow:
     """Cycle surgery: the graph generated by a triple system, made acyclic.
 
-    Every component of that graph is resolved by walking the unique
-    predecessor chain from its least point: the chain either closes a cycle
-    (a component fully inside the window) or dies at a point with no
-    predecessor.  Dying at a non-interior point means the component's cycle
-    lives outside the window, so the component is dropped and counted; an
-    interior point with no predecessor marks a genuinely cycle-free
-    component, kept as is.
+    Every point has at most one predecessor, so each component of that graph
+    holds exactly one point with no predecessor or exactly one cycle, and
+    the predecessor chain of every member ends there.  One walk along the
+    chains labels each point the maps touch with its component's fate,
+    stopping at the first point already labelled.  A chain that dies at a
+    non-interior point means the component's cycle lives outside the window,
+    so the component is dropped and counted; an interior point with no
+    predecessor marks a genuinely cycle-free component, kept as is.
 
     For a cycle, edges are relabeled pointwise so the cycle runs along the
     first map, the closing edge into the least cycle vertex is cut, and the
@@ -388,8 +389,8 @@ def forest_from_paradox(ts: TripleFunctionSystem) -> ForestWindow:
     off the cycle would overshoot (cycle vertices would end up with five
     edges and the cycle itself would survive); the two endpoint rays are
     exactly enough for 4-regularity away from the boundary.  The surgery
-    edits the graph's neighbour sets in place; a kept point's final set is
-    its adjacency.
+    edits the graph's neighbour sets in place, inside its own component; a
+    kept point's final set is its adjacency.
 
     Interior coverage is not required here: a relaxed synthetic system may
     have a chain dying at an interior point, which certifies the component
@@ -397,75 +398,86 @@ def forest_from_paradox(ts: TripleFunctionSystem) -> ForestWindow:
     """
     pred = ts.validate()
     n = ts.n_points
+    maps = ts.maps
     # only the points the maps touch (keys and values) can carry an edge or a
     # predecessor; every other window point is an isolated component
     nbrs: dict = {}
-    for f in ts.maps:
+    for f in maps:
         for x, y in f.items():
             nx, ny = nbrs.setdefault(x, set()), nbrs.setdefault(y, set())
             if x != y:
                 nx.add(y)
                 ny.add(x)
 
+    def other_value(x, y, offset=1):
+        # x's value under the map offset past the one that carries x to y
+        return maps[(pred[y][0] + offset) % 3].get(x)
+
+    # per point: 0 until a walk meets it, then its component's fate
+    ON_WALK, KEPT, DROPPED = 1, 2, 3
+    fate = bytearray(n)
+    cycle_hist: dict = {}
+    n_comps = truncated = free_components = 0
+    for start in nbrs:
+        if fate[start]:
+            continue
+        walk = []
+        x = start
+        while not fate[x]:
+            fate[x] = ON_WALK
+            walk.append(x)
+            p = pred.get(x)
+            if p is None:
+                # x has no predecessor: the walk met a new tree component
+                n_comps += 1
+                if ts.interior[x]:
+                    free_components += 1
+                    label = KEPT
+                else:
+                    truncated += 1
+                    label = DROPPED
+                break
+            x = p[1]
+        else:
+            label = fate[x]
+            if label == ON_WALK:
+                # the walk closed a new cycle; it ran backward, so reverse it
+                n_comps += 1
+                label = KEPT
+                cyc = walk[walk.index(x) :]
+                cyc.reverse()
+                k = cyc.index(min(cyc))
+                cyc = cyc[k:] + cyc[:k]
+                cycle_hist[len(cyc)] = cycle_hist.get(len(cyc), 0) + 1
+                if len(cyc) == 1:
+                    x0 = cyc[0]
+                    _steal(nbrs, x0, other_value(x0, x0), maps[1], maps[0])
+                    _steal(nbrs, x0, other_value(x0, x0, 2), maps[2], maps[0])
+                elif len(cyc) == 2:
+                    x0, x1 = cyc
+                    _steal(nbrs, x0, other_value(x0, x1), maps[1], maps[0])
+                    _steal(nbrs, x1, other_value(x1, x0), maps[1], maps[0])
+                else:
+                    x0, xn = cyc[0], cyc[-1]
+                    nbrs[xn].discard(x0)
+                    nbrs[x0].discard(xn)
+                    _steal(nbrs, xn, other_value(xn, x0), maps[1], maps[0])
+                    _steal(nbrs, x0, other_value(x0, cyc[1]), maps[1], maps[0])
+        for x in walk:
+            fate[x] = label
+
     adjacency = [()] * n
     interior = [False] * n
     present = [False] * n
-    cycle_hist: dict = {}
-    n_comps = kept = truncated = free_components = 0
-    # surgery edits only the sets of the component at hand, so the labeller
-    # still meets every later component as the maps built it
-    for members in components(nbrs, nbrs):
-        n_comps += 1
-        start = next(iter(members))  # the least member
-        chain = [start]
-        index = {start: 0}
-        cyc = None
-        while True:
-            p = pred.get(chain[-1])
-            if p is None:
-                break
-            x = p[1]
-            j = index.get(x)
-            if j is not None:
-                # chain walks backward, so reverse to get the forward cycle
-                cyc = list(reversed(chain[j:]))
-                break
-            index[x] = len(chain)
-            chain.append(x)
-        if cyc is None:
-            if not ts.interior[chain[-1]]:
-                truncated += 1
-                continue
-            free_components += 1
-        else:
-            k = cyc.index(min(cyc))
-            cyc = cyc[k:] + cyc[:k]
-            cycle_hist[len(cyc)] = cycle_hist.get(len(cyc), 0) + 1
-            # the cycle was walked through pred, so pred names each edge's map
-            rot = {pred[y][1]: pred[y][0] for y in cyc}
-
-            def g_at(x, offset):
-                return ts.maps[(rot[x] + offset) % 3].get(x)
-
-            if len(cyc) == 1:
-                x0 = cyc[0]
-                _steal(nbrs, x0, g_at(x0, 1), ts.maps[1], ts.maps[0])
-                _steal(nbrs, x0, g_at(x0, 2), ts.maps[2], ts.maps[0])
-            elif len(cyc) == 2:
-                x0, x1 = cyc
-                _steal(nbrs, x0, g_at(x0, 1), ts.maps[1], ts.maps[0])
-                _steal(nbrs, x1, g_at(x1, 1), ts.maps[1], ts.maps[0])
-            else:
-                x0, xn = cyc[0], cyc[-1]
-                nbrs[xn].discard(x0)
-                nbrs[x0].discard(xn)
-                _steal(nbrs, xn, g_at(xn, 1), ts.maps[1], ts.maps[0])
-                _steal(nbrs, x0, g_at(x0, 1), ts.maps[1], ts.maps[0])
-        kept += 1
-        for p in members:
-            present[p] = True
-            interior[p] = bool(ts.interior[p])
-            adjacency[p] = tuple(sorted(nbrs[p]))
+    isolated = n - len(nbrs)
+    # popping frees each set as its point's tuple is made, so the sets and
+    # the tuples are never all held at once
+    while nbrs:
+        x, ns = nbrs.popitem()
+        if fate[x] == KEPT:
+            present[x] = True
+            interior[x] = bool(ts.interior[x])
+            adjacency[x] = tuple(sorted(ns))
 
     return ForestWindow(
         adjacency=tuple(adjacency),
@@ -473,10 +485,10 @@ def forest_from_paradox(ts: TripleFunctionSystem) -> ForestWindow:
         present=tuple(present),
         labels=ts.labels,
         stats={
-            "components": n_comps + n - len(nbrs),
-            "kept": kept,
+            "components": n_comps + isolated,
+            "kept": n_comps - truncated,
             "truncated": truncated,
-            "isolated": n - len(nbrs),
+            "isolated": isolated,
             "cycle_free": free_components,
             "cycles": {str(k): v for k, v in sorted(cycle_hist.items())},
         },

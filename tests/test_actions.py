@@ -79,7 +79,8 @@ def _window_cases():
     for name, gens, radii in (("S", s, range(1, 7)), ("S2", s2, range(1, 5))):
         for base in bases:
             yield pytest.param("f2", base, gens, radii, id=f"f2-{base or 'e'}-{name}")
-        yield pytest.param("sphere", BASE_POINT, gens, radii, id=f"sphere-{name}")
+        for base, tag in ((BASE_POINT, ""), ((0, 3, 4, 1), "0341-")):
+            yield pytest.param("sphere", base, gens, radii, id=f"sphere-{tag}{name}")
 
 
 @pytest.mark.parametrize("kind,base,gens,radii", _window_cases())

@@ -204,6 +204,32 @@ def test_validate_matching_and_removal():
         validate_matching(g, [(0, 9)])
 
 
+_BAD_PAIRS = [
+    ([(0, 3), (9, 2), (8, 1)], UnknownVertexError, "vertex 9 not in graph", 9),
+    ([(0, 3), (1, 9), (8, 1)], UnknownVertexError, "vertex 9 not in graph", 9),
+    ([(0, 3), (1, 3), (1, 9)], InvalidMatchingError, "1-3 is not an edge", [1, 3]),
+    (
+        [(2, 0), (0, 3), (1, 9)],
+        InvalidMatchingError,
+        "matching not vertex-disjoint at 0-3",
+        [0, 3],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "pairs,error,message,named",
+    _BAD_PAIRS,
+    ids=["unknown u", "unknown v", "non-edge", "not vertex-disjoint"],
+)
+def test_validate_matching_names_the_first_bad_pair(pairs, error, message, named):
+    g = bipartite_graph([0, 1], [2, 3], [(0, 2), (0, 3), (1, 2)])
+    with pytest.raises(error) as ei:
+        validate_matching(g, pairs)
+    key = "vertex" if error is UnknownVertexError else "edge"
+    assert (ei.value.message, ei.value.details) == (message, {key: named})
+
+
 def test_induced_subgraph_drops_edges():
     g = bipartite_graph([0, 1], [2, 3], [(0, 2), (1, 3)])
     h = induced_subgraph(g, [0, 2, 3])

@@ -2,7 +2,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from paradecomp import treedyn
 from paradecomp.actions import (
@@ -20,10 +20,8 @@ from paradecomp.errors import (
 )
 from paradecomp.generators import (
     line_window,
-    planted_cycle_system,
     random_path_window,
     random_perfect_matching,
-    source_tree_system,
     star_graph,
     synthetic_forest,
 )
@@ -44,6 +42,7 @@ from paradecomp.treedyn import (
 )
 from paradecomp.words import inv, mul
 
+from families import planted_cycle_system, source_tree_system
 from oracles import (
     all_perfect_matchings,
     bfs_majority_ball,
@@ -304,10 +303,65 @@ def test_surgery_agrees_with_edge_set_oracle_on_synthetic_systems():
         assert forest_from_paradox(ts) == edge_set_forest_from_paradox(ts)
 
 
-@pytest.mark.parametrize("radius", [6, 7, 8])
-@pytest.mark.parametrize(
-    "kind,base", [("f2", ""), ("f2", "ab"), ("f2", "Ba"), ("sphere", None)]
+@st.composite
+def triple_systems(draw):
+    """Random triple systems of at most 40 points.
+
+    Each point's predecessor is one unused (map, point) slot or none, so the
+    maps are injective with disjoint ranges.  Points are entered in a drawn
+    order, so a labelling walk may start anywhere in its component.
+    """
+    n = draw(st.integers(1, 40))
+    slots = draw(st.permutations([(i, x) for i in range(3) for x in range(n)]))
+    has_pred = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    maps: tuple = ({}, {}, {})
+    for y in draw(st.permutations(range(n))):
+        if has_pred[y]:
+            i, x = slots[y]
+            maps[i][x] = y
+    interior = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return TripleFunctionSystem(maps=maps, n_points=n, interior=tuple(interior))
+
+
+# cycles of length 1 (at 0), 2 (3, 4) and 3 (6, 7, 8), each with first-map
+# subtrees at the points its surgery steals from (1, 2, 5, 9, 16, 20), so a
+# steal started on the wrong map moves a different edge; the tree
+# 12 -> 10 -> 11 -> 13 is entered at 11, below its least member 10, and kept
+# for its interior root; the tree 14 -> 15 is dropped
+_SHAPES = TripleFunctionSystem(
+    maps=(
+        {
+            11: 13, 0: 1, 4: 3, 6: 7, 8: 9, 16: 17,
+            9: 18, 5: 19, 3: 20, 20: 21, 2: 22, 1: 23,
+        },
+        {0: 0, 4: 5, 7: 8, 10: 11, 6: 16},
+        {0: 2, 3: 4, 8: 6, 12: 10, 14: 15},
+    ),
+    n_points=24,
+    interior=tuple(p not in (14, 15) for p in range(24)),
 )
+
+
+@example(_SHAPES)
+@given(triple_systems())
+def test_surgery_agrees_with_edge_set_oracle_on_random_systems(ts):
+    assert forest_from_paradox(ts) == edge_set_forest_from_paradox(ts)
+
+
+def test_the_shapes_example_holds_every_component_kind():
+    fw = forest_from_paradox(_SHAPES)
+    assert fw.stats["cycles"] == {"1": 1, "2": 1, "3": 1}
+    assert (fw.stats["cycle_free"], fw.stats["truncated"]) == (1, 1)
+
+
+_SURGERY_WINDOWS = [
+    (kind, base, radius)
+    for kind, base in (("f2", ""), ("f2", "ab"), ("f2", "Ba"), ("sphere", None))
+    for radius in (6, 7, 8)
+] + [("sphere", None, 10), ("f2", "ab", 10)]
+
+
+@pytest.mark.parametrize("kind,base,radius", _SURGERY_WINDOWS)
 def test_surgery_agrees_with_edge_set_oracle_on_windows(kind, base, radius):
     ts = _window_system(kind, base, radius)
     fw = forest_from_paradox(ts)

@@ -15,6 +15,7 @@ from paradecomp.rotations import (
     is_unit_point,
     letter_rotation,
     normalize_point,
+    point_mover,
     shortest_identity_word,
     word_rotation,
 )
@@ -143,6 +144,11 @@ def test_certificate_agrees_with_dfs_oracle(monkeypatch, order):
             assert rotation_is_identity(word_rotation(w))
     if order is not None:
         assert shortest_identity_word(order) is not None
+
+
+def test_point_mover_refuses_a_rotation_fixing_no_axis():
+    with pytest.raises(ValueError):
+        point_mover(_FINITE_ORDER[3])
 
 
 def test_orthogonality_of_random_words_exact():
