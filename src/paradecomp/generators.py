@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from .graphs import BipartiteGraph, bipartite_graph
 from .hall import ExpansionParams, check_hall_eps_n
-from .matching import hopcroft_karp
 from .treedyn import ForestWindow
 
 
@@ -68,36 +67,6 @@ def line_window(n_vertices: int) -> BipartiteGraph:
     side1 = range(1, n_vertices, 2)
     edges = [(k, k + 1) for k in range(n_vertices - 1)]
     return bipartite_graph(side0, side1, edges)
-
-
-def random_path_window(rng, min_len: int = 31, max_len: int = 59, id_span: int = 500):
-    """Single path with shuffled vertex ids, sides by position parity.
-
-    Lengths are kept odd so the vertex count is even and perfect matchings
-    of the path powers exist.
-    """
-    length = rng.randrange(min_len, max_len + 1, 2)
-    n = length + 1
-    ids = rng.sample(range(id_span), n)
-    side0 = [ids[k] for k in range(0, n, 2)]
-    side1 = [ids[k] for k in range(1, n, 2)]
-    edges = [(ids[k], ids[k + 1]) for k in range(length)]
-    return bipartite_graph(side0, side1, edges)
-
-
-def random_perfect_matching(g: BipartiteGraph, rng):
-    """A perfect matching of g as (side 0, side 1) pairs; None if g has none.
-
-    One Hopcroft-Karp run over the side-0 vertices and their neighbours,
-    each shuffled with rng, so the seed picks which matching comes out.
-    """
-    left = list(g.side_vertices(0))
-    rng.shuffle(left)
-    adj = {u: rng.sample(g.adj[u], len(g.adj[u])) for u in left}
-    pairs = hopcroft_karp(left, adj.__getitem__, dict.fromkeys(g.side_vertices(1)))
-    if 2 * len(pairs) != len(g.ids):
-        return None
-    return set(pairs.items())
 
 
 def synthetic_forest(rng) -> ForestWindow:

@@ -2,10 +2,13 @@
 
 One breadth-first search serves distances and connected components; greedy
 nets run their own ball search, which keeps the radius left per vertex in a
-list indexed by vertex, so its vertices are 0..n-1.  Every other module
-reaches those through the helpers here.  The three searches read a vertex's
-neighbours as adjacency[u], from a dict, list or tuple the caller already
-holds; a caller that searches a subset passes an adjacency over that subset.
+list indexed by vertex, so its vertices are 0..n-1.  That search marks a
+dead end (a vertex with one neighbour) without searching from it, so it
+needs a symmetric adjacency: the dead end's one neighbour is then where the
+search came from.  Every other module reaches those through the helpers
+here.  The three searches read a vertex's neighbours as adjacency[u], from
+a dict, list or tuple the caller already holds; a caller that searches a
+subset passes an adjacency over that subset.
 
 Vertex ids are opaque integers; every algorithm in the package breaks ties by
 ascending id, so the structures here keep adjacency lists sorted.  Graphs are
@@ -190,13 +193,17 @@ def components(adjacency, vertices):
 def greedy_net(adjacency, points, radius) -> list:
     """Points kept by a scan in the given order, pairwise farther than radius.
 
-    The vertices are 0..len(adjacency) - 1.  A point is kept unless an
-    already-kept point lies within radius; each kept point blocks its ball.
-    spare records, per vertex, one more than the most radius a kept ball had
-    left on reaching it (0: no ball reached it), and the balls block every
-    vertex within spare - 1 of it.  A ball's search therefore goes on from a
-    vertex only when it reaches it with more to spare, and the blocked set is
-    still the union of the balls.
+    The vertices are 0..len(adjacency) - 1, and the adjacency must be
+    symmetric: w is listed among u's neighbours exactly when u is among w's.
+    A point is kept unless an already-kept point lies within radius; each
+    kept point blocks its ball.  spare records, per vertex, one more than
+    the most radius a kept ball had left on reaching it (0: no ball reached
+    it), and the balls block every vertex within spare - 1 of it.  A ball's
+    search therefore goes on from a vertex only when it reaches it with more
+    to spare, and the blocked set is still the union of the balls.  A dead
+    end, a reached vertex with exactly one neighbour, is marked but not
+    searched from: by symmetry its one neighbour is the vertex the search
+    came from, which already has more to spare.
     """
     spare = [0] * len(adjacency)
     kept = []
@@ -212,7 +219,8 @@ def greedy_net(adjacency, points, radius) -> list:
                 for w in adjacency[u]:
                     if spare[w] < r:
                         spare[w] = r
-                        nxt.append(w)
+                        if len(adjacency[w]) != 1:
+                            nxt.append(w)
             if not nxt:
                 break
             frontier = nxt

@@ -540,28 +540,40 @@ class F2ActionResult:
         }
 
 
-def _stage_audit(forest: ForestWindow, domain: set, stage: int, near: dict) -> dict:
+def _stage_audit(
+    forest: ForestWindow, domain: set, stage: int, near: dict, index: dict
+) -> dict:
     """Measure the stage conditions: local connectivity and G^{<=8} diameters.
 
-    near maps each domain point searched so far to the domain points within
-    distance 8 of it, as (point, distance) pairs.  The domain only grows and
-    distance is symmetric, so the audit runs one radius-8 search per point
-    new to the domain: it lists the domain points met and adds the new point
-    to the lists of those searched before.  The pairs serve both conditions:
-    domain points within distance 4 must lie in one piece of the domain, and
-    the pairs are the edges of G^{<=8}.
+    near maps each domain point audited so far to the domain points within
+    distance 8 of it, as a dict from point to distance; it is G^{<=8} over
+    the domain, with its distances.  The domain only grows, so each point is
+    searched once, to radius 4, when it joins: index maps every vertex of a
+    searched ball to the (searched point, distance) pairs that reach it.  A
+    shortest path of length d <= 8 has a vertex ceil(d/2) <= 4 from one end
+    and floor(d/2) from the other, so two points lie within 8 exactly when
+    their balls share a vertex, and their distance is the least dx + dy over
+    the shared vertices.  A new point's ball, read against the index, gives
+    its pairs with every point searched before it.  The pairs serve both
+    conditions: domain points within distance 4 must lie in one piece of
+    the domain, and the pairs are the edges of G^{<=8}.
     """
     adjacency = forest.adjacency
-    fresh = domain.difference(near)
-    for x in fresh:
-        near[x] = []
-    for x in fresh:
-        met = near[x]
-        for y, d in bfs_distances(adjacency, (x,), 8).items():
-            if y != x and y in domain:
-                met.append((y, d))
-                if y not in fresh:
-                    near[y].append((x, d))
+    for x in domain.difference(near):
+        met = {}
+        for v, dx in bfs_distances(adjacency, (x,), 4).items():
+            pairs = index.get(v)
+            if pairs is None:
+                index[v] = [(x, dx)]
+                continue
+            for y, dy in pairs:
+                d = dx + dy
+                if d < met.get(y, 9):
+                    met[y] = d
+            pairs.append((x, dx))
+        near[x] = met
+        for y, d in met.items():
+            near[y][x] = d
     inside = {u: [y for y in adjacency[u] if y in domain] for u in domain}
     comp = {}
     for piece in components(inside, domain):
@@ -571,7 +583,7 @@ def _stage_audit(forest: ForestWindow, domain: set, stage: int, near: dict) -> d
         (
             x
             for x, met in near.items()
-            if any(d <= 4 and comp[y] != comp[x] for y, d in met)
+            if any(d <= 4 and comp[y] != comp[x] for y, d in met.items())
         ),
         default=None,
     )
@@ -587,11 +599,11 @@ def _stage_audit(forest: ForestWindow, domain: set, stage: int, near: dict) -> d
             stage=stage,
             pair=[split, y],
         )
-    g8 = {x: [y for y, _ in met] for x, met in near.items()}
     # a search never leaves its start's component, so the largest
-    # eccentricity over the domain is the largest component diameter
+    # eccentricity over the domain is the largest component diameter; a
+    # point with no G^{<=8} neighbour has eccentricity 0
     max_diam = max(
-        (max(bfs_distances(g8, (a,)).values()) for a in domain),
+        (max(bfs_distances(near, (a,)).values()) for a, met in near.items() if met),
         default=0,
     )
     bound = 4**stage
@@ -638,7 +650,8 @@ def f2_action_from_forest(forest: ForestWindow, stages: int) -> F2ActionResult:
     maps = {i: {} for i in EXTENSION_ORDER}
     ran = {i: set() for i in EXTENSION_ORDER}
     domain: set = set()
-    near: dict = {}  # the audits' radius-8 searches, kept as the domain grows
+    near: dict = {}  # the audits' G^{<=8} over the domain, kept as it grows
+    index: dict = {}  # vertex -> (searched point, distance <= 4) pairs
     stages_out = []
     audits = []
 
@@ -729,7 +742,7 @@ def f2_action_from_forest(forest: ForestWindow, stages: int) -> F2ActionResult:
                 domain=frozenset(domain),
             )
         )
-        audits.append(_stage_audit(forest, domain, s_n, near))
+        audits.append(_stage_audit(forest, domain, s_n, near, index))
         if separation >= len(adjacency):
             break
 

@@ -908,6 +908,22 @@ def set_forest_from_obj(obj) -> ForestWindow:
     )
 
 
+def rescan_pairs(forest: ForestWindow, domain: set) -> dict:
+    """Each domain point's (point, distance) pairs within 8, by full searches.
+
+    A point's pairs are listed in the order its search reaches them.
+    """
+    adj = forest.adjacency
+    return {
+        x: [
+            (y, d)
+            for y, d in bfs_distances(adj, x).items()
+            if y != x and y in domain and d <= 8
+        ]
+        for x in sorted(domain)
+    }
+
+
 def rescan_stage_audit(forest: ForestWindow, domain: set, stage: int) -> dict:
     """The stage audit with a full search from every domain point.
 
@@ -922,19 +938,16 @@ def rescan_stage_audit(forest: ForestWindow, domain: set, stage: int) -> dict:
         if x not in piece:
             for y in bfs_distances(inside, x):
                 piece[y] = x
-    g8 = {}
-    for x in sorted(domain):
-        g8[x] = []
-        for y, d in bfs_distances(adj, x).items():
-            if y == x or y not in domain or d > 8:
-                continue
+    pairs = rescan_pairs(forest, domain)
+    for x, met in pairs.items():
+        for y, d in met:
             if d <= 4 and piece[y] != piece[x]:
                 raise HypothesisFailedError(
                     "domain points within distance 4 in separate pieces",
                     stage=stage,
                     pair=[x, y],
                 )
-            g8[x].append(y)
+    g8 = {x: [y for y, _ in met] for x, met in pairs.items()}
     diameter = max((max(bfs_distances(g8, a).values()) for a in domain), default=0)
     bound = 4**stage
     if diameter > bound:

@@ -19,12 +19,7 @@ from paradecomp.actions import (
     square_set,
     standard_generators,
 )
-from paradecomp.generators import (
-    hall_family,
-    random_path_window,
-    random_perfect_matching,
-    synthetic_forest,
-)
+from paradecomp.generators import hall_family, synthetic_forest
 from paradecomp.graphs import graph_to_obj, induced_subgraph
 from paradecomp.hall import ExpansionParams, check_hall, check_hall_eps_n
 from paradecomp.layers import geometric_schedule
@@ -38,6 +33,7 @@ from paradecomp.treedyn import (
     transfer_matching,
 )
 
+from families import random_path_window, random_perfect_matching
 from oracles import (
     bfs_distances,
     invert_letter,

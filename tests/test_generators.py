@@ -5,8 +5,6 @@ from paradecomp.generators import (
     complete_bipartite,
     hall_family,
     line_window,
-    random_path_window,
-    random_perfect_matching,
     star_graph,
     synthetic_forest,
     union_of_permutations,
@@ -14,6 +12,7 @@ from paradecomp.generators import (
 from paradecomp.hall import check_hall_eps_n
 from paradecomp.treedyn import OrientedTwoRegular, forest_is_acyclic
 
+from families import random_path_window, random_perfect_matching
 from oracles import bfs_distances, kuhn_max_matching
 
 

@@ -180,6 +180,43 @@ def test_greedy_net_is_separated_and_covers_what_it_skips(obj, picks, radius):
             )
 
 
+@st.composite
+def graphs_with_dead_ends(draw):
+    """Symmetric adjacency lists over 0..n-1 with many vertices of degree <= 1.
+
+    A random core gets pendant paths hung on any vertex so far (a path may
+    hang on another path, which makes pendant trees), then isolated
+    vertices; the vertices are numbered in a drawn order.
+    """
+    n = draw(st.integers(1, 8))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    edges = [(u, v) for u, v in pairs if u != v]
+    for length in draw(st.lists(st.integers(1, 4), max_size=5)):
+        at = draw(st.integers(0, n - 1))
+        for _ in range(length):
+            edges.append((at, n))
+            at = n
+            n += 1
+    n += draw(st.integers(0, 3))
+    label = draw(st.permutations(range(n)))
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[label[u]].add(label[v])
+        nbrs[label[v]].add(label[u])
+    return [sorted(ns) for ns in nbrs]
+
+
+@given(graphs_with_dead_ends(), st.data(), st.integers(0, 6))
+def test_greedy_net_blocks_dead_ends_it_does_not_search_from(adjacency, data, radius):
+    # every vertex of degree 0 or 1 is a point, as a leaf can be one in layers
+    n = len(adjacency)
+    ends = {v for v in range(n) if len(adjacency[v]) <= 1}
+    more = data.draw(st.sets(st.integers(0, n - 1)))
+    points = data.draw(st.permutations(sorted(ends | more)))
+    want = ball_union_greedy_net(adjacency, points, radius)
+    assert graphs.greedy_net(adjacency, points, radius) == want
+
+
 def test_distances_bound_cuts_off():
     g = bipartite_graph([0, 2], [1, 3], [(0, 1), (2, 1), (2, 3)])
     assert graphs.bfs_distances(g.adj, (0,), 1) == {0: 0, 1: 1}

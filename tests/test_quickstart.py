@@ -13,9 +13,10 @@ import sys
 from pathlib import Path
 
 from paradecomp import cli
-from paradecomp.generators import random_perfect_matching
 from paradecomp.graphs import graph_from_obj
 from paradecomp.treedyn import OrientedTwoRegular, odd_path_graph
+
+from families import random_perfect_matching
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "make_sample_graphs.py"

@@ -18,13 +18,7 @@ from paradecomp.errors import (
     HypothesisFailedError,
     InvalidMatchingError,
 )
-from paradecomp.generators import (
-    line_window,
-    random_path_window,
-    random_perfect_matching,
-    star_graph,
-    synthetic_forest,
-)
+from paradecomp.generators import line_window, star_graph, synthetic_forest
 from paradecomp.graphs import bfs_distances, bipartite_graph
 from paradecomp.treedyn import (
     ForestWindow,
@@ -42,11 +36,17 @@ from paradecomp.treedyn import (
 )
 from paradecomp.words import inv, mul
 
-from families import planted_cycle_system, source_tree_system
+from families import (
+    planted_cycle_system,
+    random_path_window,
+    random_perfect_matching,
+    source_tree_system,
+)
 from oracles import (
     all_perfect_matchings,
     bfs_majority_ball,
     edge_set_forest_from_paradox,
+    rescan_pairs,
     rescan_stage_audit,
 )
 
@@ -501,23 +501,71 @@ def test_action_is_deterministic():
 
 
 def test_stage_audits_search_each_domain_point_once(monkeypatch):
-    searched = []
+    searched = {4: [], 8: []}
     real = treedyn.bfs_distances
 
     def counting(neighbors, sources, bound=None):
-        if bound == 8:
-            searched.append(tuple(sources))
+        if bound in searched:
+            searched[bound].append(tuple(sources))
         return real(neighbors, sources, bound)
 
     for seed in range(100):  # the forests of acceptance criterion 8
         fw = synthetic_forest(random.Random(seed))
-        searched.clear()
+        for found in searched.values():
+            found.clear()
         with monkeypatch.context() as m:
             m.setattr(treedyn, "bfs_distances", counting)
             res = f2_action_from_forest(fw, 1)
-        assert sorted(searched) == sorted((x,) for x in res.covered)
-        fresh = [treedyn._stage_audit(fw, set(st.domain), st.n, {}) for st in res.stages]
+        assert sorted(searched[4]) == sorted((x,) for x in res.covered)
+        assert searched[8] == []
+        fresh = [
+            treedyn._stage_audit(fw, set(st.domain), st.n, {}, {}) for st in res.stages
+        ]
         assert res.audits == fresh
+
+
+def _audit_growing_domains(fw, domains) -> dict:
+    """Audit the domains at stages 0, 1, ...; check results and pairs."""
+    near: dict = {}
+    index: dict = {}
+    for stage, domain in enumerate(domains):
+        got = treedyn._stage_audit(fw, domain, stage, near, index)
+        assert got == rescan_stage_audit(fw, domain, stage)
+        want = rescan_pairs(fw, domain)
+        assert {x: set(met.items()) for x, met in near.items()} == {
+            x: set(met) for x, met in want.items()
+        }
+    return near
+
+
+@pytest.mark.parametrize("kind,base", [("f2", ()), ("sphere", (0, 1, 0, 0))])
+def test_stage_audits_on_dense_domains_match_rescans(kind, base):
+    # every eligible point, then every present interior point, then every
+    # present point of a radius-8 paradox forest; its components are small,
+    # so every audit passes
+    fw = forest_from_paradox(_window_system(kind, base, 8))
+    present = {p for p in range(fw.n_points()) if fw.present[p]}
+    interior = {p for p in present if fw.interior[p]}
+    eligible = {p for p in interior if len(fw.adjacency[p]) == 4}
+    near = _audit_growing_domains(fw, (eligible, interior, present))
+    assert any(near.values())
+    # the action's own stage domains
+    res = f2_action_from_forest(fw, 2)
+    assert [st.n for st in res.stages] == [0, 1, 2]
+    for done, audit in zip(res.stages, res.audits):
+        assert audit == rescan_stage_audit(fw, set(done.domain), done.n)
+
+
+def test_stage_audit_pairs_reach_distance_eight_on_synthetic_forests():
+    # a deep forest has pairs at every distance up to 8, which only balls
+    # of radius 4 at both ends find; the domains are growing balls around
+    # a spine point
+    for seed in range(3):
+        fw = synthetic_forest(random.Random(seed))
+        ball = bfs_distances(fw.adjacency, (seed,), 14)
+        domains = [{p for p, d in ball.items() if d <= r} for r in (4, 9, 14)]
+        near = _audit_growing_domains(fw, domains)
+        assert {d for met in near.values() for d in met.values()} == set(range(1, 9))
 
 
 def bare_forest(adjacency) -> ForestWindow:
@@ -569,8 +617,11 @@ def _audit_or_error(audit):
 def test_stage_audits_sharing_searches_match_rescans(case):
     fw, audits = case
     near: dict = {}
+    index: dict = {}
     for stage, domain in audits:
-        got = _audit_or_error(lambda: treedyn._stage_audit(fw, domain, stage, near))
+        got = _audit_or_error(
+            lambda: treedyn._stage_audit(fw, domain, stage, near, index)
+        )
         assert got == _audit_or_error(lambda: rescan_stage_audit(fw, domain, stage))
         if not isinstance(got, dict):
             break
@@ -581,9 +632,12 @@ def test_stage_audit_names_the_pair_its_search_meets_first():
     # but searched after 4, so the kept lists meet them in the other order
     fw = bare_forest([(1, 2), (0, 5), (0, 3), (2, 4), (3,), (1,)])
     near: dict = {}
-    assert treedyn._stage_audit(fw, {0}, 0, near) == rescan_stage_audit(fw, {0}, 0)
+    index: dict = {}
+    assert treedyn._stage_audit(fw, {0}, 0, near, index) == rescan_stage_audit(
+        fw, {0}, 0
+    )
     with pytest.raises(HypothesisFailedError, match="separate pieces") as ei:
-        treedyn._stage_audit(fw, {0, 4, 5}, 1, near)
+        treedyn._stage_audit(fw, {0, 4, 5}, 1, near, index)
     assert ei.value.details == {"stage": 1, "pair": [0, 5]}
     with pytest.raises(HypothesisFailedError) as oracle:
         rescan_stage_audit(fw, {0, 4, 5}, 1)
