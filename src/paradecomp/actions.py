@@ -444,22 +444,33 @@ def interior_saturating_matching(dg: DoublingGraph) -> dict:
     """Matching of the doubling graph covering every interior vertex.
 
     No finite window admits a perfect matching (sides are 1 to copies-1), so
-    the contract is saturation of the interior of both sides.  Two runs of
-    Hopcroft-Karp, one per side's interior, are merged by the alternating
-    component rule; boundary vertices may stay unmatched and that is the
-    expected outcome, reported by the caller.  Each run is given its right
-    side as a list over vids: the copy-0 run's neighbours are side-1 vids,
-    below dg.n_vertices(), and the side-1 run's are copy-0 vids, below
-    n_points, all of them nonnegative.  dg.partners alone decides
-    saturation: each run is a maximum matching, so a side no run covers is
-    covered by no matching, the merge included, and partners refuses it.
-    Every reader of the matching takes the partner map partners returns.
+    the contract is saturation of the interior of both sides.  Hopcroft-Karp
+    runs first from side 1's interior; boundary vertices may stay unmatched
+    and that is the expected outcome, reported by the caller.  When that run
+    already covers copy 0's interior, its edges are the matching, as
+    (copy-0, side-1) pairs in its key order.  That is exactly what
+    combine_saturating(pair_a, pair_b) would return for any copy-0 run
+    pair_a: the merge walks only from pair_a keys that pair_b misses, all
+    of them interior copy-0 vids, and otherwise returns pair_b's edges in
+    that order.  Only when a copy-0 interior vid is left free does a second
+    run, from copy 0's interior, go into that merge.  Each run is given its
+    right side as a list over vids: the side-1 run's neighbours are copy-0
+    vids, below n_points, and the copy-0 run's are side-1 vids, below
+    dg.n_vertices(), all of them nonnegative; the side-1 run's list ends
+    holding None exactly at the copy-0 vids it left free.  dg.partners alone
+    decides saturation: each run is a maximum matching, so a side no run
+    covers is covered by no matching, the merge included, and partners
+    refuses it.  Every reader of the matching takes the partner map
+    partners returns.
     """
     n = dg.n_points
     left_a = dg.window.interior_indices()  # interior copy-0 vids
     left_b = [c * n + i for c in range(1, dg.copies) for i in left_a]  # ascending
+    mate_b = [None] * n
+    pair_b = hopcroft_karp(left_b, dg.neighbors, mate_b)
+    if None not in map(mate_b.__getitem__, left_a):
+        return dg.partners(zip(pair_b.values(), pair_b))
     pair_a = hopcroft_karp(left_a, dg.neighbors, [None] * dg.n_vertices())
-    pair_b = hopcroft_karp(left_b, dg.neighbors, [None] * n)
     return dg.partners(combine_saturating(pair_a, pair_b))
 
 

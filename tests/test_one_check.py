@@ -2,8 +2,10 @@
 
 interior_saturating_matching returns the partner map that
 DoublingGraph.partners builds and checks, and every reader of the matching
-takes that map.  forest validates its triple system once, in
-forest_from_paradox.  match checks its output once, at the end of
+takes that map.  demo, paradox and forest each make one Hopcroft-Karp run,
+from side 1's interior: on these windows it leaves no copy-0 interior
+vertex free, so no copy-0 run is made.  forest validates its triple system
+once, in forest_from_paradox.  match checks its output once, at the end of
 layered_perfect_matching, audited or not.
 """
 
@@ -13,7 +15,7 @@ import pytest
 
 import paradecomp.graphs
 import paradecomp.matcher
-from paradecomp import cli
+from paradecomp import actions, cli
 from paradecomp.actions import DoublingGraph
 from paradecomp.generators import line_window
 from paradecomp.graphs import graph_to_obj
@@ -47,6 +49,27 @@ def test_each_command_checks_its_matching_once(monkeypatch, tmp_path, capsys, ki
         validates.clear()
         assert cli.main(argv) == 0, capsys.readouterr().out
         assert (len(partners), len(validates)) == want, name
+
+
+@pytest.mark.parametrize("kind", ["f2", "sphere"])
+def test_each_command_runs_one_hopcroft_karp_search(monkeypatch, tmp_path, capsys, kind):
+    runs = []
+    search = actions.hopcroft_karp
+
+    def counted(*args):
+        runs.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(actions, "hopcroft_karp", counted)
+    src = str(tmp_path / "paradox.json")
+    for argv in (
+        ["demo", "--kind", kind, "--radius", "6"],
+        ["paradox", "--kind", kind, "--radius", "6", "--out", src],
+        ["forest", "--from", src],
+    ):
+        runs.clear()
+        assert cli.main(argv) == 0, capsys.readouterr().out
+        assert len(runs) == 1, argv[0]
 
 
 @pytest.mark.parametrize("audit", [[], ["--audit"]], ids=["plain", "audit"])

@@ -531,11 +531,16 @@ def _audit_growing_domains(fw, domains) -> dict:
     for stage, domain in enumerate(domains):
         got = treedyn._stage_audit(fw, domain, stage, near, index)
         assert got == rescan_stage_audit(fw, domain, stage)
-        want = rescan_pairs(fw, domain)
-        assert {x: set(met.items()) for x, met in near.items()} == {
-            x: set(met) for x, met in want.items()
-        }
+        assert_near_is_rescan(fw, domain, near)
     return near
+
+
+def assert_near_is_rescan(fw, domain, near):
+    """The audit's kept pairs are those of full searches from the domain."""
+    want = rescan_pairs(fw, domain)
+    assert {x: set(met.items()) for x, met in near.items()} == {
+        x: set(met) for x, met in want.items()
+    }
 
 
 @pytest.mark.parametrize("kind,base", [("f2", ()), ("sphere", (0, 1, 0, 0))])
@@ -623,6 +628,8 @@ def test_stage_audits_sharing_searches_match_rescans(case):
             lambda: treedyn._stage_audit(fw, domain, stage, near, index)
         )
         assert got == _audit_or_error(lambda: rescan_stage_audit(fw, domain, stage))
+        # a failing audit has kept its pairs before it raises
+        assert_near_is_rescan(fw, domain, near)
         if not isinstance(got, dict):
             break
 
