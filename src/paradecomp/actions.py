@@ -4,8 +4,10 @@ Group elements are reduced words everywhere.  Both actions are free, so a
 window is a ball of the Cayley graph of F2: a point is labelled by its
 canonical word, the artifact-wide point order is the shortlex word key, and
 every point is moved by letter tables recorded while the ball is expanded.
-The sphere adds the exact rational coordinates of rotations.py to each
-point, and its certificate is that no two words reach one coordinate.
+On the sphere, rotations.orbit_certificate proves the base's orbit free, so
+its window is F2's ball; the exact rational coordinates of each point are
+computed only when read.  A base it does not certify is checked on the held
+points instead, for two words reaching one coordinate.
 
 A window is the ball of a chosen radius around a base point, with a margin
 marking which points are interior (their generator images are complete
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress, count, islice, repeat
 from operator import gt
 
@@ -38,7 +41,7 @@ from .graphs import BipartiteGraph, bipartite_graph
 from .hall import HallReport, least_violator
 from .matching import combine_saturating, hopcroft_karp
 from .rotations import BASE_POINT, apply_to_point, is_unit_point, letter_rotation
-from .rotations import normalize_point, point_mover, word_rotation
+from .rotations import normalize_point, orbit_certificate, point_mover, word_rotation
 from .words import ALPHABET, IDENTITY, inv, iter_reduced, mul, reduce_word, word_key
 
 F2 = "f2"
@@ -92,15 +95,15 @@ class ActionWindow:
     words[i] is the canonical label of point i (for the sphere: the unique
     reduced word reaching it from the base, unique by freeness).  dist[i] is
     the graph distance to the base under the expanding generator set.
-    tables[c][i] is the index of c . point_i, or -1 off the window; coords
-    lists the sphere's points in index order (None for f2).  The interior
-    (dist <= radius - margin) is decided here, once.  The window may hold
-    fewer points than the ball of its radius; ball_size counts the whole
-    ball, held or not.
+    tables[c][i] is the index of c . point_i, or -1 off the window.  base is
+    the reduced base word (f2) or the normalized base point (sphere).  The
+    interior (dist <= radius - margin) is decided here, once.  The window
+    may hold fewer points than the ball of its radius; ball_size counts the
+    whole ball, held or not.
     """
 
     def __init__(
-        self, kind, radius, margin, ball_size, words, dist, tables, coords, base_index
+        self, kind, radius, margin, ball_size, words, dist, tables, base, base_index
     ):
         self.kind = kind
         self.radius = radius
@@ -109,7 +112,7 @@ class ActionWindow:
         self.words = words
         self.dist = dist
         self.tables = tables
-        self.coords = coords
+        self.base = base
         self.base_index = base_index
         self._interior_bound = bound = radius - margin
         self._interior = tuple(compress(range(len(dist)), map(bound.__ge__, dist)))
@@ -123,8 +126,22 @@ class ActionWindow:
             self._word_index = dict(zip(self.words, range(len(self.words))))
         return self._word_index.get(w)
 
-    def is_interior(self, i: int) -> bool:
-        return self.dist[i] <= self._interior_bound
+    @cached_property
+    def coords(self):
+        """The sphere's points in index order (None for f2), on first read.
+
+        Point j is c.parent for its first letter c, and its parent
+        tables[inv(c)][j] is a shorter word, so it comes earlier.
+        """
+        if self.kind != SPHERE:
+            return None
+        movers = {c: point_mover(letter_rotation(c)) for c in ALPHABET}
+        back = {c: self.tables[inv(c)] for c in ALPHABET}
+        coords = [self.base]
+        for j, w in enumerate(islice(self.words, 1, None), 1):
+            c = w[0]
+            coords.append(movers[c](coords[back[c][j]]))
+        return tuple(coords)
 
     def interior_indices(self, extra: int = 0) -> tuple:
         """Ascending indices within radius - margin - extra, extra >= 0.
@@ -171,34 +188,39 @@ def expand_window(
     letter c extends each block of the last level but inv(c)'s into one run
     of consecutive new indices, so a run takes one slice assignment per
     table entry (both entries of each new edge) and one map for its words.
-    On the sphere the same map moves the run's parents' coordinates by c's
-    rotation.  A point reached twice is refused: two distinct reduced words
-    with the same image of the base would contradict freeness of the orbit.
-    A set of the coordinates decides that, and only a collision is sought
-    point by point, to name the first.  An f2 window based at a nonidentity
-    word is the same ball, relabelled by g.base and re-sorted.  A hold whose
-    words are too long for the tables to index (hold*L above 18 with a
-    4-byte int) is refused with ValueError before anything is allocated; a
-    smaller window may still not fit in memory.
+    A sphere base whose orbit rotations.orbit_certificate proves free gets
+    exactly F2's ball, and its coordinates wait for a reader of coords.  Any
+    other sphere base is refused when a generator of s fixes it, and its
+    held points are checked: a point reached twice, by two distinct reduced
+    words, contradicts freeness of the orbit.  A set of the coordinates
+    decides that, and only a collision is sought point by point, to name the
+    first.  An f2 window based at a nonidentity word is the same ball,
+    relabelled by g.base and re-sorted.  A hold whose words are too long for
+    the tables to index (hold*L above 18 with a 4-byte int) is refused with
+    ValueError before anything is allocated; a smaller window may still not
+    fit in memory.
     """
     if radius <= margin:
         raise ValueError(f"radius {radius} must exceed margin {margin}")
     if margin < 0:
         raise ValueError("margin must be >= 0")
     step = s.radius
+    certified = False
     if kind == F2:
-        base_word = reduce_word(base if base is not None else IDENTITY)
+        base = reduce_word(base if base is not None else IDENTITY)
     elif kind == SPHERE:
         if base is None:
             base = BASE_POINT
         if not is_unit_point(base):
             raise ValueError(f"base {base} is not a unit vector")
         base = normalize_point(*base)
-        for gamma in s.nonidentity():
-            if apply_to_point(word_rotation(gamma), base) == base:
-                raise FixedBaseError(
-                    f"generator {gamma!r} fixes the base point", generator=gamma
-                )
+        certified = orbit_certificate(base) is not None
+        if not certified:
+            for gamma in s.nonidentity():
+                if apply_to_point(word_rotation(gamma), base) == base:
+                    raise FixedBaseError(
+                        f"generator {gamma!r} fixes the base point", generator=gamma
+                    )
     else:
         raise ValueError(f"unknown window kind {kind!r}")
     hold = radius if reach is None else min(radius, radius - margin + reach)
@@ -207,16 +229,13 @@ def expand_window(
             f"window would hold words of {hold * step} letters; its tables "
             f"index words of at most {_MAX_WORD_LENGTH}"
         )
-    # reduced words of length <= radius*L; the orbit is free on the sphere too
+    # reduced words of length <= radius*L: on the sphere, orbit_certificate
+    # proves the orbit free; an uncertified base is checked on the held points
     ball_size = 2 * 3 ** (radius * step) - 1
     n = 2 * 3 ** (hold * step) - 1
     tables = {c: array("i", [-1]) * n for c in ALPHABET}
     words = [IDENTITY]
     dist = [0]
-    coords = movers = None
-    if kind == SPHERE:
-        coords = [base]
-        movers = {c: point_mover(letter_rotation(c)) for c in ALPHABET}
     # (first letter, lo, hi) of each block of the last level
     blocks = [(IDENTITY, 0, 1)]
     for m in range(1, hold * step + 1):
@@ -232,15 +251,28 @@ def expand_window(
                     out[lo:hi] = array("i", range(new, top))
                     back[new:top] = array("i", range(lo, hi))
                     words += map(c.__add__, words[lo:hi])
-                    if coords is not None:
-                        coords += map(movers[c], coords[lo:hi])
             level.append((c, start, len(words)))
         dist += repeat(-(-m // step), len(words) - level[0][1])
         blocks = level
     dist = tuple(dist)
 
     base_index = 0
-    if kind == SPHERE:
+    if kind == F2 and base:
+        # point g is g.base: sort by that label and renumber the tables
+        labels = [mul(g, base) for g in words]
+        order = sorted(range(n), key=lambda i: word_key(labels[i]))
+        rank = array("i", [-1]) * (n + 1)  # rank[-1] == -1 keeps off-window
+        for new, old in enumerate(order):
+            rank[old] = new
+        words = [labels[i] for i in order]
+        dist = tuple(map(dist.__getitem__, order))
+        tables = {c: array("i", [rank[t[i]] for i in order]) for c, t in tables.items()}
+        base_index = rank[0]
+    w = ActionWindow(
+        kind, radius, margin, ball_size, tuple(words), dist, tables, base, base_index
+    )
+    if kind == SPHERE and not certified:
+        coords = w.coords
         if len(set(coords)) != n:
             index = {}
             for j, p in enumerate(coords):
@@ -251,21 +283,7 @@ def expand_window(
                         word_a=words[index[p]],
                         word_b=words[j],
                     )
-        coords = tuple(coords)
-    elif base_word:
-        # point g is g.base: sort by that label and renumber the tables
-        labels = [mul(g, base_word) for g in words]
-        order = sorted(range(n), key=lambda i: word_key(labels[i]))
-        rank = array("i", [-1]) * (n + 1)  # rank[-1] == -1 keeps off-window
-        for new, old in enumerate(order):
-            rank[old] = new
-        words = [labels[i] for i in order]
-        dist = tuple(map(dist.__getitem__, order))
-        tables = {c: array("i", [rank[t[i]] for i in order]) for c, t in tables.items()}
-        base_index = rank[0]
-    return ActionWindow(
-        kind, radius, margin, ball_size, tuple(words), dist, tables, coords, base_index
-    )
+    return w
 
 
 class _Lifted:

@@ -188,12 +188,11 @@ def _window_geometry(obj, flags=None) -> tuple:
 
 
 def _window_meta(w) -> dict:
-    base = w.words[w.base_index] if w.kind == F2 else list(w.coords[w.base_index])
     return {
         "kind": w.kind,
         "radius": w.radius,
         "margin": w.margin,
-        "base": base,
+        "base": w.base if w.kind == F2 else list(w.base),
     }
 
 

@@ -12,6 +12,13 @@ find words with equal rotations by dictionary lookup.
 Vectors live on the rational sphere: (x, y, z, k) stands for
 (x, y, z) / 5**k with x^2 + y^2 + z^2 = 25**k, kept normalized so not all of
 x, y, z are divisible by 5 when k > 0.
+
+orbit_certificate proves a point's orbit free for every word length.  After
+descending to a point p0 of scale k0, it shows that every reduced word w
+moves p0 to a point of scale exactly k0 + |w|.  Then no nonidentity w fixes
+p0, so g -> g.p is injective on F2 for every p in the orbit, and a ball of
+2*3^n - 1 reduced words reaches as many distinct points.  The windows of
+actions.py rest their point counts on this.
 """
 
 from __future__ import annotations
@@ -184,9 +191,10 @@ def point_mover(rot: Rotation):
     and B the x axis), so a move takes four products for the two mixed
     coordinates and one for the fixed one.  A moved point can need
     normalizing only when both mixed values are divisible by 5; any other
-    is returned at once.  expand_window maps one mover over a whole run of
-    points.  The tests check its points with apply_to_point, so the two stay
-    separate.  A rotation that fixes neither axis raises ValueError.
+    is returned at once.  ActionWindow.coords moves each point from its
+    parent by one mover.  The tests check its points with apply_to_point, so
+    the two stay separate.  A rotation that fixes neither axis raises
+    ValueError.
     """
     n0, n1, n2, n3, n4, n5, n6, n7, n8 = rot.num
     scale = rot.scale
@@ -213,6 +221,55 @@ def point_mover(rot: Rotation):
     else:
         raise ValueError(f"{rot!r} fixes neither the z nor the x axis")
     return move
+
+
+_MOD5 = {c: tuple(v % 5 for v in r.num) for c, r in _LETTER.items()}
+
+
+def orbit_certificate(p):
+    """(p0, w, states) proving the orbit of p free, or None.
+
+    p is a normalized unit point.  First p descends: while some letter c
+    (first in ALPHABET order) lowers its scale, p moves to c.p.  Each step
+    lowers the scale by one, so this ends at a point p0 of scale k0, and w
+    is the reduced word with w.p0 = p (the inverses of the descending
+    letters, first letter first).  Then, for a reduced word v, the integer
+    vector u_v with v.p0 = u_v / 5^(k0 + |v|) is got from p0's numerators by
+    the integer matrices 5.c, so one more letter's residue mod 5 depends
+    only on the letter and u_v mod 5.  The states (last letter applied, u_v
+    mod 5) form an automaton, walked here from every letter.  When no
+    reachable state is zero mod 5, every v.p0 is normalized at scale
+    k0 + |v|: distinct reduced words reach distinct points, and the orbit
+    is free for every word length.  states counts the reachable states.  A
+    zero state returns None, which proves nothing either way: some v.p0
+    then has a lower scale, and that need not be a collision.
+    """
+    x, y, z, k = p
+    w = IDENTITY
+    while True:
+        for c in ALPHABET:
+            q = apply_to_point(_LETTER[c], (x, y, z, k))
+            if q[3] < k:
+                x, y, z, k = q
+                w += _INV[c]
+                break
+        else:
+            break
+    seen = set()
+    todo = [(c, (x % 5, y % 5, z % 5)) for c in ALPHABET]
+    for c, (u0, u1, u2) in todo:  # grows as it is read
+        n0, n1, n2, n3, n4, n5, n6, n7, n8 = _MOD5[c]
+        v = (
+            (n0 * u0 + n1 * u1 + n2 * u2) % 5,
+            (n3 * u0 + n4 * u1 + n5 * u2) % 5,
+            (n6 * u0 + n7 * u1 + n8 * u2) % 5,
+        )
+        if v == (0, 0, 0):
+            return None
+        if (c, v) not in seen:
+            seen.add((c, v))
+            todo += [(d, v) for d in ALPHABET if d != _INV[c]]
+    return (x, y, z, k), w, len(seen)
 
 
 BASE_POINT = (0, 1, 0, 0)

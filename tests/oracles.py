@@ -516,6 +516,12 @@ def scan_unmatched_boundary(dg, matching) -> tuple:
     ]
     return len(depths), min(depths, default=None)
 
+
+def is_interior(w, i: int) -> bool:
+    """Whether window point i lies within radius - margin of the base."""
+    return w.dist[i] <= w.radius - w.margin
+
+
 def brute_doubled_expansion(dg, cap: int):
     """Least doubled-expansion violator over ALL interior subsets up to cap.
 
@@ -526,7 +532,7 @@ def brute_doubled_expansion(dg, cap: int):
     over connected sets.
     """
     n = dg.n_points
-    interior = [i for i in range(n) if dg.window.is_interior(i)]
+    interior = [i for i in range(n) if is_interior(dg.window, i)]
     best = None
     for side, vids, mult in (
         (0, interior, 1),

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from paradecomp import cli
+from paradecomp import actions, cli
 
 from paradecomp.actions import (
     DoublingGraph,
@@ -178,6 +178,37 @@ def test_sphere_pieces_and_certificate_are_those_of_f2(capsys, base, radius):
         got.append(json.loads(capsys.readouterr().out))
     for key in ("pieces", "certificate", "boundary"):
         assert got[0][key] == got[1][key], key
+
+
+@pytest.mark.parametrize("base", ["0,1,0", "0,3,4,1"])
+def test_sphere_commands_on_a_certified_base_move_no_point(
+    monkeypatch, tmp_path, capsys, base
+):
+    # the orbit certificate stands in for the coordinates' collision search
+    def refuse(rot):
+        raise AssertionError(f"point_mover({rot!r}) called")
+
+    monkeypatch.setattr(actions, "point_mover", refuse)
+    src = str(tmp_path / "paradox.json")
+    flags = ["--kind", "sphere", "--radius", "6", "--base", base]
+    for argv in (
+        ["demo", *flags],
+        ["paradox", *flags, "--out", src],
+        ["forest", "--from", src],
+    ):
+        assert cli.main(argv) == 0, capsys.readouterr().out
+        capsys.readouterr()
+
+
+def test_certified_sphere_window_computes_coords_on_first_read():
+    s = standard_generators()
+    w = expand_window("sphere", (0, 3, 4, 1), s, 5, 2)
+    assert "coords" not in vars(w)
+    assert w.base == (0, 3, 4, 1)
+    _, _, coords, _ = bfs_window("sphere", (0, 3, 4, 1), s.nonidentity(), 5)
+    assert w.coords == coords
+    assert "coords" in vars(w)
+    assert w.coords[w.base_index] == w.base
 
 
 def test_sphere_window_rejects_fixed_base():

@@ -15,6 +15,7 @@ from paradecomp.rotations import (
     is_unit_point,
     letter_rotation,
     normalize_point,
+    orbit_certificate,
     point_mover,
     shortest_identity_word,
     word_rotation,
@@ -164,6 +165,47 @@ def test_orthogonality_of_random_words_exact():
         rot = word_rotation("".join(out))
         assert rotation_is_orthogonal(rot)
         assert not rotation_is_identity(rot)
+
+
+# base -> (descended point, word carrying it back to the base, states)
+CERTIFIED = {
+    (0, 1, 0, 0): ((0, 1, 0, 0), "", 16),
+    (0, 3, 4, 1): ((0, 1, 0, 0), "b", 16),  # B lowers its scale
+    (4, 3, 0, 1): ((0, 1, 0, 0), "A", 16),  # a lowers its scale
+    (3, 0, 4, 1): ((3, 0, 4, 1), "", 8),
+}
+
+
+@pytest.mark.parametrize("base", list(CERTIFIED), ids=str)
+def test_orbit_certificate_certifies_and_descends(base):
+    p0, w, states = cert = orbit_certificate(base)
+    assert cert == CERTIFIED[base]
+    assert is_reduced(w)
+    assert apply_to_point(word_rotation(w), p0) == base
+
+
+# (3,4,0,1) is a.(1,0,0), and b fixes (1,0,0); a fixes (0,0,1)
+@pytest.mark.parametrize("base", [(3, 4, 0, 1), (1, 0, 0, 0), (0, 0, 1, 0)], ids=str)
+def test_orbit_certificate_refuses_points_with_a_stabilizer(base):
+    assert orbit_certificate(base) is None
+
+
+@pytest.mark.parametrize("base", list(CERTIFIED), ids=str)
+def test_certified_orbit_scale_grows_with_word_length(base):
+    # the certificate's claim, read off exact points: w.p0 has scale k0 + |w|
+    p0, _, _ = orbit_certificate(base)
+    rng = random.Random(22)
+    for _ in range(1000):
+        out = []
+        for _ in range(rng.randint(0, 40)):
+            c = rng.choice("aAbB")
+            while out and out[-1] == inv(c):
+                c = rng.choice("aAbB")
+            out.append(c)
+        w = "".join(out)
+        q = apply_to_point(word_rotation(w), p0)
+        assert is_unit_point(q)
+        assert q[3] == p0[3] + len(w), w
 
 
 def test_point_normalization_and_unit_check():
