@@ -6,8 +6,9 @@ canonical word, the artifact-wide point order is the shortlex word key, and
 every point is moved by letter tables recorded while the ball is expanded.
 On the sphere, rotations.orbit_certificate proves the base's orbit free, so
 its window is F2's ball; the exact rational coordinates of each point are
-computed only when read.  A base it does not certify is checked on the held
-points instead, for two words reaching one coordinate.
+computed only when read.  A base it does not certify is checked on every
+point of the ball instead, held or not, for two words reaching one
+coordinate.
 
 A window is the ball of a chosen radius around a base point, with a margin
 marking which points are interior (their generator images are complete
@@ -190,11 +191,11 @@ def expand_window(
     table entry (both entries of each new edge) and one map for its words.
     A sphere base whose orbit rotations.orbit_certificate proves free gets
     exactly F2's ball, and its coordinates wait for a reader of coords.  Any
-    other sphere base is refused when a generator of s fixes it, and its
-    held points are checked: a point reached twice, by two distinct reduced
-    words, contradicts freeness of the orbit.  A set of the coordinates
-    decides that, and only a collision is sought point by point, to name the
-    first.  An f2 window based at a nonidentity word is the same ball,
+    other sphere base is refused when a generator of s fixes it, and every
+    point of the ball that ball_size counts is checked, held or past the
+    hold: a point reached twice, by two distinct reduced words, contradicts
+    freeness of the orbit, and the first such word in index order is
+    named.  An f2 window based at a nonidentity word is the same ball,
     relabelled by g.base and re-sorted.  A hold whose words are too long for
     the tables to index (hold*L above 18 with a 4-byte int) is refused with
     ValueError before anything is allocated; a smaller window may still not
@@ -230,7 +231,7 @@ def expand_window(
             f"index words of at most {_MAX_WORD_LENGTH}"
         )
     # reduced words of length <= radius*L: on the sphere, orbit_certificate
-    # proves the orbit free; an uncertified base is checked on the held points
+    # proves the orbit free; an uncertified base is checked on all of them
     ball_size = 2 * 3 ** (radius * step) - 1
     n = 2 * 3 ** (hold * step) - 1
     tables = {c: array("i", [-1]) * n for c in ALPHABET}
@@ -272,18 +273,58 @@ def expand_window(
         kind, radius, margin, ball_size, tuple(words), dist, tables, base, base_index
     )
     if kind == SPHERE and not certified:
-        coords = w.coords
-        if len(set(coords)) != n:
-            index = {}
-            for j, p in enumerate(coords):
-                if index.setdefault(p, j) != j:
-                    raise FreeActionViolationError(
-                        "two reduced words reach one point",
-                        point=list(p),
-                        word_a=words[index[p]],
-                        word_b=words[j],
-                    )
+        _refuse_collisions(w, hold * step, radius * step)
     return w
+
+
+def _refuse_collisions(w: ActionWindow, held: int, length: int) -> None:
+    """Raise at the first of the ball's words reaching an earlier one's point.
+
+    The ball is every reduced word of at most length letters, the words
+    ball_size counts.  w holds those of at most held letters, the first
+    points of the same index order, and _ball_past_hold makes the rest.
+    """
+    first = {}
+    for ws, ps in _ball_past_hold(w, held, length):
+        for u, p in zip(ws, ps):
+            if first.setdefault(p, u) != u:
+                raise FreeActionViolationError(
+                    "two reduced words reach one point",
+                    point=list(p),
+                    word_a=first[p],
+                    word_b=u,
+                )
+
+
+def _ball_past_hold(w: ActionWindow, held: int, length: int):
+    """(words, points) blocks of the ball in index order, w's points first.
+
+    The levels past the hold are made from w's last level as expand_window
+    makes levels, four blocks by first letter, with points and no tables;
+    each block is yielded as it is made.
+    """
+    words, coords = w.words, w.coords
+    yield words, coords
+    if held >= length:
+        return
+    size = 3 ** (held - 1)
+    lo = len(words) - 4 * size
+    level = []
+    for c in ALPHABET:
+        level.append((c, words[lo : lo + size], coords[lo : lo + size]))
+        lo += size
+    for _ in range(held, length):
+        nxt = []
+        for c in ALPHABET:
+            ci, move = inv(c), point_mover(letter_rotation(c))
+            ws, ps = [], []
+            for f, bw, bp in level:
+                if f != ci:
+                    ws += map(c.__add__, bw)
+                    ps += map(move, bp)
+            yield ws, ps
+            nxt.append((c, ws, ps))
+        level = nxt
 
 
 class _Lifted:

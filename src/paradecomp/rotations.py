@@ -13,12 +13,26 @@ Vectors live on the rational sphere: (x, y, z, k) stands for
 (x, y, z) / 5**k with x^2 + y^2 + z^2 = 25**k, kept normalized so not all of
 x, y, z are divisible by 5 when k > 0.
 
-orbit_certificate proves a point's orbit free for every word length.  After
-descending to a point p0 of scale k0, it shows that every reduced word w
-moves p0 to a point of scale exactly k0 + |w|.  Then no nonidentity w fixes
-p0, so g -> g.p is injective on F2 for every p in the orbit, and a ball of
-2*3^n - 1 reduced words reaches as many distinct points.  The windows of
-actions.py rest their point counts on this.
+Two certificates share one mod-5 automaton.  Each letter c has scale 1, so
+N_c = 5.c is an integer matrix, and a reduced word w acts by the product
+N_w of its letters' N_c over 5^|w|.  The walk follows (last letter, N_w
+applied to some integer columns, mod 5) and proves something when it
+reaches no zero state:
+
+- group_certificate walks the identity's three columns.  A reduced word w
+  with w = I would have N_w = 5^|w| I, zero mod 5, so no nonempty reduced
+  word of any length is the identity: the letters generate a free group.
+  assert_free rests on it, and enumerates words up to a length
+  (shortest_identity_word) only when the walk proves nothing.
+- orbit_certificate walks one column, the numerators of a point p0 it
+  descends to first, of scale k0.  Every reduced word w then moves p0 to a
+  point of scale exactly k0 + |w|, so no nonidentity w fixes p0, g -> g.p
+  is injective on F2 for every p in the orbit, and a ball of 2*3^n - 1
+  reduced words reaches as many distinct points.  The windows of
+  actions.py rest their point counts on this.
+
+Both read the letters' residues at call time, and neither keeps anything
+between calls.
 """
 
 from __future__ import annotations
@@ -155,6 +169,14 @@ def shortest_identity_word(max_len: int) -> str | None:
 
 
 def assert_free(max_len: int) -> None:
+    """Raise when a reduced nonidentity word of length <= max_len is the identity.
+
+    group_certificate proves no such word exists at any length; only when
+    it proves nothing are the words enumerated, by shortest_identity_word,
+    and its witness raised.
+    """
+    if group_certificate() is not None:
+        return
     w = shortest_identity_word(max_len)
     if w is not None:
         raise FreeActionViolationError(
@@ -223,7 +245,51 @@ def point_mover(rot: Rotation):
     return move
 
 
-_MOD5 = {c: tuple(v % 5 for v in r.num) for c, r in _LETTER.items()}
+def _residue_walk(cols):
+    """Number of states of the mod-5 automaton reached from cols, or None.
+
+    cols is a tuple of integer columns (x, y, z) taken mod 5.  A state is
+    (last letter c, the columns after N_c mod 5), walked from every letter;
+    a state is extended by each letter but the inverse of its last, so the
+    states reached are those of the nonempty reduced words.  None when some
+    letter's scale is not 1 (N_c is then not 5.c) or a state's columns are
+    all zero; a zero state proves nothing either way.
+    """
+    mats = {}
+    for c in ALPHABET:
+        rot = _LETTER[c]
+        if rot.scale != 1:
+            return None
+        mats[c] = tuple(v % 5 for v in rot.num)
+    zero = ((0, 0, 0),) * len(cols)
+    seen = set()
+    todo = [(c, cols) for c in ALPHABET]
+    for c, u in todo:  # grows as it is read
+        n0, n1, n2, n3, n4, n5, n6, n7, n8 = mats[c]
+        v = tuple([
+            (
+                (n0 * x + n1 * y + n2 * z) % 5,
+                (n3 * x + n4 * y + n5 * z) % 5,
+                (n6 * x + n7 * y + n8 * z) % 5,
+            )
+            for x, y, z in u
+        ])
+        if v == zero:
+            return None
+        if (c, v) not in seen:
+            seen.add((c, v))
+            todo += [(d, v) for d in ALPHABET if d != _INV[c]]
+    return len(seen)
+
+
+def group_certificate():
+    """States of the walk proving the letters generate a free group, or None.
+
+    The walk starts from the identity's three columns, so a state holds
+    N_w mod 5 for a reduced word w.  No zero state means no nonempty
+    reduced word is the identity, at any length.
+    """
+    return _residue_walk(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 def orbit_certificate(p):
@@ -236,13 +302,14 @@ def orbit_certificate(p):
     letters, first letter first).  Then, for a reduced word v, the integer
     vector u_v with v.p0 = u_v / 5^(k0 + |v|) is got from p0's numerators by
     the integer matrices 5.c, so one more letter's residue mod 5 depends
-    only on the letter and u_v mod 5.  The states (last letter applied, u_v
-    mod 5) form an automaton, walked here from every letter.  When no
+    only on the letter and u_v mod 5.  _residue_walk follows the states
+    (last letter applied, u_v mod 5) from p0's numerators.  When no
     reachable state is zero mod 5, every v.p0 is normalized at scale
     k0 + |v|: distinct reduced words reach distinct points, and the orbit
     is free for every word length.  states counts the reachable states.  A
     zero state returns None, which proves nothing either way: some v.p0
-    then has a lower scale, and that need not be a collision.
+    then has a lower scale, and that need not be a collision.  So does a
+    letter whose scale is not 1.
     """
     x, y, z, k = p
     w = IDENTITY
@@ -255,21 +322,10 @@ def orbit_certificate(p):
                 break
         else:
             break
-    seen = set()
-    todo = [(c, (x % 5, y % 5, z % 5)) for c in ALPHABET]
-    for c, (u0, u1, u2) in todo:  # grows as it is read
-        n0, n1, n2, n3, n4, n5, n6, n7, n8 = _MOD5[c]
-        v = (
-            (n0 * u0 + n1 * u1 + n2 * u2) % 5,
-            (n3 * u0 + n4 * u1 + n5 * u2) % 5,
-            (n6 * u0 + n7 * u1 + n8 * u2) % 5,
-        )
-        if v == (0, 0, 0):
-            return None
-        if (c, v) not in seen:
-            seen.add((c, v))
-            todo += [(d, v) for d in ALPHABET if d != _INV[c]]
-    return (x, y, z, k), w, len(seen)
+    states = _residue_walk(((x % 5, y % 5, z % 5),))
+    if states is None:
+        return None
+    return (x, y, z, k), w, states
 
 
 BASE_POINT = (0, 1, 0, 0)

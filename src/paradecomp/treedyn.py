@@ -276,10 +276,13 @@ def forest_from_obj(obj) -> ForestWindow:
     The edges must form a forest: a self-loop or an edge list that closes a
     cycle is refused like any other malformed field.  One pass over the edges
     checks each in list order, appends it to its endpoints' neighbour lists
-    and links their trees in a union-find.  An edge inside one tree is a
-    repeat when it is already listed (skipped) and closes a cycle otherwise;
-    the cycle is reported after the whole list is read, so a malformed later
-    edge is named first.  Keys it does not read, the schema among them, are
+    and links their trees in a union-find.  An endpoint not met before is
+    in no tree yet, so it is attached under the other endpoint with no
+    find; only an edge whose endpoints were both met runs the two
+    path-halving finds.  An edge inside one tree is a repeat when it is
+    already listed (skipped) and closes a cycle otherwise; the cycle is
+    reported after the whole list is read, so a malformed later edge is
+    named first.  Keys it does not read, the schema among them, are
     ignored.
     """
     if not isinstance(obj, dict):
@@ -303,7 +306,7 @@ def forest_from_obj(obj) -> ForestWindow:
     if not isinstance(edges, list):
         raise ForestFormatError("edges: expected a list")
     nbrs = [[] for _ in range(n)]
-    root = list(range(n))
+    up = [-1] * n  # -1: not met yet; a root is its own parent
     inner = []  # edges whose endpoints already shared a tree
     for i, e in enumerate(edges):
         if not isinstance(e, list) or len(e) != 2:
@@ -317,19 +320,26 @@ def forest_from_obj(obj) -> ForestWindow:
             )
         if u == v:
             raise ForestFormatError(f"edge [{u}, {v}]: self-loop", edge=[u, v])
-        ru = u
-        while root[ru] != ru:
-            root[ru] = ru = root[root[ru]]
-        rv = v
-        while root[rv] != rv:
-            root[rv] = rv = root[root[rv]]
-        if ru == rv:
-            inner.append((u, v))
-            continue
-        if ru < rv:
-            root[rv] = ru
+        if up[u] < 0:
+            if up[v] < 0:
+                up[v] = v
+            up[u] = v
+        elif up[v] < 0:
+            up[v] = u
         else:
-            root[ru] = rv
+            ru = u
+            while up[ru] != ru:
+                up[ru] = ru = up[up[ru]]
+            rv = v
+            while up[rv] != rv:
+                up[rv] = rv = up[up[rv]]
+            if ru == rv:
+                inner.append((u, v))
+                continue
+            if ru < rv:
+                up[rv] = ru
+            else:
+                up[ru] = rv
         nbrs[u].append(v)
         nbrs[v].append(u)
     for ns in nbrs:

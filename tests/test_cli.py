@@ -539,6 +539,18 @@ def test_demo_on_a_sphere_base_with_a_stabilizer_exits_three(capsys):
     )
 
 
+def test_demo_checks_freeness_past_the_held_points(capsys):
+    # radius 5, margin 4 holds words of up to 2 letters, but the boundary
+    # counts the whole radius-5 ball: bAAA reaches AAA's point past the hold
+    argv = ["demo", "--kind", "sphere", "--base=-117,44,0,3", "--radius", "5", "--margin", "4"]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().out == (
+        '{"details":{"point":[1,0,0,0],"word_a":"AAA","word_b":"bAAA"},'
+        '"error":"FREENESS_VIOLATED","message":"two reduced words reach one point",'
+        '"schema":"paradecomp/error/1"}\n'
+    )
+
+
 def test_repeat_runs_are_byte_identical(capsys, k33):
     assert cli.main(["hall-check", k33]) == 0
     first = capsys.readouterr().out

@@ -12,6 +12,7 @@ from paradecomp.rotations import (
     Rotation,
     apply_to_point,
     assert_free,
+    group_certificate,
     is_unit_point,
     letter_rotation,
     normalize_point,
@@ -128,23 +129,71 @@ _FINITE_ORDER = {
 }
 
 
-@pytest.mark.parametrize("order", [None, 2, 3, 4])
-def test_certificate_agrees_with_dfs_oracle(monkeypatch, order):
+def _patch_letters(monkeypatch, letters):
+    """Swap the generator letters for a named test set; None keeps them."""
     import paradecomp.rotations as rot_mod
 
-    if order is not None:
-        gen = _FINITE_ORDER[order]
+    if letters == "b=a":  # scale 1, and aB is the identity
+        monkeypatch.setitem(rot_mod._LETTER, "b", ROT_A)
+        monkeypatch.setitem(rot_mod._LETTER, "B", ROT_A.transpose())
+    elif letters == "all scale 0":
+        # every N_c is then invertible mod 5, so only the scale check refuses
+        for c, order in (("a", 4), ("b", 2)):
+            gen = _FINITE_ORDER[order]
+            monkeypatch.setitem(rot_mod._LETTER, c, gen)
+            monkeypatch.setitem(rot_mod._LETTER, c.upper(), gen.transpose())
+    elif letters is not None:  # a scale-0 finite-order a
+        gen = _FINITE_ORDER[letters]
         monkeypatch.setitem(rot_mod._LETTER, "a", gen)
         monkeypatch.setitem(rot_mod._LETTER, "A", gen.transpose())
+
+
+@pytest.mark.parametrize("order", [None, 2, 3, 4, "all scale 0", "b=a"])
+def test_certificate_agrees_with_dfs_oracle(monkeypatch, order):
+    # assert_free raises exactly when the enumeration finds a word
+    import paradecomp.rotations as rot_mod
+
+    _patch_letters(monkeypatch, order)
     letters = dict(rot_mod._LETTER)
     for max_len in range(9):
         w = shortest_identity_word(max_len)
         assert (w is None) == (dfs_identity_word(letters, max_len) is None)
-        if w is not None:
-            assert w and is_reduced(w) and len(w) <= max_len
-            assert rotation_is_identity(word_rotation(w))
-    if order is not None:
+        if w is None:
+            assert_free(max_len)
+            continue
+        assert w and is_reduced(w) and len(w) <= max_len
+        assert rotation_is_identity(word_rotation(w))
+        with pytest.raises(FreeActionViolationError) as ei:
+            assert_free(max_len)
+        assert ei.value.details == {"word": w, "length": len(w)}
+    if order in _FINITE_ORDER:
         assert shortest_identity_word(order) is not None
+
+
+def test_group_certificate_proves_the_real_letters_free():
+    # (last letter, N_w mod 5) over the nonempty reduced words: 32 states
+    assert group_certificate() == 32
+
+
+@pytest.mark.parametrize("letters", [2, 3, 4, "all scale 0", "b=a"])
+def test_group_certificate_refuses_letters_that_are_not_free(monkeypatch, letters):
+    _patch_letters(monkeypatch, letters)
+    assert group_certificate() is None
+
+
+def test_orbit_certificate_reads_the_letters_at_call_time(monkeypatch):
+    _patch_letters(monkeypatch, "all scale 0")
+    assert orbit_certificate((0, 1, 0, 0)) is None
+
+
+def test_assert_free_needs_no_enumeration_on_the_real_letters(monkeypatch):
+    import paradecomp.rotations as rot_mod
+
+    def enumerate_words(max_len):
+        raise AssertionError("assert_free enumerated words")
+
+    monkeypatch.setattr(rot_mod, "shortest_identity_word", enumerate_words)
+    assert_free(12)
 
 
 def test_point_mover_refuses_a_rotation_fixing_no_axis():
